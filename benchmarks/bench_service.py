@@ -10,22 +10,20 @@ for:
   cache and runs a new ``SpecCC.check`` per edit, which is what the
   one-shot CLI amounted to before this subsystem existed.
 * **batch**: throughput in documents/second over the generated Table-I
-  component specifications: the thread backend at 1/4/8 workers, the
-  pre-pool ``process-fresh`` backend (one cold tool per task — the
-  regression this file exists to expose), and the persistent sharded
-  :class:`repro.service.WorkerPool`.  Pool startup seconds are reported
-  on their own line, *cold* is the first pass over the corpus and
-  *steady* re-runs the corpus over warm worker caches — the number that
-  matters for a long-lived service.  Every backend's canonical reports
-  are byte-compared against the sequential ones.
+  component specifications: the thread backend at 1/4/8 workers and the
+  persistent sharded :class:`repro.service.WorkerPool`.  Pool startup
+  seconds are reported on their own line, *cold* is the first pass over
+  the corpus and *steady* re-runs the corpus over warm worker caches —
+  the number that matters for a long-lived service.  Every backend's
+  canonical reports are byte-compared against the sequential ones.
 * **fault_recovery**: the cost of staying correct under failure — the
   same 13-document pass clean, with one injected worker crash (supervised
   respawn + retry), and fully degraded to the in-process fallback after
   the circuit breaker trips; every pass byte-compared against the
   sequential reference.
-* **async_serve**: the ``serve --async`` front end multiplexing many
-  concurrent client sessions over one event loop, with per-session
-  responses checked against dedicated sequential serve runs.
+* **async_serve**: the request loop multiplexing many concurrent client
+  sessions over one stdio stream, with per-session responses checked
+  against each session served alone.
 * **recovery**: what restarting with a write-ahead journal buys — the
   13-document corpus served through journaled durable sessions (each
   document its own token, a few maintenance edits of history, snapshot
@@ -73,9 +71,9 @@ from repro import SpecCC, SpecCCConfig, SpecSession, TranslationOptions  # noqa:
 from repro.casestudies import component_requirements  # noqa: E402
 from repro.service.batch import BatchChecker  # noqa: E402
 from repro.service.pool import WorkerPool  # noqa: E402
-from repro.service.server import serve, serve_async  # noqa: E402
+from repro.service.server import AsyncSpecServer, serve  # noqa: E402
 
-SCHEMA = "repro-bench-service/5"
+SCHEMA = "repro-bench-service/6"
 
 
 def _config() -> SpecCCConfig:
@@ -196,26 +194,6 @@ def bench_batch(quick: bool) -> Dict[str, object]:
             "docs_per_sec": _rate(len(documents), seconds),
         }
     thread1_rate = results["thread"]["1"]["docs_per_sec"]
-
-    # The pre-pool reference: every task rebuilds the tool in a fresh
-    # process, so cold start dominates — reported separately so it can
-    # never again hide behind a single docs/sec number.
-    try:
-        SpecCC.clear_caches()
-        checker = BatchChecker(config=_config(), workers=4, backend="process-fresh")
-        start = time.perf_counter()
-        batch = checker.check_documents(documents)
-        seconds = time.perf_counter() - start
-        payload = [json.dumps(result.data, sort_keys=True) for result in batch]
-        deterministic = deterministic and payload == canonical
-        results["process_fresh"] = {
-            "4": {
-                "seconds": seconds,
-                "docs_per_sec": _rate(len(documents), seconds),
-            }
-        }
-    except Exception as error:  # pragma: no cover - sandboxed CI runners
-        results["process_fresh"] = {"error": str(error)}
 
     # The persistent pool: startup charged once on its own line; cold =
     # first pass over the corpus; steady = the same corpus re-checked
@@ -376,13 +354,15 @@ def bench_recovery(quick: bool) -> Dict[str, object]:
     the journal-less alternative: a cold server re-driven through each
     document's full edit history.  All three must acknowledge
     byte-identical final reports (``timings=False`` convention).
+    Phases 1 and 3 drive one request core, one session per document
+    (phase 1 ``attach``\ es each to its own durable token).
     """
+    import asyncio
     import shutil
     import tempfile
 
     from repro.service.journal import JournalStore
     from repro.service.reportjson import report_to_dict
-    from repro.service.server import _Server
 
     documents = fault_documents()
     edit_rounds = 2 if quick else 4
@@ -418,6 +398,26 @@ def bench_recovery(quick: bool) -> Dict[str, object]:
             sort_keys=True,
         )
 
+    def serve_histories(server: AsyncSpecServer, attach: bool) -> Dict[str, str]:
+        """Every document's history through *server*; name -> the last
+        acknowledged report."""
+
+        async def drive() -> Dict[str, str]:
+            reports: Dict[str, str] = {}
+            for index, (name, text) in enumerate(documents, start=1):
+                if attach:
+                    await server.handle_request(
+                        {"op": "attach", "token": name, "session": name}
+                    )
+                for rid, request in enumerate(history(index, text), start=1):
+                    last = await server.handle_request(
+                        dict(request, rid=rid, session=name)
+                    )
+                reports[name] = json.dumps(last["report"], sort_keys=True)
+            return reports
+
+        return asyncio.run(drive())
+
     workdir = Path(tempfile.mkdtemp(prefix="bench-journal-"))
     try:
         # Phase 1: journaled serving (the durability tax is in this number).
@@ -429,15 +429,10 @@ def bench_recovery(quick: bool) -> Dict[str, object]:
         store = JournalStore(
             workdir, fsync="always", compact_every=2 * edit_rounds + 2
         )
-        tool = SpecCC(_config())
-        reference: Dict[str, str] = {}
         start = time.perf_counter()
-        for index, (name, text) in enumerate(documents, start=1):
-            server = _Server(tool, journal_store=store)
-            server.handle({"op": "attach", "token": name})
-            for rid, request in enumerate(history(index, text), start=1):
-                last = server.handle(dict(request, rid=rid))
-            reference[name] = json.dumps(last["report"], sort_keys=True)
+        reference = serve_histories(
+            AsyncSpecServer(SpecCC(_config()), journal_store=store), attach=True
+        )
         serve_seconds = time.perf_counter() - start
         serve_counters = store.counters()
         store.close()
@@ -458,17 +453,10 @@ def bench_recovery(quick: bool) -> Dict[str, object]:
         # Phase 3: the crash again, recovered the only way a journal-less
         # service can — every client re-drives its whole edit history.
         SpecCC.clear_caches()
-        cold_tool = SpecCC(_config())
-        cold_match = True
         start = time.perf_counter()
-        for index, (name, text) in enumerate(documents, start=1):
-            server = _Server(cold_tool)
-            for request in history(index, text):
-                last = server.handle(dict(request))
-            cold_match = cold_match and (
-                json.dumps(last["report"], sort_keys=True) == reference[name]
-            )
+        cold = serve_histories(AsyncSpecServer(SpecCC(_config())), attach=False)
         cold_seconds = time.perf_counter() - start
+        cold_match = cold == reference
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
@@ -631,7 +619,7 @@ def bench_remote(quick: bool) -> Dict[str, object]:
     return results
 
 
-# ------------------------------------------------------------- async serve
+# ------------------------------------------------------- multiplexed serve
 def client_script(client: int) -> List[dict]:
     """One client session's requests, over a client-private variable pool."""
     return [
@@ -668,7 +656,7 @@ def bench_async_serve(quick: bool) -> Dict[str, object]:
     clients = 8
     scripts = {f"c{index}": client_script(index) for index in range(clients)}
 
-    # Interleave the clients' requests round-robin on one async stream.
+    # Interleave the clients' requests round-robin on one stream.
     interleaved: List[str] = []
     for step in range(max(len(s) for s in scripts.values())):
         for name, script in scripts.items():
@@ -681,7 +669,11 @@ def bench_async_serve(quick: bool) -> Dict[str, object]:
     SpecCC.clear_caches()
     out = io.StringIO()
     start = time.perf_counter()
-    serve_async(io.StringIO("\n".join(interleaved) + "\n"), out, tool=SpecCC(_config()))
+    serve(
+        io.StringIO("\n".join(interleaved) + "\n"),
+        out,
+        server=AsyncSpecServer(SpecCC(_config())),
+    )
     seconds = time.perf_counter() - start
     requests = len(interleaved)
 
@@ -693,7 +685,7 @@ def bench_async_serve(quick: bool) -> Dict[str, object]:
     for responses in by_session.values():  # arrival order == rid order
         responses.sort(key=lambda r: r["rid"])
 
-    # Reference: each session run alone through the sequential serve loop.
+    # Reference: each session served alone.
     responses_match = True
     for name, script in scripts.items():
         SpecCC.clear_caches()
@@ -701,7 +693,7 @@ def bench_async_serve(quick: bool) -> Dict[str, object]:
         serve(
             io.StringIO("\n".join(json.dumps(r) for r in script) + "\n"),
             reference_out,
-            tool=SpecCC(_config()),
+            server=AsyncSpecServer(SpecCC(_config())),
         )
         reference = [
             canonical_response(json.loads(line))
@@ -762,13 +754,6 @@ def main(argv: List[str] | None = None) -> int:
             f"batch[thread x{workers}]: {data['seconds']:.3f}s  "
             f"{data['docs_per_sec']} docs/s"
         )
-    fresh = report["batch"].get("process_fresh", {})
-    for workers, data in sorted(fresh.items()):
-        if workers != "error":
-            print(
-                f"batch[process-fresh x{workers}]: {data['seconds']:.3f}s  "
-                f"{data['docs_per_sec']} docs/s  (cold start per task)"
-            )
     pool = report["batch"].get("pool", {})
     for workers, data in sorted(pool.items()):
         if workers != "error":

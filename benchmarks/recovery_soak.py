@@ -30,6 +30,7 @@ Usage (from the repository root)::
 from __future__ import annotations
 
 import argparse
+import asyncio
 import json
 import os
 import socket
@@ -44,7 +45,7 @@ if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro import SpecCC  # noqa: E402
-from repro.service.server import _Server  # noqa: E402
+from repro.service.server import AsyncSpecServer  # noqa: E402
 
 DOCUMENT = (
     "If the sensor is active, the valve is opened.\n"
@@ -75,13 +76,17 @@ TOKEN = "soak"
 def sequential_reference() -> dict:
     """rid -> canonical report bytes, from a dedicated in-process run."""
     SpecCC.clear_caches()
-    server = _Server(SpecCC())
-    reports = {}
-    for rid in sorted(HISTORY):
-        response = server.handle(dict(HISTORY[rid]))
-        if HISTORY[rid]["op"] == "check":
-            reports[rid] = json.dumps(response["report"], sort_keys=True)
-    return reports
+    server = AsyncSpecServer(SpecCC())
+
+    async def drive() -> dict:
+        reports = {}
+        for rid in sorted(HISTORY):
+            response = await server.handle_request(dict(HISTORY[rid]))
+            if HISTORY[rid]["op"] == "check":
+                reports[rid] = json.dumps(response["report"], sort_keys=True)
+        return reports
+
+    return asyncio.run(drive())
 
 
 def child_env(**extra: str) -> dict:

@@ -133,13 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", help="run the JSON-lines service loop on stdin/stdout"
     )
     serve.add_argument(
-        "--async",
-        dest="use_async",
-        action="store_true",
-        help="asyncio front end: multiplex concurrent sessions (tag requests "
-        "with 'session'; batch/check offloaded to the worker pool)",
-    )
-    serve.add_argument(
         "--request-timeout",
         type=float,
         default=None,
@@ -157,16 +150,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-queue",
         type=int,
         default=64,
-        help="async only: max requests queued per session before new ones "
-        "are rejected with 'overloaded' (default: 64)",
+        help="max requests in flight per stream (stdio, or one TCP "
+        "connection); at the bound the stream stops reading until one "
+        "completes (default: 64)",
     )
     serve.add_argument(
         "--tcp",
         metavar="HOST:PORT",
         default=None,
         help="listen on a TCP socket instead of stdio (port 0 picks a "
-        "free port; the bound address is printed to stderr); implies "
-        "the async front end",
+        "free port; the bound address is printed to stderr); batch "
+        "requests then default to the process pool",
     )
     serve.add_argument(
         "--max-connections",
@@ -287,11 +281,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch.add_argument(
         "--backend",
-        choices=["thread", "process", "process-fresh", "remote"],
+        choices=["thread", "process", "remote"],
         default="thread",
         help="worker pool backend: thread (shared in-process caches), "
-        "process (persistent sharded worker pool, warm per-process caches), "
-        "process-fresh (one cold tool per task; the pre-pool reference) "
+        "process (persistent sharded worker pool, warm per-process caches) "
         "or remote ('python -m repro worker' processes registered over "
         "TCP; needs --bind)",
     )
@@ -395,7 +388,7 @@ def _parse_address(text: str) -> "tuple":
 
 
 def run_serve(args: argparse.Namespace) -> int:
-    from .service.server import DEFAULT_MAX_REQUEST_BYTES, serve, serve_async
+    from .service.server import DEFAULT_MAX_REQUEST_BYTES, AsyncSpecServer, serve
 
     tool = SpecCC(_config_from(args))
     max_bytes = (
@@ -469,20 +462,14 @@ def run_serve(args: argparse.Namespace) -> int:
             if journal_store is not None:
                 journal_store.close()
     try:
-        if args.use_async:
-            return serve_async(
-                tool=tool,
+        return serve(
+            server=AsyncSpecServer(
+                tool,
                 request_timeout=args.request_timeout,
                 max_request_bytes=max_bytes,
                 max_queue=args.max_queue,
                 journal_store=journal_store,
             )
-        return serve(
-            tool=tool,
-            request_timeout=args.request_timeout,
-            max_request_bytes=max_bytes,
-            journal_store=journal_store,
-            install_signal_handlers=True,
         )
     finally:
         if journal_store is not None:

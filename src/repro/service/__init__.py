@@ -16,10 +16,12 @@ hash-consed core and the process-wide component/automaton caches:
   ``backend="process"``: workers spawned once, per-process caches warm
   across tasks, documents routed by content signature to the shard that
   already analysed them.
-* :func:`serve` / :func:`serve_async` — JSON-lines request loops over
-  stdio behind ``python -m repro serve [--async]`` / ``python -m repro
-  batch``; the async form multiplexes many concurrent client sessions.
-* :class:`SpecGateway` / :func:`serve_tcp` — the same protocol over TCP
+* :class:`AsyncSpecServer` — the one request core of the JSON-lines
+  serve protocol, multiplexing many concurrent client sessions; one
+  request loop (:class:`~repro.service.server.RequestStream`) drives it
+  from every transport.  :func:`serve` runs the loop over stdio
+  (``python -m repro serve``).
+* :class:`SpecGateway` / :func:`serve_tcp` — the same loop over TCP
   (``python -m repro serve --tcp HOST:PORT``): per-connection session
   namespacing, token-bucket rate limiting, connection caps, graceful
   drain — see :mod:`~repro.service.gateway`.
@@ -34,7 +36,7 @@ hash-consed core and the process-wide component/automaton caches:
   and every failure mode is reproducible on schedule through a seeded
   :class:`FaultPlan` (or the ``REPRO_FAULTS`` environment variable).
 * :class:`JournalStore` / :mod:`~repro.service.journal` — durable
-  sessions for every serve front end (``--journal DIR``): per-session
+  sessions for both serve transports (``--journal DIR``): per-session
   write-ahead journals with CRC-framed records, snapshot compaction,
   crash-consistent replay to byte-identical reports, and the ``attach``
   op for reconnect-and-resume with exactly-once edit application.
@@ -52,7 +54,7 @@ from .pool import WorkerPool, document_signature, shared_pool, shutdown_shared_p
 from .remote import RemoteWorkerDied, RemoteWorkerHub, run_worker
 from .reportjson import error_to_dict, report_to_dict
 from .session import SessionDelta, SessionReport, SpecSession
-from .server import AsyncSpecServer, ServiceError, serve, serve_async
+from .server import AsyncSpecServer, ServiceError, serve
 from .supervision import SupervisionConfig
 
 __all__ = [
@@ -80,7 +82,6 @@ __all__ = [
     "report_to_dict",
     "run_worker",
     "serve",
-    "serve_async",
     "serve_tcp",
     "shared_pool",
     "shutdown_shared_pools",

@@ -27,10 +27,7 @@ but are GIL-bound; ``backend="process"`` trades cache sharing for real
 CPU parallelism by dispatching documents onto the persistent sharded
 :class:`~repro.service.pool.WorkerPool` (workers are spawned once, keep
 their caches warm across tasks, and repeated documents route to the
-shard that already analysed them).  The pre-pool behaviour — a fresh
-``ProcessPoolExecutor`` task that rebuilds the tool per document —
-survives as ``backend="process-fresh"`` for benchmarking the cold-start
-regression the pool exists to fix.  ``backend="remote"`` dispatches the
+shard that already analysed them).  ``backend="remote"`` dispatches the
 same tasks to ``python -m repro worker`` processes registered with a
 :class:`~repro.service.remote.RemoteWorkerHub` — other machines' CPUs
 behind the identical pool/supervision seam.  Every backend's workers
@@ -40,9 +37,8 @@ process boundaries), and every backend's reports are byte-identical.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from typing import List, Optional, Sequence, Tuple, Union
 
 from ..core.pipeline import ConsistencyReport, SpecCC, SpecCCConfig
@@ -100,26 +96,10 @@ def _check_document(tool: SpecCC, document: Document) -> ConsistencyReport:
     return tool.check_translated(_translate_document(tool.translator, document))
 
 
-def _checked_to_dict(tool: SpecCC, document: Document) -> dict:
-    """One document → canonical dict, error-isolated: a raising pipeline
-    yields the shared error record instead of propagating."""
-    try:
-        return report_to_dict(_check_document(tool, document), timings=False)
-    except Exception as error:  # noqa: BLE001 - isolated per document
-        return error_to_dict(error)
-
-
-def _process_worker(setup: tuple, item: Tuple[str, Document]) -> dict:
-    """Process-pool worker: one document, canonical dict out."""
-    config, dictionary, signs = setup
-    tool = SpecCC(config, dictionary=dictionary, signs=signs)
-    return _checked_to_dict(tool, item[1])
-
-
 class BatchChecker:
     """Check many documents concurrently with deterministic results."""
 
-    BACKENDS = ("thread", "process", "process-fresh", "remote")
+    BACKENDS = ("thread", "process", "remote")
 
     def __init__(
         self,
@@ -192,8 +172,6 @@ class BatchChecker:
     ) -> List[BatchResult]:
         if self.backend == "process":
             return self._run_pool(items)
-        if self.backend == "process-fresh":
-            return self._run_processes(items)
         if self.backend == "remote":
             return self._run_remote(items)
         if self.workers == 1:
@@ -288,13 +266,3 @@ class BatchChecker:
             self.pool = pool  # reused (and shut down) by the caller
         tasks = pool.check_documents(items)
         return [BatchResult(task.name, task.data) for task in tasks]
-
-    def _run_processes(self, items: List[Tuple[str, Document]]) -> List[BatchResult]:
-        """The pre-pool reference: one fresh tool per task, stone-cold."""
-        translator = self.tool.translator
-        setup = (self.config, translator.dictionary, translator.signs)
-        with ProcessPoolExecutor(max_workers=self.workers) as pool:
-            dicts = list(pool.map(partial(_process_worker, setup), items))
-        return [
-            BatchResult(name, data) for (name, _), data in zip(items, dicts)
-        ]

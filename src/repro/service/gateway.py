@@ -1,38 +1,35 @@
 """TCP gateway: the JSON-lines serve protocol across machine boundaries.
 
 ``python -m repro serve --tcp HOST:PORT`` puts the *exact* protocol the
-stdio front ends speak onto a listening socket.  The gateway adds no
-second protocol implementation: every decoded request line goes through
-the same :meth:`~repro.service.server.AsyncSpecServer.handle_request`
-the ``--async`` stdio loop uses, so ops, session semantics, offloading
-and the closed error-code vocabulary (``bad_json`` / ``bad_request`` /
-``oversized`` / ``timeout`` / ``overloaded`` / ``internal``) are
-identical by construction.  What the network boundary *does* add lives
-here, and only here:
+stdio front end speaks onto a listening socket.  The gateway adds no
+second protocol implementation: every connection runs the same
+:class:`~repro.service.server.RequestStream` loop over the same
+:class:`~repro.service.server.AsyncSpecServer` core, so ops, session
+semantics, framing and the closed error-code vocabulary (``bad_json`` /
+``bad_request`` / ``oversized`` / ``timeout`` / ``overloaded`` /
+``internal``) are identical by construction.  What the network boundary
+*does* add lives here, and only here:
 
-* **Per-connection session namespacing.**  Client session names are
-  rewritten to ``conn<N>/<name>`` before dispatch and rewritten back in
-  responses, so two clients using ``"default"`` get isolated
+* **Per-connection session namespacing.**  A connection's session names
+  are looked up under ``conn<N>/`` and echoed back as the client sent
+  them, so two clients using ``"default"`` get isolated
   :class:`~repro.service.server.SpecSession` state, exactly as if each
   had its own stdio server — and a closing connection drops its whole
   namespace (:meth:`AsyncSpecServer.drop_sessions`), so reconnecting
-  clients cannot leak ``max_sessions`` slots.
-* **Raw-byte request bounds.**  The stdio loops measure the *encoded*
-  length of a decoded line; the gateway never decodes an oversized line
-  in the first place.  Lines are framed by a byte-exact reader that
-  switches to discard mode past ``max_request_bytes`` and answers with
-  one structured ``oversized`` error per offending line, keeping the
-  connection correctly framed (resyncs at the next newline) instead of
-  dropping it.
-* **Admission control.**  A per-client deterministic token bucket
-  (``rate`` requests/second, ``burst`` capacity) answers excess traffic
-  with ``overloaded`` — same code the per-session queue bound uses — and
-  a connection cap answers excess clients with one ``overloaded`` line
-  before close.  Backpressure is always an error *response*, never a
-  silently dropped request.
-* **Graceful drain.**  ``SIGTERM``/``SIGINT`` (or a client ``shutdown``
-  op, unless ``--no-client-shutdown``) stops accepting, lets every
-  in-flight request finish and its response flush, then closes.
+  clients cannot leak ``max_sessions`` slots.  Because the requests are
+  prefixed, the core runs every blocking op (``check``, ``batch``, ...)
+  on an executor thread: one client's long check never stalls the
+  listener or another client.
+* **Admission control.**  A per-connection deterministic token bucket
+  (``rate`` requests/second, ``burst`` capacity) answers excess lines —
+  malformed ones included — with ``overloaded``, and a connection cap
+  answers excess clients with one ``overloaded`` line before close.
+  Admission control is always an error *response*, never a silently
+  dropped request.
+* **Shutdown gate and graceful drain.**  A client ``shutdown`` op is
+  refused when ``--no-client-shutdown`` is set.  ``SIGTERM``/``SIGINT``
+  (or an accepted ``shutdown``) stops accepting, lets every in-flight
+  request finish and its response flush, then closes.
 
 Observability: ``gateway.*`` counters (connections, requests,
 rate-limited, oversized, rejected) land in the process
@@ -47,19 +44,20 @@ import asyncio
 import itertools
 import json
 import logging
-import signal
 import sys
 import time
 from typing import Dict, Optional, Tuple
 
 from ..obs.metrics import registry
-from .server import AsyncSpecServer, ServiceError, error_response
+from .server import (
+    AsyncSpecServer,
+    RequestStream,
+    ServiceError,
+    _trap_signals,
+    error_response,
+)
 
 logger = logging.getLogger("repro.service.gateway")
-
-#: Network reads are chunked; framing is done here, not by StreamReader
-#: (readline's limit handling consumes differently across versions).
-_READ_CHUNK = 65536
 
 
 class TokenBucket:
@@ -89,171 +87,39 @@ class TokenBucket:
         return False
 
 
-async def _iter_lines(reader: "asyncio.StreamReader", max_bytes: int):
-    """Yield ``(line_bytes, oversized)`` per newline-framed record.
-
-    Byte-exact bound enforcement with guaranteed resync: once the
-    accumulating line passes *max_bytes* the reader discards until the
-    next newline and yields one ``(b"", True)`` marker for the whole
-    line, so an attacker streaming a gigabyte line costs one bounded
-    buffer and one error response — never memory, never framing.
-    """
-    buffer = bytearray()
-    discarding = False
-    while True:
-        chunk = await reader.read(_READ_CHUNK)
-        if not chunk:
-            if discarding or len(buffer) > max_bytes:
-                yield b"", True
-            elif buffer:
-                yield bytes(buffer), False
-            return
-        buffer.extend(chunk)
-        while True:
-            index = buffer.find(b"\n")
-            if index < 0:
-                if len(buffer) > max_bytes:
-                    discarding = True
-                    buffer.clear()
-                break
-            line = bytes(buffer[:index].rstrip(b"\r"))
-            del buffer[: index + 1]
-            if discarding:
-                discarding = False
-                yield b"", True
-            elif len(line) > max_bytes:
-                yield b"", True
-            else:
-                yield line, False
-
-
-class _Connection:
-    """One client connection: framing, namespacing, admission, writes."""
+class _Connection(RequestStream):
+    """One client connection: the request loop under ``conn<N>/`` with
+    the gateway's token bucket and shutdown gate, writing to a socket."""
 
     def __init__(
         self, gateway: "SpecGateway", number: int, reader, writer
     ) -> None:
-        self.gateway = gateway
-        self.number = number
-        self.prefix = f"conn{number}/"
-        self.reader = reader
-        self.writer = writer
-        self.bucket = (
-            TokenBucket(gateway.rate, gateway.burst, clock=gateway.clock)
-            if gateway.rate is not None
-            else None
+        super().__init__(
+            gateway.server,
+            reader,
+            prefix=f"conn{number}/",
+            bucket=(
+                TokenBucket(gateway.rate, gateway.burst, clock=gateway.clock)
+                if gateway.rate is not None
+                else None
+            ),
+            allow_shutdown=gateway.allow_shutdown,
         )
+        self.writer = writer
         self.write_lock = asyncio.Lock()
-        self.pending: set = set()
-        self.requests = 0
+        self.task: Optional[asyncio.Future] = None
 
-    async def write(self, response: dict) -> None:
+    async def send(self, line: str) -> None:
+        # One writer at a time: concurrent drain() calls are not safe on
+        # every supported Python.
         async with self.write_lock:
-            try:
-                self.writer.write(
-                    (json.dumps(response, sort_keys=True) + "\n").encode("utf-8")
-                )
-                await self.writer.drain()
-            except (ConnectionError, OSError):
-                pass  # client went away mid-response; run() sees the EOF
+            self.writer.write(line.encode("utf-8"))
+            await self.writer.drain()
 
-    def _base(self, request) -> dict:
-        base: dict = {}
-        if isinstance(request, dict):
-            if "rid" in request:
-                base["rid"] = request["rid"]
-            base["session"] = str(request.get("session", "default"))
-        return base
+    def count(self, event: str) -> None:
+        registry().counter(f"gateway.{event}")
 
-    async def handle(self, request) -> None:
-        """Dispatch one request through the shared server, namespaced."""
-        original: Optional[str] = None
-        if isinstance(request, dict):
-            original = str(request.get("session", "default"))
-            request = dict(request)
-            request["session"] = self.prefix + original
-        response = await self.gateway.server.handle_request(request)
-        if (
-            original is not None
-            and isinstance(response.get("session"), str)
-            and response["session"].startswith(self.prefix)
-        ):
-            response["session"] = original
-        await self.write(response)
-
-    async def run(self) -> None:
-        gateway = self.gateway
-        async for line, oversized in _iter_lines(
-            self.reader, gateway.server.max_request_bytes
-        ):
-            if oversized:
-                registry().counter("gateway.oversized")
-                await self.write(
-                    error_response(
-                        ServiceError(
-                            "request line exceeds "
-                            f"{gateway.server.max_request_bytes} bytes",
-                            code="oversized",
-                        )
-                    )
-                )
-                continue
-            if not line.strip():
-                continue
-            self.requests += 1
-            registry().counter("gateway.requests")
-            try:
-                request = json.loads(line.decode("utf-8"))
-            except Exception as error:  # noqa: BLE001 - bad bytes, bad JSON
-                await self.write(
-                    {
-                        "ok": False,
-                        "error": f"malformed JSON: {error}",
-                        "code": "bad_json",
-                    }
-                )
-                continue
-            if self.bucket is not None and not self.bucket.acquire():
-                registry().counter("gateway.rate_limited")
-                response = error_response(
-                    ServiceError(
-                        f"rate limit exceeded ({gateway.rate:g} requests/s, "
-                        f"burst {gateway.burst:g}); retry later",
-                        code="overloaded",
-                    )
-                )
-                response.update(self._base(request))
-                await self.write(response)
-                continue
-            if isinstance(request, dict) and request.get("op") == "shutdown":
-                if not gateway.allow_shutdown:
-                    response = error_response(
-                        ServiceError(
-                            "shutdown over the network is disabled on this "
-                            "gateway; signal the server process instead"
-                        )
-                    )
-                    response.update(self._base(request))
-                    await self.write(response)
-                    continue
-                # Global drain, exactly like the stdio loops: everything
-                # already accepted (on this connection) finishes first,
-                # the ack goes out, then the whole gateway drains.
-                if self.pending:
-                    await asyncio.gather(*self.pending, return_exceptions=True)
-                    self.pending.clear()
-                await self.handle(request)
-                await gateway.shutdown()
-                return
-            task = asyncio.create_task(self.handle(request))
-            self.pending.add(task)
-            task.add_done_callback(self.pending.discard)
-        if self.pending:
-            await asyncio.gather(*self.pending, return_exceptions=True)
-
-    async def drain_and_close(self) -> None:
-        if self.pending:
-            await asyncio.gather(*self.pending, return_exceptions=True)
+    async def close(self) -> None:
         try:
             self.writer.close()
             await self.writer.wait_closed()
@@ -298,6 +164,7 @@ class SpecGateway:
         self._numbers = itertools.count(1)
         self._draining = False
         self._done: Optional[asyncio.Event] = None
+        self._signal_drain: Optional[asyncio.Future] = None
         self._accepted = 0
         self._rejected = 0
 
@@ -327,27 +194,30 @@ class SpecGateway:
         logger.info("gateway draining (%d connections)", len(self._connections))
         if self._tcp is not None:
             self._tcp.close()
+        connections = list(self._connections.values())
+        for connection in connections:
+            connection.stop()
+        if connections:
+            await asyncio.wait([connection.task for connection in connections])
+        if self._tcp is not None:
             await self._tcp.wait_closed()
-        for connection in list(self._connections.values()):
-            await connection.drain_and_close()
         if self._done is not None:
             self._done.set()
 
     async def run(self) -> int:
         """Serve until a drain completes (signal or client shutdown)."""
         await self.start()
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(
-                    signum,
-                    lambda: asyncio.ensure_future(self.shutdown()),
-                )
-            except (NotImplementedError, RuntimeError, ValueError):
-                break  # platform or non-main-thread: signals unavailable
-        assert self._done is not None
-        await self._done.wait()
+        restore = _trap_signals(self._on_signal)
+        try:
+            assert self._done is not None
+            await self._done.wait()
+        finally:
+            restore()
         return 0
+
+    def _on_signal(self) -> None:
+        # Keep the drain task referenced: the loop holds tasks weakly.
+        self._signal_drain = asyncio.ensure_future(self.shutdown())
 
     # --------------------------------------------------------- connections
     async def _on_connection(self, reader, writer) -> None:
@@ -378,6 +248,7 @@ class SpecGateway:
             return
         number = next(self._numbers)
         connection = _Connection(self, number, reader, writer)
+        connection.task = asyncio.current_task()
         self._connections[number] = connection
         self._accepted += 1
         registry().counter("gateway.connections")
@@ -387,14 +258,10 @@ class SpecGateway:
             pass  # half-open sockets surface here; namespace cleanup below
         finally:
             self._connections.pop(number, None)
-            # An abortive disconnect (reset mid-read) can leave handler
-            # tasks still running; await them *before* touching the
-            # namespace, or a handler could resurrect a session the drop
-            # below already removed.  (A clean EOF already drained inside
-            # run(); gathering an empty set is free.)
-            if connection.pending:
-                await asyncio.gather(*connection.pending, return_exceptions=True)
-                connection.pending.clear()
+            # run() returns only once every in-flight request of the
+            # connection has been answered — also after an abortive
+            # disconnect — so no handler can resurrect a session the
+            # drop below removes.
             dropped = self.server.drop_sessions(connection.prefix)
             if dropped:
                 registry().counter("gateway.sessions_dropped", dropped)
@@ -403,10 +270,10 @@ class SpecGateway:
                 # Durable (journal-backed) sessions are retained for
                 # re-attach; only the connection's aliases go.
                 registry().counter("gateway.sessions_detached", detached)
-            try:
-                writer.close()
-            except (ConnectionError, OSError):
-                pass
+            await connection.close()
+        if not self.server.running:
+            # This client's shutdown was accepted: drain every connection.
+            await self.shutdown()
 
     # ------------------------------------------------------- observability
     def stats(self) -> dict:
@@ -440,7 +307,9 @@ def serve_tcp(
 
     Prints one ``listening on HOST:PORT`` line to stderr once bound
     (port 0 picks a free port — harnesses parse this line), then serves
-    until SIGTERM/SIGINT or a client ``shutdown``.  With *journal_store*
+    until SIGTERM/SIGINT or a client ``shutdown``.  ``batch`` requests
+    default to the persistent process pool (*batch_pool* when given, e.g.
+    the ``--workers-bind`` remote pool).  With *journal_store*
     every journal in the store directory is recovered before the socket
     binds, and clients get the ``attach`` durable-session op.
     """
@@ -448,6 +317,7 @@ def serve_tcp(
 
     server = AsyncSpecServer(
         tool,
+        default_batch_backend="process",
         request_timeout=request_timeout,
         max_request_bytes=(
             max_request_bytes

@@ -3,7 +3,7 @@ crash-consistent recovery.
 
 Every :class:`~repro.service.session.SpecSession` the serving tier holds
 lives purely in memory, so before this module a crash or restart of
-``serve``/``serve --async``/``serve --tcp`` threw away every client's
+``serve`` or ``serve --tcp`` threw away every client's
 session and forced full cold re-analysis of every open document.  The
 journal makes session state *durable and replayable*:
 
@@ -40,6 +40,10 @@ journal makes session state *durable and replayable*:
   classic append-happened/ack-lost window) is answered
   ``"duplicate": true`` instead of having the edit applied twice — the
   ``attach`` op returns ``last_rid`` so clients can resynchronise.
+* **Binding.**  Every serve transport recovers all journals at startup.
+  A TCP client binds a session name to a token with ``attach``; stdio
+  ``serve`` binds its session ``"default"`` to token ``"default"``, so a
+  restarted stdio daemon resumes where the previous one stopped.
 
 **Fsync policy** (the durability/latency trade):  ``"always"`` fsyncs
 every append (an acknowledged edit survives power loss), ``"interval:N"``
@@ -283,7 +287,7 @@ class JournalStore:
     One store per serving process: the serve entry points create it from
     ``--journal DIR``, recover every journal found in the directory at
     startup, and hand out :class:`DurableSession`\\ s to the ``attach``
-    op.  Thread-safe — the async front end journals mutations from the
+    op.  Thread-safe — the serve request core journals mutations from the
     event loop and checks from executor threads (serialized per session
     by the session locks; the store only guards its own maps/counters).
     """

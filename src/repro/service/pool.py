@@ -56,7 +56,7 @@ the supervisor's recovery counters in :meth:`WorkerPool.stats`;
 snapshot on demand.
 
 ``backend="process"`` of :class:`~repro.service.batch.BatchChecker` and
-the async serve front end both draw their pool from the module-level
+the serve daemon's ``batch`` op both draw their pool from the module-level
 :func:`shared_pool` registry, so one set of warm workers serves every
 batch request in the process.
 """
@@ -669,7 +669,7 @@ class WorkerPool:
 
 # --------------------------------------------------------- shared registry
 # One pool per (tool setup, shard count) per process: BatchChecker's
-# process backend and the async serve front end both call shared_pool(),
+# process backend and the serve daemon's batch op both call shared_pool(),
 # so every batch request in a daemon reuses the same warm workers.
 _shared_pools: Dict[Tuple[bytes, int], WorkerPool] = {}
 _shared_lock = threading.Lock()

@@ -1,10 +1,13 @@
-"""The long-lived service loop: JSON-lines requests over stdio.
+"""The serve protocol: one request core, one request loop, two transports.
 
 ``python -m repro serve`` reads one JSON object per line from stdin and
-writes one JSON response per line to stdout, holding a single
-:class:`~repro.service.session.SpecSession` (plus the shared process
-caches) alive between requests — the daemon form of the paper's
-edit/re-check maintenance loop.
+writes one JSON response per line to stdout; ``python -m repro serve
+--tcp HOST:PORT`` speaks the same protocol on a socket (see
+:mod:`repro.service.gateway`).  Both transports run the same
+:class:`RequestStream` loop over the same :class:`AsyncSpecServer`
+core, which holds the client sessions (plus the shared process caches)
+alive between requests — the daemon form of the paper's edit/re-check
+maintenance loop.
 
 Protocol (request ``op`` → response fields beyond ``{"ok": true, "op":
 ...}``):
@@ -17,57 +20,66 @@ Protocol (request ``op`` → response fields beyond ``{"ok": true, "op":
   "revision": n}``; the report is the shared
   :func:`~repro.service.reportjson.report_to_dict` format.
 * ``batch`` — ``{"documents": [{"name": ..., "text": ...}, ...],
-  "workers": 4}``; responds with ``{"results": [{"name": ...,
-  "report": {...}}, ...]}`` in input order.
+  "workers": 4, "backend": ...}``; responds with ``{"results":
+  [{"name": ..., "report": {...}}, ...]}`` in input order.  The default
+  backend is the core's ``default_batch_backend``: ``thread`` on stdio,
+  the persistent ``process`` pool over TCP.
 * ``stats`` — cache statistics; ``reset`` — fresh session;
-  ``shutdown`` — acknowledge and exit the loop.
+  ``shutdown`` — drain in-flight requests, acknowledge and stop.
+* ``attach`` — ``{"token": "..."}`` binds the session name to a durable
+  journaled session (``serve --journal DIR``, see
+  :mod:`repro.service.journal`) and answers the resume handshake.
 * ``metrics`` — the unified observability snapshot
   (:mod:`repro.obs.metrics`): native counters/gauges/histograms plus the
   collected ``pipeline``/``sat``/``game``/``pool``/``supervision``
   namespaces.  Additionally, *any* request may carry ``"trace": true``:
   the request runs under a per-request tracer and its span records come
   back on the response under the volatile ``"trace"`` field.
-
 * ``ping`` / ``health`` — liveness without analysis: uptime, session
   count and stats, and the worker pools' supervision counters
   (restarts/retries/timeouts/degraded — see
   :mod:`repro.service.supervision`); ``status`` is ``"degraded"`` when
   any pool is running on its in-process fallback.
 
-Malformed requests produce ``{"ok": false, "error": "...", "code":
-"..."}`` and the loop continues: a broken client line must not take the
-daemon down — this holds on both the sync and the async paths.  The
-``code`` field is machine-readable and closed: ``bad_json`` (unparsable
-line), ``bad_request`` (parsable but invalid — unknown op, missing or
-malformed fields), ``oversized`` (raw line exceeds the request byte
-bound), ``timeout`` (the per-request deadline elapsed), ``overloaded``
-(a session's queue hit its backpressure bound), ``internal`` (anything
-else; the daemon survives and says so rather than dropping the
-connection).
+**Sessions.**  Every request may carry ``"session": "<name>"`` (default
+``"default"``) selecting an isolated :class:`SpecSession`, and an
+optional ``"rid"`` correlation id; the response echoes ``session``, and
+``rid`` when one was sent.  Requests within one session are processed
+strictly in arrival order, so per-session responses are identical to a
+sequential run.  Over TCP, and on stdio once a second session exists
+or a request deadline is set, blocking ops run on an executor thread,
+so one session's long analysis never stalls another session's edits or
+the gateway's listener.  Responses of
+different sessions may interleave — clients that pipeline across
+sessions correlate by ``rid``.
 
-**Async front end** (``python -m repro serve --async``): the same
-protocol over an asyncio event loop that multiplexes *many* concurrent
-clients/sessions on one stream.  Every request may carry ``"session":
-"<name>"`` (default ``"default"``) selecting an isolated
-:class:`SpecSession`, and an optional ``"rid"`` correlation id; both are
-echoed on the response, which is required because responses from
-different sessions may interleave.  Requests within one session are
-processed strictly in arrival order (per-session locks), so per-session
-responses are identical to a sequential run; blocking ``check`` ops run
-on an executor thread and ``batch`` ops default to the persistent
-sharded :mod:`~repro.service.pool` workers, so long analyses never stall
-interactive ``add``/``update`` edits on other sessions.
+**Errors.**  Malformed requests produce ``{"ok": false, "error": "...",
+"code": "..."}`` and the loop continues: a broken client line must not
+take the daemon down.  The ``code`` field is machine-readable and
+closed: ``bad_json`` (unparsable line), ``bad_request`` (parsable but
+invalid — unknown op, missing or malformed fields), ``oversized`` (raw
+line exceeds the request byte bound; the line terminator does not
+count), ``timeout`` (the per-request deadline elapsed), ``overloaded``
+(the TCP rate limit or connection cap), ``internal`` (anything else;
+the daemon survives and says so rather than dropping the connection).
+
+**Backpressure.**  A stream stops reading while ``max_queue`` of its
+requests are in flight, so a client that pipelines faster than the
+daemon checks is slowed down, never refused.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import os
+import signal
+import stat
 import sys
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
-from typing import IO, Optional
+from typing import IO, Callable, Optional
 
 from ..core.pipeline import SpecCC
 from .batch import BatchChecker
@@ -78,24 +90,10 @@ from .session import SessionReport, SpecSession
 #: not be able to buffer arbitrary bytes into the daemon.
 DEFAULT_MAX_REQUEST_BYTES = 1 << 20
 
-
-def line_exceeds_bytes(line: str, bound: int) -> bool:
-    """True when *line*'s UTF-8 encoding exceeds *bound* bytes.
-
-    The bound is a *byte* bound (the resource being protected is buffer
-    memory), so it must be measured on the encoded length: a character
-    count undercounts multi-byte UTF-8 by up to 4x.  The character count
-    still serves as a cheap two-sided filter — ``len(line) > bound``
-    means the bytes exceed it too, and ``len(line) * 4 <= bound`` means
-    even all-4-byte text cannot reach it — so the encode only runs for
-    lines near the bound.  The TCP gateway never gets here: it reads raw
-    bytes off the socket and bounds them before decoding.
-    """
-    if len(line) > bound:
-        return True
-    if len(line) * 4 <= bound:
-        return False
-    return len(line.encode("utf-8")) > bound
+#: Raw reads are chunked; framing is done by :func:`_iter_lines`, not by
+#: StreamReader (readline's limit handling consumes differently across
+#: versions).
+_READ_CHUNK = 65536
 
 
 class ServiceError(Exception):
@@ -107,9 +105,7 @@ class ServiceError(Exception):
 
 
 def error_code(error: BaseException) -> str:
-    """The structured code for *error* — shared by sync and async paths,
-    so the two loops emit identical error responses for identical
-    failures (the normalize-and-compare tests rely on this)."""
+    """The structured code for *error*."""
     if isinstance(error, ServiceError):
         return error.code
     if isinstance(error, (FuturesTimeoutError, asyncio.TimeoutError)):
@@ -121,6 +117,22 @@ def error_code(error: BaseException) -> str:
 
 def error_response(error: BaseException) -> dict:
     return {"ok": False, "error": str(error), "code": error_code(error)}
+
+
+def _echo(request) -> dict:
+    """The correlation fields a response to *request* carries back."""
+    if not isinstance(request, dict):
+        return {}
+    echo = {"session": str(request.get("session", "default"))}
+    if "rid" in request:
+        echo["rid"] = request["rid"]
+    return echo
+
+
+def _require(request: dict, key: str):
+    if key not in request:
+        raise ValueError(f"missing field {key!r}")
+    return request[key]
 
 
 def _delta_to_dict(report: SessionReport) -> dict:
@@ -153,56 +165,18 @@ def _delta_to_dict(report: SessionReport) -> dict:
 
 
 class _Server:
-    """Dispatches one session's worth of requests."""
+    """One session's state and ops, owned by an :class:`AsyncSpecServer`
+    (the core holds everything sessions share: tool, batch backend and
+    pool, journal store)."""
 
-    def __init__(
-        self,
-        tool: Optional[SpecCC] = None,
-        default_batch_backend: str = "thread",
-        batch_pool=None,
-        journal_store=None,
-    ) -> None:
-        """*batch_pool* pins a specific :class:`~repro.service.pool.
-        WorkerPool` for ``batch`` requests (the TCP gateway passes its
-        remote-worker pool here); without one, ``backend="process"``
-        falls back to the shared registry pool.  *journal_store* (a
-        :class:`~repro.service.journal.JournalStore`) enables the
-        ``attach`` op: once attached to a durable session token, every
-        mutation is write-ahead journaled before it is acknowledged and
-        integer ``rid``\\ s are deduplicated for exactly-once retries."""
-        self.tool = tool if tool is not None else SpecCC()
-        self.session = SpecSession(self.tool)
-        self.default_batch_backend = default_batch_backend
-        self.batch_pool = batch_pool
-        self.journal_store = journal_store
-        #: The :class:`~repro.service.journal.DurableSession` this server
+    def __init__(self, core: "AsyncSpecServer") -> None:
+        self.core = core
+        self.session = SpecSession(core.tool)
+        #: The :class:`~repro.service.journal.DurableSession` this session
         #: is attached to, or None for a plain in-memory session.
         self.durable = None
-        self.running = True
-        self._started = time.monotonic()
 
     # -------------------------------------------------------- durability
-    def adopt(self, durable) -> None:
-        """Bind this server to *durable* (its session becomes ours)."""
-        self.durable = durable
-        self.session = durable.session
-
-    @staticmethod
-    def attach_response(durable) -> dict:
-        """The ``attach`` handshake payload: everything a resuming
-        client needs to resynchronise — most importantly ``last_rid``,
-        the largest integer rid the journal has durably applied, which
-        tells the client whether its unacknowledged in-flight edit
-        landed before the crash (retry it either way: rids at or below
-        the watermark are deduplicated, not re-applied)."""
-        return {
-            "token": durable.token,
-            "size": len(durable.session),
-            "revision": durable.session.revision,
-            "last_rid": durable.last_rid,
-            "replayed_records": durable.replayed_records,
-        }
-
     @staticmethod
     def _journal_rid(request: dict):
         """The request's rid, when it can participate in exactly-once
@@ -257,40 +231,20 @@ class _Server:
         # client on the response under the volatile "trace" field.
         from ..obs.trace import Tracer, activated, span
 
-        attrs = {"session": str(request.get("session", "default"))}
-        if "rid" in request:
-            attrs["rid"] = request["rid"]
         tracer = Tracer(name=f"serve.{op}")
         with activated(tracer):
-            with span(f"serve.{op}", **attrs):
+            with span(f"serve.{op}", **_echo(request)):
                 result = handler(request)
         result = dict(result)
         result["trace"] = tracer.drain()
         return result
 
-    @staticmethod
-    def _require(request: dict, key: str):
-        if key not in request:
-            raise ValueError(f"missing field {key!r}")
-        return request[key]
-
-    def _op_attach(self, request: dict) -> dict:
-        """Bind this server to a durable session token (see the journal
-        module): recover-or-create, and return the resume handshake."""
-        if self.journal_store is None:
-            raise ServiceError(
-                "durable sessions are not enabled (start serve with --journal DIR)"
-            )
-        token = str(self._require(request, "token"))
-        self.adopt(self.journal_store.attach(token, self.tool))
-        return self.attach_response(self.durable)
-
     def _op_add(self, request: dict) -> dict:
         duplicate = self._duplicate(request)
         if duplicate is not None:
             return duplicate
-        identifier = str(self._require(request, "id"))
-        text = str(self._require(request, "text"))
+        identifier = str(_require(request, "id"))
+        text = str(_require(request, "text"))
         self.session.add(identifier, text)
         self._journal({"op": "add", "id": identifier, "text": text}, request)
         return {"size": len(self.session)}
@@ -299,8 +253,8 @@ class _Server:
         duplicate = self._duplicate(request)
         if duplicate is not None:
             return duplicate
-        identifier = str(self._require(request, "id"))
-        text = str(self._require(request, "text"))
+        identifier = str(_require(request, "id"))
+        text = str(_require(request, "text"))
         self.session.update(identifier, text)
         self._journal({"op": "update", "id": identifier, "text": text}, request)
         return {"size": len(self.session)}
@@ -309,7 +263,7 @@ class _Server:
         duplicate = self._duplicate(request)
         if duplicate is not None:
             return duplicate
-        identifier = str(self._require(request, "id"))
+        identifier = str(_require(request, "id"))
         self.session.remove(identifier)
         self._journal({"op": "remove", "id": identifier}, request)
         return {"size": len(self.session)}
@@ -318,7 +272,7 @@ class _Server:
         duplicate = self._duplicate(request)
         if duplicate is not None:
             return duplicate
-        document = str(self._require(request, "document"))
+        document = str(_require(request, "document"))
         added = self.session.load_document(document)
         self._journal({"op": "load", "document": document}, request)
         return {"added": list(added), "size": len(self.session)}
@@ -358,7 +312,7 @@ class _Server:
     MAX_BATCH_WORKERS = 8
 
     def _op_batch(self, request: dict) -> dict:
-        documents = self._require(request, "documents")
+        documents = _require(request, "documents")
         if not isinstance(documents, (list, tuple)):
             raise ValueError(
                 "documents must be an array of objects, got "
@@ -369,7 +323,7 @@ class _Server:
             # Shape-checked explicitly: a list or string entry would raise
             # AttributeError below, which error_code() classifies as
             # "internal" — but a malformed request is the client's fault
-            # and must say "bad_request" on both the sync and async paths.
+            # and must say "bad_request".
             if not isinstance(entry, dict):
                 raise ValueError(
                     f"documents[{position}] must be an object with 'text' "
@@ -390,10 +344,10 @@ class _Server:
         # Share the session's tool so batch requests judge documents with
         # the same dictionary/signs as session checks.
         checker = BatchChecker(
-            tool=self.tool,
+            tool=self.core.tool,
             workers=max(1, min(int(request.get("workers", 4)), self.MAX_BATCH_WORKERS)),
-            backend=str(request.get("backend", self.default_batch_backend)),
-            pool=self.batch_pool,
+            backend=str(request.get("backend", self.core.default_batch_backend)),
+            pool=self.core.batch_pool,
         )
         results = checker.check_documents(items)
         return {
@@ -406,14 +360,14 @@ class _Server:
         from .pool import shared_pool_stats
         from .reportjson import stats_to_dict
 
+        store = self.core.journal_store
         payload = stats_to_dict(
-            self.tool,
+            self.core.tool,
             pools=shared_pool_stats(),
-            journal=(
-                self.journal_store.stats() if self.journal_store is not None else None
-            ),
+            journal=store.stats() if store is not None else None,
         )
         payload["size"] = len(self.session)
+        payload["sessions"] = self.core.session_count
         return payload
 
     def _op_metrics(self, request: dict) -> dict:
@@ -433,8 +387,8 @@ class _Server:
         supervision = aggregate_stats(shared_pool_stats())
         return {
             "status": "degraded" if supervision["degraded"] else "ok",
-            "uptime_seconds": time.monotonic() - self._started,
-            "sessions": 1,
+            "uptime_seconds": time.monotonic() - self.core.started,
+            "sessions": self.core.session_count,
             "session_stats": self.session.stats(),
             "supervision": supervision,
         }
@@ -446,25 +400,24 @@ class _Server:
         duplicate = self._duplicate(request)
         if duplicate is not None:
             return duplicate
-        self.session = SpecSession(self.tool)
+        self.session = SpecSession(self.core.tool)
         if self.durable is not None:
             self.durable.session = self.session
             self._journal({"op": "reset"}, request)
         return {"size": 0}
 
     def _op_shutdown(self, request: dict) -> dict:
-        self.running = False
+        self.core.running = False
         return {}
 
 
-# ------------------------------------------------------------------- async
-#: Response fields that legitimately differ between a concurrent async
-#: run and a dedicated sequential one: correlation echoes, wall-clock
-#: seconds, and observability counters concurrent sessions bleed into
-#: (see :class:`~repro.service.session.SessionDelta`).  Anything
-#: comparing async responses against sequential references (the service
-#: benchmark and the test suite both do) strips exactly these — one
-#: list, so the two comparisons cannot drift apart.
+#: Response fields that legitimately differ between a concurrent run and
+#: a dedicated sequential one: correlation echoes, wall-clock seconds,
+#: and observability counters concurrent sessions bleed into (see
+#: :class:`~repro.service.session.SessionDelta`).  Anything comparing
+#: responses against sequential references (the service benchmark and
+#: the test suite both do) strips exactly these — one list, so the
+#: comparisons cannot drift apart.
 VOLATILE_RESPONSE_FIELDS = (
     "session",
     "rid",
@@ -495,7 +448,7 @@ def normalize_response(response: dict) -> dict:
     What remains — reports, verdicts, deltas, revisions — is a pure
     function of the session's request sequence, so it must compare equal
     (byte-for-byte once serialized with ``sort_keys``) against a
-    dedicated sequential ``serve`` run.
+    dedicated sequential run.
     """
     response = dict(response)
     for key in VOLATILE_RESPONSE_FIELDS:
@@ -511,17 +464,20 @@ def normalize_response(response: dict) -> dict:
 
 
 class AsyncSpecServer:
-    """Multiplexes many concurrent client sessions over one event loop.
+    """The request core: every transport's requests end here.
 
-    Each ``"session"`` name owns an isolated :class:`_Server` (its own
+    Each session name owns an isolated :class:`_Server` (its own
     :class:`SpecSession`) sharing the process-wide tool and caches, plus
     an :class:`asyncio.Lock` that serialises that session's requests in
     arrival order — so every session observes exactly the semantics of a
-    dedicated sequential ``serve`` loop, while different sessions make
-    progress concurrently.  Blocking ``check``/``batch`` work runs on an
-    executor thread (``batch`` defaults to ``backend="process"``, i.e.
-    the persistent sharded worker pool), keeping the loop free for
-    interactive edits.
+    dedicated sequential loop, while different sessions make progress
+    concurrently.  Blocking ops (:attr:`OFFLOADED_OPS`) run on an
+    executor thread whenever something could wait on them — a second
+    session, a request deadline to enforce, or a prefixed caller (a TCP
+    connection, whose event loop also accepts new connections).  The
+    lone unprefixed session of stdio ``serve`` without a deadline runs
+    them inline, since there is nothing for them to stall and the thread
+    hop would only add latency and memory.
     """
 
     #: Ops that can run long: handled off-loop so one session's analysis
@@ -533,12 +489,12 @@ class AsyncSpecServer:
     #: a session is created, so invalid traffic cannot allocate state.
     VALID_OPS = frozenset(
         name[len("_op_"):] for name in vars(_Server) if name.startswith("_op_")
-    )
+    ) | {"attach"}
 
     def __init__(
         self,
         tool: Optional[SpecCC] = None,
-        default_batch_backend: str = "process",
+        default_batch_backend: str = "thread",
         max_sessions: int = 256,
         request_timeout: Optional[float] = None,
         max_request_bytes: int = DEFAULT_MAX_REQUEST_BYTES,
@@ -546,7 +502,13 @@ class AsyncSpecServer:
         batch_pool=None,
         journal_store=None,
     ) -> None:
-        """*max_sessions* bounds the number of concurrently held client
+        """*default_batch_backend* answers ``batch`` requests that name no
+        backend; *batch_pool* pins the :class:`~repro.service.pool.
+        WorkerPool` behind ``backend="process"`` (the TCP gateway passes
+        its remote-worker pool here; without one the shared registry pool
+        is used).
+
+        *max_sessions* bounds the number of concurrently held client
         sessions: each named session keeps a :class:`SpecSession` alive
         for the daemon's lifetime, so client-chosen names must not be
         able to grow memory without bound.
@@ -555,9 +517,8 @@ class AsyncSpecServer:
         disables it): a request that exceeds it gets a structured
         ``timeout`` error instead of stalling its session forever.
         *max_request_bytes* bounds one raw request line (``oversized``).
-        *max_queue* bounds how many requests may wait on one session's
-        lock before new ones are rejected with ``overloaded`` — bounded
-        backpressure instead of unbounded queue growth.
+        *max_queue* bounds the requests one stream keeps in flight; at the
+        bound the stream stops reading until one completes.
 
         *journal_store* enables durable sessions: every journal found in
         the store's directory is replayed eagerly here (startup, not
@@ -575,9 +536,9 @@ class AsyncSpecServer:
         self.max_queue = max_queue
         self.batch_pool = batch_pool
         self.journal_store = journal_store
+        self.started = time.monotonic()
         self._sessions: dict = {}
         self._locks: dict = {}
-        self._queued: dict = {}  # session name -> requests waiting/running
         self._durable: dict = {}  # token -> _Server (survives disconnects)
         self._durable_locks: dict = {}  # token -> asyncio.Lock (lazy: see below)
         self._aliases: dict = {}  # client session name -> durable token
@@ -594,6 +555,10 @@ class AsyncSpecServer:
     def durable_tokens(self) -> tuple:
         return tuple(sorted(self._durable))
 
+    @property
+    def session_count(self) -> int:
+        return len(self._sessions) + len(self._durable)
+
     def drop_sessions(self, prefix: str) -> int:
         """Discard every ephemeral session whose name starts with *prefix*.
 
@@ -609,7 +574,6 @@ class AsyncSpecServer:
         for name in names:
             self._sessions.pop(name, None)
             self._locks.pop(name, None)
-            self._queued.pop(name, None)
         return len(names)
 
     def detach_sessions(self, prefix: str) -> int:
@@ -622,18 +586,14 @@ class AsyncSpecServer:
         names = [name for name in self._aliases if name.startswith(prefix)]
         for name in names:
             self._aliases.pop(name, None)
-            self._queued.pop(name, None)
         return len(names)
 
     def _adopt_durable(self, token: str, durable):
-        """The dedicated :class:`_Server` bound to durable *token*."""
-        server = _Server(
-            self.tool,
-            default_batch_backend=self.default_batch_backend,
-            batch_pool=self.batch_pool,
-            journal_store=self.journal_store,
-        )
-        server.adopt(durable)
+        """The dedicated :class:`_Server` bound to durable *token* (the
+        journal's session becomes the server's)."""
+        server = _Server(self)
+        server.durable = durable
+        server.session = durable.session
         self._durable[token] = server
         return server
 
@@ -647,32 +607,48 @@ class AsyncSpecServer:
             self._durable_locks[token] = lock
         return lock
 
+    def _check_capacity(self) -> None:
+        if self.session_count >= self.max_sessions:
+            raise ValueError(
+                f"too many sessions (max {self.max_sessions}); "
+                "reuse or reset an existing session"
+            )
+
     def _attach(self, request: dict, name: str) -> dict:
-        """The ``attach`` op: bind session *name* to a durable token."""
+        """The ``attach`` op: bind session *name* to a durable token.
+
+        The handshake payload carries what a resuming client needs to
+        resynchronise — most importantly ``last_rid``, the largest
+        integer rid the journal has durably applied, which tells the
+        client whether its unacknowledged in-flight edit landed before
+        the crash (retry it either way: rids at or below the watermark
+        are deduplicated, not re-applied).  Two clients may attach the
+        same token (e.g. before and after a reconnect); the shared
+        per-token lock keeps its requests strictly sequential.
+        """
         if self.journal_store is None:
             raise ServiceError(
                 "durable sessions are not enabled (start serve with --journal DIR)"
             )
-        token = str(_Server._require(request, "token"))
+        token = str(_require(request, "token"))
         from .journal import validate_token
 
         validate_token(token)
         server = self._durable.get(token)
         if server is None:
-            if len(self._sessions) + len(self._durable) >= self.max_sessions:
-                raise ValueError(
-                    f"too many sessions (max {self.max_sessions}); "
-                    "reuse or reset an existing session"
-                )
+            self._check_capacity()
             server = self._adopt_durable(
                 token, self.journal_store.attach(token, self.tool)
             )
         self._aliases[name] = token
-        # Two clients may attach the same token (e.g. before and after a
-        # reconnect); the shared per-token lock keeps its requests
-        # strictly sequential either way.
-        self._durable_lock(token)
-        return _Server.attach_response(server.durable)
+        durable = server.durable
+        return {
+            "token": durable.token,
+            "size": len(durable.session),
+            "revision": durable.session.revision,
+            "last_rid": durable.last_rid,
+            "replayed_records": durable.replayed_records,
+        }
 
     def _session(self, name: str):
         token = self._aliases.get(name)
@@ -683,28 +659,20 @@ class AsyncSpecServer:
             self._aliases.pop(name, None)  # store was closed underneath
         server = self._sessions.get(name)
         if server is None:
-            if len(self._sessions) + len(self._durable) >= self.max_sessions:
-                raise ValueError(
-                    f"too many sessions (max {self.max_sessions}); "
-                    "reuse or reset an existing session"
-                )
-            server = _Server(
-                self.tool,
-                default_batch_backend=self.default_batch_backend,
-                batch_pool=self.batch_pool,
-            )
+            self._check_capacity()
+            server = _Server(self)
             self._sessions[name] = server
             self._locks[name] = asyncio.Lock()
         return server, self._locks[name]
 
-    async def handle_request(self, request) -> dict:
-        """One request dict in, one response dict out; never raises."""
-        base: dict = {}
-        name: Optional[str] = None
-        if isinstance(request, dict):
-            if "rid" in request:
-                base["rid"] = request["rid"]
-            base["session"] = str(request.get("session", "default"))
+    async def handle_request(self, request, prefix: str = "") -> dict:
+        """One request in, one response dict out; never raises.
+
+        The request's session name is looked up under *prefix* (the TCP
+        gateway passes ``conn<N>/`` so connections cannot see each
+        other's sessions); the response echoes the name the client sent.
+        """
+        echo = _echo(request)
         try:
             if not isinstance(request, dict):
                 raise ValueError("request must be a JSON object")
@@ -713,332 +681,414 @@ class AsyncSpecServer:
                 # Rejected before _session(): invalid traffic must not
                 # allocate per-session state.
                 raise ValueError(f"unknown op {op!r}")
+            name = prefix + echo["session"]
             if op == "attach":
-                # Handled here, not in a per-session _Server: attaching
-                # binds the session *name* to a durable token, which is
-                # front-end state.  Fast (recovery already ran eagerly)
-                # and allocation-checked, so it runs inline.
-                response = {"ok": True, "op": op}
-                response.update(base)
-                response.update(self._attach(request, base["session"]))
-                return response
-            server, lock = self._session(base["session"])
-            # Backpressure: count waiters *before* queueing on the lock,
-            # reject once the session's queue is full.  Rejection is an
-            # error response, never a dropped connection.
-            name = base["session"]
-            queued = self._queued.get(name, 0)
-            if queued >= self.max_queue:
-                name = None  # nothing to undo
-                raise ServiceError(
-                    f"session {base['session']!r} has {queued} queued "
-                    f"requests (max {self.max_queue}); retry later",
-                    code="overloaded",
-                )
-            self._queued[name] = queued + 1
-            await lock.acquire()  # in-order, one at a time per session
-            held = True
-            try:
-                if op in self.OFFLOADED_OPS:
-                    loop = asyncio.get_running_loop()
-                    work = loop.run_in_executor(None, server.handle, request)
-                else:
-
-                    async def run_inline():
-                        return server.handle(request)
-
-                    work = asyncio.ensure_future(run_inline())
-                if self.request_timeout is not None:
-                    try:
-                        result = await asyncio.wait_for(
-                            asyncio.shield(work), timeout=self.request_timeout
-                        )
-                    except asyncio.TimeoutError:
-                        # The deadline abandons the *response*, not the
-                        # handler: an offloaded handler keeps running on
-                        # its executor thread, still mutating this
-                        # session.  Releasing the lock here would let the
-                        # session's next request interleave with it —
-                        # violating the strictly-sequential-per-session
-                        # contract — so the lock is handed to the
-                        # abandoned future and released only when it
-                        # actually completes.  (shield() keeps *work*
-                        # uncancelled so that completion is observable.)
-                        held = False
-
-                        def _release_when_done(future) -> None:
-                            if not future.cancelled():
-                                future.exception()  # consumed, never re-raised
-                            lock.release()
-
-                        work.add_done_callback(_release_when_done)
-                        raise ServiceError(
-                            f"request exceeded {self.request_timeout}s",
-                            code="timeout",
-                        ) from None
-                else:
-                    result = await work
-            finally:
-                if held:
-                    lock.release()
-            if not server.running:
-                self.running = False  # shutdown is global, as in sync serve
-            response = {"ok": True, "op": op}
-            response.update(base)
-            response.update(result)
-            if op in ("stats", "ping", "health"):
-                response["sessions"] = len(self._sessions) + len(self._durable)
-            return response
+                # Attaching binds the session *name* to a durable token,
+                # which is core state, not session state.  Fast (recovery
+                # already ran eagerly) and allocation-checked: inline.
+                result = self._attach(request, name)
+            else:
+                result = await self._dispatch(name, op, request, prefix)
         except Exception as error:  # noqa: BLE001 - the daemon must survive
             response = error_response(error)
-            response.update(base)
+            response.update(echo)
             return response
-        finally:
-            if name is not None:
-                remaining = self._queued.get(name, 1) - 1
-                if remaining > 0:
-                    self._queued[name] = remaining
-                else:
-                    self._queued.pop(name, None)
+        response = {"ok": True, "op": op}
+        response.update(echo)
+        response.update(result)
+        return response
 
-async def serve_async_loop(
-    stdin: IO[str],
-    stdout: IO[str],
-    tool: Optional[SpecCC] = None,
-    server: Optional[AsyncSpecServer] = None,
-) -> int:
-    """The asyncio JSON-lines loop: read lines, handle concurrently.
-
-    Reads happen on an executor thread (stdin is a blocking file), every
-    non-shutdown line becomes its own task, and a write lock keeps
-    response lines atomic.  ``shutdown`` drains all in-flight requests,
-    acknowledges, and ends the loop.
-    """
-    server = server if server is not None else AsyncSpecServer(tool)
-    loop = asyncio.get_running_loop()
-    write_lock = asyncio.Lock()
-    pending: set = set()
-
-    async def write(response: dict) -> None:
-        async with write_lock:
-            try:
-                stdout.write(json.dumps(response, sort_keys=True) + "\n")
-                stdout.flush()
-            except (OSError, ValueError):
-                # Client went away (broken pipe / closed stream): stop
-                # accepting, let the drain below finish in-flight work.
-                server.running = False
-
-    async def handle(request) -> None:
-        await write(await server.handle_request(request))
-
-    while server.running:
-        line = await loop.run_in_executor(None, stdin.readline)
-        if not line:
-            break
-        if line_exceeds_bytes(line, server.max_request_bytes):
-            # Checked on encoded bytes, before parsing: an oversized line
-            # must not cost a parse, and must not silently drop the request.
-            await write(
-                error_response(
-                    ServiceError(
-                        f"request line exceeds {server.max_request_bytes} "
-                        "bytes",
-                        code="oversized",
-                    )
-                )
-            )
-            continue
-        line = line.strip()
-        if not line:
-            continue
+    async def _dispatch(self, name: str, op: str, request: dict, prefix: str) -> dict:
+        server, lock = self._session(name)
+        await lock.acquire()  # in-order, one at a time per session
+        release: Optional[Callable[[], None]] = lock.release
         try:
-            request = json.loads(line)
-        except Exception as error:  # noqa: BLE001 - the daemon must survive
-            await write(
-                {
+            if op not in self.OFFLOADED_OPS or (
+                not prefix
+                and self.request_timeout is None
+                and self.session_count == 1
+            ):
+                return server.handle(request)
+            work = asyncio.get_running_loop().run_in_executor(
+                None, server.handle, request
+            )
+            if self.request_timeout is None:
+                return await work
+            try:
+                return await asyncio.wait_for(
+                    asyncio.shield(work), timeout=self.request_timeout
+                )
+            except asyncio.TimeoutError:
+                # The deadline abandons the *response*, not the handler:
+                # it keeps running on its executor thread, still mutating
+                # this session.  Releasing the lock here would let the
+                # session's next request interleave with it, so the lock
+                # is handed to the abandoned future and released only
+                # when it actually completes.  (shield() keeps *work*
+                # uncancelled so that completion is observable.)
+                release = None
+
+                def _release_when_done(future) -> None:
+                    if not future.cancelled():
+                        future.exception()  # consumed, never re-raised
+                    lock.release()
+
+                work.add_done_callback(_release_when_done)
+                raise ServiceError(
+                    f"request exceeded {self.request_timeout}s", code="timeout"
+                ) from None
+        finally:
+            if release is not None:
+                release()
+
+
+# --------------------------------------------------------------- the loop
+async def _iter_lines(reader, max_bytes: int):
+    """Yield ``(line_bytes, oversized)`` per newline-framed record.
+
+    Byte-exact bound enforcement with guaranteed resync: the line
+    terminator (``\\n`` or ``\\r\\n``) does not count against *max_bytes*,
+    and once the accumulating line passes the bound the reader discards
+    until the next newline and yields one ``(b"", True)`` marker for the
+    whole line — so a client streaming a gigabyte line costs one bounded
+    buffer and one error response, never memory, never framing.
+    """
+    buffer = bytearray()
+    discarding = False
+    while True:
+        chunk = await reader.read(_READ_CHUNK)
+        if not chunk:
+            if discarding or len(buffer) > max_bytes:
+                yield b"", True
+            elif buffer:
+                yield bytes(buffer), False
+            return
+        buffer.extend(chunk)
+        while True:
+            index = buffer.find(b"\n")
+            if index < 0:
+                if len(buffer) > max_bytes:
+                    discarding = True
+                    buffer.clear()
+                break
+            line = bytes(buffer[:index].rstrip(b"\r"))
+            del buffer[: index + 1]
+            if discarding:
+                discarding = False
+                yield b"", True
+            elif len(line) > max_bytes:
+                yield b"", True
+            else:
+                yield line, False
+
+
+def _is_shutdown(request) -> bool:
+    return isinstance(request, dict) and request.get("op") == "shutdown"
+
+
+class RequestStream:
+    """One client stream over the core: the protocol's only request loop.
+
+    The loop frames raw bytes (:func:`_iter_lines`), answers
+    ``oversized`` and ``bad_json`` itself, takes a token from *bucket*
+    (when the transport rate-limits) for every non-empty line before
+    parsing it, dispatches each request as its own task through
+    :meth:`AsyncSpecServer.handle_request` under *prefix*, and stops
+    reading while ``max_queue`` requests are in flight.  A line the loop
+    answers itself is answered after the earlier requests of the session
+    it names (``default`` when it names none), so a sequential client
+    sees its answers in order while other sessions' work never delays
+    them.  On ``shutdown`` (when *allow_shutdown*) or :meth:`stop` it
+    stops reading, and :meth:`run` returns once every in-flight request
+    has been answered.  Transports provide :meth:`send`.
+    """
+
+    def __init__(
+        self,
+        server: AsyncSpecServer,
+        reader,
+        prefix: str = "",
+        bucket=None,
+        allow_shutdown: bool = True,
+    ) -> None:
+        self.server = server
+        self.reader = reader
+        self.prefix = prefix
+        self.bucket = bucket
+        self.allow_shutdown = allow_shutdown
+        self.pending: dict = {}  # in-flight task -> its session name
+        self._reading: Optional[asyncio.Future] = None
+        self._stopped = False
+
+    async def send(self, line: str) -> None:
+        """Write one response line to the client."""
+        raise NotImplementedError
+
+    def count(self, event: str) -> None:
+        """Record a protocol event (``requests``, ``oversized``,
+        ``rate_limited``); the TCP gateway counts them."""
+
+    def stop(self) -> None:
+        """Stop reading requests; :meth:`run` drains and returns."""
+        self._stopped = True
+        if self._reading is not None:
+            self._reading.cancel()
+
+    async def run(self) -> None:
+        """Serve until EOF, ``shutdown`` or :meth:`stop`, then drain."""
+        self._reading = asyncio.ensure_future(self._read())
+        try:
+            await self._reading
+        except asyncio.CancelledError:
+            if not self._stopped:
+                raise
+        finally:
+            await self.drain()
+
+    async def drain(self, session: Optional[str] = None) -> None:
+        """Wait until every in-flight request (of *session* only, when
+        given) has been answered."""
+        waiting = [
+            task
+            for task, name in self.pending.items()
+            if session is None or name == session
+        ]
+        if waiting:
+            # wait(), not gather(): a cancelled drain must not cancel
+            # the requests it was waiting for.
+            await asyncio.wait(waiting)
+
+    async def write(self, response: dict) -> None:
+        try:
+            await self.send(json.dumps(response, sort_keys=True) + "\n")
+        except (OSError, ValueError):
+            # The client went away (broken pipe, closed stream): read no
+            # further; in-flight requests still finish.
+            self.stop()
+
+    async def _read(self) -> None:
+        server = self.server
+        async for line, oversized in _iter_lines(self.reader, server.max_request_bytes):
+            line = line.strip()
+            if not (line or oversized):
+                continue
+            request, response = self._screen(line, oversized)
+            if response is not None:
+                await self.drain(response.get("session", "default"))
+                await self.write(response)
+            elif _is_shutdown(request):
+                # Global shutdown: everything already accepted finishes
+                # first, then the acknowledgement, then nothing more.
+                await self.drain()
+                self._answer(request)
+                return
+            else:
+                self._answer(request)
+                while self.pending and len(self.pending) >= server.max_queue:
+                    await asyncio.wait(
+                        list(self.pending), return_when=asyncio.FIRST_COMPLETED
+                    )
+
+    def _screen(self, line: bytes, oversized: bool):
+        """``(request, None)`` to dispatch, or ``(None, response)`` when
+        the loop answers the line itself."""
+        if oversized:
+            self.count("oversized")
+            error = ServiceError(
+                f"request line exceeds {self.server.max_request_bytes} bytes",
+                code="oversized",
+            )
+            return None, error_response(error)
+        self.count("requests")
+        admitted = self.bucket is None or self.bucket.acquire()
+        try:
+            request = json.loads(line.decode("utf-8"))
+        except Exception as error:  # noqa: BLE001 - bad bytes, bad JSON
+            if admitted:
+                return None, {
                     "ok": False,
                     "error": f"malformed JSON: {error}",
                     "code": "bad_json",
                 }
+            request = None
+        if not admitted:
+            self.count("rate_limited")
+            error = ServiceError(
+                f"rate limit exceeded ({self.bucket.rate:g} requests/s, "
+                f"burst {self.bucket.burst:g}); retry later",
+                code="overloaded",
             )
-            continue
-        if isinstance(request, dict) and request.get("op") == "shutdown":
-            # Global shutdown: everything already accepted finishes first.
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
-                pending.clear()
-            await handle(request)
+        elif _is_shutdown(request) and not self.allow_shutdown:
+            error = ServiceError(
+                "shutdown over the network is disabled on this gateway; "
+                "signal the server process instead"
+            )
+        else:
+            return request, None
+        response = error_response(error)
+        response.update(_echo(request))
+        return None, response
+
+    def _answer(self, request) -> None:
+        task = asyncio.ensure_future(self._respond(request))
+        self.pending[task] = _echo(request).get("session", "default")
+        task.add_done_callback(self._forget)
+
+    def _forget(self, task: asyncio.Future) -> None:
+        self.pending.pop(task, None)
+
+    async def _respond(self, request) -> None:
+        await self.write(await self.server.handle_request(request, self.prefix))
+
+
+def _trap_signals(callback: Callable[[], None]) -> Callable[[], None]:
+    """Route SIGTERM/SIGINT to *callback* on the running loop; returns
+    the function restoring the previous dispositions.  Off the main
+    thread (where signals cannot be trapped) nothing is installed."""
+    loop = asyncio.get_running_loop()
+    installed = []
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        previous = signal.getsignal(signum)
+        try:
+            loop.add_signal_handler(signum, callback)
+        except (NotImplementedError, RuntimeError, ValueError):
             break
-        task = asyncio.create_task(handle(request))
-        pending.add(task)
-        task.add_done_callback(pending.discard)
-    if pending:
-        await asyncio.gather(*pending, return_exceptions=True)
-    return 0
+        installed.append((signum, previous))
+
+    def restore() -> None:
+        for signum, previous in installed:
+            loop.remove_signal_handler(signum)
+            if previous is not None:
+                signal.signal(signum, previous)
+
+    return restore
 
 
-def serve_async(
-    stdin: Optional[IO[str]] = None,
-    stdout: Optional[IO[str]] = None,
-    tool: Optional[SpecCC] = None,
-    request_timeout: Optional[float] = None,
-    max_request_bytes: int = DEFAULT_MAX_REQUEST_BYTES,
-    max_queue: int = 64,
-    journal_store=None,
-) -> int:
-    """Blocking entry point of the async front end (``serve --async``)."""
-    stdin = stdin if stdin is not None else sys.stdin
-    stdout = stdout if stdout is not None else sys.stdout
-    server = AsyncSpecServer(
-        tool,
-        request_timeout=request_timeout,
-        max_request_bytes=max_request_bytes,
-        max_queue=max_queue,
-        journal_store=journal_store,
-    )
+# ------------------------------------------------------------------ stdio
+class _ThreadReader:
+    """``await read(n)`` over a blocking *read* function; each read runs
+    on its own daemon thread.
+
+    Daemon, not the default executor: :func:`asyncio.run` joins executor
+    threads, and a read blocked on an idle stdin would keep a signalled
+    daemon alive until stdin closed.  Only one read is outstanding at a
+    time, so a paused stream stops consuming input.
+    """
+
+    def __init__(self, read: Callable[[int], bytes]) -> None:
+        self._read = read
+        self._loop = asyncio.get_running_loop()
+
+    async def read(self, size: int) -> bytes:
+        future = self._loop.create_future()
+        threading.Thread(
+            target=self._run, args=(size, future), name="serve-stdin", daemon=True
+        ).start()
+        return await future
+
+    def _run(self, size: int, future: asyncio.Future) -> None:
+        try:
+            chunk = self._read(size)
+        except (OSError, ValueError):
+            chunk = b""
+        try:
+            self._loop.call_soon_threadsafe(_resolve, future, chunk)
+        except RuntimeError:  # the loop closed while the read blocked
+            pass
+
+
+def _resolve(future: asyncio.Future, value) -> None:
+    if not future.cancelled():
+        future.set_result(value)
+
+
+async def _open_stdin(stdin):
+    """A reader (``await read(n)``) over *stdin*, plus its closer."""
     try:
-        return asyncio.run(serve_async_loop(stdin, stdout, tool, server=server))
+        fd = stdin.fileno()
+    except (AttributeError, OSError, ValueError):
+        fd = None
+    if fd is not None and stat.S_ISFIFO(os.fstat(fd).st_mode):
+        # A pipe — how programs drive serve — is watched by the event
+        # loop itself: no thread hop per request.
+        loop = asyncio.get_running_loop()
+        reader = asyncio.StreamReader()
+        transport, _ = await loop.connect_read_pipe(
+            lambda: asyncio.StreamReaderProtocol(reader),
+            open(fd, "rb", buffering=0, closefd=False),
+        )
+
+        def close() -> None:
+            transport.close()
+            os.set_blocking(fd, True)
+
+        return reader, close
+    if fd is not None:
+
+        def read(size: int) -> bytes:
+            return os.read(fd, size)
+
+    else:  # an in-memory stream (tests); text is encoded
+
+        def read(size: int) -> bytes:
+            data = stdin.read(size)
+            return data.encode("utf-8") if isinstance(data, str) else data
+
+    return _ThreadReader(read), lambda: None
+
+
+class _StdioStream(RequestStream):
+    """The request loop over stdin/stdout: no prefix, no rate limit."""
+
+    def __init__(self, server: AsyncSpecServer, reader, stdout: IO[str]) -> None:
+        super().__init__(server, reader)
+        self.stdout = stdout
+
+    async def send(self, line: str) -> None:
+        self.stdout.write(line)
+        self.stdout.flush()
+
+
+async def _serve_stdio(server: AsyncSpecServer, stdin, stdout) -> int:
+    if server.journal_store is not None:
+        # The stdio client's session is durable as token "default": a
+        # restart on the same journal directory resumes it.
+        server._attach({"token": "default"}, "default")
+    reader, close = await _open_stdin(stdin)
+    stream = _StdioStream(server, reader, stdout)
+    restore = _trap_signals(stream.stop)
+    try:
+        await stream.run()
     finally:
-        if journal_store is not None:
-            journal_store.sync_all()
-
-
-class _DrainRequested(Exception):
-    """Raised by the sync serve signal handler while the loop is idle
-    (between requests): unwind to the drain path immediately."""
+        restore()
+        close()
+    return 0
 
 
 def serve(
     stdin: Optional[IO[str]] = None,
     stdout: Optional[IO[str]] = None,
-    tool: Optional[SpecCC] = None,
-    server: Optional[_Server] = None,
-    request_timeout: Optional[float] = None,
-    max_request_bytes: int = DEFAULT_MAX_REQUEST_BYTES,
-    journal_store=None,
-    attach_token: str = "default",
-    install_signal_handlers: bool = False,
+    server: Optional[AsyncSpecServer] = None,
 ) -> int:
-    """Run the JSON-lines loop until EOF, ``shutdown``, or a drain signal.
+    """Run the request loop over stdio until EOF, ``shutdown``, SIGTERM
+    or SIGINT (``python -m repro serve``); returns 0.
 
-    *request_timeout* bounds one request's wall-clock time: the handler
-    runs on a dedicated worker thread and an expired deadline produces a
-    structured ``timeout`` error response while the loop lives on.  (The
-    timed-out handler's thread keeps running to completion underneath —
-    requests behind it queue rather than interleave, preserving the
-    strictly sequential session semantics.)  *max_request_bytes* bounds
-    one raw request line (``oversized`` error).
-
-    *journal_store* makes the (single) session durable: it is attached
-    to token *attach_token* up front, so every mutation is write-ahead
-    journaled and a restarted daemon resumes exactly where the previous
-    one crashed.
-
-    *install_signal_handlers* gives the sync loop the same graceful
-    drain the TCP gateway has: on SIGTERM/SIGINT an in-flight request is
-    finished and its response written, stdout and the journal are
-    flushed, and the loop returns 0.  Off by default — only the CLI
-    entry point (which owns the main thread) turns it on; in-process
-    callers and tests keep their signal dispositions.
+    *server* is the core (default: a fresh :class:`AsyncSpecServer`,
+    whose ``batch`` default is the ``thread`` backend).  With a journal
+    store every journal is recovered and session ``"default"`` is bound
+    to token ``"default"``.  A signal drains like ``shutdown``: in-flight
+    requests finish and their responses flush, then stdout and the
+    journal are flushed.
     """
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
-    if server is None:
-        server = _Server(tool, journal_store=journal_store)
-    if server.journal_store is not None and server.durable is None:
-        server.handle({"op": "attach", "token": attach_token})
-    executor: Optional[ThreadPoolExecutor] = None
-    if request_timeout is not None:
-        executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="serve-handler"
-        )
-    # Drain state shared with the signal handler: while a request is
-    # being handled the handler only *records* the wish (the request
-    # finishes and its response is flushed first); between requests it
-    # raises out of the blocking readline.
-    drain = {"requested": False, "busy": False}
-    restored: list = []
-    if install_signal_handlers:
-        import signal
-
-        def _drain_handler(signum, frame):  # noqa: ARG001 - signal ABI
-            drain["requested"] = True
-            if not drain["busy"]:
-                raise _DrainRequested()
-
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            restored.append((signum, signal.signal(signum, _drain_handler)))
+    server = server if server is not None else AsyncSpecServer()
     try:
-        while True:
-            line = stdin.readline()
-            if not line:
-                break
-            drain["busy"] = True
-            try:
-                response: Optional[dict]
-                if line_exceeds_bytes(line, max_request_bytes):
-                    response = error_response(
-                        ServiceError(
-                            f"request line exceeds {max_request_bytes} bytes",
-                            code="oversized",
-                        )
-                    )
-                elif not line.strip():
-                    response = None
-                else:
-                    try:
-                        request = json.loads(line.strip())
-                    except Exception as error:  # noqa: BLE001 - daemon survives
-                        response = {
-                            "ok": False,
-                            "error": f"malformed JSON: {error}",
-                            "code": "bad_json",
-                        }
-                    else:
-                        try:
-                            if not isinstance(request, dict):
-                                raise ValueError("request must be a JSON object")
-                            response = {"ok": True, "op": request.get("op")}
-                            if executor is not None:
-                                result = executor.submit(
-                                    server.handle, request
-                                ).result(timeout=request_timeout)
-                            else:
-                                result = server.handle(request)
-                            response.update(result)
-                        except FuturesTimeoutError:
-                            response = error_response(
-                                ServiceError(
-                                    f"request exceeded {request_timeout}s",
-                                    code="timeout",
-                                )
-                            )
-                        except Exception as error:  # noqa: BLE001
-                            response = error_response(error)
-                if response is not None:
-                    stdout.write(json.dumps(response, sort_keys=True) + "\n")
-                    stdout.flush()
-            finally:
-                drain["busy"] = False
-            if drain["requested"] or not server.running:
-                break
-    except _DrainRequested:
-        pass
+        return asyncio.run(_serve_stdio(server, stdin, stdout))
     finally:
-        for signum, previous in restored:
-            import signal
-
-            signal.signal(signum, previous)
-        if executor is not None:
-            executor.shutdown(wait=False)
-        # Drain: everything acknowledged is on its way to the client and
-        # everything applied is on its way to the disk.
         try:
             stdout.flush()
         except (OSError, ValueError):
             pass
-        store = server.journal_store if server is not None else journal_store
-        if store is not None:
-            store.sync_all()
-    return 0
+        if server.journal_store is not None:
+            server.journal_store.sync_all()

@@ -1,22 +1,30 @@
-"""Tests of the TCP gateway (service/gateway.py).
+"""Tests of the TCP gateway (service/gateway.py) and the line framing
+of the request loop it shares with stdio serve.
 
 The contract under test: the gateway speaks exactly the stdio serve
 protocol (same ops, same error codes, byte-identical responses for the
 same requests), adds connection-level behaviour — per-connection session
-namespacing, raw-byte oversized handling with resync, token-bucket rate
-limiting, connection caps, graceful drain — and never answers protocol
-pressure by dropping a connection.
+namespacing, token-bucket rate limiting, connection caps, graceful
+drain — and never answers protocol pressure by dropping a connection.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import os
+import socket
+import subprocess
+import sys
+from pathlib import Path
 
-from repro.service.gateway import SpecGateway, TokenBucket, _iter_lines
-from repro.service.server import AsyncSpecServer, normalize_response
+import repro.service.server as server_module
+from repro.service.gateway import SpecGateway, TokenBucket
+from repro.service.server import AsyncSpecServer, _iter_lines, normalize_response
 
-from test_service import run_serve_async
+from test_service import BATCH_DOCS, SlowCheckServer, run_serve
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def normalize(response: dict) -> str:
@@ -108,7 +116,8 @@ class TestTokenBucket:
 
 
 class TestLineFraming:
-    """The raw-byte reader: exact bounds, guaranteed resync."""
+    """The raw-byte reader of the one request loop: exact bounds (the
+    terminator excluded), guaranteed resync."""
 
     def _frames(self, chunks, max_bytes):
         async def drive():
@@ -147,11 +156,10 @@ class TestLineFraming:
 
 
 class TestGateway:
-    def test_protocol_byte_identical_to_stdio_async_serve(self):
-        """The tentpole contract: the same request script over TCP and
-        over the stdio async front end produces byte-identical
-        normalized responses — the gateway adds transport, never a
-        second protocol."""
+    def test_protocol_byte_identical_to_stdio_serve(self):
+        """The same request script over TCP and over stdio produces
+        byte-identical normalized responses — the gateway adds
+        transport, never a second protocol."""
 
         async def over_tcp():
             async with _Running(SpecGateway(AsyncSpecServer())) as gateway:
@@ -161,7 +169,7 @@ class TestGateway:
                 return responses
 
         tcp = [normalize(r) for r in asyncio.run(over_tcp())]
-        stdio = [normalize(r) for r in run_serve_async(SCRIPT)]
+        stdio = [normalize(r) for r in run_serve(SCRIPT)]
         assert tcp == stdio
         # The session was stateful across requests: the second check saw
         # the update (revision advanced, edit reanalyzed).
@@ -247,6 +255,85 @@ class TestGateway:
         assert admitted[2]["code"] == "overloaded"
         assert admitted[2]["rid"] == 2  # rejection echoes the request id
         assert after["ok"] is True
+
+    def test_rate_limit_counts_malformed_lines(self):
+        """Every non-empty line takes a token before it is parsed, so
+        malformed lines cannot bypass the bucket (each costs a parse of
+        up to max_request_bytes)."""
+        clock = [0.0]
+
+        async def drive():
+            gateway = SpecGateway(
+                AsyncSpecServer(), rate=1.0, burst=2.0, clock=lambda: clock[0]
+            )
+            async with _Running(gateway):
+                client = await _Client.connect(gateway)
+                malformed = [await client.request("{not json") for _ in range(10)]
+                valid = await client.request({"op": "ping", "rid": 10})
+                await client.close()
+                return malformed, valid
+
+        malformed, valid = asyncio.run(drive())
+        assert [r["code"] for r in malformed] == ["bad_json"] * 2 + ["overloaded"] * 8
+        assert valid["code"] == "overloaded"
+        assert valid["rid"] == 10
+
+    def test_rejections_wait_only_for_their_own_session(self, monkeypatch):
+        """A line the loop answers itself follows the earlier requests of
+        the session it names, and is not held behind another session's
+        long check."""
+        monkeypatch.setattr(server_module, "_Server", SlowCheckServer)
+        clock = [0.0]
+
+        async def drive():
+            gateway = SpecGateway(
+                AsyncSpecServer(), rate=1.0, burst=2.0, clock=lambda: clock[0]
+            )
+            async with _Running(gateway):
+                client = await _Client.connect(gateway)
+                await client.send_raw(
+                    b"".join(
+                        json.dumps(request).encode("utf-8") + b"\n"
+                        for request in (
+                            {"op": "check", "session": "slow", "rid": 1},
+                            {"op": "ping", "session": "fast", "rid": 2},
+                            {"op": "ping", "session": "fast", "rid": 3},
+                            {"op": "ping", "session": "slow", "rid": 4},
+                        )
+                    )
+                )
+                responses = [await client.recv() for _ in range(4)]
+                await client.close()
+                return responses
+
+        responses = asyncio.run(drive())
+        assert [r["rid"] for r in responses] == [2, 3, 1, 4]
+        assert [r["ok"] for r in responses] == [True, False, True, False]
+        assert {responses[1]["code"], responses[3]["code"]} == {"overloaded"}
+
+    def test_long_request_does_not_block_other_connections(self, monkeypatch):
+        """A lone connection's long check runs off the event loop, which
+        keeps accepting and answering other clients meanwhile."""
+        monkeypatch.setattr(server_module, "_Server", SlowCheckServer)
+
+        async def drive():
+            async with _Running(SpecGateway(AsyncSpecServer())) as gateway:
+                first = await _Client.connect(gateway)
+                await first.send_raw(b'{"op": "check"}\n')
+                await asyncio.sleep(0.2)  # the check is running
+                check = asyncio.ensure_future(first.recv())
+                second = await _Client.connect(gateway)
+                ping = await second.request({"op": "ping"})
+                overtaken = not check.done()
+                checked = await check
+                await first.close()
+                await second.close()
+                return ping, overtaken, checked
+
+        ping, overtaken, checked = asyncio.run(drive())
+        assert ping["ok"] is True
+        assert overtaken, "the ping waited for the other connection's check"
+        assert checked["ok"] is True
 
     def test_connection_cap_rejects_with_overloaded(self):
         async def drive():
@@ -350,6 +437,59 @@ class TestGateway:
             for entry in response["results"]
         ]
         assert got == sequential
+
+    def test_serve_tcp_batch_defaults_to_process_pool(self):
+        """``python -m repro serve --tcp`` answers a ``batch`` that names
+        no backend from the persistent process pool (stdio ``serve``
+        defaults to ``thread``)."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+        env.pop("REPRO_FAULTS", None)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--tcp", "127.0.0.1:0"],
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            marker = "listening on "
+            line = ""
+            while not line.startswith(marker):
+                line = proc.stderr.readline()
+                assert line, "serve --tcp exited before listening"
+            host, _, port = line[len(marker):].strip().rpartition(":")
+            sock = socket.create_connection((host, int(port)), timeout=120)
+            with sock, sock.makefile("rwb") as stream:
+
+                def request(payload: dict) -> dict:
+                    stream.write(json.dumps(payload).encode("utf-8") + b"\n")
+                    stream.flush()
+                    return json.loads(stream.readline())
+
+                batch = request(
+                    {
+                        "op": "batch",
+                        "workers": 2,
+                        "documents": [
+                            {"name": "a", "text": BATCH_DOCS[0][1]},
+                            {"name": "b", "text": BATCH_DOCS[2][1]},
+                        ],
+                    }
+                )
+                stats = request({"op": "stats"})
+                request({"op": "shutdown"})
+            assert proc.wait(timeout=60) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=15)
+            proc.stderr.close()
+        assert [entry["name"] for entry in batch["results"]] == ["a", "b"]
+        assert batch["results"][0]["report"]["consistent"] is True
+        assert batch["results"][1]["report"]["consistent"] is False
+        pools = [(pool["shards"], pool["tasks"]) for pool in stats["pools"]]
+        assert pools == [(2, 2)], pools
 
 
 def _gateway_counters() -> dict:

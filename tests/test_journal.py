@@ -6,13 +6,14 @@ prefix through a fresh session — including prefixes ending in a
 fault-injected torn tail, which must be CRC-detected and truncated,
 never silently replayed — reproduces byte-identical reports to the
 uninterrupted run; and a client that retries its last edit after
-``attach`` observes exactly-once application (the rid watermark), on the
-sync loop, the async front end, and across real process crashes.
+``attach`` observes exactly-once application (the rid watermark), through
+the request core, over stdio, and across real process crashes.
 """
 
 from __future__ import annotations
 
 import asyncio
+import io
 import json
 import os
 import signal
@@ -32,7 +33,7 @@ from repro.service.journal import (
     read_records,
     validate_token,
 )
-from repro.service.server import AsyncSpecServer, _Server, serve
+from repro.service.server import AsyncSpecServer, serve
 from repro.service.session import SpecSession
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -46,8 +47,16 @@ DOC = (
 EDIT = "If the button is pressed, the lamp is not activated."
 
 
-def scripted(server: _Server, requests) -> list:
-    return [server.handle(dict(request)) for request in requests]
+def scripted(store, requests, token: str = "docA") -> list:
+    """*requests* through a fresh core whose session is attached to
+    durable *token*; the responses."""
+
+    async def drive():
+        server = AsyncSpecServer(SpecCC(), journal_store=store)
+        await server.handle_request({"op": "attach", "token": token})
+        return [await server.handle_request(dict(request)) for request in requests]
+
+    return asyncio.run(drive())
 
 
 SCRIPT = [
@@ -151,13 +160,11 @@ class TestStore:
 
 
 class TestSyncRecovery:
-    """The sync serve path: journal, crash, recover, resume."""
+    """Journaled sessions through the request core: journal, crash,
+    recover, resume."""
 
     def _run_script(self, store):
-        tool = SpecCC()
-        server = _Server(tool, journal_store=store)
-        server.handle({"op": "attach", "token": "docA"})
-        return scripted(server, SCRIPT)
+        return scripted(store, SCRIPT)
 
     def test_replay_reproduces_byte_identical_reports(self, tmp_path):
         SpecCC.clear_caches()
@@ -258,20 +265,15 @@ class TestSyncRecovery:
 
     def test_duplicate_rids_are_not_reapplied(self, tmp_path):
         store = JournalStore(tmp_path, fsync="never")
-        server = _Server(SpecCC(), journal_store=store)
-        server.handle({"op": "attach", "token": "docA"})
-        first = server.handle({"op": "add", "id": "R1",
-                               "text": "The valve is opened.", "rid": 1})
-        assert first == {"size": 1}
-        retry = server.handle({"op": "add", "id": "R1",
-                               "text": "The valve is opened.", "rid": 1})
+        add = {"op": "add", "id": "R1", "text": "The valve is opened.", "rid": 1}
+        check = {"op": "check", "timings": False, "rid": 2}
+        first, retry, checked, again = scripted(store, [add, add, check, check])
+        assert first["size"] == 1 and "duplicate" not in first
         assert retry["duplicate"] is True
         assert retry["size"] == 1  # exactly-once: not applied twice
-        assert store.counters()["duplicates"] == 1
         # A duplicate check re-serves the last report without re-running.
-        checked = server.handle({"op": "check", "timings": False, "rid": 2})
-        again = server.handle({"op": "check", "timings": False, "rid": 2})
         assert again["duplicate"] is True
+        assert store.counters()["duplicates"] == 2  # the add and the check
         assert json.dumps(again["report"], sort_keys=True) == json.dumps(
             checked["report"], sort_keys=True
         )
@@ -280,13 +282,14 @@ class TestSyncRecovery:
 
     def test_reset_is_journaled(self, tmp_path):
         store = JournalStore(tmp_path, fsync="never")
-        server = _Server(SpecCC(), journal_store=store)
-        server.handle({"op": "attach", "token": "docA"})
-        server.handle({"op": "add", "id": "R1",
-                       "text": "The valve is opened.", "rid": 1})
-        server.handle({"op": "reset", "rid": 2})
-        server.handle({"op": "add", "id": "R9",
-                       "text": "The lamp is activated.", "rid": 3})
+        scripted(
+            store,
+            [
+                {"op": "add", "id": "R1", "text": "The valve is opened.", "rid": 1},
+                {"op": "reset", "rid": 2},
+                {"op": "add", "id": "R9", "text": "The lamp is activated.", "rid": 3},
+            ],
+        )
         store.close()
         recovered = JournalStore(tmp_path, fsync="never")
         durable = recovered.recover(SpecCC())["docA"]
@@ -295,20 +298,14 @@ class TestSyncRecovery:
         recovered.close()
 
     def test_attach_requires_journaling(self):
-        server = _Server(SpecCC())
-        response_error = None
-        try:
-            server.handle({"op": "attach", "token": "docA"})
-        except Exception as error:  # noqa: BLE001
-            response_error = error
-        from repro.service.server import ServiceError, error_code
-
-        assert isinstance(response_error, ServiceError)
-        assert error_code(response_error) == "bad_request"
+        out = io.StringIO()
+        serve(io.StringIO(json.dumps({"op": "attach", "token": "docA"}) + "\n"), out)
+        response = json.loads(out.getvalue())
+        assert response["ok"] is False
+        assert response["code"] == "bad_request"
+        assert "--journal" in response["error"]
 
     def test_serve_loop_with_journal_auto_attaches(self, tmp_path):
-        import io
-
         store = JournalStore(tmp_path, fsync="never")
         out = io.StringIO()
         requests = [
@@ -318,7 +315,7 @@ class TestSyncRecovery:
         serve(
             io.StringIO("\n".join(json.dumps(r) for r in requests) + "\n"),
             out,
-            journal_store=store,
+            server=AsyncSpecServer(journal_store=store),
         )
         store.close()
         recovered = JournalStore(tmp_path, fsync="never")
@@ -529,7 +526,7 @@ def _reap(proc: subprocess.Popen) -> None:
 
 
 class TestAsyncDurable:
-    """The async front end: attach aliases, detach-vs-drop, resume."""
+    """The request core: attach aliases, detach-vs-drop, resume."""
 
     def _drive(self, coro):
         return asyncio.run(coro)

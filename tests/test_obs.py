@@ -45,7 +45,7 @@ from repro.obs import (
     span,
     tracing_active,
 )
-from repro.service.server import normalize_response, serve, serve_async
+from repro.service.server import normalize_response, serve
 
 DOC = (
     "If the sensor is active, the valve is opened.\n"
@@ -392,14 +392,6 @@ def run_serve(requests):
     return [json.loads(line) for line in out.getvalue().splitlines()]
 
 
-def run_serve_async(requests):
-    out = io.StringIO()
-    serve_async(
-        io.StringIO("\n".join(json.dumps(r) for r in requests) + "\n"), out
-    )
-    return [json.loads(line) for line in out.getvalue().splitlines()]
-
-
 class TestServeObservability:
     def test_traced_request_ships_spans_on_the_response(self):
         responses = run_serve(
@@ -446,22 +438,23 @@ class TestServeObservability:
             normalize_response(traced), sort_keys=True
         ) == json.dumps(normalize_response(untraced), sort_keys=True)
 
-    def test_metrics_op_sync(self):
-        responses = run_serve([{"op": "metrics"}, {"op": "shutdown"}])
+    def test_metrics_op(self):
+        responses = run_serve(
+            [
+                {"op": "metrics"},
+                {"op": "metrics", "full": False, "rid": 1},
+                {"op": "shutdown"},
+            ]
+        )
         metrics = responses[0]["metrics"]
         for namespace in (
             "counters", "gauges", "histograms",
             "pipeline", "sat", "game", "pool", "supervision",
         ):
             assert namespace in metrics, namespace
-
-    def test_metrics_op_async(self):
-        responses = run_serve_async(
-            [{"op": "metrics", "full": False, "rid": 1}, {"op": "shutdown"}]
-        )
-        assert responses[0]["ok"]
-        assert "pipeline" in responses[0]["metrics"]
-        for data in responses[0]["metrics"]["histograms"].values():
+        assert responses[1]["ok"] and responses[1]["rid"] == 1
+        assert "pipeline" in responses[1]["metrics"]
+        for data in responses[1]["metrics"]["histograms"].values():
             assert "buckets" not in data  # full=False: summaries only
 
     def test_session_check_reports_stage_seconds_when_traced(self):

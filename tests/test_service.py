@@ -1,12 +1,17 @@
 """Tests of the service subsystem: incremental sessions, parallel batch
-checking with sequential-identical verdicts, the JSON-lines serve loop and
-the machine-readable CLI output."""
+checking with sequential-identical verdicts, the JSON-lines request loop
+(over stdio and over TCP) and the machine-readable CLI output."""
 
 from __future__ import annotations
 
 import asyncio
 import io
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +24,7 @@ from repro import (
 )
 from repro.__main__ import main as cli_main
 from repro.service.reportjson import report_to_dict
-from repro.service.server import AsyncSpecServer, serve, serve_async
+from repro.service.server import AsyncSpecServer, _Server, serve
 
 
 TWO_COMPONENTS = [
@@ -448,13 +453,57 @@ class TestBatchChecker:
         assert self._canonical(thread) == self._canonical(process)
 
 
-def run_serve(requests):
+def _line(request) -> str:
+    return json.dumps(request) if isinstance(request, dict) else request
+
+
+def run_serve(lines, server=None):
+    """Pipe *lines* (request dicts or raw strings) through the stdio
+    transport at once; parsed responses in the order written."""
     out = io.StringIO()
-    serve(
-        io.StringIO("\n".join(json.dumps(r) for r in requests) + "\n"),
-        out,
-    )
+    payload = "\n".join(_line(line) for line in lines)
+    serve(io.StringIO(payload + "\n"), out, server=server)
     return [json.loads(line) for line in out.getvalue().splitlines()]
+
+
+def run_tcp(lines, server=None):
+    """Send *lines* over one TCP connection to an in-process gateway,
+    each after the previous response arrived; parsed responses."""
+    from repro.service.gateway import SpecGateway
+
+    async def drive():
+        gateway = SpecGateway(server if server is not None else AsyncSpecServer())
+        await gateway.start()
+        running = asyncio.ensure_future(gateway.run())
+        reader, writer = await asyncio.open_connection(
+            *gateway.address, limit=1 << 22
+        )
+        responses = []
+        for line in lines:
+            writer.write(_line(line).encode("utf-8") + b"\n")
+            await writer.drain()
+            reply = await asyncio.wait_for(reader.readline(), timeout=60.0)
+            responses.append(json.loads(reply))
+        writer.close()
+        await gateway.shutdown()
+        await asyncio.wait_for(running, timeout=10.0)
+        return responses
+
+    return asyncio.run(drive())
+
+
+#: The two transports of the one request loop, for tests that must hold
+#: on both.
+TRANSPORTS = {"stdio": run_serve, "tcp": run_tcp}
+
+
+class SlowCheckServer(_Server):
+    """A session whose ``check`` takes one second and analyses nothing
+    (tests install it as ``repro.service.server._Server``)."""
+
+    def _op_check(self, request):
+        time.sleep(1.0)
+        return {}
 
 
 class TestServe:
@@ -559,16 +608,6 @@ class TestServe:
         assert second["delta"]["semantics_reanalysed"] == []
 
 
-def run_serve_async(lines):
-    """Drive the asyncio front end over string streams; parsed responses."""
-    out = io.StringIO()
-    payload = "\n".join(
-        json.dumps(line) if isinstance(line, dict) else line for line in lines
-    )
-    serve_async(io.StringIO(payload + "\n"), out)
-    return [json.loads(line) for line in out.getvalue().splitlines()]
-
-
 def normalize(response: dict) -> str:
     """Canonical response bytes minus the protocol's volatile fields
     (one shared normalize_response in server.py, so this cannot drift
@@ -597,8 +636,10 @@ def client_script(client: int):
 
 
 class TestServeAsync:
+    """The request core: sessions, correlation, concurrency, bounds."""
+
     def test_session_lifecycle_single_client(self):
-        responses = run_serve_async(
+        responses = run_serve(
             [
                 {"op": "add", "id": "R1", "text": TWO_COMPONENTS[0][1]},
                 {"op": "check", "timings": False},
@@ -611,16 +652,15 @@ class TestServeAsync:
         assert responses[2]["op"] == "shutdown"
 
     def test_rid_echoed_for_correlation(self):
-        responses = run_serve_async(
+        responses = run_serve(
             [{"op": "add", "id": "R1", "text": "The valve is opened.", "rid": 42}]
         )
         assert responses[0]["rid"] == 42
 
     def test_malformed_input_does_not_kill_the_async_daemon(self):
-        """The hardening satellite, async half: bad JSON, a non-object
-        line, a missing op and a missing field each produce an error
-        response and the loop keeps serving."""
-        responses = run_serve_async(
+        """Bad JSON, a non-object line, a missing op and a missing field
+        each produce an error response and the loop keeps serving."""
+        responses = run_serve(
             [
                 "this is not json",
                 "[1, 2]",
@@ -641,7 +681,7 @@ class TestServeAsync:
         assert "malformed JSON" in responses[0]["error"]
 
     def test_sessions_are_isolated(self):
-        responses = run_serve_async(
+        responses = run_serve(
             [
                 {"op": "add", "id": "R1", "text": "The valve is opened.", "session": "a"},
                 {"op": "add", "id": "R1", "text": "The door is opened.", "session": "b"},
@@ -654,9 +694,8 @@ class TestServeAsync:
         assert stats["sessions"] == 2
 
     def test_eight_concurrent_clients_match_sequential_serve(self):
-        """The acceptance criterion: >= 8 concurrent clients multiplexed
-        over one async loop, per-session responses identical to each
-        session running alone through the sequential serve loop."""
+        """>= 8 concurrent clients multiplexed over one stream, per-session
+        responses identical to each session running alone."""
         clients = 8
         scripts = {f"c{index}": client_script(index) for index in range(clients)}
         interleaved = []
@@ -668,7 +707,7 @@ class TestServeAsync:
                     )
         interleaved.append({"op": "shutdown"})
 
-        responses = run_serve_async(interleaved)
+        responses = run_serve(interleaved)
         by_session = {name: [] for name in scripts}
         for response in responses:
             if response.get("session") in by_session:
@@ -705,14 +744,15 @@ class TestServeAsync:
             ]
             assert revisions == [1, 2]
 
-    def test_batch_op_defaults_to_worker_pool(self):
+    def test_batch_op_process_backend_uses_worker_pool(self):
         from repro.service.pool import shared_pool, shutdown_shared_pools
 
         try:
-            responses = run_serve_async(
+            responses = run_serve(
                 [
                     {
                         "op": "batch",
+                        "backend": "process",
                         "workers": 2,
                         "documents": [
                             {"name": "a", "text": BATCH_DOCS[0][1]},
@@ -725,7 +765,7 @@ class TestServeAsync:
             assert [entry["name"] for entry in results] == ["a", "b"]
             assert results[0]["report"]["consistent"] is True
             assert results[1]["report"]["consistent"] is False
-            # The async front end routed the batch through the shared pool.
+            # The batch was routed through the shared pool.
             assert shared_pool(shards=2).stats()["tasks"] >= 2
         finally:
             shutdown_shared_pools()
@@ -784,6 +824,23 @@ class TestServeAsync:
         )
         assert responses[0]["ok"]
         assert captured["workers"] == server_module._Server.MAX_BATCH_WORKERS
+        assert captured["backend"] == "thread"  # the stdio transport's default
+
+    def test_batch_op_rejects_unknown_backend(self):
+        """The cold-process reference backend is gone: a client cannot
+        make the daemon spawn a fresh process per document."""
+        responses = run_serve(
+            [
+                {
+                    "op": "batch",
+                    "backend": "process-fresh",
+                    "documents": [{"name": "a", "text": "The valve is opened."}],
+                }
+            ]
+        )
+        assert responses[0]["ok"] is False
+        assert responses[0]["code"] == "bad_request"
+        assert "unknown backend" in responses[0]["error"]
 
     def test_shutdown_drains_pending_requests(self):
         script = [
@@ -792,7 +849,7 @@ class TestServeAsync:
             {"op": "shutdown"},
             {"op": "add", "id": "R2", "text": "ignored", "session": "a"},
         ]
-        responses = run_serve_async(script)
+        responses = run_serve(script)
         # Everything before the shutdown is answered; nothing after is read.
         assert len(responses) == 3
         assert [response["op"] for response in responses[:3]] == [
@@ -802,60 +859,88 @@ class TestServeAsync:
         ]
 
 
+#: A request script recorded through the sequential serve loop this
+#: request loop replaced (``max_request_bytes`` 1024), one line per
+#: request: the raw request line and its normalized response.
+TRANSCRIPT = Path(__file__).resolve().parent / "data" / "serve_transcript.jsonl"
+TRANSCRIPT_MAX_BYTES = 1024
+
+
+def _golden():
+    entries = [json.loads(line) for line in TRANSCRIPT.read_text().splitlines()]
+    return [entry["request"] for entry in entries], [
+        json.dumps(entry["response"], sort_keys=True) for entry in entries
+    ]
+
+
+class TestGoldenTranscript:
+    """Adds, updates, checks, bad JSON, an unknown op, a missing field, an
+    oversized line, a thread batch, reset and shutdown: both transports
+    reproduce the recorded responses byte for byte."""
+
+    def test_stdio_serve_reproduces_transcript(self):
+        """The whole script piped into ``python -m repro serve``."""
+        requests, golden = _golden()
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        result = subprocess.run(
+            [
+                sys.executable, "-m", "repro", "serve",
+                "--max-request-bytes", str(TRANSCRIPT_MAX_BYTES),
+            ],
+            input="\n".join(requests) + "\n",
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        got = [normalize(json.loads(line)) for line in result.stdout.splitlines()]
+        assert got == golden
+
+    def test_tcp_connection_reproduces_transcript(self):
+        requests, golden = _golden()
+        responses = run_tcp(
+            requests, AsyncSpecServer(max_request_bytes=TRANSCRIPT_MAX_BYTES)
+        )
+        assert [normalize(response) for response in responses] == golden
+
+
 class TestServeHardening:
     """The fault-tolerant serving tier at the protocol surface: health
     ops, structured error codes, timeouts, oversized guards and
     backpressure — never a dropped connection."""
 
-    def test_ping_sync(self):
-        responses = run_serve([{"op": "ping"}, {"op": "health"}])
-        for response in responses:
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_ping(self, transport):
+        responses = TRANSPORTS[transport](
+            [
+                {"op": "ping"},
+                {"op": "add", "id": "R1", "text": "The valve is opened.", "session": "a"},
+                {"op": "health", "session": "a"},
+            ]
+        )
+        # Different sessions: the add may overtake the offloaded ping.
+        ping, health = (
+            next(r for r in responses if r["op"] == op) for op in ("ping", "health")
+        )
+        for response in (ping, health):
             assert response["ok"] is True
             assert response["status"] == "ok"
             assert response["uptime_seconds"] >= 0
-            assert response["sessions"] == 1
-            assert response["session_stats"]["size"] == 0
             supervision = response["supervision"]
             assert supervision["degraded"] is False
             for key in ("restarts", "retries", "timeouts", "degraded_tasks"):
                 assert supervision[key] == 0
+        assert ping["session_stats"]["size"] == 0
+        assert health["sessions"] == 2
+        assert health["session_stats"]["size"] == 1
+        assert health["session_stats"]["pending_edits"] == 1
 
-    def test_ping_async(self):
-        responses = run_serve_async(
-            [
-                {"op": "add", "id": "R1", "text": "The valve is opened.", "session": "a"},
-                {"op": "ping", "session": "a"},
-            ]
-        )
-        ping = responses[-1]
-        assert ping["ok"] is True
-        assert ping["status"] == "ok"
-        assert ping["sessions"] == 1
-        assert ping["session_stats"]["size"] == 1
-        assert ping["session_stats"]["pending_edits"] == 1
-        assert "supervision" in ping
-
-    def test_error_codes_sync(self):
-        out = io.StringIO()
-        payload = (
-            "this is not json\n"
-            + json.dumps({"op": "frobnicate"})
-            + "\n"
-            + json.dumps({"op": "add", "id": "R1"})
-            + "\n"
-        )
-        serve(io.StringIO(payload), out)
-        responses = [json.loads(line) for line in out.getvalue().splitlines()]
-        assert [r["ok"] for r in responses] == [False, False, False]
-        assert [r["code"] for r in responses] == [
-            "bad_json",
-            "bad_request",
-            "bad_request",
-        ]
-        assert "malformed JSON" in responses[0]["error"]
-
-    def test_error_codes_async(self):
-        responses = run_serve_async(
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_error_codes(self, transport):
+        responses = TRANSPORTS[transport](
             [
                 "this is not json",
                 {"op": "frobnicate"},
@@ -868,120 +953,58 @@ class TestServeHardening:
             "bad_request",
             "bad_request",
         ]
+        assert "malformed JSON" in responses[0]["error"]
 
-    def test_oversized_request_sync(self):
-        out = io.StringIO()
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_oversized_request(self, transport):
         big = json.dumps({"op": "add", "id": "R1", "text": "x" * 4096})
-        payload = big + "\n" + json.dumps({"op": "ping"}) + "\n"
-        serve(io.StringIO(payload), out, max_request_bytes=1024)
-        responses = [json.loads(line) for line in out.getvalue().splitlines()]
+        responses = TRANSPORTS[transport](
+            [big, {"op": "ping"}], AsyncSpecServer(max_request_bytes=1024)
+        )
         # The oversized line gets a structured error; the loop lives on.
         assert responses[0]["ok"] is False
         assert responses[0]["code"] == "oversized"
         assert responses[1]["ok"] is True
 
-    def test_oversized_request_async(self):
-        from repro.service.server import serve_async_loop
-
-        async def drive():
-            out = io.StringIO()
-            server = AsyncSpecServer(max_request_bytes=1024)
-            big = json.dumps({"op": "add", "id": "R1", "text": "x" * 4096})
-            stdin = io.StringIO(big + "\n" + json.dumps({"op": "ping"}) + "\n")
-            await serve_async_loop(stdin, out, server=server)
-            return [json.loads(line) for line in out.getvalue().splitlines()]
-
-        responses = asyncio.run(drive())
-        assert responses[0]["ok"] is False
-        assert responses[0]["code"] == "oversized"
-        assert any(r["ok"] and r.get("op") == "ping" for r in responses[1:])
-
-    def test_request_timeout_sync(self):
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_request_timeout(self, transport, monkeypatch):
         import time as time_module
 
-        from repro.service.server import _Server
+        import repro.service.server as server_module
 
-        class SlowServer(_Server):
-            def _op_stall(self, request):
+        class SlowServer(server_module._Server):
+            def _op_check(self, request):  # offloaded: runs on a thread
                 time_module.sleep(0.8)
                 return {}
 
-        out = io.StringIO()
-        payload = (
-            json.dumps({"op": "stall"}) + "\n" + json.dumps({"op": "ping"}) + "\n"
+        monkeypatch.setattr(server_module, "_Server", SlowServer)
+        responses = TRANSPORTS[transport](
+            [{"op": "check"}, {"op": "add", "id": "R1", "text": "The valve is opened."}],
+            AsyncSpecServer(request_timeout=0.2),
         )
-        # The ping queues behind the stalled handler thread (strictly
-        # sequential semantics), so the stall must end inside the ping's
-        # own deadline window for it to succeed.
-        serve(
-            io.StringIO(payload),
-            out,
-            server=SlowServer(),
-            request_timeout=0.6,
-        )
-        responses = [json.loads(line) for line in out.getvalue().splitlines()]
         assert responses[0]["ok"] is False
         assert responses[0]["code"] == "timeout"
-        # The loop answered the next request instead of dropping it.
+        # The session still serves after a timeout: the next request
+        # waited for the abandoned handler, then ran.
         assert responses[1]["ok"] is True
 
-    def test_request_timeout_async(self):
-        import time as time_module
+    def test_backpressure_pauses_reading(self, monkeypatch):
+        """A stream at ``max_queue`` in-flight requests stops reading
+        instead of refusing: 100 piped edits queued behind a 1 s check
+        are all answered, in order, and none is 'overloaded'."""
+        import repro.service.server as server_module
 
-        from repro.service.server import _Server
-
-        class SlowServer(_Server):
-            def _op_check(self, request):
-                time_module.sleep(0.8)
-                return {}
-
-        async def drive():
-            server = AsyncSpecServer(request_timeout=0.2)
-            slow = SlowServer(server.tool)
-            server._sessions["default"] = slow
-            server._locks["default"] = asyncio.Lock()
-            first = await server.handle_request({"op": "check"})
-            second = await server.handle_request({"op": "add", "id": "R1", "text": "The valve is opened."})
-            return first, second
-
-        first, second = asyncio.run(drive())
-        assert first["ok"] is False
-        assert first["code"] == "timeout"
-        assert second["ok"] is True  # session still serves after a timeout
-
-    def test_backpressure_overloaded_async(self):
-        import time as time_module
-
-        from repro.service.server import _Server
-
-        class SlowServer(_Server):
-            def _op_check(self, request):
-                time_module.sleep(0.3)
-                return {}
-
-        async def drive():
-            server = AsyncSpecServer(max_queue=1)
-            slow = SlowServer(server.tool)
-            server._sessions["default"] = slow
-            server._locks["default"] = asyncio.Lock()
-            return await asyncio.gather(
-                *(server.handle_request({"op": "check", "rid": i}) for i in range(3))
-            )
-
-        responses = asyncio.run(drive())
-        by_rid = sorted(responses, key=lambda r: r["rid"])
-        assert by_rid[0]["ok"] is True  # the in-flight request completes
-        rejected = [r for r in by_rid[1:] if not r["ok"]]
-        assert rejected, "queue bound must reject excess requests"
-        assert all(r["code"] == "overloaded" for r in rejected)
-        # Rejection is backpressure, not a broken session: once drained,
-        # the same session serves again.
-        followup = asyncio.run(
-            AsyncSpecServer().handle_request(
-                {"op": "add", "id": "R1", "text": "The valve is opened."}
-            )
-        )
-        assert followup["ok"] is True
+        monkeypatch.setattr(server_module, "_Server", SlowCheckServer)
+        script = [{"op": "check", "rid": 0}] + [
+            {"op": "add", "id": f"R{rid}", "text": "The valve is opened.", "rid": rid}
+            for rid in range(1, 101)
+        ]
+        responses = run_serve(script)
+        assert [response["rid"] for response in responses] == list(range(101))
+        assert all(response["ok"] for response in responses), [
+            response for response in responses if not response["ok"]
+        ][:1]
+        assert responses[-1]["size"] == 100
 
     def test_batch_op_isolates_document_errors(self):
         responses = run_serve(
@@ -1021,56 +1044,32 @@ class TestServeHardening:
         assert session.stats()["revision"] == 1
 
     # ------------------------------------------------- protocol bugfixes
-    def test_multibyte_oversized_sync(self):
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_multibyte_oversized(self, transport):
         """`max_request_bytes` bounds *bytes*, not characters: a line
         whose character count is under the bound but whose UTF-8
-        encoding is over it must be rejected as oversized (pre-fix,
-        ``len(line)`` counted characters and multi-byte requests up to
-        4x the bound slipped past)."""
-        out = io.StringIO()
+        encoding is over it must be rejected as oversized."""
         big = json.dumps(
             {"op": "add", "id": "R1", "text": "é" * 700}, ensure_ascii=False
         )
         assert len(big) <= 1024 < len(big.encode("utf-8"))
-        payload = big + "\n" + json.dumps({"op": "ping"}) + "\n"
-        serve(io.StringIO(payload), out, max_request_bytes=1024)
-        responses = [json.loads(line) for line in out.getvalue().splitlines()]
+        responses = TRANSPORTS[transport](
+            [big, {"op": "ping"}], AsyncSpecServer(max_request_bytes=1024)
+        )
         assert responses[0]["ok"] is False
         assert responses[0]["code"] == "oversized"
         assert responses[1]["ok"] is True
 
-    def test_multibyte_oversized_async(self):
-        from repro.service.server import serve_async_loop
-
-        async def drive():
-            out = io.StringIO()
-            server = AsyncSpecServer(max_request_bytes=1024)
-            big = json.dumps(
-                {"op": "add", "id": "R1", "text": "é" * 700}, ensure_ascii=False
-            )
-            assert len(big) <= 1024 < len(big.encode("utf-8"))
-            stdin = io.StringIO(big + "\n" + json.dumps({"op": "ping"}) + "\n")
-            await serve_async_loop(stdin, out, server=server)
-            return [json.loads(line) for line in out.getvalue().splitlines()]
-
-        responses = asyncio.run(drive())
-        assert responses[0]["ok"] is False
-        assert responses[0]["code"] == "oversized"
-        assert any(r["ok"] and r.get("op") == "ping" for r in responses[1:])
-
     def test_ascii_lines_under_bound_still_pass(self):
-        """The byte-exact check must not reject what the old check
-        accepted: ASCII lines at or under the bound go through."""
-        out = io.StringIO()
+        """The bound excludes the line terminator: a line of exactly
+        ``max_request_bytes`` bytes goes through, one byte more does not."""
         request = json.dumps({"op": "add", "id": "R1", "text": "x" * 200})
-        serve(
-            io.StringIO(request + "\n"),
-            out,
-            # The raw line includes its newline, and always has.
-            max_request_bytes=len(request) + 1,
+        responses = run_serve(
+            [request, request + " "],
+            AsyncSpecServer(max_request_bytes=len(request)),
         )
-        responses = [json.loads(line) for line in out.getvalue().splitlines()]
         assert responses[0]["ok"] is True
+        assert responses[1]["code"] == "oversized"
 
     def test_timeout_does_not_interleave_session_requests(self):
         """A timed-out request abandons the *response*, not the handler:
@@ -1099,8 +1098,7 @@ class TestServeHardening:
 
         async def drive():
             server = AsyncSpecServer(request_timeout=0.2)
-            slow = SlowServer(server.tool)
-            server._sessions["default"] = slow
+            server._sessions["default"] = SlowServer(server)
             server._locks["default"] = asyncio.Lock()
             first = await server.handle_request({"op": "check"})
             assert first["code"] == "timeout"
@@ -1122,11 +1120,11 @@ class TestServeHardening:
         assert second["ok"] is True
         assert order == ["stall:start", "stall:end", "probe"]
 
-    def test_batch_malformed_entry_is_bad_request_sync(self):
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_batch_malformed_entry_is_bad_request(self, transport):
         """Non-object batch entries are the client's fault: they must be
-        classified 'bad_request', not 'internal' (pre-fix, a list/string
-        entry raised AttributeError deep in _op_batch)."""
-        responses = run_serve(
+        classified 'bad_request', not 'internal'."""
+        responses = TRANSPORTS[transport](
             [
                 {"op": "batch", "documents": "not a list"},
                 {"op": "batch", "documents": [["R1", "The valve is opened."]]},
@@ -1137,16 +1135,12 @@ class TestServeHardening:
                         "nope",
                     ],
                 },
+                {"op": "batch", "documents": [42]},
             ]
         )
-        assert [r["ok"] for r in responses] == [False, False, False]
-        assert [r["code"] for r in responses] == ["bad_request"] * 3
+        assert [r["ok"] for r in responses] == [False] * 4
+        assert [r["code"] for r in responses] == ["bad_request"] * 4
         assert "documents[1]" in responses[2]["error"]
-
-    def test_batch_malformed_entry_is_bad_request_async(self):
-        responses = run_serve_async([{"op": "batch", "documents": [42]}])
-        assert responses[0]["ok"] is False
-        assert responses[0]["code"] == "bad_request"
 
 
 class TestCLI:
@@ -1208,20 +1202,14 @@ class TestCLI:
     def test_batch_empty_directory(self, tmp_path):
         assert cli_main(["batch", str(tmp_path)]) == 2
 
-    def test_serve_accepts_async_flag(self):
+    def test_serve_rejects_async_flag(self, capsys):
+        """There is one request loop: the former ``--async`` front end is
+        plain ``serve``."""
         from repro.__main__ import build_parser
 
-        args = build_parser().parse_args(["serve", "--async"])
-        assert args.use_async is True
-        assert build_parser().parse_args(["serve"]).use_async is False
-
-    def test_batch_accepts_process_fresh_backend(self):
-        from repro.__main__ import build_parser
-
-        args = build_parser().parse_args(
-            ["batch", ".", "--backend", "process-fresh"]
-        )
-        assert args.backend == "process-fresh"
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--async"])
+        assert "--async" in capsys.readouterr().err
 
     def test_serve_accepts_tcp_flags(self):
         from repro.__main__ import build_parser
