@@ -1,31 +1,31 @@
 """Synthesis-engine benchmark runner — emits ``BENCH_synthesis.json``.
 
-Measures the two optimisations of the synthesis-engine overhaul and guards
-them with correctness cross-checks:
+Measures the optimisations of the synthesis-engine overhaul against the
+reference implementations in ``tests/oracles/`` and guards them with
+correctness cross-checks:
 
 * **propagation**: CDCL clause visits per propagation, two-watched-literal
-  lists (``propagation="watch"``) vs the full-clause re-scan reference
-  (``propagation="scan"``) on random 3-SAT, pigeonhole and a real
-  bounded-synthesis encoding.  The watched scheme must visit at least 2x
-  fewer clauses per propagation, and both schemes must agree on every
-  verdict.
+  lists (``CDCLSolver``, row ``watch``) vs the full-clause re-scan
+  reference (``ScanCDCLSolver``, row ``scan``) on random 3-SAT,
+  pigeonhole and a real bounded-synthesis encoding.  The watched scheme
+  must visit at least 2x fewer clauses per propagation, and both schemes
+  must agree on every verdict.
 * **safety_game**: partial-letter exploration vs the concrete
-  ``2^|I| * 2^|O|`` enumeration — a wide-output scaling sweep showing the
-  partial engine's work no longer depends on the number of don't-care
-  outputs, plus byte-identical-strategy equivalence checks on a spec
-  portfolio.
+  ``2^|I| * 2^|O|`` enumeration (``ConcreteGame``) — a wide-output
+  scaling sweep showing the partial engine's work no longer depends on
+  the number of don't-care outputs, plus byte-identical-strategy
+  equivalence checks on a spec portfolio.
 * **incremental_bounds**: bounded synthesis over a growing 1→N state
-  ladder, one persistent ``IncrementalBoundedSynthesizer``
-  (``encoding="incremental"``) vs a from-scratch encoding per bound
-  (``encoding="fresh"``) on realizable and unrealizable specs.  Verdict
-  ladders must agree between the encodings (and with the committed
-  goldens), extracted machines must be byte-identical, and the
-  incremental path must pay at least 2x fewer SAT conflicts in
-  aggregate.
-* **game_early_abort**: on-the-fly attractor solving
-  (``solving="onthefly"``) vs full exploration plus the post-hoc
-  fixpoint (``solving="offline"``) on games that are losing at the
-  given bound — the early abort must visit strictly fewer positions.
+  ladder, one persistent ``IncrementalBoundedSynthesizer`` vs a
+  from-scratch encoding per bound (``FreshBoundedSynthesizer``) on
+  realizable and unrealizable specs.  Verdict ladders must agree between
+  the encodings (and with the committed goldens), extracted machines
+  must be byte-identical, and the incremental path must pay at least 2x
+  fewer SAT conflicts in aggregate.
+* **game_early_abort**: on-the-fly attractor solving vs full exploration
+  plus the post-hoc fixpoint (``OfflineGame``) on games that are losing
+  at the given bound — the early abort must visit strictly fewer
+  positions.
 * **case_studies**: end-to-end verdicts (and engine-work counters) on the
   paper's three case studies, asserted identical to the committed
   seed-goldens in ``benchmarks/baseline_synthesis.json``.
@@ -39,6 +39,7 @@ Usage (from the repository root)::
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import platform
 import random
@@ -48,8 +49,9 @@ from pathlib import Path
 from typing import Dict, List, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-if str(REPO_ROOT / "src") not in sys.path:
-    sys.path.insert(0, str(REPO_ROOT / "src"))
+for _path in (REPO_ROOT / "src", REPO_ROOT / "tests"):
+    if str(_path) not in sys.path:
+        sys.path.insert(0, str(_path))
 
 from repro import SpecCC, SpecCCConfig, TranslationOptions  # noqa: E402
 from repro.casestudies import (  # noqa: E402
@@ -63,21 +65,22 @@ from repro.logic import parse  # noqa: E402
 from repro.sat import CDCLSolver, CNF  # noqa: E402
 from repro.synthesis import (  # noqa: E402
     IncrementalBoundedSynthesizer,
-    SynthesisLimits,
     solve_safety_game,
     synthesis_stats,
 )
+
+from oracles import game as oracle_game  # noqa: E402
+from oracles.bounded import FreshBoundedSynthesizer  # noqa: E402
+from oracles.game import ConcreteGame, OfflineGame  # noqa: E402
+from oracles.sat import ScanCDCLSolver  # noqa: E402
 
 SCHEMA = "repro-bench-synthesis/2"
 BASELINE_SCHEMA = "repro-bench-synthesis-baseline/2"
 BASELINE_PATH = REPO_ROOT / "benchmarks" / "baseline_synthesis.json"
 
 
-def _config(**limit_overrides) -> SpecCCConfig:
-    limits = SynthesisLimits(**limit_overrides) if limit_overrides else SynthesisLimits()
-    return SpecCCConfig(
-        translation=TranslationOptions(next_as_x=False), limits=limits
-    )
+def _config() -> SpecCCConfig:
+    return SpecCCConfig(translation=TranslationOptions(next_as_x=False))
 
 
 # ----------------------------------------------------------- CNF instances
@@ -137,8 +140,8 @@ def bench_propagation(quick: bool) -> Dict[str, object]:
     for name, cnf in propagation_instances(quick):
         row: Dict[str, object] = {}
         verdicts = {}
-        for mode in ("watch", "scan"):
-            solver = CDCLSolver(cnf, propagation=mode)
+        for mode, solver_class in (("watch", CDCLSolver), ("scan", ScanCDCLSolver)):
+            solver = solver_class(cnf)
             start = time.perf_counter()
             result = solver.solve()
             seconds = time.perf_counter() - start
@@ -193,8 +196,8 @@ def bench_safety_game(quick: bool) -> Dict[str, object]:
         partial = solve_safety_game(parse("G (r -> X g)"), ["r"], outputs, bound=2)
         partial_seconds = time.perf_counter() - start
         start = time.perf_counter()
-        concrete = solve_safety_game(
-            parse("G (r -> X g)"), ["r"], outputs, bound=2, exploration="concrete"
+        concrete = oracle_game.solve(
+            ConcreteGame, parse("G (r -> X g)"), ["r"], outputs, bound=2
         )
         concrete_seconds = time.perf_counter() - start
         assert partial.realizable and concrete.realizable
@@ -215,8 +218,8 @@ def bench_safety_game(quick: bool) -> Dict[str, object]:
     for name, text, inputs, outputs in EQUIVALENCE_SPECS:
         for bound in (1, 2):
             partial = solve_safety_game(parse(text), inputs, outputs, bound=bound)
-            concrete = solve_safety_game(
-                parse(text), inputs, outputs, bound=bound, exploration="concrete"
+            concrete = oracle_game.solve(
+                ConcreteGame, parse(text), inputs, outputs, bound=bound
             )
             same = (
                 partial.realizable == concrete.realizable
@@ -270,10 +273,10 @@ def bench_incremental_bounds(quick: bool) -> Dict[str, object]:
     for name, text, inputs, outputs in ladder_specs(quick):
         spec = parse(text)
         synths = {
-            encoding: IncrementalBoundedSynthesizer.for_system(
-                spec, inputs, outputs, encoding=encoding
-            )
-            for encoding in ("incremental", "fresh")
+            "incremental": IncrementalBoundedSynthesizer.for_system(
+                spec, inputs, outputs
+            ),
+            "fresh": FreshBoundedSynthesizer.for_system(spec, inputs, outputs),
         }
         conflicts = {"incremental": 0, "fresh": 0}
         seconds = {"incremental": 0.0, "fresh": 0.0}
@@ -361,11 +364,12 @@ def bench_game_early_abort(quick: bool) -> Dict[str, object]:
         spec = parse(text)
         results = {}
         seconds = {}
-        for solving in ("onthefly", "offline"):
+        for solving, solve in (
+            ("onthefly", solve_safety_game),
+            ("offline", functools.partial(oracle_game.solve, OfflineGame)),
+        ):
             start = time.perf_counter()
-            results[solving] = solve_safety_game(
-                spec, inputs, outputs, bound=bound, solving=solving
-            )
+            results[solving] = solve(spec, inputs, outputs, bound=bound)
             seconds[solving] = time.perf_counter() - start
         onthefly, offline = results["onthefly"], results["offline"]
         assert onthefly.realizable == offline.realizable, name

@@ -31,15 +31,15 @@ bit-blasting"):
 The solver is deterministic: identical inputs yield identical models, which
 keeps the benchmark tables and tests reproducible.
 
-For differential testing and the ``benchmarks/bench_synthesis.py``
-microbench the solver can also run with ``propagation="scan"``: the
-pre-watcher reference scheme that re-scans the full body of every clause
-containing a freshly falsified literal.  Both modes share the search loop,
-conflict analysis and cores, so any divergence in verdicts is a bug the
-differential suite will catch.  :meth:`CDCLSolver.stats` exposes counters
-(propagations, conflicts, decisions, restarts, clause visits, learnt
-clauses) so benchmarks can assert that watched propagation actually visits
-fewer clauses instead of guessing from timings.
+The pre-watcher reference scheme, which re-scans the full body of every
+clause containing a freshly falsified literal, lives with the tests
+(``tests/oracles/sat.py``) as a subclass that swaps the propagation step
+and shares the search loop, conflict analysis and cores, so any
+divergence in verdicts is a bug the differential suite will catch.
+:meth:`CDCLSolver.stats` exposes counters (propagations, conflicts,
+decisions, restarts, clause visits, learnt clauses) so benchmarks can
+assert that watched propagation actually visits fewer clauses instead of
+guessing from timings.
 """
 
 from __future__ import annotations
@@ -82,9 +82,6 @@ def _code(lit: Lit) -> int:
 class CDCLSolver:
     """CDCL solver over a :class:`~repro.sat.cnf.CNF` instance.
 
-    ``propagation`` selects the unit-propagation scheme: ``"watch"`` (the
-    default two-watched-literal lists) or ``"scan"`` (the full-clause
-    re-scan reference used by the differential tests and benchmarks).
     ``restart_interval`` scales the Luby restart sequence, ``var_decay``
     is the per-conflict VSIDS decay factor, and ``reduce_interval`` is
     the number of conflicts between learnt-database reductions (0
@@ -95,32 +92,23 @@ class CDCLSolver:
     def __init__(
         self,
         cnf: CNF,
-        propagation: str = "watch",
         restart_interval: int = 100,
         var_decay: float = 0.95,
         reduce_interval: int = 2000,
     ) -> None:
-        if propagation not in ("watch", "scan"):
-            raise ValueError(f"unknown propagation scheme: {propagation!r}")
         if reduce_interval < 0:
             raise ValueError("reduce_interval must be >= 0")
-        self.propagation = propagation
         self.num_vars = cnf.num_vars
-        # clause database: each clause is a list of literals; in watch mode
-        # indices 0/1 are the watched literals.  Slots of learnt clauses
-        # deleted by database reduction are tombstoned with None (clause
-        # indices stored in watchers/reasons must stay stable).
+        # clause database: each clause is a list of literals whose indices
+        # 0/1 are the watched literals.  Slots of learnt clauses deleted by
+        # database reduction are tombstoned with None (clause indices
+        # stored in watchers/reasons must stay stable).
         self.clauses: List[Optional[List[Lit]]] = []
-        # Per-literal index (indexed by _code), allocated for the selected
-        # scheme only: watch mode keeps (clause index, blocker literal)
-        # watcher pairs, scan mode keeps plain occurrence lists.
-        size = 2 * (self.num_vars + 1)
-        self.watches: List[List[Tuple[int, Lit]]] = (
-            [[] for _ in range(size)] if propagation == "watch" else []
-        )
-        self.occurs: List[List[int]] = (
-            [[] for _ in range(size)] if propagation == "scan" else []
-        )
+        # Per-literal watcher lists (indexed by _code) of
+        # (clause index, blocker literal) pairs.
+        self.watches: List[List[Tuple[int, Lit]]] = [
+            [] for _ in range(2 * (self.num_vars + 1))
+        ]
         self.assign: List[int] = [0] * (self.num_vars + 1)  # 0 unset, ±1
         self.level: List[int] = [0] * (self.num_vars + 1)
         self.reason: List[Optional[int]] = [None] * (self.num_vars + 1)
@@ -348,9 +336,8 @@ class CDCLSolver:
         self.reason.extend([None] * extra)
         self.activity.extend([0.0] * extra)
         self.saved_phase.extend([False] * extra)
-        index = self.watches if self.propagation == "watch" else self.occurs
         for _ in range(2 * extra):
-            index.append([])
+            self.watches.append([])
         for fresh in range(self.num_vars + 1, var + 1):
             heapq.heappush(self.heap, (0.0, fresh))
         self.num_vars = var
@@ -365,13 +352,9 @@ class CDCLSolver:
     def _attach(self, clause: List[Lit]) -> int:
         index = len(self.clauses)
         self.clauses.append(clause)
-        if self.propagation == "watch":
-            # Each watcher caches the other watched literal as its blocker.
-            self.watches[_code(clause[0])].append((index, clause[1]))
-            self.watches[_code(clause[1])].append((index, clause[0]))
-        else:
-            for lit in clause:
-                self.occurs[_code(lit)].append(index)
+        # Each watcher caches the other watched literal as its blocker.
+        self.watches[_code(clause[0])].append((index, clause[1]))
+        self.watches[_code(clause[1])].append((index, clause[0]))
         return index
 
     def _reduce_learnts(self) -> None:
@@ -409,19 +392,10 @@ class CDCLSolver:
             del self.lbd[index]
         self.learnt = [index for index in self.learnt if index not in drop]
         self.learnt_dropped += len(drop)
-        # Detach the tombstoned clauses from the propagation index.
-        if self.propagation == "watch":
-            for watch_list in self.watches:
-                if watch_list:
-                    watch_list[:] = [
-                        pair for pair in watch_list if pair[0] not in drop
-                    ]
-        else:
-            for occur_list in self.occurs:
-                if occur_list:
-                    occur_list[:] = [
-                        index for index in occur_list if index not in drop
-                    ]
+        # Detach the tombstoned clauses from the watcher lists.
+        for watch_list in self.watches:
+            if watch_list:
+                watch_list[:] = [pair for pair in watch_list if pair[0] not in drop]
 
     def _enqueue(self, lit: Lit, reason: Optional[int]) -> bool:
         value = self._value(lit)
@@ -439,11 +413,6 @@ class CDCLSolver:
 
     def _propagate(self) -> Optional[int]:
         """Unit propagation; returns a conflicting clause index or None."""
-        if self.propagation == "scan":
-            return self._propagate_scan()
-        return self._propagate_watch()
-
-    def _propagate_watch(self) -> Optional[int]:
         value = self._value
         clauses = self.clauses
         while self.queue_head < len(self.trail):
@@ -496,39 +465,6 @@ class CDCLSolver:
             del watch_list[keep:]
             if conflict is not None:
                 return conflict
-        return None
-
-    def _propagate_scan(self) -> Optional[int]:
-        """Reference propagation: re-scan every clause containing the
-        freshly falsified literal in full.  Kept for differential tests and
-        the propagation microbench; never the default."""
-        value = self._value
-        clauses = self.clauses
-        while self.queue_head < len(self.trail):
-            lit = self.trail[self.queue_head]
-            self.queue_head += 1
-            self.propagations += 1
-            falsified = -lit
-            for index in self.occurs[_code(falsified)]:
-                clause = clauses[index]
-                self.clause_visits += 1
-                unit: Optional[Lit] = None
-                satisfied = False
-                unassigned = 0
-                for other in clause:
-                    status = value(other)
-                    if status == 1:
-                        satisfied = True
-                        break
-                    if status == 0:
-                        unassigned += 1
-                        unit = other
-                if satisfied:
-                    continue
-                if unassigned == 0:
-                    return index
-                if unassigned == 1:
-                    self._enqueue(unit, index)
         return None
 
     def _analyze(self, conflict_index: int):

@@ -6,12 +6,7 @@ modular decomposition, controller verification and inconsistency
 localization.
 """
 
-from .bounded import (
-    BoundedSynthesisResult,
-    IncrementalBoundedSynthesizer,
-    synthesize,
-    synthesize_environment,
-)
+from .bounded import BoundedSynthesisResult, IncrementalBoundedSynthesizer
 from .localization import LocalizationResult, default_checker, localize
 from .mealy import Letter, MealyMachine, all_letters
 from .modular import Component, decompose
@@ -51,7 +46,5 @@ __all__ = [
     "solve_automaton",
     "solve_safety_game",
     "synthesis_stats",
-    "synthesize",
-    "synthesize_environment",
     "violation_witness",
 ]

@@ -45,15 +45,15 @@ new frontier.  Because conflicts now resolve against permanent clauses,
 the learnt clauses mention the escape/phantom variables — not the retired
 activation literal — and keep pruning the search at every later bound,
 alongside the surviving VSIDS activity and saved phases.
-``encoding="fresh"`` keeps the from-scratch construction as the
-differential reference, the same pattern as ``propagation="scan"`` and
-``exploration="concrete"``.
 
-Both encodings extract the controller from the *canonical* model — the
-greedy polarity-preferred completion computed by :func:`_canonical_model`
-— so the machine is a pure function of the constraint set, not of the
-search path, and the differential suites can assert byte-identical
-machines across encodings.
+The controller is extracted from the *canonical* model — the greedy
+polarity-preferred completion computed by :func:`_canonical_model` — so
+the machine is a pure function of the constraint set, not of the search
+path.  The from-scratch construction (one CNF and one solver per bound)
+lives with the tests (``tests/oracles/bounded.py``) as a subclass that
+overrides :meth:`IncrementalBoundedSynthesizer.solve`, and the
+differential suites assert byte-identical machines across the two
+encodings.
 """
 
 from __future__ import annotations
@@ -68,11 +68,8 @@ from ..sat.cdcl import CDCLSolver
 from ..sat.cnf import CNF
 from .mealy import Letter, MealyMachine, all_letters
 
-#: Encoding schemes of :class:`IncrementalBoundedSynthesizer`.
-ENCODING_MODES = ("incremental", "fresh")
-
 #: The integer counters of :class:`~repro.sat.cdcl.CDCLSolver.stats` that
-#: are reported per synthesis step (as deltas in incremental mode).
+#: are reported per synthesis step (as deltas of the persistent solver).
 _COUNTER_KEYS = (
     "propagations",
     "conflicts",
@@ -103,43 +100,6 @@ class BoundedSynthesisResult:
     solver_stats: Dict[str, int] = field(default_factory=dict, compare=False)
 
 
-def synthesize(
-    specification: Formula,
-    inputs: Sequence[str],
-    outputs: Sequence[str],
-    num_states: int,
-    annotation_bound: Optional[int] = None,
-    moore_environment: bool = False,
-) -> BoundedSynthesisResult:
-    """One bounded-synthesis attempt for the *system* player.
-
-    ``moore_environment=True`` runs the dual encoding instead: a Moore
-    machine over ``outputs`` (the environment's moves are then the
-    specification's inputs) — used by :func:`synthesize_environment`.
-    """
-    return IncrementalBoundedSynthesizer.for_system(
-        specification, inputs, outputs,
-        moore_environment=moore_environment, encoding="fresh",
-    ).solve(num_states, annotation_bound)
-
-
-def synthesize_environment(
-    specification: Formula,
-    inputs: Sequence[str],
-    outputs: Sequence[str],
-    num_states: int,
-    annotation_bound: Optional[int] = None,
-) -> BoundedSynthesisResult:
-    """Bounded synthesis of an environment strategy enforcing ``!phi``.
-
-    The environment is a Moore machine emitting input letters; success
-    proves the original specification unrealizable.
-    """
-    return IncrementalBoundedSynthesizer.for_environment(
-        specification, inputs, outputs, encoding="fresh",
-    ).solve(num_states, annotation_bound)
-
-
 def default_annotation_bound(num_states: int, num_rejecting: int) -> int:
     """The ``k`` used when the caller does not pick one.
 
@@ -152,16 +112,12 @@ def default_annotation_bound(num_states: int, num_rejecting: int) -> int:
 class IncrementalBoundedSynthesizer:
     """Bounded synthesis that persists SAT work across a bound ladder.
 
-    One instance owns the (degeneralized) co-Büchi automaton and, in
-    ``"incremental"`` mode, one persistent CDCL solver.  Each
-    :meth:`solve` call grows ``num_states``/``annotation_bound``
-    monotonically: fresh variables are allocated for new states and
-    counters, permanent clauses are added once, and the bound-specific
-    clause families are re-gated behind a new activation literal (see the
-    module docstring).  ``"fresh"`` mode rebuilds the whole encoding per
-    call — the differential reference the tests and benchmarks compare
-    against.  Both modes extract canonical machines, so a SAT answer
-    yields the byte-identical controller either way.
+    One instance owns the (degeneralized) co-Büchi automaton and one
+    persistent CDCL solver.  Each :meth:`solve` call grows
+    ``num_states``/``annotation_bound`` monotonically: fresh variables
+    are allocated for new states and counters, permanent clauses are
+    added once, and the bound-specific clause families are re-gated
+    behind a new activation literal (see the module docstring).
     """
 
     def __init__(
@@ -170,21 +126,17 @@ class IncrementalBoundedSynthesizer:
         adversary: Tuple[str, ...],
         controlled: Tuple[str, ...],
         moore: bool,
-        encoding: str = "incremental",
     ) -> None:
-        if encoding not in ENCODING_MODES:
-            raise ValueError(f"unknown encoding mode: {encoding!r}")
         self.automaton = automaton
         self.adversary = tuple(adversary)
         self.controlled = tuple(controlled)
         self.moore = moore
-        self.encoding = encoding
         self.rejecting = (
             automaton.accepting_sets[0] if automaton.accepting_sets else set()
         )
         self.states = sorted(automaton.reachable_states())
         self.letters = all_letters(self.adversary)
-        # Persistent incremental state (unused in fresh mode).
+        # Persistent incremental state.
         self.cnf = CNF()
         self.solver: Optional[CDCLSolver] = None
         self.num_states = 0
@@ -205,8 +157,6 @@ class IncrementalBoundedSynthesizer:
         specification: Formula,
         inputs: Sequence[str],
         outputs: Sequence[str],
-        moore_environment: bool = False,
-        encoding: str = "incremental",
     ) -> "IncrementalBoundedSynthesizer":
         """Synthesize the *system* player against ``!specification``."""
         automaton = translate(Not(specification)).degeneralize()
@@ -214,8 +164,7 @@ class IncrementalBoundedSynthesizer:
             automaton,
             adversary=tuple(sorted(inputs)),
             controlled=tuple(sorted(outputs)),
-            moore=moore_environment,
-            encoding=encoding,
+            moore=False,
         )
 
     @classmethod
@@ -224,7 +173,6 @@ class IncrementalBoundedSynthesizer:
         specification: Formula,
         inputs: Sequence[str],
         outputs: Sequence[str],
-        encoding: str = "incremental",
     ) -> "IncrementalBoundedSynthesizer":
         """Synthesize an environment (Moore) strategy enforcing ``!phi``."""
         automaton = translate(specification).degeneralize()
@@ -233,7 +181,6 @@ class IncrementalBoundedSynthesizer:
             adversary=tuple(sorted(outputs)),
             controlled=tuple(sorted(inputs)),
             moore=True,
-            encoding=encoding,
         )
 
     # ------------------------------------------------------------------ API
@@ -242,21 +189,12 @@ class IncrementalBoundedSynthesizer:
     ) -> BoundedSynthesisResult:
         """One synthesis attempt at ``(num_states, annotation_bound)``.
 
-        In incremental mode consecutive calls must not shrink either
-        bound — the encoding only grows.
+        Consecutive calls must not shrink either bound — the encoding only
+        grows.
         """
         if annotation_bound is None:
             annotation_bound = default_annotation_bound(
                 num_states, len(self.rejecting)
-            )
-        if self.encoding == "fresh":
-            return _synthesize_against(
-                self.automaton,
-                adversary=self.adversary,
-                controlled=self.controlled,
-                num_states=num_states,
-                annotation_bound=annotation_bound,
-                moore=self.moore,
             )
         if num_states < self.num_states or annotation_bound < self.annotation_bound:
             raise ValueError(
@@ -543,133 +481,3 @@ def _extract_machine(
             )
             machine.add_transition(s, sigma, successor, output)
     return machine
-
-
-def _synthesize_against(
-    automaton: BuchiAutomaton,
-    adversary: Tuple[str, ...],
-    controlled: Tuple[str, ...],
-    num_states: int,
-    annotation_bound: Optional[int],
-    moore: bool,
-) -> BoundedSynthesisResult:
-    """The from-scratch encoding: one CNF, one solver, one bound."""
-    rejecting = automaton.accepting_sets[0] if automaton.accepting_sets else set()
-    states = sorted(automaton.reachable_states())
-    if annotation_bound is None:
-        annotation_bound = default_annotation_bound(num_states, len(rejecting))
-    k = annotation_bound
-
-    cnf = CNF()
-    letters = all_letters(adversary)
-
-    # Transition choice: exactly one successor per (state, adversary letter).
-    delta: Dict[Tuple[int, Letter, int], int] = {}
-    for s in range(num_states):
-        for sigma in letters:
-            row = []
-            for t in range(num_states):
-                var = cnf.new_var(f"d{s},{'.'.join(sorted(sigma))},{t}")
-                delta[(s, sigma, t)] = var
-                row.append(var)
-            cnf.add_exactly_one(row)
-
-    # Output choice: per (state, letter) for Mealy, per state for Moore.
-    gamma: Dict[Tuple[int, Letter, str], int] = {}
-    for s in range(num_states):
-        for sigma in letters if not moore else [frozenset()]:
-            for prop in controlled:
-                var = cnf.new_var(f"g{s},{'.'.join(sorted(sigma))},{prop}")
-                gamma[(s, sigma, prop)] = var
-    if moore:
-        # Outputs ignore the letter; alias every letter to the state row.
-        for s in range(num_states):
-            for sigma in letters:
-                for prop in controlled:
-                    gamma[(s, sigma, prop)] = gamma[(s, frozenset(), prop)]
-
-    # Annotation: b[s][q] (defined) and unary counters u[s][q][j] (>= j).
-    defined: Dict[Tuple[int, int], int] = {}
-    counter: Dict[Tuple[int, int, int], int] = {}
-    for s in range(num_states):
-        for q in states:
-            defined[(s, q)] = cnf.new_var(f"b{s},{q}")
-            previous = defined[(s, q)]
-            for j in range(1, k + 1):
-                var = cnf.new_var(f"u{s},{q},{j}")
-                counter[(s, q, j)] = var
-                cnf.add([-var, previous])  # >= j implies >= j-1
-                previous = var
-
-    def at_least(s: int, q: int, j: int) -> Optional[int]:
-        """Literal for lambda(s,q) >= j; None when j exceeds the bound."""
-        if j <= 0:
-            return defined[(s, q)]
-        if j > k:
-            return None
-        return counter[(s, q, j)]
-
-    # Initial annotation.
-    for q0 in automaton.initial:
-        cnf.add([defined[(0, q0)]])
-
-    adversary_set = frozenset(adversary)
-    controlled_set = frozenset(controlled)
-
-    # Core constraints: every matching automaton edge propagates the
-    # annotation to the machine's successor state.
-    for q in states:
-        edges = automaton.successors(q)
-        for s in range(num_states):
-            for sigma in letters:
-                for label, q2 in edges:
-                    input_part = label.restrict(adversary_set)
-                    if not input_part.matches(sigma):
-                        continue
-                    output_pos = sorted(label.pos & controlled_set)
-                    output_neg = sorted(label.neg & controlled_set)
-                    guard = [gamma[(s, sigma, p)] for p in output_pos]
-                    guard += [-gamma[(s, sigma, p)] for p in output_neg]
-                    bump = 1 if q2 in rejecting else 0
-                    for t in range(num_states):
-                        base = [-delta[(s, sigma, t)]] + [-g for g in guard]
-                        for j in range(0, k + 1):
-                            source = at_least(s, q, j)
-                            target = at_least(t, q2, j + bump)
-                            if source is None:
-                                continue
-                            if target is None:
-                                # Counter overflow: the edge must not fire.
-                                cnf.add(base + [-source])
-                            else:
-                                cnf.add(base + [-source, target])
-    solver = CDCLSolver(cnf)
-    result = solver.solve()
-
-    def flat_stats() -> Dict[str, int]:
-        stats = solver.stats()
-        flat = {key: stats[key] for key in _COUNTER_KEYS}
-        flat["incremental_solves"] = 0
-        flat["learnt_carried"] = 0
-        flat["clauses_added"] = 0
-        return flat
-
-    if not result:
-        return BoundedSynthesisResult(
-            False, None, num_states, k, cnf.num_vars, len(cnf.clauses),
-            solver_stats=flat_stats(),
-        )
-
-    model = _canonical_model(
-        solver,
-        [],
-        _decision_order(delta, gamma, num_states, letters, controlled, moore),
-        dict(result.model),
-    )
-    machine = _extract_machine(
-        model, delta, gamma, num_states, adversary, controlled, letters
-    )
-    return BoundedSynthesisResult(
-        True, machine, num_states, k, cnf.num_vars, len(cnf.clauses),
-        solver_stats=flat_stats(),
-    )

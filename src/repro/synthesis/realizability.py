@@ -88,7 +88,6 @@ class SynthesisLimits:
     max_environment_states: int = 3
     max_game_bound: int = 3
     max_game_positions: int = 200_000
-    verify_controllers: bool = True
     #: Try the obligation-based certificate (fast, alphabet-independent)
     #: before the exact engines.
     use_obligations: bool = True
@@ -100,19 +99,6 @@ class SynthesisLimits:
     #: conjunction, which blows up combinatorially past a handful of
     #: liveness requirements; cap the number of formulas it sees.
     max_precheck_formulas: int = 6
-    #: Letter-enumeration scheme of the safety game: ``"partial"``
-    #: (support-projected letters) or ``"concrete"`` (the full
-    #: ``2^|I| * 2^|O|`` reference, used by equivalence tests/benchmarks).
-    game_exploration: str = "partial"
-    #: Attractor scheme of the safety game: ``"onthefly"`` (interleaved
-    #: with exploration, early abort once the initial position is losing)
-    #: or ``"offline"`` (full exploration + post-hoc fixpoint reference).
-    game_solving: str = "onthefly"
-    #: SAT encoding of the bounded-synthesis bound ladder:
-    #: ``"incremental"`` (one persistent solver per component/direction,
-    #: learnt clauses survive bound growth) or ``"fresh"`` (a new solver
-    #: per attempt, the differential reference).
-    encoding: str = "incremental"
 
 
 class _ComponentOutcome(NamedTuple):
@@ -431,9 +417,9 @@ def _analyze_component(
     dual_ok = len(local_outputs) <= 8
 
     # One persistent synthesizer per direction: the bound-growth loops
-    # below only ever grow num_states, so in the default "incremental"
-    # encoding every attempt after the first reuses the learnt clauses,
-    # activity and phases of the previous one (see synthesis.bounded).
+    # below only ever grow num_states, so every attempt after the first
+    # reuses the learnt clauses, activity and phases of the previous one
+    # (see synthesis.bounded).
     # Built lazily — a component settled without the dual never pays for
     # translating the positive specification.
     _env_synth: List[IncrementalBoundedSynthesizer] = []
@@ -442,8 +428,7 @@ def _analyze_component(
         if not _env_synth:
             _env_synth.append(
                 IncrementalBoundedSynthesizer.for_environment(
-                    specification, local_inputs, local_outputs,
-                    encoding=limits.encoding,
+                    specification, local_inputs, local_outputs
                 )
             )
         return _env_synth[0]
@@ -458,8 +443,6 @@ def _analyze_component(
                         local_outputs,
                         bound=bound,
                         max_positions=limits.max_game_positions,
-                        exploration=limits.game_exploration,
-                        solving=limits.game_solving,
                     )
                 except StateSpaceLimit:
                     sp.set(limit="positions")
@@ -484,7 +467,7 @@ def _analyze_component(
                     break
     else:
         system_synth = IncrementalBoundedSynthesizer.for_system(
-            specification, local_inputs, local_outputs, encoding=limits.encoding
+            specification, local_inputs, local_outputs
         )
         for size in range(1, max(limits.max_system_states, limits.max_environment_states) + 1):
             if size <= limits.max_system_states:
@@ -512,7 +495,6 @@ def _analyze_component(
 
     if (
         controller is not None
-        and limits.verify_controllers
         and not satisfies_specification(controller, specification)
     ):
         raise AssertionError(

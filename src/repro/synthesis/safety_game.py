@@ -15,9 +15,7 @@ concrete letters that agree on the support take identical transitions, so
 the quotient is exact — the game over partial letters has the same
 positions, the same losing region and yields the same controller as the
 game over all ``2^|I| * 2^|O|`` concrete letters, at a cost independent of
-how many don't-care outputs the interface declares.  The pre-quotient
-concrete enumeration is kept behind ``exploration="concrete"`` as the
-reference for the golden equivalence tests and benchmarks.
+how many don't-care outputs the interface declares.
 
 The losing region is likewise computed **during** exploration rather than
 as a post-hoc fixpoint: every position keeps a safe-move counter per
@@ -27,10 +25,13 @@ counters of its predecessors — each edge is touched O(1) times instead of
 once per ``while changed`` sweep.  The payoff is on unrealizable-at-bound
 games: the moment the *initial* position falls into the losing region the
 verdict is final, exploration aborts, and every position still waiting on
-the worklist is never expanded (counted as ``positions_pruned``).  The
-full-exploration + post-hoc fixpoint path is kept behind
-``solving="offline"`` as the differential reference, the same pattern as
-``exploration="concrete"``.
+the worklist is never expanded (counted as ``positions_pruned``).
+
+The two references the golden equivalence tests and benchmarks compare
+against, the pre-quotient concrete enumeration and the full-exploration +
+post-hoc fixpoint, live with the tests (``tests/oracles/game.py``) as
+subclasses of :class:`_Game` that override one step each:
+:meth:`_Game._enumerated` and :meth:`_Game._losing_region`.
 """
 
 from __future__ import annotations
@@ -44,12 +45,6 @@ from ..logic.ast import Formula, Not
 from .mealy import Letter, MealyMachine, all_letters
 
 CountingFunction = Tuple[Tuple[int, int], ...]  # sorted ((state, count), ...)
-
-#: Letter-enumeration schemes for :func:`solve`.
-EXPLORATION_MODES = ("partial", "concrete")
-
-#: Attractor-computation schemes for :func:`solve`.
-SOLVING_MODES = ("onthefly", "offline")
 
 
 class StateSpaceLimit(RuntimeError):
@@ -76,26 +71,16 @@ def solve(
     outputs: Sequence[str],
     bound: int = 2,
     max_positions: int = 200_000,
-    exploration: str = "partial",
-    solving: str = "onthefly",
 ) -> SafetyGameResult:
     """Solve the ``bound``-co-Büchi safety game for *specification*.
 
     ``realizable=True`` is definitive; ``False`` only means "not winnable
     within this bound" — the caller grows the bound or consults the dual
-    engine for unrealizability.  ``exploration`` picks the letter scheme:
-    ``"partial"`` (support-projected letters, the default) or
-    ``"concrete"`` (every subset of the declared alphabet, kept as the
-    equivalence-test reference).  ``solving`` picks the attractor scheme:
-    ``"onthefly"`` (interleaved with exploration, aborting once the
-    initial position is losing — the default) or ``"offline"`` (full
-    exploration followed by the post-hoc fixpoint, kept as the reference).
+    engine for unrealizability.
     """
     automaton = translate(Not(specification)).degeneralize()
     return solve_automaton(
-        automaton, inputs, outputs,
-        bound=bound, max_positions=max_positions,
-        exploration=exploration, solving=solving,
+        automaton, inputs, outputs, bound=bound, max_positions=max_positions
     )
 
 
@@ -105,8 +90,6 @@ def solve_automaton(
     outputs: Sequence[str],
     bound: int = 2,
     max_positions: int = 200_000,
-    exploration: str = "partial",
-    solving: str = "onthefly",
 ) -> SafetyGameResult:
     """:func:`solve` for a pre-built (degeneralized) co-Büchi automaton.
 
@@ -114,13 +97,9 @@ def solve_automaton(
     counter can ever exceed the bound and the game is a plain safety
     check over the transition structure.
     """
-    if exploration not in EXPLORATION_MODES:
-        raise ValueError(f"unknown exploration mode: {exploration!r}")
-    if solving not in SOLVING_MODES:
-        raise ValueError(f"unknown solving mode: {solving!r}")
     rejecting = automaton.accepting_sets[0] if automaton.accepting_sets else set()
     game = _Game(automaton, rejecting, tuple(sorted(inputs)), tuple(sorted(outputs)),
-                 bound, max_positions, exploration, solving)
+                 bound, max_positions)
     return game.solve()
 
 
@@ -133,8 +112,6 @@ class _Game:
         outputs: Tuple[str, ...],
         bound: int,
         max_positions: int,
-        exploration: str = "partial",
-        solving: str = "onthefly",
     ) -> None:
         self.automaton = automaton
         self.rejecting = rejecting
@@ -142,8 +119,6 @@ class _Game:
         self.outputs = outputs
         self.bound = bound
         self.max_positions = max_positions
-        self.exploration = exploration
-        self.solving = solving
         # Bitmask compilation: propositions get bit positions, transition
         # guards become (positive mask, negative mask) pairs, and letters
         # become integers — letter matching is then two AND operations.
@@ -169,21 +144,10 @@ class _Game:
                 rows.append((pos, neg, successor, bump))
                 support |= pos | neg
             self.compiled[state] = rows
-        # Partial letters: every proposition outside the guard support is a
-        # don't-care — transitions cannot distinguish letters that agree on
-        # the support, so enumerating support subsets is an exact quotient.
-        if exploration == "partial":
-            self.enum_inputs = tuple(
-                name for name in inputs if support & (1 << self.bit_of[name])
-            )
-            self.enum_outputs = tuple(
-                name for name in outputs if support & (1 << self.bit_of[name])
-            )
-        else:
-            self.enum_inputs = inputs
-            self.enum_outputs = outputs
+        self.enum_inputs = self._enumerated(inputs, support)
+        self.enum_outputs = self._enumerated(outputs, support)
         #: Concrete input letters are projected onto this mask to find
-        #: their row (the identity projection in concrete mode).
+        #: their row.
         self.row_input_mask = self._mask(frozenset(self.enum_inputs))
         self.input_letters = all_letters(self.enum_inputs)
         self.output_letters = all_letters(self.enum_outputs)
@@ -219,6 +183,15 @@ class _Game:
             mask |= 1 << self.bit_of[name]
         return mask
 
+    def _enumerated(self, names: Tuple[str, ...], support: int) -> Tuple[str, ...]:
+        """The propositions of *names* whose letters are enumerated.
+
+        Partial letters: every proposition outside the guard support is a
+        don't-care — transitions cannot distinguish letters that agree on
+        the support, so enumerating support subsets is an exact quotient.
+        """
+        return tuple(name for name in names if support & (1 << self.bit_of[name]))
+
     # ------------------------------------------------------------- exploration
     def _update_mask(
         self, position: CountingFunction, letter: int
@@ -237,27 +210,6 @@ class _Game:
                 if get(successor, -1) < bumped:
                     result[successor] = bumped
         return _freeze(result)
-
-    def _explore(self) -> None:
-        worklist = [self.initial]
-        self.successors[self.initial] = {}
-        while worklist:
-            position = worklist.pop()
-            table = self.successors[position]
-            for sigma_mask in self.input_masks:
-                row: Dict[int, Optional[CountingFunction]] = {}
-                for out_mask in self.output_masks:
-                    self.letters_enumerated += 1
-                    successor = self._update_mask(position, sigma_mask | out_mask)
-                    row[out_mask] = successor
-                    if successor is not None and successor not in self.successors:
-                        if len(self.successors) >= self.max_positions:
-                            raise StateSpaceLimit(
-                                f"safety game exceeded {self.max_positions} positions"
-                            )
-                        self.successors[successor] = {}
-                        worklist.append(successor)
-                table[sigma_mask] = row
 
     def _explore_onthefly(self) -> None:
         """Exploration interleaved with the counter-based attractor.
@@ -320,12 +272,7 @@ class _Game:
 
     # ------------------------------------------------------------------ solve
     def solve(self) -> SafetyGameResult:
-        if self.solving == "onthefly":
-            self._explore_onthefly()
-            losing = self.losing
-        else:
-            self._explore()
-            losing = self._offline_losing()
+        losing = self._losing_region()
         # Explored = actually expanded; positions the early abort left on
         # the worklist were discovered by name but never cost a letter
         # enumeration, so they count as pruned, not explored.
@@ -346,32 +293,10 @@ class _Game:
         machine = self._extract(losing)
         return SafetyGameResult(True, machine, self.bound, explored, stats)
 
-    def _offline_losing(self) -> Set[CountingFunction]:
-        """The post-hoc O(positions^2) fixpoint (reference path)."""
-        losing: Set[CountingFunction] = set()
-        changed = True
-        while changed:
-            changed = False
-            for position, table in self.successors.items():
-                if position in losing:
-                    continue
-                if self._is_losing(table, losing):
-                    losing.add(position)
-                    changed = True
-        return losing
-
-    def _is_losing(
-        self,
-        table: Dict[int, Dict[int, Optional[CountingFunction]]],
-        losing: Set[CountingFunction],
-    ) -> bool:
-        for row in table.values():
-            if all(
-                successor is None or successor in losing
-                for successor in row.values()
-            ):
-                return True
-        return False
+    def _losing_region(self) -> Set[CountingFunction]:
+        """Explore the game and return its losing region."""
+        self._explore_onthefly()
+        return self.losing
 
     def _extract(self, losing: Set[CountingFunction]) -> MealyMachine:
         """Deterministic strategy over the winning region.
@@ -381,7 +306,7 @@ class _Game:
         find its row.  The chosen output letter is the first safe one in
         ``all_letters`` order; don't-care outputs stay off, which is also
         what the first safe letter of the concrete enumeration looks like —
-        so both exploration modes extract the identical machine.
+        so partial and concrete letters extract the identical machine.
         """
         order: Dict[CountingFunction, int] = {self.initial: 0}
         machine = MealyMachine(

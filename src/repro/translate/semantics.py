@@ -25,8 +25,8 @@ stage ``"semantics"``), keyed by dependents + pre-states — editing one
 sentence re-runs the algorithm only for subjects whose dependents or
 threaded-in states the edit actually changed, and subjects with
 identical keys share a single node.  The pre-decomposition monolithic
-loop is kept as :func:`_analyse_table_monolithic`, the reference the
-differential tests compare against.
+loop, the reference the differential tests compare against, lives with
+the tests (``tests/oracles/semantics.py``).
 """
 
 from __future__ import annotations
@@ -151,7 +151,7 @@ def _strip_negation_prefix(word: Optional[str]) -> Optional[str]:
 # --------------------------------------------------------------------------
 # Algorithm 1, decomposed into per-subject *analysis units*.
 #
-# The monolithic loop (kept below as the reference) mutates shared
+# The monolithic loop (kept with the tests as the reference) mutates shared
 # WordEntry state across subjects: the `online(w)` memo is filled at most
 # once per word, and pairing adds the reverse direction to the partner's
 # set — so a pairing under one subject can mask a later subject's
@@ -342,50 +342,6 @@ def _analyse_table(
     for word, accumulated in state.items():
         if accumulated is not None:
             wordset[word].antonyms = set(accumulated)
-    return SemanticAnalysis(wordset, pairs_by_subject, dictionary)
-
-
-def _analyse_table_monolithic(
-    table: Mapping[str, Set[str]], dictionary: AntonymDictionary
-) -> SemanticAnalysis:
-    """The paper's Algorithm 1 as one loop over the whole table.
-
-    Kept verbatim as the reference implementation: the differential tests
-    assert the component decomposition reproduces it exactly, including
-    the order-coupled ``wordset`` mutations.
-    """
-    wordset: Dict[str, WordEntry] = {}
-    for dependents in table.values():
-        for word in sorted(dependents):
-            wordset.setdefault(word, WordEntry(word))
-
-    pairs_by_subject: Dict[str, List[Tuple[str, str]]] = {}
-    for subject in sorted(table):
-        dependents = table[subject]
-        if len(dependents) <= 1:
-            continue
-        for word in sorted(dependents):
-            entry = wordset[word]
-            if entry.color_for(subject) is not Color.GREEN:
-                continue
-            if not entry.antonyms:
-                entry.antonyms = set(dictionary.lookup(word))  # online(w)
-            found = dependents & entry.antonyms
-            if not found:
-                continue
-            entry.colors[subject] = Color.BLUE
-            for other in sorted(found):
-                other_entry = wordset[other]
-                other_entry.colors[subject] = Color.BLUE
-                other_entry.antonyms.add(word)
-                positive, negative = (
-                    (word, other)
-                    if dictionary.is_positive(word, other)
-                    else (other, word)
-                )
-                pairs_by_subject.setdefault(subject, []).append(
-                    (positive, negative)
-                )
     return SemanticAnalysis(wordset, pairs_by_subject, dictionary)
 
 

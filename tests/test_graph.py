@@ -29,13 +29,14 @@ from repro.nlp.dependencies import candidate_subjects, sentence_vocabulary
 from repro.translate.semantics import (
     SemanticsDelta,
     _analyse_table,
-    _analyse_table_monolithic,
     _replay_subject,
     analyse,
     analyse_incremental,
     semantics_cache_info,
 )
 from repro.translate.translator import TranslationCache
+
+from oracles.semantics import analyse_table_monolithic
 
 
 class TestAnalysisGraph:
@@ -157,7 +158,7 @@ class TestComponentDecomposition:
     dictionary = AntonymDictionary.default()
 
     def assert_equal(self, table):
-        mono = _analyse_table_monolithic(table, self.dictionary)
+        mono = analyse_table_monolithic(table, self.dictionary)
         split = _analyse_table(table, self.dictionary)
         assert split.pairs_by_subject == mono.pairs_by_subject, table
         assert split.wordset == mono.wordset, table

@@ -20,6 +20,8 @@ from repro.sat import (
 )
 from repro.sat.cdcl import _luby
 
+from oracles.sat import ScanCDCLSolver
+
 
 def cnf_of(*clauses):
     cnf = CNF()
@@ -138,9 +140,12 @@ class TestCDCLBasics:
         assert stats["propagations"] > 0
         assert stats["vars"] == 3
 
-    def test_unknown_propagation_mode_rejected(self):
-        with pytest.raises(ValueError):
-            CDCLSolver(cnf_of([1]), propagation="magic")
+    def test_propagation_scheme_not_selectable(self):
+        # Watched literals are the only scheme; the scan reference lives in
+        # tests/oracles/sat.py and plugs in by subclassing.
+        for mode in ("watch", "scan"):
+            with pytest.raises(TypeError):
+                CDCLSolver(cnf_of([1]), propagation=mode)
 
 
 pigeonhole = CNF.pigeonhole
@@ -195,20 +200,20 @@ class TestClauseMinimisation:
 class TestPropagationSchemes:
     def test_scan_mode_agrees_on_pigeonhole(self):
         cnf = pigeonhole(4, 3)
-        assert not CDCLSolver(cnf, propagation="watch").solve()
-        assert not CDCLSolver(cnf, propagation="scan").solve()
+        assert not CDCLSolver(cnf).solve()
+        assert not ScanCDCLSolver(cnf).solve()
 
     def test_watchers_visit_fewer_clauses_per_propagation(self):
         cnf = pigeonhole(6, 5)
-        watch = CDCLSolver(cnf, propagation="watch")
-        scan = CDCLSolver(cnf, propagation="scan")
+        watch = CDCLSolver(cnf)
+        scan = ScanCDCLSolver(cnf)
         assert not watch.solve() and not scan.solve()
         watch_rate = watch.clause_visits / max(1, watch.propagations)
         scan_rate = scan.clause_visits / max(1, scan.propagations)
         assert watch_rate * 2 <= scan_rate, (watch_rate, scan_rate)
 
     def test_incremental_solving_in_scan_mode(self):
-        solver = CDCLSolver(cnf_of([1, 2]), propagation="scan")
+        solver = ScanCDCLSolver(cnf_of([1, 2]))
         assert solver.solve()
         solver.add_clause([-1])
         result = solver.solve()
@@ -222,11 +227,11 @@ class TestDatabaseReduction:
 
     def test_reduction_drops_clauses_and_preserves_verdict(self):
         cnf = pigeonhole(6, 5)
-        for mode in ("watch", "scan"):
-            solver = CDCLSolver(cnf, propagation=mode, reduce_interval=20)
+        for solver_class in (CDCLSolver, ScanCDCLSolver):
+            solver = solver_class(cnf, reduce_interval=20)
             assert not solver.solve()
             stats = solver.stats()
-            assert stats["learnt_dropped"] > 0, mode
+            assert stats["learnt_dropped"] > 0, solver_class
             assert stats["learnt_kept"] >= 0
             # The live DB is what the stats count; tombstones are excluded.
             live = sum(1 for clause in solver.clauses if clause is not None)

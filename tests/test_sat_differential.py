@@ -2,8 +2,9 @@
 
 Hypothesis generates random CNFs (and assumption sets) and cross-checks
 
-* ``CDCLSolver(propagation="watch")`` — the two-watched-literal default,
-* ``CDCLSolver(propagation="scan")`` — the full-clause re-scan reference,
+* ``CDCLSolver`` — two-watched-literal propagation,
+* ``ScanCDCLSolver`` (``tests/oracles/sat.py``) — the full-clause
+  re-scan reference,
 * ``solve_brute`` — exhaustive enumeration, the ground truth.
 
 SAT answers are verified by evaluating the model against every clause;
@@ -24,6 +25,8 @@ from hypothesis import strategies as st
 
 from repro.sat import CDCLSolver, CNF, solve_brute
 
+from oracles.sat import ScanCDCLSolver
+
 NUM_VARS = 6
 
 literals = st.integers(min_value=1, max_value=NUM_VARS).flatmap(
@@ -34,6 +37,9 @@ cnfs = st.lists(clauses, min_size=0, max_size=30)
 assumption_sets = st.lists(literals, min_size=1, max_size=4)
 
 DETERMINISTIC = settings(max_examples=120, deadline=None, derandomize=True)
+
+#: Both propagation schemes, by name.
+SOLVERS = {"watch": CDCLSolver, "scan": ScanCDCLSolver}
 
 
 def build(clause_list) -> CNF:
@@ -55,7 +61,7 @@ class TestSolveAgainstBrute:
     def test_watch_mode_agrees_with_brute(self, clause_list):
         cnf = build(clause_list)
         brute = solve_brute(cnf)
-        result = CDCLSolver(cnf, propagation="watch").solve()
+        result = CDCLSolver(cnf).solve()
         assert bool(result) == (brute is not None)
         if result:
             assert_model_satisfies(result, cnf, "watch")
@@ -65,7 +71,7 @@ class TestSolveAgainstBrute:
     def test_scan_mode_agrees_with_brute(self, clause_list):
         cnf = build(clause_list)
         brute = solve_brute(cnf)
-        result = CDCLSolver(cnf, propagation="scan").solve()
+        result = ScanCDCLSolver(cnf).solve()
         assert bool(result) == (brute is not None)
         if result:
             assert_model_satisfies(result, cnf, "scan")
@@ -73,8 +79,8 @@ class TestSolveAgainstBrute:
     @given(cnfs)
     @DETERMINISTIC
     def test_modes_agree_with_each_other(self, clause_list):
-        watch = CDCLSolver(build(clause_list), propagation="watch").solve()
-        scan = CDCLSolver(build(clause_list), propagation="scan").solve()
+        watch = CDCLSolver(build(clause_list)).solve()
+        scan = ScanCDCLSolver(build(clause_list)).solve()
         assert bool(watch) == bool(scan)
 
 
@@ -87,8 +93,8 @@ class TestAssumptionCores:
         for lit in assumptions:
             with_units.add([lit])
         expected = solve_brute(with_units) is not None
-        for mode in ("watch", "scan"):
-            result = CDCLSolver(cnf, propagation=mode).solve(assumptions)
+        for mode, solver_class in SOLVERS.items():
+            result = solver_class(cnf).solve(assumptions)
             assert bool(result) == expected, mode
 
     @given(cnfs, assumption_sets)
@@ -135,8 +141,8 @@ class TestIncrementalSolving:
     @given(cnfs, cnfs)
     @DETERMINISTIC
     def test_add_clause_after_answer_agrees_with_brute(self, first, second):
-        for mode in ("watch", "scan"):
-            solver = CDCLSolver(build(first), propagation=mode)
+        for mode, solver_class in SOLVERS.items():
+            solver = solver_class(build(first))
             result = solver.solve()
             assert bool(result) == (solve_brute(build(first)) is not None), mode
             for clause in second:
@@ -280,8 +286,8 @@ class TestSeededCorpus:
         for lit in assumptions:
             with_units.add([lit])
         expected = solve_brute(with_units) is not None
-        for mode in ("watch", "scan"):
-            result = CDCLSolver(cnf, propagation=mode).solve(assumptions)
+        for mode, solver_class in SOLVERS.items():
+            result = solver_class(cnf).solve(assumptions)
             assert bool(result) == expected, (seed, mode)
             if result:
                 assert_model_satisfies(result, cnf, (seed, mode))

@@ -8,6 +8,7 @@ import pytest
 from repro.logic import parse
 from repro.synthesis import (
     Engine,
+    IncrementalBoundedSynthesizer,
     MealyMachine,
     SynthesisLimits,
     Verdict,
@@ -18,8 +19,6 @@ from repro.synthesis import (
     localize,
     satisfies_specification,
     solve_safety_game,
-    synthesize,
-    synthesize_environment,
     violation_witness,
 )
 from repro.synthesis.invariants import (
@@ -27,6 +26,9 @@ from repro.synthesis.invariants import (
     check_obligations,
     extract_obligations,
 )
+
+from oracles import game as oracle_game
+from oracles.game import ConcreteGame
 
 ENGINES = [Engine.SAFETY_GAME, Engine.BOUNDED_SAT]
 
@@ -95,6 +97,27 @@ class TestEnginesAgree:
         (machine,) = result.controllers
         assert satisfies_specification(machine, parse("G (r -> X g)"))
 
+    def test_unverified_controller_is_rejected(self, monkeypatch):
+        """A controller the independent model checker refutes is an engine
+        bug, never a REALIZABLE verdict."""
+        from repro.synthesis import SafetyGameResult, realizability
+        from repro.synthesis.realizability import clear_caches
+
+        machine = MealyMachine(inputs=("r",), outputs=("g",), num_states=1)
+        machine.add_transition(0, [], 0, [])
+        machine.add_transition(0, ["r"], 0, [])  # never grants
+        monkeypatch.setattr(
+            realizability,
+            "solve_game",
+            lambda *args, **kwargs: SafetyGameResult(True, machine, 1, 1),
+        )
+        clear_caches()  # a cached outcome would skip the engine
+        with pytest.raises(AssertionError, match="independent verification"):
+            check_realizability(
+                [parse("G (r -> X g)")], ["r"], ["g"],
+                limits=SynthesisLimits(use_obligations=False),
+            )
+
     def test_empty_specification_realizable(self):
         assert check_realizability([], ["i"], ["o"]).verdict is Verdict.REALIZABLE
 
@@ -137,11 +160,9 @@ class TestSafetyGameEquivalence:
     @pytest.mark.parametrize("bound", [1, 2])
     @pytest.mark.parametrize("text,inputs,outputs", SPECS)
     def test_partial_matches_concrete(self, text, inputs, outputs, bound):
-        partial = solve_safety_game(
-            parse(text), inputs, outputs, bound=bound, exploration="partial"
-        )
-        concrete = solve_safety_game(
-            parse(text), inputs, outputs, bound=bound, exploration="concrete"
+        partial = solve_safety_game(parse(text), inputs, outputs, bound=bound)
+        concrete = oracle_game.solve(
+            ConcreteGame, parse(text), inputs, outputs, bound=bound
         )
         assert partial.realizable == concrete.realizable
         assert partial.positions_explored == concrete.positions_explored
@@ -160,20 +181,16 @@ class TestSafetyGameEquivalence:
             bound=2,
         )
         assert wide.stats["letters_enumerated"] == base.stats["letters_enumerated"]
-        concrete = solve_safety_game(
+        concrete = oracle_game.solve(
+            ConcreteGame,
             parse("G (r -> X g)"),
             ["r"],
             ["g"] + [f"o{k}" for k in range(8)],
             bound=2,
-            exploration="concrete",
         )
         assert concrete.stats["letters_enumerated"] == 2 ** 8 * base.stats[
             "letters_enumerated"
         ]
-
-    def test_unknown_exploration_mode_rejected(self):
-        with pytest.raises(ValueError):
-            solve_safety_game(parse("G (r -> g)"), ["r"], ["g"], exploration="fast")
 
     def test_case_study_components_equivalent(self):
         """All three case studies: every explicitly checkable component's
@@ -206,12 +223,12 @@ class TestSafetyGameEquivalence:
                 partial = solve_safety_game(
                     specification, local_inputs, local_outputs, bound=2
                 )
-                concrete = solve_safety_game(
+                concrete = oracle_game.solve(
+                    ConcreteGame,
                     specification,
                     local_inputs,
                     local_outputs,
                     bound=2,
-                    exploration="concrete",
                 )
                 assert partial.realizable == concrete.realizable, (name, component)
                 assert (
@@ -224,22 +241,40 @@ class TestSafetyGameEquivalence:
                 compared += 1
         assert compared >= 3  # every study contributed at least one component
 
-    def test_realizability_verdicts_equivalent(self):
-        """check_realizability with game_exploration="concrete" is the
+    def test_realizability_verdicts_equivalent(self, monkeypatch):
+        """check_realizability on the concrete-letter game is the
         pre-optimisation engine; verdicts must not change."""
+        from repro.synthesis import realizability
+        from repro.synthesis.realizability import clear_caches
+
+        calls = []
+
+        def concrete_game(*args, **kwargs):
+            calls.append(args)
+            return oracle_game.solve(ConcreteGame, *args, **kwargs)
+
+        limits = SynthesisLimits(use_obligations=False)
         for text, inputs, outputs, _ in TestEnginesAgree.CASES:
             formulas = [parse(text)]
-            partial = check_realizability(
-                formulas, inputs, outputs,
-                limits=SynthesisLimits(use_obligations=False),
-            )
-            concrete = check_realizability(
-                formulas, inputs, outputs,
-                limits=SynthesisLimits(
-                    use_obligations=False, game_exploration="concrete"
-                ),
-            )
+            partial = check_realizability(formulas, inputs, outputs, limits=limits)
+            with monkeypatch.context() as patch:
+                patch.setattr(realizability, "solve_game", concrete_game)
+                # The cache key cannot tell the runs apart: without a
+                # clear, the reference run replays the partial outcome.
+                clear_caches()
+                concrete = check_realizability(
+                    formulas, inputs, outputs, limits=limits
+                )
+            clear_caches()
             assert partial.verdict is concrete.verdict, text
+        assert calls, "the concrete-letter game never ran"
+
+    def test_exploration_not_selectable(self):
+        # Partial letters are the only exploration; the concrete-letter
+        # reference is tests/oracles/game.py's ConcreteGame.
+        for mode in ("partial", "concrete"):
+            with pytest.raises(TypeError):
+                solve_safety_game(parse("G g"), [], ["g"], exploration=mode)
 
 
 class TestSynthesisStats:
@@ -274,7 +309,9 @@ class TestSynthesisStats:
         assert synthesis_stats()["sat_solves"] == 0
 
     def test_bounded_result_carries_solver_stats(self):
-        result = synthesize(parse("G (r -> X g)"), ["r"], ["g"], num_states=2)
+        result = IncrementalBoundedSynthesizer.for_system(
+            parse("G (r -> X g)"), ["r"], ["g"]
+        ).solve(num_states=2)
         assert result.solver_stats["propagations"] > 0
         assert "clause_visits" in result.solver_stats
 
@@ -308,9 +345,9 @@ class TestSafetyGameEngine:
         from repro.synthesis import StateSpaceLimit
 
         with pytest.raises(StateSpaceLimit):
-            solve_safety_game(
-                parse("G (a -> X X X X b)"), ["a"], ["b"],
-                bound=3, max_positions=2, exploration="concrete",
+            oracle_game.solve(
+                ConcreteGame, parse("G (a -> X X X X b)"), ["a"], ["b"],
+                bound=3, max_positions=2,
             )
 
     def test_position_cap_degrades_to_unknown_verdict(self):
@@ -325,20 +362,22 @@ class TestSafetyGameEngine:
 
 class TestDualSynthesis:
     def test_environment_wins_on_clairvoyance(self):
-        result = synthesize_environment(
-            parse("G (g <-> X X i)"), ["i"], ["g"], num_states=2
-        )
+        result = IncrementalBoundedSynthesizer.for_environment(
+            parse("G (g <-> X X i)"), ["i"], ["g"]
+        ).solve(num_states=2)
         assert result.realizable
         assert result.machine is not None
 
     def test_environment_loses_on_realizable_spec(self):
-        result = synthesize_environment(
-            parse("G (r -> g)"), ["r"], ["g"], num_states=2
-        )
+        result = IncrementalBoundedSynthesizer.for_environment(
+            parse("G (r -> g)"), ["r"], ["g"]
+        ).solve(num_states=2)
         assert not result.realizable
 
     def test_system_bounded_synthesis_returns_machine(self):
-        result = synthesize(parse("G (r -> X g)"), ["r"], ["g"], num_states=2)
+        result = IncrementalBoundedSynthesizer.for_system(
+            parse("G (r -> X g)"), ["r"], ["g"]
+        ).solve(num_states=2)
         assert result.realizable
         assert satisfies_specification(result.machine, parse("G (r -> X g)"))
 
