@@ -10,8 +10,9 @@ for:
   cache and runs a new ``SpecCC.check`` per edit, which is what the
   one-shot CLI amounted to before this subsystem existed.
 * **batch**: throughput in documents/second over the generated Table-I
-  component specifications: the thread backend at 1/4/8 workers and the
-  persistent sharded :class:`repro.service.WorkerPool`.  Pool startup
+  component specifications: the in-process thread backend (one loop,
+  whatever its ``workers``, so it is timed once) and the persistent
+  sharded :class:`repro.service.WorkerPool`.  Pool startup
   seconds are reported on their own line, *cold* is the first pass over
   the corpus and *steady* re-runs the corpus over warm worker caches —
   the number that matters for a long-lived service.  Every backend's
@@ -174,26 +175,18 @@ def _rate(count: int, seconds: float):
 
 def bench_batch(quick: bool) -> Dict[str, object]:
     documents = batch_documents(quick)
-    worker_counts = (1, 4) if quick else (1, 4, 8)
-    results: Dict[str, object] = {"documents": len(documents), "thread": {}}
-
-    canonical = None
+    SpecCC.clear_caches()
+    checker = BatchChecker(config=_config(), workers=1)
+    start = time.perf_counter()
+    batch = checker.check_documents(documents)
+    seconds = time.perf_counter() - start
+    canonical = [json.dumps(result.data, sort_keys=True) for result in batch]
+    thread1_rate = _rate(len(documents), seconds)
+    results: Dict[str, object] = {
+        "documents": len(documents),
+        "thread": {"1": {"seconds": seconds, "docs_per_sec": thread1_rate}},
+    }
     deterministic = True
-    for workers in worker_counts:
-        SpecCC.clear_caches()
-        checker = BatchChecker(config=_config(), workers=workers)
-        start = time.perf_counter()
-        batch = checker.check_documents(documents)
-        seconds = time.perf_counter() - start
-        payload = [json.dumps(result.data, sort_keys=True) for result in batch]
-        if canonical is None:
-            canonical = payload
-        deterministic = deterministic and payload == canonical
-        results["thread"][str(workers)] = {
-            "seconds": seconds,
-            "docs_per_sec": _rate(len(documents), seconds),
-        }
-    thread1_rate = results["thread"]["1"]["docs_per_sec"]
 
     # The persistent pool: startup charged once on its own line; cold =
     # first pass over the corpus; steady = the same corpus re-checked

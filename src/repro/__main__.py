@@ -5,14 +5,16 @@ pipeline on a plain-text requirement document (one sentence per line,
 ``#`` comments allowed) and prints the consistency report; ``--ltl``
 additionally prints the translated formulas, ``--tree`` the syntax trees,
 ``--controllers`` the synthesized Mealy machines and ``--json`` a
-machine-readable report instead of the textual summary.
+machine-readable report instead of the textual summary.  It exits 0 when
+the document is consistent, 1 when it is not, and 2 when the file cannot
+be read or a sentence cannot be parsed.
 
 ``python -m repro serve`` runs the long-lived JSON-lines service loop on
 stdin/stdout (see :mod:`repro.service.server` for the protocol) — or,
 with ``--tcp HOST:PORT``, on a listening socket (see
 :mod:`repro.service.gateway`).  ``python -m repro batch <dir>`` checks
-every ``*.txt`` document in a directory concurrently, one JSON report
-line per document; ``--backend remote --bind HOST:PORT`` dispatches to
+every ``*.txt`` document in a directory, one JSON report line per
+document; ``--backend remote --bind HOST:PORT`` dispatches to
 ``python -m repro worker --connect HOST:PORT`` processes on other
 machines instead of local worker processes.
 """
@@ -25,7 +27,12 @@ import sys
 from pathlib import Path
 
 from .core.pipeline import SpecCC, SpecCCConfig
-from .nlp import parse_sentence, render_sentence, split_sentences
+from .nlp import (
+    StructuredEnglishError,
+    parse_sentence,
+    render_sentence,
+    split_sentences,
+)
 from .translate import AbstractionMethod, TranslationOptions
 
 
@@ -273,20 +280,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     batch = sub.add_parser(
-        "batch", help="check every *.txt document in a directory concurrently"
+        "batch", help="check every *.txt document in a directory"
     )
     batch.add_argument("directory", type=Path, help="directory of *.txt documents")
     batch.add_argument(
-        "--workers", type=int, default=4, help="pool size (default: 4)"
+        "--workers",
+        type=int,
+        default=4,
+        help="process backend: worker shards (default: 4); the thread "
+        "backend ignores it",
     )
     batch.add_argument(
         "--backend",
         choices=["thread", "process", "remote"],
         default="thread",
-        help="worker pool backend: thread (shared in-process caches), "
-        "process (persistent sharded worker pool, warm per-process caches) "
-        "or remote ('python -m repro worker' processes registered over "
-        "TCP; needs --bind)",
+        help="thread (one document after another in this process, over "
+        "shared caches), process (persistent sharded worker pool, warm "
+        "per-process caches) or remote ('python -m repro worker' "
+        "processes registered over TCP; needs --bind, and --min-workers "
+        "sets the worker count)",
     )
     batch.add_argument(
         "--bind",
@@ -328,15 +340,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_check(args: argparse.Namespace) -> int:
-    text = args.document.read_text()
     tool = SpecCC(_config_from(args))
+    try:
+        text = args.document.read_text()
+        if args.tree:
+            for sentence in split_sentences(text):
+                print(render_sentence(parse_sentence(sentence)))
+                print()
+        report = tool.check_document(text)
+    except (OSError, UnicodeDecodeError, StructuredEnglishError) as error:
+        # Exit 1 means "inconsistent"; unreadable input is a usage error.
+        print(f"repro check: {error}", file=sys.stderr)
+        if args.json:
+            from .service.reportjson import error_to_dict
 
-    if args.tree:
-        for sentence in split_sentences(text):
-            print(render_sentence(parse_sentence(sentence)))
-            print()
-
-    report = tool.check_document(text)
+            print(json.dumps(error_to_dict(error), indent=2, sort_keys=True))
+        return 2
     if args.json:
         from .service.reportjson import report_to_dict, stats_to_dict
 

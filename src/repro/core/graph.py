@@ -1,17 +1,16 @@
-"""The incremental analysis graph: dependency-tracked pipeline stages.
+"""The incremental analysis graph: signature-keyed pipeline stages.
 
 Every stage of the SpecCC pipeline — parsing, per-sentence vocabulary
 extraction, semantic analysis (Algorithm 1), per-sentence LTL translation,
 time abstraction, partitioning, component realizability — is a pure
 function of content the earlier stages produced.  This module gives those
 stages one shared shape: a **node** is ``(stage, key)`` where the key is a
-content signature of everything the computation reads, the node's value is
-the computed artefact, and **edges** record which other nodes the value
-was derived from.  Because keys are content signatures, invalidation is
-free: an edit changes the signature, the changed node misses, and every
-node whose signature is unaffected by the edit keeps hitting — editing one
-sentence re-runs Algorithm 1 only for the vocabulary components that
-sentence actually touches.
+content signature of everything the computation reads, and the node's
+value is the computed artefact.  Because keys are content signatures,
+invalidation is free: an edit changes the signature, the changed node
+misses, and every node whose signature is unaffected by the edit keeps
+hitting — editing one sentence re-runs Algorithm 1 only for the
+vocabulary components that sentence actually touches.
 
 Two graph flavours cover the pipeline:
 
@@ -23,16 +22,17 @@ Two graph flavours cover the pipeline:
   needs.
 * **The process-wide shared graph** (:func:`shared_graph`, ``lru=True``)
   hosts the stages whose values are valid across documents, sessions and
-  worker threads alike: semantic-analysis components (Algorithm 1) and
+  threads alike: semantic-analysis components (Algorithm 1) and
   realizability component outcomes.  Those stages evict least-recently
   used entries at insert time, since no single pass owns them.
 
-All operations are thread safe (batch checking translates documents
-concurrently over shared stages).  Values must be deterministic functions
-of their keys: when two threads race on a miss, both compute, one insert
-wins, and the results are identical by construction — which is also why
-the caches are semantically transparent and reports stay byte-identical
-to cache-less runs.
+All operations are thread safe (serve executor threads and the worker
+pool's in-process fallback check documents concurrently over the shared
+stages).  Values must be deterministic functions of their keys: when two
+threads race on a miss, both compute, one insert wins, and the results
+are identical by construction — which is also why the caches are
+semantically transparent and reports stay byte-identical to cache-less
+runs.
 """
 
 from __future__ import annotations
@@ -51,9 +51,6 @@ from typing import (
     Sequence,
     Tuple,
 )
-
-#: A node address: ``(stage name, content-signature key)``.
-NodeId = Tuple[str, Hashable]
 
 
 class StageStats(NamedTuple):
@@ -90,7 +87,7 @@ class _Stage:
 
 
 class AnalysisGraph:
-    """A dependency-tracked memo over named pipeline stages.
+    """A signature-keyed memo over named pipeline stages.
 
     *stages* names the stages the graph accepts; *max_entries* bounds each
     stage's memo (override per stage via *capacities*).  With ``lru=True``
@@ -113,8 +110,6 @@ class AnalysisGraph:
             name: _Stage(name, capacities.get(name, max_entries))
             for name in stages
         }
-        #: node -> nodes its value was derived from (only non-empty sets).
-        self._deps: Dict[NodeId, Tuple[NodeId, ...]] = {}
 
     # ------------------------------------------------------------- helpers
     def _stage(self, stage: str) -> _Stage:
@@ -132,18 +127,14 @@ class AnalysisGraph:
         stage: str,
         key: Hashable,
         fn: Callable[[], object],
-        deps: Sequence[NodeId] = (),
         touched: Optional[Mapping[str, set]] = None,
     ) -> object:
         """The cached value of node ``(stage, key)``, computing on a miss.
 
         *fn* runs outside the lock (it may be expensive); on a race the
         first insert wins and both callers observe identical values.
-        *deps* records the edge set of the node — which nodes *fn* read —
-        for observability (:meth:`dependencies` / :meth:`dependents`) and
-        for :meth:`retain`'s edge garbage collection.  *touched*, when
-        given, is a caller-local ``{stage: set(keys)}`` map the node is
-        added to, feeding the end-of-pass :meth:`retain`.
+        *touched*, when given, is a caller-local ``{stage: set(keys)}`` map
+        the node is added to, feeding the end-of-pass :meth:`retain`.
         """
         if touched is not None:
             touched[stage].add(key)
@@ -159,12 +150,9 @@ class AnalysisGraph:
         with self._lock:
             if key not in memo.entries:
                 memo.entries[key] = value
-                if deps:
-                    self._deps[(stage, key)] = tuple(deps)
                 if self._lru:
                     while len(memo.entries) > memo.capacity:
-                        evicted, _ = memo.entries.popitem(last=False)
-                        self._deps.pop((stage, evicted), None)
+                        memo.entries.popitem(last=False)
             else:
                 value = memo.entries[key]
         return value
@@ -179,49 +167,25 @@ class AnalysisGraph:
         with self._lock:
             return self._stage(stage).entries.get(key, default)
 
-    # --------------------------------------------------------------- edges
-    def dependencies(self, stage: str, key: Hashable) -> Tuple[NodeId, ...]:
-        """The nodes ``(stage, key)`` was computed from (recorded edges)."""
-        with self._lock:
-            return self._deps.get((stage, key), ())
-
-    def dependents(self, stage: str, key: Hashable) -> Tuple[NodeId, ...]:
-        """Reverse edges: the recorded nodes derived from ``(stage, key)``.
-
-        Answers "what does editing this invalidate?" for diagnostics; the
-        pipeline itself never needs the reverse direction because content
-        signatures self-invalidate.
-        """
-        target = (stage, key)
-        with self._lock:
-            return tuple(
-                node for node, deps in self._deps.items() if target in deps
-            )
-
     # ------------------------------------------------------------- hygiene
     def retain(self, touched: Mapping[str, Iterable[Hashable]]) -> None:
         """End-of-pass GC: prune stages that outgrew their bound.
 
         For every stage in *touched* whose memo exceeds its capacity, keep
         only the keys the finished pass touched (the hot set the next
-        incremental re-check will read) and drop the edges of everything
-        pruned.  Cheap in the steady state: under-bound stages are left
-        alone.
+        incremental re-check will read).  Cheap in the steady state:
+        under-bound stages are left alone.
         """
         with self._lock:
             for name, keys in touched.items():
                 memo = self._stages.get(name)
                 if memo is None or len(memo.entries) <= memo.capacity:
                     continue
-                keep = OrderedDict(
+                memo.entries = OrderedDict(
                     (key, memo.entries[key])
                     for key in keys
                     if key in memo.entries
                 )
-                for key in memo.entries:
-                    if key not in keep:
-                        self._deps.pop((name, key), None)
-                memo.entries = keep
 
     def set_capacity(self, capacity: int, stage: Optional[str] = None) -> None:
         with self._lock:
@@ -232,13 +196,12 @@ class AnalysisGraph:
                 memo.capacity = capacity
 
     def clear(self) -> None:
-        """Drop every node, edge and counter (benchmarks; memory bounds)."""
+        """Drop every node and counter (benchmarks; memory bounds)."""
         with self._lock:
             for memo in self._stages.values():
                 memo.entries.clear()
                 memo.hits = 0
                 memo.misses = 0
-            self._deps.clear()
 
     def reset_counters(self) -> None:
         """Zero every stage's hit/miss counters, keeping cached values.
@@ -269,7 +232,7 @@ class AnalysisGraph:
 # ------------------------------------------------------ the shared graph
 #: Stages whose nodes are valid process-wide: Algorithm 1 vocabulary
 #: components (``semantics``) and realizability component outcomes
-#: (``components``).  Sessions, one-shot checks, batch threads and pool
+#: (``components``).  Sessions, one-shot checks, batch checks and pool
 #: workers all read the same nodes, so reuse crosses every entry point.
 SHARED_STAGE_CAPACITIES: Dict[str, int] = {
     "semantics": 4096,

@@ -64,7 +64,7 @@ from ..translate.translator import (
 # "the pipeline raised mid-analysis" can be provoked on schedule.  The hook
 # is process-global, None in ordinary operation, and installed only inside
 # worker processes by their initializer; it receives the stage name
-# ("check_translated" / "check_component") and may raise.
+# ("check_translated", the stage pool workers reach) and may raise.
 _FAULT_HOOK = None
 
 
@@ -309,36 +309,6 @@ class SpecCC:
             repaired_partition=repaired,
             repair_attempts=repairs,
             seconds=time.perf_counter() - start,
-        )
-
-    # ------------------------------------------------- component-level API
-    def check_formulas(
-        self, formulas: Sequence[Formula], partition: Partition
-    ) -> RealizabilityResult:
-        """Stage 2 only: realizability of *formulas* under *partition*.
-
-        No repair loop, no localization — the unit the service layer
-        composes.  Component outcomes are cached process-wide, so repeated
-        calls over overlapping formula sets are cheap.
-        """
-        return self._realizability(list(formulas), partition)
-
-    def check_component(self, component, partition: Partition):
-        """Check a single variable-connected component under *partition*.
-
-        Components (from :func:`repro.synthesis.modular.decompose`) are the
-        individually checkable, individually cacheable unit; sessions and
-        batch workers use this to re-analyse only what an edit dirtied.
-        """
-        from ..synthesis.realizability import check_component
-
-        _fire_fault("check_component")
-        return check_component(
-            component,
-            frozenset(partition.inputs),
-            frozenset(partition.outputs),
-            engine=self.config.engine,
-            limits=self.config.limits,
         )
 
     # ------------------------------------------------------------- internals

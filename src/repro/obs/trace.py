@@ -30,8 +30,7 @@ Two activation scopes mirror how the service tiers work:
 
 * a **process-wide tracer** (:func:`set_process_tracer`) — what ``python
   -m repro check --trace-out trace.json`` installs; every thread's spans
-  land in it (batch threads, pool dispatchers, the degraded inline
-  path);
+  land in it (pool dispatchers, the degraded inline path);
 * a **context tracer** (:func:`activate` / :func:`activated`) — a
   per-request tracer the serve loops install around one request (keyed
   by the protocol's ``rid``/``session``), shipped back to the client on
@@ -369,8 +368,8 @@ _context_tracer: "ContextVar[Optional[Tracer]]" = ContextVar(
 def set_process_tracer(tracer: Optional[Tracer]) -> Optional[Tracer]:
     """Install (or with None clear) the process-wide fallback tracer;
     returns the previous one.  Every thread without a context tracer
-    records here — which is what lets pool dispatcher threads, batch
-    workers and the degraded inline path contribute to one CLI trace."""
+    records here — which is what lets pool dispatcher threads and the
+    degraded inline path contribute to one CLI trace."""
     global _process_tracer
     previous = _process_tracer
     _process_tracer = tracer

@@ -9,9 +9,9 @@ hash-consed core and the process-wide component/automaton caches:
 * :class:`SpecSession` — an editable document session whose ``check``
   re-translates only edited sentences and re-analyses only the
   variable-connected components an edit dirtied.
-* :class:`BatchChecker` — concurrent checking of many documents (and of
-  the independent components within each) with deterministic,
-  sequential-identical verdicts.
+* :class:`BatchChecker` — checking many documents, in this process (one
+  after another) or on the worker pool, with byte-identical reports
+  across backends.
 * :class:`WorkerPool` — the persistent sharded process pool behind
   ``backend="process"``: workers spawned once, per-process caches warm
   across tasks, documents routed by content signature to the shard that

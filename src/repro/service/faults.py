@@ -85,7 +85,12 @@ class FaultInjected(RuntimeError):
 
 @dataclass(frozen=True)
 class FaultSpec:
-    """One scheduled fault.  See the module docstring for the kinds."""
+    """One scheduled fault.  See the module docstring for the kinds.
+
+    A ``raise`` fault fires on entry to
+    :meth:`repro.SpecCC.check_translated`, the pipeline stage every pool
+    and remote worker task runs.
+    """
 
     kind: str
     #: Shard the fault targets; None matches every shard.
@@ -101,9 +106,6 @@ class FaultSpec:
     #: ``min_spawn <= spawn <= max_spawn`` (max_spawn None = unbounded).
     min_spawn: int = 0
     max_spawn: Optional[int] = None
-    #: For ``raise`` faults: only fire at this pipeline stage
-    #: ("check_translated" / "check_component"); None = first stage reached.
-    stage: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
@@ -294,14 +296,13 @@ def on_journal_append() -> Optional[str]:
 
 def _pipeline_hook(stage: str) -> None:
     """The :func:`repro.core.pipeline.set_fault_hook` target: fire any
-    armed ``raise`` fault matching the current task and *stage*."""
+    armed ``raise`` fault matching the current task; *stage* names the
+    pipeline stage in the :class:`FaultInjected` message."""
     state = _STATE
     if state is None or state.task_index < 0:
         return
     for index, spec in enumerate(state.plan.specs):
         if spec.kind != "raise":
-            continue
-        if spec.stage is not None and spec.stage != stage:
             continue
         if not state._may_fire(index, spec) or not spec.matches_task(state.task_index):
             continue

@@ -20,8 +20,10 @@ Protocol (request ``op`` → response fields beyond ``{"ok": true, "op":
   "revision": n}``; the report is the shared
   :func:`~repro.service.reportjson.report_to_dict` format.
 * ``batch`` — ``{"documents": [{"name": ..., "text": ...}, ...],
-  "workers": 4, "backend": ...}``; responds with ``{"results":
-  [{"name": ..., "report": {...}}, ...]}`` in input order.  The default
+  "workers": 4, "backend": ...}``, where a document may give
+  ``"requirements": [[id, text], ...]`` instead of ``"text"``; responds
+  with ``{"results": [{"name": ..., "report": {...}}, ...]}`` in input
+  order (``workers`` sizes the process pool only).  The default
   backend is the core's ``default_batch_backend``: ``thread`` on stdio,
   the persistent ``process`` pool over TCP.
 * ``stats`` — cache statistics; ``reset`` — fresh session;
@@ -333,12 +335,18 @@ class _Server:
             if "text" in entry:
                 items.append((name, str(entry["text"])))
             elif "requirements" in entry:
-                items.append(
-                    (
-                        name,
-                        [(str(i), str(t)) for i, t in entry["requirements"]],
+                pairs = entry["requirements"]
+                # Unpacking a string or an object would silently split
+                # "R1" into the requirement ("R", "1").
+                if not isinstance(pairs, (list, tuple)) or not all(
+                    isinstance(pair, (list, tuple)) and len(pair) == 2
+                    for pair in pairs
+                ):
+                    raise ValueError(
+                        f"documents[{position}].requirements must be an "
+                        "array of [id, text] pairs"
                     )
-                )
+                items.append((name, [(str(i), str(t)) for i, t in pairs]))
             else:
                 raise ValueError(f"document {name!r} has neither text nor requirements")
         # Share the session's tool so batch requests judge documents with

@@ -119,7 +119,7 @@ class _ComponentOutcome(NamedTuple):
 # and the per-formula Büchi automata behind it (gpvw/ltlsat caches) are
 # never rebuilt.  The cache lives on the process-wide analysis graph
 # (:func:`repro.core.graph.shared_graph`, stage ``"components"`` — a
-# bounded, thread-safe LRU) so sessions, batch threads and pool workers
+# bounded, thread-safe LRU) so sessions, batch checks and pool workers
 # all read the same nodes and the same hit/miss counters.
 _ComponentKey = Tuple[
     Tuple[Formula, ...], Tuple[str, ...], Tuple[str, ...], "Engine", "SynthesisLimits"
@@ -129,7 +129,8 @@ _ComponentKey = Tuple[
 # actually did since the last clear_caches().  Cached component outcomes
 # add nothing here — the counters measure work performed, which is exactly
 # what the synthesis benchmarks want to assert shrank.  Guarded by their
-# own lock so batch workers can record concurrently.
+# own lock so concurrent checks (serve executor threads, the pool's
+# in-process fallback) can record at once.
 _stats_lock = threading.Lock()
 
 
@@ -330,8 +331,9 @@ def check_component(
     analysis depends only on the component's formulas and its *local* I/O
     split, so outcomes are served from the process-wide LRU whenever the
     same component reappears — across repair iterations, localization
-    subsets, session edits, and concurrent batch workers alike.  Safe to
-    call from multiple threads.
+    subsets, session edits and batch documents alike.  Safe to call from
+    multiple threads (serve executor threads and the pool's in-process
+    fallback check concurrently).
     """
     start = time.perf_counter()
     local_inputs = tuple(sorted(component.variables & input_set))

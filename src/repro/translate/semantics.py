@@ -367,16 +367,15 @@ def analyse_incremental(
     *items* are ``(text, parsed sentence)`` in document order; *graph* is
     the calling document's graph (a
     :class:`~repro.translate.translator.TranslationCache` owns one).  Per
-    sentence, a ``vocab`` node (keyed by text, edged to the parse node)
-    caches the sentence's subject/dependent contributions; the merged
-    table then folds through the process-wide ``semantics`` stage one
-    analysis unit per pairing subject.  A per-document ``semantics_seen``
-    stage — edged to the vocabulary nodes the unit's subject came from —
-    records which unit keys earlier passes of *this* document produced,
-    so the returned :class:`SemanticsDelta` attributes exactly the
-    sentences whose unit an edit dirtied (by changing its dependents *or*
-    the antonym-memo pre-states threaded into it), deterministically even
-    when other sessions share the process-wide memo.
+    sentence, a ``vocab`` node (keyed by text) caches the sentence's
+    subject/dependent contributions; the merged table then folds through
+    the process-wide ``semantics`` stage one analysis unit per pairing
+    subject.  A per-document ``semantics_seen`` stage records which unit
+    keys earlier passes of *this* document produced, so the returned
+    :class:`SemanticsDelta` attributes exactly the sentences whose unit an
+    edit dirtied (by changing its dependents *or* the antonym-memo
+    pre-states threaded into it), deterministically even when other
+    sessions share the process-wide memo.
     """
     contributions = []
     for text, sentence in items:
@@ -385,7 +384,6 @@ def analyse_incremental(
                 "vocab",
                 text,
                 lambda sentence=sentence: sentence_vocabulary(sentence),
-                deps=(("parses", text),),
                 touched=touched,
             )
         )
@@ -410,15 +408,7 @@ def analyse_incremental(
     reanalysed: Set[int] = set()
     reanalysed_units = 0
     for subject, key, seen in flags:
-        graph.compute(
-            "semantics_seen",
-            key,
-            lambda: True,
-            deps=tuple(
-                ("vocab", items[index][0]) for index in sorted(owners[subject])
-            ),
-            touched=touched,
-        )
+        graph.compute("semantics_seen", key, lambda: True, touched=touched)
         if not seen:
             reanalysed_units += 1
             reanalysed.update(owners[subject])

@@ -9,13 +9,12 @@ partition heuristic (Section IV-F).  The output
 Every stage runs through an incremental analysis graph
 (:class:`repro.core.graph.AnalysisGraph`): parses, per-sentence
 vocabulary, raw formulas, theta solutions, chain rewrites and the final
-partition are nodes keyed by content signatures, with edges recording
-what each node was derived from.  Re-translating after an edit therefore
-recomputes exactly the nodes whose signatures the edit changed — in
-particular, a raw formula is keyed by the *sentence-local* slice of the
-semantic analysis (the antonym pairs of the sentence's own candidate
-subjects), so a new antonym pair under one subject invalidates only the
-sentences that mention that subject, not the whole document.
+partition are nodes keyed by content signatures.  Re-translating after
+an edit therefore recomputes exactly the nodes whose signatures the edit
+changed — in particular, a raw formula is keyed by the *sentence-local*
+slice of the semantic analysis (the antonym pairs of the sentence's own
+candidate subjects), so a new antonym pair under one subject invalidates
+only the sentences that mention that subject, not the whole document.
 """
 
 from __future__ import annotations
@@ -129,8 +128,9 @@ class TranslationCache:
     A cache is tied to the :class:`Translator` that created it (options,
     dictionary and abstraction settings are deliberately not part of the
     keys); obtain one from :meth:`Translator.new_cache`.  Safe to share
-    across threads (batch checking does); single-document sessions keep
-    one alive across edits.
+    across threads (the serve loop's executor threads and the worker
+    pool's in-process fallback share the translator's default cache);
+    single-document sessions keep one alive across edits.
 
     Memory: a long edit stream would otherwise accumulate every sentence
     ever seen (under every stale analysis slice and theta mapping), each
@@ -276,20 +276,12 @@ class Translator:
                 raw_formulas: List[Formula] = []
                 for _, text, sentence in sentences:
                     key = (text, dict_sig, _sentence_signature(analysis, sentence))
-                    # Vocabulary nodes only exist when semantic reasoning ran.
-                    parse_node = ("parses", text)
-                    deps = (
-                        (parse_node, ("vocab", text))
-                        if delta is not None
-                        else (parse_node,)
-                    )
                     raw = graph.compute(
                         "raw_formulas",
                         key,
                         lambda sentence=sentence: sentence_formula(
                             sentence, analysis, self.options
                         ),
-                        deps=deps,
                         touched=touched,
                     )
                     raw_formulas.append(raw)
@@ -349,7 +341,6 @@ class Translator:
                 "rewritten",
                 (raw, key),
                 lambda raw=raw: rewrite_chains(raw, mapping),
-                deps=(("solutions", key),),
                 touched=touched,
             )
             rewritten.append(formula)

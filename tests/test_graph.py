@@ -4,8 +4,8 @@ component-decomposed Algorithm 1 riding on it.
 Two contracts matter:
 
 * the graph machinery itself — signature-keyed memos with exact hit/miss
-  counters, edge recording, LRU (shared flavour) vs retain-pruning
-  (per-document flavour), thread safety;
+  counters, LRU (shared flavour) vs retain-pruning (per-document
+  flavour), thread safety;
 * the semantic decomposition — splitting Algorithm 1's subject table into
   word-connected components and replaying each in isolation must
   reproduce the monolithic algorithm *exactly*, including the
@@ -55,24 +55,15 @@ class TestAnalysisGraph:
         with pytest.raises(KeyError):
             graph.compute("nope", "k", lambda: 1)
 
-    def test_edges_are_recorded_both_ways(self):
-        graph = AnalysisGraph(("a", "b"))
-        graph.compute("a", 1, lambda: "x")
-        graph.compute("b", 2, lambda: "y", deps=(("a", 1),))
-        assert graph.dependencies("b", 2) == (("a", 1),)
-        assert graph.dependents("a", 1) == (("b", 2),)
-        assert graph.dependencies("a", 1) == ()
-
     def test_lru_stage_evicts_oldest_and_its_edges(self):
         graph = AnalysisGraph(("a", "b"), max_entries=2, lru=True)
         graph.compute("a", 0, lambda: "dep")
         for key in (1, 2, 3):
-            graph.compute("b", key, lambda key=key: key, deps=(("a", 0),))
+            graph.compute("b", key, lambda key=key: key)
         stats = graph.stats()["b"]
         assert stats.size == 2
         assert not graph.contains("b", 1)  # oldest evicted
         assert graph.contains("b", 3)
-        assert graph.dependencies("b", 1) == ()  # edges died with the node
 
     def test_lru_hit_refreshes_recency(self):
         graph = AnalysisGraph(("s",), max_entries=2, lru=True)
@@ -96,11 +87,10 @@ class TestAnalysisGraph:
     def test_clear_resets_nodes_edges_and_counters(self):
         graph = AnalysisGraph(("a", "b"))
         graph.compute("a", 1, lambda: 1)
-        graph.compute("b", 1, lambda: 1, deps=(("a", 1),))
+        graph.compute("b", 1, lambda: 1)
         graph.clear()
         assert graph.sizes() == {"a": 0, "b": 0}
         assert graph.stats()["a"] == (0, 2048, 0, 0)
-        assert graph.dependencies("b", 1) == ()
 
     def test_snapshot_is_plain_data(self):
         import pickle
@@ -332,21 +322,3 @@ class TestAnalyseIncremental:
         fresh = analyse([parse_sentence(text) for text in texts], self.dictionary)
         assert incremental.wordset == fresh.wordset
         assert incremental.pairs_by_subject == fresh.pairs_by_subject
-
-    def test_seen_nodes_are_edged_to_their_vocabulary(self):
-        """The graph records which sentences an analysis unit was derived
-        from — the fine-grained edges behind the delta attribution."""
-        cache = TranslationCache()
-        texts = ["The pulse wave is available.", "The pulse wave is lost."]
-        self.run(cache, texts)
-        edges = [
-            cache.graph.dependencies("semantics_seen", key)
-            for key in list(
-                cache.graph._stages["semantics_seen"].entries  # noqa: SLF001
-            )
-        ]
-        assert edges == [(("vocab", texts[0]), ("vocab", texts[1]))]
-        # ... and each vocabulary node hangs off its sentence's parse node.
-        assert cache.graph.dependencies("vocab", texts[0]) == (
-            ("parses", texts[0]),
-        )

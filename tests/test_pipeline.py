@@ -22,6 +22,7 @@ from repro.casestudies import (
     robot_requirements,
 )
 from repro.logic import parse
+from repro.synthesis import check_realizability
 from repro.translate import TranslationOptions as TOpts
 from repro.translate import Translator
 
@@ -113,14 +114,18 @@ class TestPipelineBasics:
                 ("R2", "If the notice is posted, the page is not displayed."),
             ]
         )
-        tool = SpecCC()
-        result = tool.check_formulas(translation.formulas, translation.partition)
-        assert result.verdict is Verdict.UNREALIZABLE
-        repaired = tool.check_translated(translation)
+
+        def stage_two(partition):
+            return check_realizability(
+                translation.formulas,
+                sorted(partition.inputs),
+                sorted(partition.outputs),
+            )
+
+        assert stage_two(translation.partition).verdict is Verdict.UNREALIZABLE
+        repaired = SpecCC().check_translated(translation)
         assert repaired.consistent
-        assert tool.check_formulas(
-            translation.formulas, repaired.partition
-        ).verdict is Verdict.REALIZABLE
+        assert stage_two(repaired.partition).verdict is Verdict.REALIZABLE
 
 
 class TestPartitionRepair:

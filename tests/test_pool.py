@@ -456,9 +456,7 @@ class TestFaultInjection:
         docs = DOCS[:2]
         sequential = canonical(BatchChecker(workers=1).check_documents(docs))
         plan = FaultPlan(
-            specs=(
-                FaultSpec(kind="raise", task=0, stage="check_translated"),
-            ),
+            specs=(FaultSpec(kind="raise", task=0),),
             seed=17,
         )
         pool = WorkerPool(

@@ -1,6 +1,6 @@
-"""Tests of the service subsystem: incremental sessions, parallel batch
-checking with sequential-identical verdicts, the JSON-lines request loop
-(over stdio and over TCP) and the machine-readable CLI output."""
+"""Tests of the service subsystem: incremental sessions, batch checking
+with backend-identical reports, the JSON-lines request loop (over stdio
+and over TCP) and the machine-readable CLI output."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -375,14 +376,20 @@ class TestBatchChecker:
             "realizable",
         ]
 
-    def test_component_warming_does_not_change_results(self):
-        warmed = BatchChecker(workers=4, warm_components=True).check_documents(
-            BATCH_DOCS
-        )
-        unwarmed = BatchChecker(workers=4, warm_components=False).check_documents(
-            BATCH_DOCS
-        )
-        assert self._canonical(warmed) == self._canonical(unwarmed)
+    def test_thread_backend_checks_on_the_calling_thread(self, monkeypatch):
+        """``workers`` does not fan the thread backend out: under the GIL a
+        thread pool checked the Table I documents slower than one loop."""
+        callers = []
+        real = SpecCC.check_translated
+
+        def recording(tool, translation):
+            callers.append(threading.get_ident())
+            return real(tool, translation)
+
+        monkeypatch.setattr(SpecCC, "check_translated", recording)
+        results = BatchChecker(workers=4).check_documents(BATCH_DOCS)
+        assert len(results) == len(callers) == len(BATCH_DOCS)
+        assert set(callers) == {threading.get_ident()}
 
     def test_requirement_pair_documents(self):
         docs = [("pairs", [("A1", "If the sensor is active, the valve is opened.")])]
@@ -1122,8 +1129,9 @@ class TestServeHardening:
 
     @pytest.mark.parametrize("transport", TRANSPORTS)
     def test_batch_malformed_entry_is_bad_request(self, transport):
-        """Non-object batch entries are the client's fault: they must be
-        classified 'bad_request', not 'internal'."""
+        """Non-object batch entries, and requirements that are not
+        ``[id, text]`` pairs, are the client's fault: they must be
+        classified 'bad_request', not 'internal' or a checker error."""
         responses = TRANSPORTS[transport](
             [
                 {"op": "batch", "documents": "not a list"},
@@ -1136,11 +1144,24 @@ class TestServeHardening:
                     ],
                 },
                 {"op": "batch", "documents": [42]},
+                {"op": "batch", "documents": [{"requirements": ["R1", "ab"]}]},
+                {
+                    "op": "batch",
+                    "documents": [
+                        {
+                            "requirements": {
+                                "R1": "If the sensor is active, the valve is opened."
+                            }
+                        }
+                    ],
+                },
             ]
         )
-        assert [r["ok"] for r in responses] == [False] * 4
-        assert [r["code"] for r in responses] == ["bad_request"] * 4
+        assert [r["ok"] for r in responses] == [False] * 6
+        assert [r["code"] for r in responses] == ["bad_request"] * 6
         assert "documents[1]" in responses[2]["error"]
+        assert "documents[0].requirements" in responses[4]["error"]
+        assert "documents[0].requirements" in responses[5]["error"]
 
 
 class TestCLI:
@@ -1165,6 +1186,31 @@ class TestCLI:
         data = json.loads(capsys.readouterr().out)
         assert data["verdict"] == "unrealizable"
         assert data["culprits"] == ["R1", "R2"]
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    @pytest.mark.parametrize(
+        "text, error_type",
+        [(None, "FileNotFoundError"), ("The valve.\n", "StructuredEnglishError")],
+        ids=["missing-file", "unparseable"],
+    )
+    def test_check_bad_input_exits_2(
+        self, tmp_path, capsys, text, error_type, as_json
+    ):
+        """Unreadable input is a usage error (2), not a traceback and not
+        the "inconsistent" code (1); --json still emits a record."""
+        document = tmp_path / "spec.txt"
+        if text is not None:
+            document.write_text(text)
+        argv = ["check", str(document)] + (["--json"] if as_json else [])
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("repro check: ")
+        if as_json:
+            data = json.loads(captured.out)
+            assert data["verdict"] == "error"
+            assert data["error"]["type"] == error_type
+        else:
+            assert captured.out == ""
 
     def test_batch_directory(self, tmp_path, capsys):
         (tmp_path / "a.txt").write_text(BATCH_DOCS[0][1])
