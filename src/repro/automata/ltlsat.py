@@ -1,8 +1,11 @@
 """LTL satisfiability, validity and equivalence via automata emptiness.
 
-Satisfiability is the cheap first-stage consistency check the pipeline runs
-before the full realizability analysis: an unsatisfiable conjunction of
-requirements can never be implemented, whatever the input/output partition.
+The realizability ladder (:mod:`repro.synthesis.realizability`) uses
+satisfiability and validity as its second and third rungs, on components
+the obligation certificate cannot settle: an unsatisfiable conjunction of
+requirements can never be implemented, whatever the input/output
+partition.  Each check builds a GPVW tableau for the whole conjunction,
+which is why the certificate runs first.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ def satisfiable(formula: Formula) -> Optional[Witness]:
     """A satisfying lasso word for *formula*, or ``None`` if unsatisfiable.
 
     Deliberately uncached beyond the automaton translation: the pipeline's
-    repeated satisfiability prechecks are absorbed upstream by the
+    repeated satisfiability checks are absorbed upstream by the
     component-outcome cache in :mod:`repro.synthesis.realizability`, and
     the conjunction nodes queried here are short-lived, so a weak-keyed
     witness cache would never be hit.

@@ -23,6 +23,7 @@ from .trace import (
     chrome_events,
     deactivate,
     get_tracer,
+    leaf_span,
     set_process_tracer,
     span,
     tracing_active,
@@ -42,6 +43,7 @@ __all__ = [
     "chrome_events",
     "deactivate",
     "get_tracer",
+    "leaf_span",
     "registry",
     "reset_counters",
     "set_process_tracer",

@@ -37,8 +37,9 @@ On top of the collected namespaces the registry owns *native*
 instruments: monotonic *counters* (e.g. the serve loop's per-op request
 counts), *gauges*, and fixed-bucket latency *histograms* with
 p50/p90/p99 summaries — fed by the tracer (every finished span's
-duration lands in ``span.<name>``), surfaced through the ``metrics``
-serve op and ``check --stats``.
+duration lands in ``span.<name>``, queued by :meth:`observe_span` and
+folded in when the histograms are read), surfaced through the
+``metrics`` serve op and ``check --stats``.
 
 **One reset path.**  Counter surfaces used to be reset by different
 code paths (``clear_caches()`` zeroed the engine accumulators and the
@@ -55,7 +56,7 @@ from __future__ import annotations
 
 import bisect
 import threading
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 #: Default latency bucket upper bounds, in seconds.  Spans in this
 #: codebase range from microsecond graph hits to multi-second solver
@@ -65,6 +66,10 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
     0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
     0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0,
 )
+
+#: Queued span records that trigger a fold into the histograms without
+#: waiting for a read (bounds the queue on traced runs nobody reads).
+SPAN_FOLD_BATCH = 4096
 
 
 class Histogram:
@@ -151,6 +156,7 @@ class MetricsRegistry:
         self._gauges: Dict[str, float] = {}
         self._histograms: Dict[str, Histogram] = {}
         self._collectors: Dict[str, Callable[[], object]] = {}
+        self._queued_spans: List[Dict[str, Any]] = []
 
     # -------------------------------------------------- native instruments
     def counter(self, name: str, value: int = 1) -> int:
@@ -175,6 +181,34 @@ class MetricsRegistry:
                 self._histograms[name] = histogram
             histogram.observe(value)
 
+    def observe_span(self, record: Dict[str, Any]) -> None:
+        """Queue a finished span *record* (``dur`` in µs) for its
+        ``span.<name>`` histogram.
+
+        Tracing calls this once per span, so it costs one list append:
+        queued records are folded in on the next read, or once
+        :data:`SPAN_FOLD_BATCH` of them wait.  Appends and the in-place
+        fold are each atomic under the GIL, so no record is lost to a
+        concurrent fold.
+        """
+        queued = self._queued_spans
+        queued.append(record)
+        if len(queued) >= SPAN_FOLD_BATCH:
+            with self._lock:
+                self._fold_spans()
+
+    def _fold_spans(self) -> None:
+        """Fold queued span records into their histograms (hold _lock)."""
+        queued = self._queued_spans
+        count = len(queued)
+        for record in queued[:count]:
+            name = "span." + record["name"]
+            histogram = self._histograms.get(name)
+            if histogram is None:
+                histogram = self._histograms[name] = Histogram()
+            histogram.observe(record["dur"] / 1e6)
+        del queued[:count]
+
     # ----------------------------------------------------------- collectors
     def register_collector(self, namespace: str, fn: Callable[[], object]) -> None:
         """Attach a read-through *namespace*: *fn* is called at snapshot
@@ -190,10 +224,17 @@ class MetricsRegistry:
         return fn() if fn is not None else None
 
     # ------------------------------------------------------------ snapshots
+    def counters(self) -> Dict[str, int]:
+        """The native counters, sorted by name (e.g. ``decided_by.<rung>``)."""
+        with self._lock:
+            counters = dict(self._counters)
+        return {name: counters[name] for name in sorted(counters)}
+
     def histograms_summary(self) -> Dict[str, Dict[str, Optional[float]]]:
         """Per-histogram p50/p90/p99 summaries (no bucket arrays) — the
         compact form ``check --stats`` and the serve ``stats`` op attach."""
         with self._lock:
+            self._fold_spans()
             histograms = dict(self._histograms)
         return {name: histograms[name].summary() for name in sorted(histograms)}
 
@@ -207,13 +248,14 @@ class MetricsRegistry:
         the snapshot down — the metrics surface must stay readable while
         the thing it measures is on fire.
         """
+        counters = self.counters()
         with self._lock:
-            counters = dict(self._counters)
+            self._fold_spans()
             gauges = dict(self._gauges)
             histograms = dict(self._histograms)
             collectors = dict(self._collectors)
         data: Dict[str, object] = {
-            "counters": {name: counters[name] for name in sorted(counters)},
+            "counters": counters,
             "gauges": {name: gauges[name] for name in sorted(gauges)},
             "histograms": {
                 name: (
@@ -238,6 +280,7 @@ class MetricsRegistry:
             self._counters.clear()
             self._gauges.clear()
             self._histograms.clear()
+            del self._queued_spans[:]
 
 
 # --------------------------------------------------- the process registry

@@ -16,6 +16,12 @@ Design constraints, in order:
   global read; with no tracer installed it returns a shared no-op
   handle.  Instrumentation therefore stays compiled into every hot path
   permanently — there is no "instrumented build".
+* **Tracing on stays cheap.**  A span builds its one record dict when
+  it opens and queues it for the metrics registry when it closes (the
+  registry folds durations into histograms when read);
+  :func:`leaf_span` records a hot child-less call after the fact.
+  ``bench_core.py``'s ``tracing_overhead`` row holds the traced path
+  to 5% of a cold Table I check.
 * **Tracing on never changes results.**  Spans only *read* the pipeline
   (timings, counters, verdict strings); report bytes are identical with
   tracing on or off — asserted in ``tests/test_obs.py``.
@@ -53,7 +59,7 @@ import threading
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Any, Dict, IO, Iterator, List, Optional, Sequence, Union
+from typing import Any, Dict, IO, Iterator, List, Optional, Sequence, Tuple, Union
 
 logger = logging.getLogger("repro.obs.trace")
 
@@ -84,39 +90,61 @@ class _NullSpan:
 NULL_SPAN = _NullSpan()
 
 
+_perf_counter_ns = time.perf_counter_ns
+
+
+class _ThreadState:
+    """One thread's open spans and its track label."""
+
+    __slots__ = ("stack", "tid")
+
+    def __init__(self) -> None:
+        self.stack: List["_Span"] = []
+        self.tid = threading.current_thread().name
+
+
 class _Span:
-    """One open span; finished spans live on as plain dict records."""
+    """One open span.  Its record is built when it opens and gets its
+    ``dur`` when it closes; finished spans live on as that plain dict."""
 
-    __slots__ = ("tracer", "name", "args", "id", "parent", "ts", "_start_ns")
+    __slots__ = ("tracer", "stack", "record", "_start_ns")
 
-    def __init__(
-        self,
-        tracer: "Tracer",
-        name: str,
-        args: Dict[str, Any],
-        span_id: int,
-        parent: Optional[int],
-    ) -> None:
+    def __init__(self, tracer: "Tracer", name: str, attrs: Dict[str, Any]) -> None:
         self.tracer = tracer
-        self.name = name
-        self.args = args
-        self.id = span_id
-        self.parent = parent
-        self._start_ns = time.perf_counter_ns()
-        self.ts = (self._start_ns - tracer._epoch_ns) / 1000.0
+        start_ns = self._start_ns = _perf_counter_ns()
+        self.stack, self.record = tracer._record(name, start_ns, attrs)
+        self.stack.append(self)
+
+    @property
+    def id(self) -> int:
+        return self.record["id"]
+
+    @property
+    def ts(self) -> float:
+        return self.record["ts"]
 
     def set(self, **attrs: object) -> "_Span":
         """Attach attributes to the open span (counters, verdicts, ...)."""
-        self.args.update(attrs)
+        self.record["args"].update(attrs)
         return self
 
     def __enter__(self) -> "_Span":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
+        end_ns = _perf_counter_ns()
+        record = self.record
         if exc_type is not None:
-            self.args.setdefault("error", exc_type.__name__)
-        self.tracer._finish(self, time.perf_counter_ns())
+            record["args"].setdefault("error", exc_type.__name__)
+        stack = self.stack
+        if stack and stack[-1] is self:
+            stack.pop()
+        else:  # out-of-order exit (generator teardown): drop to the handle
+            while stack:
+                if stack.pop() is self:
+                    break
+        record["dur"] = (end_ns - self._start_ns) / 1000.0
+        self.tracer._keep(record)
         return False
 
 
@@ -141,7 +169,7 @@ class Tracer:
         self.name = name
         self.slow_ms = slow_ms
         self.record_metrics = record_metrics
-        self._epoch_ns = time.perf_counter_ns()
+        self._epoch_ns = _perf_counter_ns()
         self._lock = threading.Lock()
         self._records: List[SpanRecord] = []
         # next() on a count is GIL-atomic: unique ids without a lock on
@@ -151,49 +179,38 @@ class Tracer:
         self._observe = None  # resolved lazily from the metrics registry
 
     # -------------------------------------------------------------- spans
-    def _stack(self) -> List[_Span]:
-        local = self._local
-        try:
-            return local.stack
-        except AttributeError:
-            stack: List[_Span] = []
-            local.stack = stack
-            local.tid = threading.current_thread().name
-            return stack
-
     def span(self, name: str, **attrs: object) -> _Span:
         """Open a nested span; use as a context manager."""
-        stack = self._stack()
-        parent = stack[-1].id if stack else None
-        handle = _Span(self, name, attrs, next(self._ids), parent)
-        stack.append(handle)
-        return handle
+        return _Span(self, name, attrs)
 
     def current(self) -> Optional[_Span]:
         """The innermost open span on this thread, if any."""
-        stack = self._stack()
-        return stack[-1] if stack else None
+        thread = getattr(self._local, "thread", None)
+        return thread.stack[-1] if thread is not None and thread.stack else None
 
-    def _finish(self, handle: _Span, end_ns: int) -> None:
-        stack = self._stack()
-        if stack and stack[-1] is handle:
-            stack.pop()
-        else:  # out-of-order exit (generator teardown): drop to the handle
-            while stack:
-                if stack.pop() is handle:
-                    break
-        dur_us = (end_ns - handle._start_ns) / 1000.0
-        record: SpanRecord = {
-            "name": handle.name,
-            "ts": handle.ts,
-            "dur": dur_us,
-            "id": handle.id,
-            "parent": handle.parent,
-            # Cached by _stack() when this thread's stack was created
-            # (the _stack() call above guarantees it exists).
-            "tid": self._local.tid,
-            "args": handle.args,
+    def _record(
+        self, name: str, start_ns: int, attrs: Dict[str, Any]
+    ) -> Tuple[List[_Span], SpanRecord]:
+        """This thread's span stack and a new record under its top span."""
+        local = self._local
+        try:
+            thread = local.thread
+        except AttributeError:
+            thread = local.thread = _ThreadState()
+        stack = thread.stack
+        return stack, {
+            "name": name,
+            "ts": (start_ns - self._epoch_ns) / 1000.0,
+            "dur": 0.0,
+            "id": next(self._ids),
+            "parent": stack[-1].record["id"] if stack else None,
+            "tid": thread.tid,
+            "args": attrs,
         }
+
+    def _keep(self, record: SpanRecord) -> None:
+        """File a finished record: the trace, the ``span.<name>``
+        histogram queue and, past *slow_ms*, the slow-op log."""
         # list.append is atomic under the GIL; readers copy under _lock.
         self._records.append(record)
         if self.record_metrics:
@@ -201,15 +218,15 @@ class Tracer:
             if observe is None:
                 from .metrics import registry
 
-                observe = self._observe = registry().observe
-            observe("span." + handle.name, dur_us / 1e6)
-        if self.slow_ms is not None and dur_us / 1000.0 >= self.slow_ms:
+                observe = self._observe = registry().observe_span
+            observe(record)
+        if self.slow_ms is not None and record["dur"] / 1000.0 >= self.slow_ms:
             logger.warning(
                 "slow span %s: %.1f ms (threshold %.1f ms) %s",
-                handle.name,
-                dur_us / 1000.0,
+                record["name"],
+                record["dur"] / 1000.0,
                 self.slow_ms,
-                handle.args,
+                record["args"],
             )
 
     # ------------------------------------------------------------ batches
@@ -419,7 +436,26 @@ def span(name: str, **attrs: object) -> Union[_Span, _NullSpan]:
         tracer = _process_tracer
         if tracer is None:
             return NULL_SPAN
-    return tracer.span(name, **attrs)
+    return _Span(tracer, name, attrs)
+
+
+def leaf_span(name: str, start_ns: int, **attrs: object) -> None:
+    """Record a finished span that opened at *start_ns* (a
+    ``time.perf_counter_ns()`` reading) and closes now.
+
+    The cheap form of a ``with span(...)`` block for a hot call that
+    opens no spans of its own (one SAT solve): no handle, no stack push.
+    Nothing is recorded when tracing is off, or for a call that raised.
+    """
+    end_ns = _perf_counter_ns()
+    tracer = _context_tracer.get()
+    if tracer is None:
+        tracer = _process_tracer
+        if tracer is None:
+            return
+    record = tracer._record(name, start_ns, attrs)[1]
+    record["dur"] = (end_ns - start_ns) / 1000.0
+    tracer._keep(record)
 
 
 def annotate(**attrs: object) -> None:

@@ -48,7 +48,10 @@ def stats_to_dict(
 
     When any latency histograms have accumulated (every finished span
     feeds one — see :mod:`repro.obs`), their p50/p90/p99 summaries ride
-    along under ``"histograms"``.
+    along under ``"histograms"``.  Once a component has been analysed,
+    ``"decided_by"`` maps each ladder rung to the number of components
+    it decided (the registry's ``decided_by.<rung>`` counters), so both
+    ``check --stats`` and the serve ``stats`` op say which rung decided.
     """
     cache = SpecCC.cache_stats()
     payload = {"cache": cache, "synthesis": cache.pop("synthesis")}
@@ -66,6 +69,13 @@ def stats_to_dict(
     histograms = registry().histograms_summary()
     if histograms:
         payload["histograms"] = histograms
+    decided_by = {
+        name[len("decided_by."):]: count
+        for name, count in registry().counters().items()
+        if name.startswith("decided_by.")
+    }
+    if decided_by:
+        payload["decided_by"] = decided_by
     return payload
 
 

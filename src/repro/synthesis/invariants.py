@@ -19,10 +19,15 @@ propositional constraints over *output* variables.  For this fragment a
 a controller simply tracks which obligations are pending (delays,
 until-releases and eventually-goals included) and discharges all of them
 every step.  Conditions are abstracted to independent adversary flags, so
-the check quantifies over ``2^m`` flag vectors; a CEGIS loop decides it
-with a handful of SAT calls, independent of the number of input variables
-— which is what lets SpecCC handle the paper's 50-variable CARA
-mode-switching specification that explicit-alphabet engines cannot touch.
+the check quantifies over ``2^m`` flag vectors.  The quantifier is
+monotone: a raised flag only adds its response to what the letter must
+satisfy, so a letter discharging every response discharges every vector,
+and if no such letter exists the all-flags-raised vector itself is the
+counterexample.  ``forall flags exists letter`` therefore collapses to one
+satisfiability question over the outputs (one per eventually-goal),
+independent of the number of input variables — which is what lets SpecCC
+handle the paper's 50-variable CARA mode-switching specification that
+explicit-alphabet engines cannot touch.
 
 Soundness notes:
 
@@ -30,16 +35,17 @@ Soundness notes:
   semantics (real conditions may be correlated), so REALIZABLE answers are
   definitive; INCONCLUSIVE sends the caller to the exact engines;
 * *anti-causal* obligations — condition strictly later than response, e.g.
-  Req-28's ``G (X X X !bp -> trigger)`` — are treated as permanently
-  active, because the controller cannot observe the future: it must hold
-  the response unconditionally.
+  Req-28's ``G (X X X !bp -> trigger)`` — are permanently active, because
+  the controller cannot observe the future: it must hold the response
+  unconditionally.  The all-flags-raised check already assumes every
+  obligation active, so they need no special case there.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from ..logic.ast import (
     And,
@@ -93,9 +99,11 @@ class Obligation:
 class ObligationCheckResult:
     outcome: ObligationOutcome
     obligations: Tuple[Obligation, ...] = ()
-    cegis_iterations: int = 0
-    #: Indices of jointly-undischargeable obligations (when inconclusive).
+    #: Indices into ``obligations`` of a jointly undischargeable subset
+    #: (when inconclusive): the failed solve's assumption core.
     conflict: Optional[Tuple[int, ...]] = None
+    #: SAT solves the check made.
+    solves: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -204,42 +212,23 @@ def _strip_all_next(formula: Formula) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# The CEGIS joint-dischargeability check
-
-
-def _evaluate(formula: Formula, letter: Dict[str, bool]) -> bool:
-    if isinstance(formula, Bool):
-        return formula.value
-    if isinstance(formula, Atom):
-        return letter.get(formula.name, False)
-    if isinstance(formula, Not):
-        return not _evaluate(formula.operand, letter)
-    if isinstance(formula, And):
-        return _evaluate(formula.left, letter) and _evaluate(formula.right, letter)
-    if isinstance(formula, Or):
-        return _evaluate(formula.left, letter) or _evaluate(formula.right, letter)
-    if isinstance(formula, Implies):
-        return (not _evaluate(formula.left, letter)) or _evaluate(formula.right, letter)
-    if isinstance(formula, Iff):
-        return _evaluate(formula.left, letter) == _evaluate(formula.right, letter)
-    raise TypeError(f"not propositional: {formula!r}")
+# The joint-dischargeability check
 
 
 def check_obligations(
-    formulas: Sequence[Formula],
-    outputs: Sequence[str],
-    max_iterations: int = 10_000,
+    formulas: Sequence[Formula], outputs: Sequence[str]
 ) -> ObligationCheckResult:
     """The certificate check.
 
     Invariant obligations must be *jointly* dischargeable for every flag
-    vector: ``forall flags exists letter: AND_j (flag_j -> resp_j)``.
+    vector: ``forall flags exists letter: AND_j (flag_j -> resp_j)``, which
+    by monotonicity holds iff one letter satisfies every response at once.
     Eventually-goals carry no deadline, so the controller may serve them
     round-robin: each goal is checked *individually* on top of the
-    invariants.  Both quantifications are decided by CEGIS: a *falsifier*
-    proposes a flag vector not covered by any output letter found so far;
-    a *responder* finds a letter discharging the activated responses; the
-    letter's cover is blocked and the loop repeats.
+    invariants.  One solver holds every obligation's constraint behind a
+    selector literal; it is solved once under the invariants' selectors
+    and once per goal under those plus the goal's.  A failed solve's
+    assumption core names the clashing obligations.
     """
     output_set = frozenset(outputs)
     obligations: List[Obligation] = []
@@ -251,96 +240,34 @@ def check_obligations(
     if not obligations:
         return ObligationCheckResult(ObligationOutcome.REALIZABLE, ())
 
-    invariants = [o for o in obligations if not o.is_goal]
-    goals = [o for o in obligations if o.is_goal]
-
-    total_iterations = 0
-    outcome, iterations, conflict = _cegis(invariants, max_iterations)
-    total_iterations += iterations
-    if outcome is not ObligationOutcome.REALIZABLE:
-        return ObligationCheckResult(
-            outcome, tuple(obligations), total_iterations, conflict
-        )
-    for goal in goals:
-        pinned = Obligation(
-            goal.condition_inputs, goal.response, always_active=True
-        )
-        outcome, iterations, conflict = _cegis(
-            invariants + [pinned], max_iterations
-        )
-        total_iterations += iterations
-        if outcome is not ObligationOutcome.REALIZABLE:
+    cnf = CNF()
+    # Obligation j's selector is variable j + 1.
+    selectors = [cnf.new_var() for _ in obligations]
+    for selector, obligation in zip(selectors, obligations):
+        cnf.add([-selector, encode(_constraint_of(obligation), cnf)])
+    solver = CDCLSolver(cnf)
+    invariants = [s for s, o in zip(selectors, obligations) if not o.is_goal]
+    rounds = [invariants] + [
+        invariants + [s] for s, o in zip(selectors, obligations) if o.is_goal
+    ]
+    for solves, assumptions in enumerate(rounds, start=1):
+        answer = solver.solve(assumptions)
+        if not answer:
+            conflict = tuple(sorted(lit - 1 for lit in answer.failed_assumptions))
             return ObligationCheckResult(
-                outcome, tuple(obligations), total_iterations, conflict
+                ObligationOutcome.INCONCLUSIVE, tuple(obligations), conflict, solves
             )
     return ObligationCheckResult(
-        ObligationOutcome.REALIZABLE, tuple(obligations), total_iterations
+        ObligationOutcome.REALIZABLE, tuple(obligations), None, solves
     )
 
 
 def _constraint_of(obligation: Obligation) -> Formula:
-    """What the responder letter must satisfy for this obligation."""
+    """What the letter must satisfy for this obligation when it is active.
+
+    A self-conditioned obligation (condition over same-step outputs)
+    keeps its whole implication: the system sets both sides.
+    """
     if obligation.self_condition is not None:
         return Implies(obligation.self_condition, obligation.response)
     return obligation.response
-
-
-def _cegis(
-    obligations: List[Obligation], max_iterations: int
-) -> Tuple[ObligationOutcome, int, Optional[Tuple[int, ...]]]:
-    """Decide ``forall flags exists letter: AND_j (flag_j -> resp_j)``.
-
-    Self-conditioned obligations (condition over same-step outputs) are
-    not flagged: their implication constrains every responder letter.
-    """
-    if not obligations:
-        return ObligationOutcome.REALIZABLE, 0, None
-    flagged = [
-        j for j, o in enumerate(obligations) if o.self_condition is None
-    ]
-    constrained = [
-        j for j, o in enumerate(obligations) if o.self_condition is not None
-    ]
-    falsifier_cnf = CNF()
-    flags = {j: falsifier_cnf.new_var(f"f{j}") for j in flagged}
-    for j in flagged:
-        if obligations[j].always_active:
-            falsifier_cnf.add([flags[j]])
-    falsifier = CDCLSolver(falsifier_cnf)
-
-    iterations = 0
-    while iterations < max_iterations:
-        iterations += 1
-        vector = falsifier.solve()
-        if not vector:
-            return ObligationOutcome.REALIZABLE, iterations, None
-        active = [j for j in flagged if vector.model[flags[j]]]
-
-        responder_cnf = CNF()
-        for j in active:
-            responder_cnf.add([encode(obligations[j].response, responder_cnf)])
-        for j in constrained:
-            responder_cnf.add(
-                [encode(_constraint_of(obligations[j]), responder_cnf)]
-            )
-        response = CDCLSolver(responder_cnf).solve()
-        if not response:
-            return (
-                ObligationOutcome.INCONCLUSIVE,
-                iterations,
-                tuple(active) + tuple(constrained),
-            )
-        letter = {
-            name: response.model[responder_cnf.var(name)]
-            for name in responder_cnf._names
-            if not name.startswith("__")
-        }
-        uncovered = [
-            flags[j]
-            for j in flagged
-            if not _evaluate(obligations[j].response, letter)
-        ]
-        if not uncovered:
-            return ObligationOutcome.REALIZABLE, iterations, None
-        falsifier.add_clause(uncovered)
-    return ObligationOutcome.INCONCLUSIVE, iterations, None

@@ -1,11 +1,15 @@
 """The realizability driver: SpecCC's stage 2.
 
-Combines satisfiability pre-checking, variable-partitioned decomposition,
-the safety-game engine (realizable verdicts, G4LTL-style) and dual bounded
-synthesis (unrealizable verdicts) into a single entry point,
-:func:`check_realizability`.  Every produced controller is re-verified
-against its component's specification by the independent model checker in
-:mod:`repro.synthesis.verify` before it is returned.
+:func:`check_realizability` splits a specification into variable-connected
+components and runs each through a cost-ordered decision ladder
+(:data:`RUNGS`): the obligation certificate (:mod:`.invariants`, one SAT
+solve per goal), then the GPVW satisfiability and validity checks, then
+the exact engines — the safety game (realizable verdicts, G4LTL-style) and
+dual bounded synthesis (unrealizable verdicts).  The first rung with an
+answer decides and names itself in ``ComponentResult.method``.  Every
+produced controller is re-verified against its component's specification
+by the independent model checker in :mod:`repro.synthesis.verify` before
+it is returned.
 """
 
 from __future__ import annotations
@@ -14,14 +18,18 @@ import enum
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from ..automata import gpvw
+from ..automata import gpvw, ltlsat
 from ..core.graph import shared_graph
+from ..obs.metrics import registry
 from ..obs.trace import span as _obs_span
+# The rungs call ``satisfiable`` through this module and ``is_valid`` and
+# ``check_obligations`` through their own modules, at call time: those are
+# the bindings perfbench/tracer.py wraps to time each rung.
 from ..automata.ltlsat import satisfiable
 from ..logic.ast import Formula, conj
-from ..logic.semantics import LassoWord
+from . import invariants
 from .bounded import IncrementalBoundedSynthesizer
 from .mealy import MealyMachine
 from .modular import Component, decompose
@@ -51,7 +59,9 @@ class ComponentResult:
     controller: Optional[MealyMachine] = None
     counterstrategy: Optional[MealyMachine] = None
     unsat_witness: bool = False
-    method: str = ""  # which engine decided: obligations / game / bounded / ...
+    #: The rung that decided (see :data:`RUNGS`): obligations /
+    #: satisfiability / validity / game / bounded / too-large.
+    method: str = ""
     seconds: float = 0.0
 
 
@@ -88,16 +98,18 @@ class SynthesisLimits:
     max_environment_states: int = 3
     max_game_bound: int = 3
     max_game_positions: int = 200_000
-    #: Try the obligation-based certificate (fast, alphabet-independent)
-    #: before the exact engines.
+    #: Run the obligation certificate, the ladder's first rung (fast,
+    #: alphabet-independent); off, every component goes to the tableau
+    #: rungs and the exact engines.
     use_obligations: bool = True
     #: Components with more propositions than this skip the explicit
     #: engines (their alphabets are out of reach) and the satisfiability
-    #: pre-check (tableau blow-up); the obligation check still applies.
+    #: and validity rungs (tableau blow-up); the obligation rung still
+    #: applies.
     max_explicit_variables: int = 12
-    #: The satisfiability pre-check builds one tableau for the whole
-    #: conjunction, which blows up combinatorially past a handful of
-    #: liveness requirements; cap the number of formulas it sees.
+    #: The satisfiability and validity rungs build one tableau for the
+    #: whole conjunction, which blows up combinatorially past a handful of
+    #: liveness requirements; cap the number of formulas they see.
     max_precheck_formulas: int = 6
 
 
@@ -346,16 +358,16 @@ def check_component(
         formulas=len(component.formulas),
         inputs=len(local_inputs),
         outputs=len(local_outputs),
+        cached=True,
     ) as sp:
-        if sp.id is not None:  # only probe membership when actually tracing
-            sp.set(cached=shared_graph().contains("components", key))
-        outcome = shared_graph().compute(
-            "components",
-            key,
-            lambda: _analyze_component(
+
+        def analyse() -> _ComponentOutcome:
+            sp.set(cached=False)
+            return _analyze_component(
                 component.formulas, local_inputs, local_outputs, engine, limits
-            ),
-        )
+            )
+
+        outcome = shared_graph().compute("components", key, analyse)
         sp.set(verdict=outcome.verdict.value, method=outcome.method)
     return ComponentResult(
         component,
@@ -368,47 +380,87 @@ def check_component(
     )
 
 
-def _analyze_component(
-    formulas: Tuple[Formula, ...],
-    local_inputs: Tuple[str, ...],
-    local_outputs: Tuple[str, ...],
-    engine: Engine,
-    limits: SynthesisLimits,
-) -> _ComponentOutcome:
-    specification = conj(formulas)
-    # The component's variable set is a function of its formulas (union of
-    # their atoms), so it is safe to derive under the cache key.
-    explicit_ok = len(_atoms(specification)) <= limits.max_explicit_variables
-    precheck_ok = explicit_ok and len(formulas) <= limits.max_precheck_formulas
+class _Problem(NamedTuple):
+    """One component analysis, as every rung of the ladder sees it."""
 
-    # Cheap first stage: an unsatisfiable conjunction is never realizable.
-    # (Skipped for large components: the tableau would blow up.)
-    if precheck_ok and satisfiable(specification) is None:
-        return _ComponentOutcome(
-            Verdict.UNREALIZABLE, None, None, True, "satisfiability"
-        )
+    formulas: Tuple[Formula, ...]
+    inputs: Tuple[str, ...]
+    outputs: Tuple[str, ...]
+    engine: Engine
+    limits: SynthesisLimits
+    specification: Formula
+    #: Few enough propositions for the explicit-alphabet engines.
+    explicit_ok: bool
+    #: Small enough for one GPVW tableau of the whole conjunction.
+    tableau_ok: bool
 
-    # A component without outputs is realizable iff the environment cannot
-    # violate it, i.e. the formula is valid over input behaviours.
-    if not local_outputs and precheck_ok:
-        from ..automata.ltlsat import is_valid
 
-        verdict = Verdict.REALIZABLE if is_valid(specification) else Verdict.UNREALIZABLE
-        return _ComponentOutcome(verdict, None, None, False, "validity")
+def _obligations(problem: _Problem) -> Optional[_ComponentOutcome]:
+    """The obligation certificate (:mod:`.invariants`): alphabet-independent.
 
-    # Obligation certificate: alphabet-independent, decides the
-    # condition/response fragment that covers the case studies.
-    if limits.use_obligations:
-        from .invariants import ObligationOutcome, check_obligations
+    Sound on every component: it answers REALIZABLE only, and only inside
+    its fragment.  A realizable conjunction is satisfiable, so running it
+    before the satisfiability rung changes no outcome.  Outputless
+    components within the tableau caps are left to the validity rung, so
+    their ``method`` does not depend on the ladder order.
+    """
+    if not problem.limits.use_obligations or (
+        not problem.outputs and problem.tableau_ok
+    ):
+        return None
+    with _obs_span("solve.obligations") as sp:
+        certificate = invariants.check_obligations(problem.formulas, problem.outputs)
+        sp.set(outcome=certificate.outcome.value, solves=certificate.solves)
+    if certificate.outcome is not invariants.ObligationOutcome.REALIZABLE:
+        return None
+    return _ComponentOutcome(Verdict.REALIZABLE, None, None, False, "obligations")
 
-        certificate = check_obligations(formulas, local_outputs)
-        if certificate.outcome is ObligationOutcome.REALIZABLE:
-            return _ComponentOutcome(
-                Verdict.REALIZABLE, None, None, False, "obligations"
-            )
 
-    if not explicit_ok:
+def _satisfiability(problem: _Problem) -> Optional[_ComponentOutcome]:
+    """An unsatisfiable conjunction is never realizable.
+
+    Sound on every component; runs within the tableau caps only, as GPVW
+    builds one tableau for the whole conjunction.  It answers UNREALIZABLE
+    only (with ``unsat_witness``), which no earlier rung answers.
+    """
+    if not problem.tableau_ok:
+        return None
+    with _obs_span("solve.satisfiability") as sp:
+        witness = satisfiable(problem.specification)
+        sp.set(satisfiable=witness is not None)
+    if witness is not None:
+        return None
+    return _ComponentOutcome(Verdict.UNREALIZABLE, None, None, True, "satisfiability")
+
+
+def _validity(problem: _Problem) -> Optional[_ComponentOutcome]:
+    """A component without outputs is realizable iff it is valid.
+
+    Exact on outputless components within the tableau caps.  It runs
+    after the satisfiability rung, which claims the unsatisfiable ones.
+    """
+    if problem.outputs or not problem.tableau_ok:
+        return None
+    with _obs_span("solve.validity") as sp:
+        valid = ltlsat.is_valid(problem.specification)
+        sp.set(valid=valid)
+    verdict = Verdict.REALIZABLE if valid else Verdict.UNREALIZABLE
+    return _ComponentOutcome(verdict, None, None, False, "validity")
+
+
+def _engines(problem: _Problem) -> _ComponentOutcome:
+    """The exact engines; this rung always answers.
+
+    Sound on every component: a controller is model-checked against the
+    specification before it is returned, and UNKNOWN means no bound up to
+    the limits' decided.  Past ``max_explicit_variables`` propositions
+    the alphabet is out of reach: UNKNOWN (``too-large``).
+    """
+    if not problem.explicit_ok:
         return _ComponentOutcome(Verdict.UNKNOWN, None, None, False, "too-large")
+    specification = problem.specification
+    local_inputs, local_outputs = problem.inputs, problem.outputs
+    engine, limits = problem.engine, problem.limits
 
     controller: Optional[MealyMachine] = None
     counterstrategy: Optional[MealyMachine] = None
@@ -510,3 +562,44 @@ def _analyze_component(
         False,
         "game" if engine is Engine.SAFETY_GAME else "bounded",
     )
+
+
+#: The decision ladder, cheapest and most decisive first: on Table I the
+#: certificate settles every component, and the tableau rungs run only on
+#: what it cannot settle.  Each rung returns an outcome or ``None`` to
+#: fall through; the last one always answers.
+RUNGS: Tuple[Callable[[_Problem], Optional[_ComponentOutcome]], ...] = (
+    _obligations,
+    _satisfiability,
+    _validity,
+    _engines,
+)
+
+
+def _analyze_component(
+    formulas: Tuple[Formula, ...],
+    local_inputs: Tuple[str, ...],
+    local_outputs: Tuple[str, ...],
+    engine: Engine,
+    limits: SynthesisLimits,
+) -> _ComponentOutcome:
+    specification = conj(formulas)
+    # The component's variable set is a function of its formulas (union of
+    # their atoms), so it is safe to derive under the cache key.
+    explicit_ok = len(_atoms(specification)) <= limits.max_explicit_variables
+    problem = _Problem(
+        formulas,
+        local_inputs,
+        local_outputs,
+        engine,
+        limits,
+        specification,
+        explicit_ok,
+        explicit_ok and len(formulas) <= limits.max_precheck_formulas,
+    )
+    for rung in RUNGS:
+        outcome = rung(problem)
+        if outcome is not None:
+            break
+    registry().counter(f"decided_by.{outcome.method}")
+    return outcome

@@ -8,11 +8,14 @@ Each module holds the straightforward version of one optimised engine in
   letters solved on the fly);
 * ``bounded`` — the from-scratch bounded-synthesis encoding (vs. one
   persistent solver across the bound ladder);
-* ``semantics`` — the monolithic Algorithm 1 (vs. the per-subject fold).
+* ``semantics`` — the monolithic Algorithm 1 (vs. the per-subject fold);
+* ``obligations`` — the certificate decided by a CEGIS loop over flag
+  vectors (vs. one incremental solve per goal).
 
-They plug in by subclassing the engine classes, or at the driver by
-monkeypatching the names :mod:`repro.synthesis.realizability` looks up
-(``solve_game``, ``IncrementalBoundedSynthesizer``).  The test modules
+They plug in by subclassing the engine classes, by monkeypatching the
+names :mod:`repro.synthesis.realizability` looks up (``solve_game``,
+``IncrementalBoundedSynthesizer``), or, for ``obligations``, by being
+called side by side with production on the same input.  The test modules
 import them as ``oracles.*`` (pytest puts ``tests/`` on ``sys.path``);
 ``benchmarks/bench_synthesis.py`` adds ``tests/`` itself.
 """

@@ -1,0 +1,310 @@
+"""The component decision ladder (``realizability.RUNGS``).
+
+The obligation certificate runs first, and the GPVW satisfiability rung
+only on components the certificate cannot settle.  Because the
+certificate answers REALIZABLE only, and a realizable conjunction is
+satisfiable, the order changes no verdict, ``method`` or report byte;
+these tests hold the order to that and pin how often Table I still
+reaches the tableau.
+"""
+
+from __future__ import annotations
+
+import io
+import json
+
+import pytest
+
+from repro import SpecCC, SpecCCConfig, TranslationOptions
+from repro.__main__ import main as cli_main
+from repro.logic import parse
+from repro.casestudies import (
+    TABLE_INSTANCES,
+    application_requirements,
+    component_requirements,
+    mode_switching_requirements,
+    robot_requirements,
+)
+from repro.obs import Tracer, registry, set_process_tracer
+from repro.service.reportjson import report_to_dict
+from repro.service.server import serve
+from repro.synthesis import realizability
+
+#: The ladder before the certificate moved to the front.
+PRECHECK_FIRST = (
+    realizability._satisfiability,
+    realizability._validity,
+    realizability._obligations,
+    realizability._engines,
+)
+
+
+def paper_tool() -> SpecCC:
+    return SpecCC(SpecCCConfig(translation=TranslationOptions(next_as_x=False)))
+
+
+def table1_documents():
+    """``(label, requirements)`` for the 22 Table I documents."""
+    documents = [("cara-0", mode_switching_requirements())]
+    documents += [
+        (f"cara-{row}", requirements)
+        for row, requirements in sorted(component_requirements().items())
+    ]
+    documents += [
+        (f"tele-{row}", requirements)
+        for row, requirements in sorted(application_requirements().items())
+    ]
+    documents += [
+        (f"robot-{row}", robot_requirements(*TABLE_INSTANCES[row]))
+        for row in sorted(TABLE_INSTANCES)
+    ]
+    assert len(documents) == 22
+    return documents
+
+
+def _numbered(*sentences):
+    return [(f"R{index}", text) for index, text in enumerate(sentences, 1)]
+
+
+#: One small document per verdict regime, each reaching a different rung.
+REGIME_DOCUMENTS = [
+    # The precedence sentence is outside the certificate's fragment: the
+    # safety game decides, and its controller is verified.
+    ("realizable", _numbered(
+        "If the alpha sensor is valid, the gamma report is triggered.",
+        "If the beta sensor is ready, eventually the gamma report is triggered.",
+        "If the alpha sensor is valid, the omega lamp is started in 4 seconds.",
+        "The omega lamp is started before the delta gate is ready.",
+    )),
+    # Two conditions demand the pump on and off: one partition repair.
+    ("repairable", _numbered(
+        "If the kappa switch is active, the sigma pump is started.",
+        "If the lambda switch is valid, the sigma pump is not started.",
+        "If the alpha sensor is valid, the gamma report is triggered.",
+    )),
+    # Four gates clash; three repairs leave one, which localization names.
+    ("unrealizable", _numbered(*[
+        f"If the a{gate} gate is active, the theta valve is {polarity}opened."
+        for gate in range(1, 5)
+        for polarity in ("", "not ")
+    ], "If the alpha sensor is valid, the gamma report is triggered.")),
+    ("unsatisfiable", _numbered(
+        "Always the zeta lamp is on.",
+        "Always the zeta lamp is not on.",
+        "If the alpha sensor is valid, the gamma report is triggered.",
+    )),
+    # No condition-only variable: the promoted input's component has no
+    # outputs and goes to the validity rung.
+    ("outputless", _numbered(
+        "If the mu switch is active, eventually the mu switch is active.",
+        "Eventually the nu report is issued.",
+        "If the nu report is issued, the xi report is stored.",
+        "Always the rho report is displayed.",
+    )),
+]
+
+
+def _cold_reports(tool: SpecCC, documents):
+    """Canonical report bytes and per-component rung provenance."""
+    reports, provenance = [], []
+    for _, requirements in documents:
+        realizability.clear_caches()
+        report = tool.check(requirements)
+        reports.append(
+            json.dumps(report_to_dict(report, timings=False), sort_keys=True)
+        )
+        provenance.append([
+            (part.verdict, part.method, part.unsat_witness)
+            for part in report.realizability.components
+        ])
+    realizability.clear_caches()
+    return reports, provenance
+
+
+class TestLadderOrder:
+    def test_table1_reaches_the_tableau_only_before_repair(self, monkeypatch):
+        reached = []
+        original = realizability.satisfiable
+        label = None
+
+        def counting(formula):
+            reached.append(label)
+            return original(formula)
+
+        monkeypatch.setattr(realizability, "satisfiable", counting)
+        tool = paper_tool()
+        methods = []
+        for label, requirements in table1_documents():
+            tool.clear_caches()
+            tool.clear_translation_cache()
+            report = tool.check(requirements)
+            assert report.consistent, label
+            methods += [part.method for part in report.realizability.components]
+        realizability.clear_caches()
+        # TELEPROMISE rows 4 and 5 each have one component the certificate
+        # cannot settle under the initial partition; the repair fixes it.
+        assert reached == ["tele-4", "tele-5"]
+        assert methods == ["obligations"] * 114
+
+    def test_order_changes_no_report_byte(self, monkeypatch):
+        documents = table1_documents() + REGIME_DOCUMENTS
+        tool = paper_tool()
+        cost_ordered = _cold_reports(tool, documents)
+        monkeypatch.setattr(realizability, "RUNGS", PRECHECK_FIRST)
+        assert _cold_reports(tool, documents) == cost_ordered
+        methods = {method for doc in cost_ordered[1] for _, method, _ in doc}
+        assert {"obligations", "satisfiability", "validity", "game"} <= methods
+
+    def test_bounded_engine_order_changes_no_verdict(self, monkeypatch):
+        tool = SpecCC(SpecCCConfig(
+            translation=TranslationOptions(next_as_x=False),
+            engine=realizability.Engine.BOUNDED_SAT,
+        ))
+        cost_ordered = _cold_reports(tool, REGIME_DOCUMENTS)
+        monkeypatch.setattr(realizability, "RUNGS", PRECHECK_FIRST)
+        assert _cold_reports(tool, REGIME_DOCUMENTS) == cost_ordered
+        methods = {method for doc in cost_ordered[1] for _, method, _ in doc}
+        assert "bounded" in methods
+
+
+#: ``(formulas, inputs, outputs)`` reaching every rung, including an
+#: outputless component inside the certificate's fragment (the validity
+#: rung keeps it) and one past the explicit engines' alphabet limit.
+FORMULA_SPECS = [
+    (["G (a -> true)"], ["a"], []),
+    (["G (a -> F a)"], ["a"], []),
+    (["G a", "G !a"], ["a"], []),
+    (["G (a -> o)", "G (b -> o2)"], ["a", "b"], ["o", "o2"]),
+    (["G (a -> o)", "G (b -> !o)"], ["a", "b"], ["o"]),
+    (["F o", "G (a -> !o)"], ["a"], ["o"]),
+    (["G o", "G !o"], [], ["o"]),
+    (["G (r -> X g)", "G (r -> F h)"], ["r"], ["g", "h"]),
+    (["G (r -> (g U h))"], ["r"], ["g", "h"]),
+    ([f"G (i{k} -> (o0 U o{k}))" for k in range(1, 8)],
+     [f"i{k}" for k in range(1, 8)], [f"o{k}" for k in range(8)]),
+]
+
+
+def _outcomes(engine):
+    outcomes = []
+    for texts, inputs, outputs in FORMULA_SPECS:
+        realizability.clear_caches()
+        result = realizability.check_realizability(
+            [parse(text) for text in texts], inputs, outputs, engine=engine
+        )
+        outcomes.append([
+            (
+                part.verdict,
+                part.method,
+                part.unsat_witness,
+                part.controller is not None,
+                part.counterstrategy is not None,
+            )
+            for part in result.components
+        ])
+    realizability.clear_caches()
+    return outcomes
+
+
+@pytest.mark.parametrize("engine", list(realizability.Engine))
+def test_order_changes_no_component_outcome(monkeypatch, engine):
+    cost_ordered = _outcomes(engine)
+    monkeypatch.setattr(realizability, "RUNGS", PRECHECK_FIRST)
+    assert _outcomes(engine) == cost_ordered
+    methods = {method for spec in cost_ordered for _, method, *_ in spec}
+    assert {"obligations", "satisfiability", "validity", engine.value, "too-large"} <= methods
+
+
+def _span_names(tracer: Tracer):
+    by_id = {record["id"]: record for record in tracer.records()}
+    return [
+        (record["name"], by_id[record["parent"]]["name"], record["args"])
+        for record in tracer.records()
+        if record["name"].startswith("solve.") and record["parent"] in by_id
+    ]
+
+
+class TestRungObservability:
+    @pytest.mark.parametrize(
+        "regime,spans",
+        [
+            ("realizable", {"solve.obligations", "solve.satisfiability", "solve.game"}),
+            ("unsatisfiable", {"solve.obligations", "solve.satisfiability"}),
+            ("outputless", {"solve.obligations", "solve.satisfiability", "solve.validity"}),
+        ],
+    )
+    def test_each_rung_is_a_span_under_its_component(self, regime, spans):
+        requirements = dict(REGIME_DOCUMENTS)[regime]
+        realizability.clear_caches()
+        tracer = Tracer(name="rungs")
+        set_process_tracer(tracer)
+        try:
+            paper_tool().check(requirements)
+        finally:
+            set_process_tracer(None)
+            realizability.clear_caches()
+        rungs = _span_names(tracer)
+        assert {name for name, _, _ in rungs} >= spans
+        for name, parent, args in rungs:
+            if name in ("solve.obligations", "solve.satisfiability", "solve.validity"):
+                assert parent == "solve.component", name
+            if name == "solve.obligations":
+                # Outside the fragment the certificate never reaches SAT.
+                applicable = args["outcome"] != "not-applicable"
+                assert args["outcome"] in ("realizable", "inconclusive", "not-applicable")
+                assert (args["solves"] > 0) == applicable
+
+    def test_table1_cara_never_opens_the_tableau(self):
+        realizability.clear_caches()
+        tracer = Tracer(name="cara")
+        set_process_tracer(tracer)
+        try:
+            report = paper_tool().check(mode_switching_requirements())
+        finally:
+            set_process_tracer(None)
+            realizability.clear_caches()
+        names = [name for name, _, _ in _span_names(tracer)]
+        assert report.consistent
+        assert names.count("solve.obligations") == len(report.realizability.components)
+        assert "solve.satisfiability" not in names
+
+    def test_decided_by_counts_analysed_components_once(self):
+        realizability.clear_caches()
+        tool = paper_tool()
+        requirements = dict(REGIME_DOCUMENTS)["outputless"]
+        report = tool.check(requirements)
+        tool.check(requirements)  # served from the component cache
+        counters = registry().counters()
+        realizability.clear_caches()
+        decided = {
+            name[len("decided_by."):]: count
+            for name, count in counters.items()
+            if name.startswith("decided_by.")
+        }
+        expected = {}
+        for part in report.realizability.components:
+            expected[part.method] = expected.get(part.method, 0) + 1
+        assert decided == expected
+
+    def test_check_stats_reports_the_deciding_rung(self, tmp_path, capsys):
+        document = tmp_path / "spec.txt"
+        document.write_text("If the feed is valid, the lamp is activated.\n")
+        realizability.clear_caches()
+        assert cli_main(["check", str(document), "--json", "--stats"]) == 0
+        stats = json.loads(capsys.readouterr().out)["stats"]
+        assert stats["decided_by"] == {"obligations": 1}
+
+    def test_metrics_op_reports_the_deciding_rung(self):
+        realizability.clear_caches()
+        requests = [
+            {"op": "add", "id": "R1", "text": "Always the zeta lamp is on."},
+            {"op": "add", "id": "R2", "text": "Always the zeta lamp is not on."},
+            {"op": "check", "timings": False},
+            {"op": "metrics", "full": False},
+            {"op": "shutdown"},
+        ]
+        stdout = io.StringIO()
+        serve(io.StringIO("".join(json.dumps(r) + "\n" for r in requests)), stdout)
+        responses = [json.loads(line) for line in stdout.getvalue().splitlines()]
+        counters = responses[3]["metrics"]["counters"]
+        assert counters.get("decided_by.satisfiability", 0) >= 1

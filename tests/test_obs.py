@@ -24,6 +24,9 @@ import importlib.util
 import io
 import json
 import logging
+import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -39,12 +42,14 @@ from repro.obs import (
     activated,
     chrome_events,
     get_tracer,
+    leaf_span,
     registry,
     reset_counters,
     set_process_tracer,
     span,
     tracing_active,
 )
+from repro.obs.metrics import SPAN_FOLD_BATCH
 from repro.service.server import normalize_response, serve
 
 DOC = (
@@ -183,6 +188,27 @@ class TestTracer:
         ids = [record["id"] for record in parent.records()]
         assert len(ids) == len(set(ids))
 
+    def test_leaf_span_lands_under_the_open_span(self):
+        registry().reset()
+        tracer = Tracer()
+        with activated(tracer):
+            with span("outer") as outer:
+                start_ns = time.perf_counter_ns()
+                leaf_span("leaf", start_ns, sat=True)
+        leaf, outer_record = tracer.records()
+        assert leaf["name"] == "leaf"
+        assert leaf["parent"] == outer.id
+        assert leaf["args"] == {"sat": True}
+        assert outer_record["ts"] <= leaf["ts"]
+        assert 0 <= leaf["dur"] <= outer_record["dur"]
+        assert registry().histograms_summary()["span.leaf"]["count"] == 1
+
+    def test_leaf_span_untraced_records_nothing(self):
+        registry().reset()
+        assert get_tracer() is None
+        leaf_span("leaf", time.perf_counter_ns(), sat=True)
+        assert "span.leaf" not in registry().histograms_summary()
+
     def test_every_span_feeds_a_latency_histogram(self):
         registry().reset()
         tracer = Tracer()  # record_metrics defaults on
@@ -275,6 +301,73 @@ class TestMetricsRegistry:
         assert "buckets" in snapshot["histograms"]["span.check"]
         compact = reg.snapshot(full=False)
         assert "buckets" not in compact["histograms"]["span.check"]
+
+    def test_queued_spans_fold_on_read_and_reset_drops_them(self):
+        reg = MetricsRegistry()
+        for dur_us in (100.0, 300.0):
+            reg.observe_span({"name": "solve.component", "dur": dur_us})
+        summary = reg.histograms_summary()["span.solve.component"]
+        assert (summary["count"], summary["min"], summary["max"]) == (2, 0.0001, 0.0003)
+        reg.observe_span({"name": "solve.component", "dur": 50.0})
+        assert reg.snapshot()["histograms"]["span.solve.component"]["count"] == 3
+        reg.observe_span({"name": "sat.solve", "dur": 5.0})
+        reg.reset()
+        assert reg.histograms_summary() == {}
+
+    def test_span_queue_folds_itself_at_the_batch_bound(self):
+        reg = MetricsRegistry()
+        for _ in range(SPAN_FOLD_BATCH):
+            reg.observe_span({"name": "sat.solve", "dur": 5.0})
+        assert reg._queued_spans == []
+        assert reg._histograms["span.sat.solve"].count == SPAN_FOLD_BATCH
+
+    def test_concurrent_spans_lose_no_record_or_observation(self):
+        # Eight threads (more than cores) share one tracer and the span
+        # queue, appending without a lock while a reader thread keeps
+        # folding the queue under the lock.
+        registry().reset()
+        tracer = Tracer()
+        rounds = 700
+        done = threading.Event()
+
+        def work():
+            for _ in range(rounds):
+                with tracer.span("outer"):
+                    with tracer.span("inner"):
+                        leaf_span("leaf", time.perf_counter_ns())
+
+        def read():
+            while not done.is_set():
+                registry().histograms_summary()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        set_process_tracer(tracer)  # leaf_span in the threads finds it
+        try:
+            reader = threading.Thread(target=read)
+            reader.start()
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            done.set()
+            reader.join(timeout=60)
+            set_process_tracer(None)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads + [reader])
+        records = tracer.records()
+        assert len(records) == 8 * rounds * 3
+        by_id = {record["id"]: record for record in records}
+        assert len(by_id) == len(records)
+        for record in records:
+            if record["parent"] is not None:
+                assert by_id[record["parent"]]["tid"] == record["tid"]
+        summary = registry().histograms_summary()
+        registry().reset()
+        for name in ("outer", "inner", "leaf"):
+            assert summary["span." + name]["count"] == 8 * rounds, name
 
     def test_raising_collector_reports_error_not_crash(self):
         reg = MetricsRegistry()

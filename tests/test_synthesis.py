@@ -4,8 +4,11 @@ decomposition, localization, controller verification."""
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.logic import parse
+from repro.automata.ltlsat import satisfiable
+from repro.logic import conj, parse
 from repro.synthesis import (
     Engine,
     IncrementalBoundedSynthesizer,
@@ -28,6 +31,7 @@ from repro.synthesis.invariants import (
 )
 
 from oracles import game as oracle_game
+from oracles import obligations as oracle_obligations
 from oracles.game import ConcreteGame
 
 ENGINES = [Engine.SAFETY_GAME, Engine.BOUNDED_SAT]
@@ -409,6 +413,52 @@ class TestModularDecomposition:
         assert result.failing_indices() == (1,)
 
 
+INPUT_NAMES = ("a", "b", "c", "d")
+OUTPUT_NAMES = ("o", "p", "q", "r")
+
+
+@st.composite
+def fragment_specs(draw):
+    """``(formulas, inputs, outputs)`` inside the certificate's fragment:
+    ``G (c -> r)``, ``X`` delays, ``F`` goals, ``W`` hold-until-release,
+    anti-causal ``G (X X c -> r)`` and output-only self-conditions."""
+    inputs = INPUT_NAMES[: draw(st.integers(1, 4))]
+    outputs = OUTPUT_NAMES[: draw(st.integers(1, 4))]
+
+    def literal(names):
+        name = draw(st.sampled_from(names))
+        return name if draw(st.booleans()) else f"!{name}"
+
+    def combination(names):
+        first = literal(names)
+        if draw(st.booleans()):
+            return first
+        return f"({first} {draw(st.sampled_from(['&&', '||']))} {literal(names)})"
+
+    def formula():
+        kind = draw(st.integers(0, 7))
+        condition, response = combination(inputs), combination(outputs)
+        if kind == 0:
+            return f"G ({condition} -> {response})"
+        if kind == 1:
+            return f"G ({condition} -> {'X ' * draw(st.integers(1, 2))}{response})"
+        if kind == 2:
+            return f"G ({condition} -> F {response})"
+        if kind == 3:
+            return f"F {response}"
+        if kind == 4:
+            release = draw(st.sampled_from(inputs))
+            return f"G ({condition} -> (!{release} -> ({response} W {release})))"
+        if kind == 5:
+            return f"G (X X {condition} -> {response})"
+        if kind == 6:
+            return f"G ({literal(outputs)} -> {response})"
+        return response  # an initial-step constraint
+
+    texts = [formula() for _ in range(draw(st.integers(1, 3)))]
+    return texts, list(inputs), list(outputs)
+
+
 class TestObligations:
     def test_extraction_of_invariant(self):
         obligations = extract_obligations(
@@ -451,23 +501,73 @@ class TestObligations:
         assert result.outcome is ObligationOutcome.INCONCLUSIVE
         assert result.conflict is not None
 
+    def test_conflict_names_the_clashing_goal_and_invariant(self):
+        # Obligations: F o (0), F p (1), G (a -> !p) (2).  Goal 1 clashes
+        # with invariant 2; goal 0 is not involved.
+        result = check_obligations(
+            [parse("F o"), parse("F p"), parse("G (a -> !p)")], ["o", "p"]
+        )
+        assert result.outcome is ObligationOutcome.INCONCLUSIVE
+        assert result.conflict == (1, 2)
+
+    def test_conflict_is_a_core(self):
+        result = check_obligations(
+            [parse("G (a -> o)"), parse("G (b -> !o)"), parse("G (c -> q)")],
+            ["o", "q"],
+        )
+        assert result.outcome is ObligationOutcome.INCONCLUSIVE
+        assert result.conflict == (0, 1)
+
+    def test_one_solve_per_goal(self):
+        result = check_obligations(
+            [parse("G (a -> o)"), parse("G (b -> F p)"), parse("F !q")],
+            ["o", "p", "q"],
+        )
+        assert result.outcome is ObligationOutcome.REALIZABLE
+        assert result.solves == 3  # the invariants, then each of two goals
+
     def test_compatible_responses_realizable(self):
         result = check_obligations(
             [parse("G (a -> o1)"), parse("G (b -> !o1 || o2)")], ["o1", "o2"]
         )
         assert result.outcome is ObligationOutcome.REALIZABLE
 
-    def test_cross_validates_with_exact_engine(self):
-        # Every obligation-REALIZABLE verdict must agree with the game.
-        specs = [
+    @pytest.mark.parametrize(
+        "texts, inputs, outputs",
+        [
             (["G (a -> o)"], ["a"], ["o"]),
             (["G (a -> F o)"], ["a"], ["o"]),
             (["G (a -> o1 && o2)", "G (b -> o2)"], ["a", "b"], ["o1", "o2"]),
-        ]
-        for texts, inputs, outputs in specs:
-            formulas = [parse(t) for t in texts]
-            cert = check_obligations(formulas, outputs)
-            assert cert.outcome is ObligationOutcome.REALIZABLE
+        ],
+    )
+    def test_hand_written_specs_stay_realizable(self, texts, inputs, outputs):
+        # Pinned outright, not only matched against the reference: both
+        # share extract_obligations, so a regression there could turn
+        # these INCONCLUSIVE in both at once.
+        formulas = [parse(text) for text in texts]
+        cert = check_obligations(formulas, outputs)
+        assert cert.outcome is ObligationOutcome.REALIZABLE
+        exact = check_realizability(
+            formulas, inputs, outputs,
+            limits=SynthesisLimits(use_obligations=False),
+        )
+        assert exact.verdict is Verdict.REALIZABLE
+
+    @given(fragment_specs())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_cross_validates_with_exact_engine(self, spec):
+        # The certificate gates the satisfiability rung, so nothing else
+        # double-checks it: every REALIZABLE must be backed by the CEGIS
+        # reference, a satisfying word and, on small alphabets, the game.
+        texts, inputs, outputs = spec
+        formulas = [parse(text) for text in texts]
+        cert = check_obligations(formulas, outputs)
+        reference = oracle_obligations.check_obligations(formulas, outputs)
+        assert cert.outcome is reference.outcome
+        if cert.outcome is not ObligationOutcome.REALIZABLE:
+            return
+        assert satisfiable(conj(formulas)) is not None
+        if len(inputs) <= 3 and len(outputs) <= 3:
             exact = check_realizability(
                 formulas, inputs, outputs,
                 limits=SynthesisLimits(use_obligations=False),
