@@ -1,6 +1,6 @@
 """Service-layer benchmark runner — emits ``BENCH_service.json``.
 
-Measures the three workloads the :mod:`repro.service` subsystem exists
+Measures the workloads the :mod:`repro.service` subsystem exists
 for:
 
 * **edit_loop**: the paper's maintenance scenario — an N-requirement
@@ -35,17 +35,6 @@ for:
   replay must win, because compaction collapsed each journal's history
   to a snapshot plus its tail while the cold path pays for every
   intermediate check again.
-* **remote**: the same 13-document corpus dispatched to real ``python -m
-  repro worker`` subprocesses over loopback TCP, at 1 and 2 workers,
-  with a deterministic 15 ms per-task service delay injected through the
-  standard fault machinery (``kind="delay"``).  The delay is the point:
-  what the remote tier buys is *overlap* of per-task service latency
-  across workers, and modelling that latency explicitly makes the
-  steady-state number meaningful on any host — without it, a one-core
-  container degenerates to a pure CPU race that no amount of
-  distribution can win.  The acceptance bar is 2 workers >= 1.6x the
-  1-worker steady docs/sec, byte-identical to the sequential reference
-  throughout (the delay fault sleeps; it never touches results).
 
 Usage (from the repository root)::
 
@@ -74,7 +63,7 @@ from repro.service.batch import BatchChecker  # noqa: E402
 from repro.service.pool import WorkerPool  # noqa: E402
 from repro.service.server import AsyncSpecServer, serve  # noqa: E402
 
-SCHEMA = "repro-bench-service/6"
+SCHEMA = "repro-bench-service/7"
 
 
 def _config() -> SpecCCConfig:
@@ -479,139 +468,6 @@ def bench_recovery(quick: bool) -> Dict[str, object]:
     }
 
 
-# ------------------------------------------------------------------ remote
-#: Deterministic per-task service delay injected into every remote
-#: worker (``kind="delay"``, every shard, every task).  The remote tier
-#: exists to overlap per-task service latency across workers; modelling
-#: that latency explicitly keeps the 1-vs-2-worker comparison meaningful
-#: on any host, including single-core containers where the undelayed
-#: workload degenerates to a pure CPU race no distribution can win.
-REMOTE_SERVICE_DELAY = 0.015
-
-
-def bench_remote(quick: bool) -> Dict[str, object]:
-    """The worker pool across a (loopback) network boundary: the 13-doc
-    corpus dispatched to real ``python -m repro worker`` subprocesses at
-    1 and 2 workers, byte-compared against the sequential reference.
-    Every task carries a deterministic :data:`REMOTE_SERVICE_DELAY`
-    sleep injected through the standard fault plan, so the steady-state
-    number measures latency overlap (what a second worker actually
-    buys) rather than raw single-core compute.  The steady rate is
-    computed over the *sum* of all steady passes — one 13-document pass
-    is tens of milliseconds, far too noisy on a shared host.  Worker
-    names are fixed so consistent-hash placement (and therefore the
-    2-worker load split) is reproducible run to run."""
-    import os
-    import subprocess
-
-    from repro.service.faults import FaultPlan, FaultSpec
-    from repro.service.remote import RemoteWorkerHub
-
-    documents = fault_documents()
-    SpecCC.clear_caches()
-    baseline = BatchChecker(config=_config(), workers=1).check_documents(documents)
-    canonical = [json.dumps(result.data, sort_keys=True) for result in baseline]
-
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + env.get(
-        "PYTHONPATH", ""
-    )
-
-    def spawn(port: int, name: str) -> subprocess.Popen:
-        return subprocess.Popen(
-            [
-                sys.executable,
-                "-m",
-                "repro",
-                "worker",
-                "--connect",
-                f"127.0.0.1:{port}",
-                "--name",
-                name,
-            ],
-            env=env,
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
-        )
-
-    delay_plan = FaultPlan(
-        [FaultSpec(kind="delay", seconds=REMOTE_SERVICE_DELAY, times=-1)],
-        seed=7,
-    )
-    steady_passes = 2 if quick else 4
-    results: Dict[str, object] = {
-        "documents": len(documents),
-        "injected_delay_seconds": REMOTE_SERVICE_DELAY,
-    }
-    byte_identical = True
-    steady_rates: Dict[int, float] = {}
-    for count in (1, 2):
-        hub = RemoteWorkerHub(min_workers=count, register_timeout=120.0)
-        hub.start()
-        SpecCC.clear_caches()
-        pool = WorkerPool(
-            config=_config(), shards=8, remote=hub, fault_plan=delay_plan
-        )
-        procs = [spawn(hub.port, f"w{index}") for index in range(count)]
-        try:
-            start = time.perf_counter()
-            pool.ensure_started()
-            startup = time.perf_counter() - start
-
-            start = time.perf_counter()
-            tasks = pool.check_documents(documents)
-            cold_seconds = time.perf_counter() - start
-            payload = [json.dumps(task.data, sort_keys=True) for task in tasks]
-            byte_identical = byte_identical and payload == canonical
-
-            # Steady state is timed over the sum of all warm passes: a
-            # single 13-document pass lasts tens of milliseconds, which
-            # is noise on a shared host.
-            start = time.perf_counter()
-            for _ in range(steady_passes):
-                tasks = pool.check_documents(documents)
-                payload = [
-                    json.dumps(task.data, sort_keys=True) for task in tasks
-                ]
-                byte_identical = byte_identical and payload == canonical
-            steady_seconds = time.perf_counter() - start
-            steady_docs = len(documents) * steady_passes
-
-            steady_rates[count] = steady_docs / steady_seconds
-            stats = pool.stats()
-            results[str(count)] = {
-                "startup_seconds": startup,
-                "cold": {
-                    "seconds": cold_seconds,
-                    "docs_per_sec": _rate(len(documents), cold_seconds),
-                },
-                "steady": {
-                    "seconds": steady_seconds,
-                    "docs_per_sec": _rate(steady_docs, steady_seconds),
-                    "passes": steady_passes,
-                },
-                "tasks_per_worker": {
-                    name: row["tasks"]
-                    for name, row in stats["remote"]["workers"].items()
-                },
-            }
-        finally:
-            pool.shutdown(wait=False)
-            hub.close()
-            for proc in procs:
-                try:
-                    proc.wait(timeout=15)
-                except subprocess.TimeoutExpired:
-                    proc.kill()
-                    proc.wait(timeout=15)
-
-    results["steady_speedup_2_vs_1"] = (
-        round(steady_rates[2] / steady_rates[1], 2) if steady_rates.get(1) else None
-    )
-    results["byte_identical"] = byte_identical
-    return results
-
-
 # ------------------------------------------------------- multiplexed serve
 def client_script(client: int) -> List[dict]:
     """One client session's requests, over a client-private variable pool."""
@@ -715,7 +571,6 @@ def build_report(quick: bool) -> Dict:
         "fault_recovery": bench_fault_recovery(quick),
         "async_serve": bench_async_serve(quick),
         "recovery": bench_recovery(quick),
-        "remote": bench_remote(quick),
     }
 
 
@@ -784,18 +639,6 @@ def main(argv: List[str] | None = None) -> int:
         f"cold {recovery['cold']['seconds']:.3f}s  "
         f"speedup {recovery['speedup']}x  "
         f"byte_identical: {recovery['byte_identical']}"
-    )
-    remote = report["remote"]
-    for count in ("1", "2"):
-        data = remote[count]
-        print(
-            f"remote[x{count}]: startup {data['startup_seconds']:.3f}s  "
-            f"cold {data['cold']['docs_per_sec']} docs/s  "
-            f"steady {data['steady']['docs_per_sec']} docs/s"
-        )
-    print(
-        f"remote: steady speedup 2 vs 1 = {remote['steady_speedup_2_vs_1']}x  "
-        f"byte_identical: {remote['byte_identical']}"
     )
     print(f"wrote {args.output}")
     return 0

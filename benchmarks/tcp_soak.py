@@ -1,21 +1,16 @@
-"""Loopback TCP soak: gateway + 2 remote workers + a scheduled crash.
+"""Loopback TCP soak: the gateway's local process pool + a scheduled crash.
 
 CI's end-to-end exercise of the network serving tier exactly as
-deployed: a ``python -m repro serve --tcp ... --workers-bind ...``
-gateway process, two ``python -m repro worker`` processes registered
-with its hub, and the standard ``REPRO_FAULTS`` crash plan armed over
-the 13-document corpus.  The fault kills one worker mid-batch; this
-harness restarts it (the external supervisor's job — systemd in a real
-deployment), the worker re-registers under the same name at the next
-spawn generation, and the batch must come back **byte-identical to the
-sequential reference** with coherent recovery counters readable over
-the wire through the ``stats`` op.  Unlike the in-process pool (one
-worker per shard, so a crash is exactly one death), a remote worker
-hosts several shards, and a dropped connection fails every dispatch in
-flight on it — each one a counted death, reconnect-wait and retry — so
-the harness asserts the invariant ``deaths == restarts == retries`` and
-``attempts == documents + retries`` rather than exact ones.  A client
-``shutdown`` then drains the gateway, and every process must exit 0.
+deployed: one ``python -m repro serve --tcp 127.0.0.1:0`` gateway
+process with the standard ``REPRO_FAULTS`` crash plan armed, and a
+13-document ``batch`` request (``"workers": 2``) sent over the wire.
+The batch lands on the gateway's local process pool, where the fault
+kills shard 0's worker on its third task; the supervisor respawns it
+and retries the task.  The batch must come back **byte-identical to the
+sequential reference**, and the recovery counters, read over the wire
+through the ``stats`` op, must be exact: each shard is one process, so
+the crash is exactly one death, one restart and one retry.  A client
+``shutdown`` then drains the gateway, which must exit 0.
 
 Usage (from the repository root)::
 
@@ -29,7 +24,6 @@ import os
 import socket
 import subprocess
 import sys
-import threading
 import time
 from pathlib import Path
 
@@ -45,7 +39,7 @@ PLAN = {
     "faults": [{"kind": "crash", "shard": 0, "task": 2, "max_spawn": 0}],
 }
 
-WORKER_NAMES = ("w0", "w1")  # w0 registers first => fault index 0
+SHARDS = 2
 
 
 def child_env(**extra: str) -> dict:
@@ -55,24 +49,6 @@ def child_env(**extra: str) -> dict:
     )
     env.update(extra)
     return env
-
-
-def spawn_worker(port: int, name: str) -> subprocess.Popen:
-    return subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro",
-            "worker",
-            "--connect",
-            f"127.0.0.1:{port}",
-            "--name",
-            name,
-        ],
-        env=child_env(),
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
-    )
 
 
 def read_address(stderr, marker: str) -> tuple:
@@ -121,66 +97,21 @@ def main() -> int:
     print(f"sequential reference: {len(reference)} documents")
 
     gateway = subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro",
-            "serve",
-            "--tcp",
-            "127.0.0.1:0",
-            "--workers-bind",
-            "127.0.0.1:0",
-            "--min-workers",
-            "2",
-        ],
+        [sys.executable, "-m", "repro", "serve", "--tcp", "127.0.0.1:0"],
         env=child_env(REPRO_FAULTS=json.dumps(PLAN)),
         stdout=subprocess.DEVNULL,
         stderr=subprocess.PIPE,
         text=True,
     )
-    workers: dict = {}
     try:
-        worker_host, worker_port = read_address(
-            gateway.stderr, "workers connect to "
-        )
         host, port = read_address(gateway.stderr, "listening on ")
         client = Client(host, port)
-
-        def live_workers() -> dict:
-            stats = client.request({"op": "stats"})
-            assert stats["ok"], stats
-            for row in stats["pools"]:
-                if row.get("remote"):
-                    return row["remote"]["workers"]
-            return {}
-
-        # Register w0 strictly before w1 so the crash plan's index-0
-        # fault arms inside the worker that hosts the most shards.
-        for name in WORKER_NAMES:
-            workers[name] = spawn_worker(worker_port, name)
-            deadline = time.monotonic() + 60.0
-            while name not in live_workers():
-                assert time.monotonic() < deadline, f"{name} never registered"
-                time.sleep(0.1)
-            print(f"worker {name} registered")
-
-        # The external supervisor: restart w0 after the scheduled crash.
-        def monitor() -> None:
-            while True:
-                if workers["w0"].poll() is not None:
-                    print("[monitor] w0 died; restarting")
-                    workers["w0"] = spawn_worker(worker_port, "w0")
-                    return
-                time.sleep(0.05)
-
-        watcher = threading.Thread(target=monitor, daemon=True)
-        watcher.start()
 
         start = time.monotonic()
         response = client.request(
             {
                 "op": "batch",
-                "workers": 2,
+                "workers": SHARDS,
                 "documents": [
                     {"name": name, "text": text} for name, text in documents
                 ],
@@ -195,31 +126,21 @@ def main() -> int:
         assert got == reference, "TCP batch diverged from sequential reference"
         print(f"13/13 documents byte-identical over TCP in {seconds:.2f}s")
 
-        watcher.join(timeout=30.0)
-        assert not watcher.is_alive(), "the scheduled crash never fired"
-
         stats = client.request({"op": "stats"})
-        row = next(row for row in stats["pools"] if row.get("remote"))
+        assert stats["ok"], stats
+        (row,) = [row for row in stats["pools"] if row["shards"] == SHARDS]
         supervision = row["supervision"]
-        deaths = supervision["worker_deaths"]
-        # One scheduled crash; every dispatch in flight on the dead
-        # connection counts one death/restart/retry (w0 hosts several
-        # shards), bounded by the 2-worker batch concurrency.
-        assert 1 <= deaths <= len(documents), supervision
-        assert supervision["restarts"] == deaths, supervision
-        assert supervision["retries"] == deaths, supervision
-        assert supervision["attempts"] == len(documents) + deaths, supervision
+        # One scheduled crash on a one-process shard: exactly one death,
+        # one respawn and one retry; the respawned worker (spawn 1) is
+        # outside the fault's max_spawn=0 window.
+        assert supervision["worker_deaths"] == 1, supervision
+        assert supervision["restarts"] == 1, supervision
+        assert supervision["retries"] == 1, supervision
+        assert supervision["attempts"] == len(documents) + 1, supervision
         assert supervision["timeouts"] == 0, supervision
         assert supervision["degraded"] is False, supervision
+        assert row["spawns"] == [1, 0], row
         print(f"supervision counters: {supervision}")
-
-        # The restarted worker re-registers under the same name at the
-        # next spawn generation (where max_spawn=0 keeps the fault off).
-        deadline = time.monotonic() + 60.0
-        while live_workers().get("w0", {}).get("spawn") != 1:
-            assert time.monotonic() < deadline, "w0 never re-registered"
-            time.sleep(0.1)
-        print("w0 re-registered at spawn generation 1")
 
         metrics = client.request({"op": "metrics", "full": False})
         counters = metrics["metrics"]["counters"]
@@ -231,16 +152,13 @@ def main() -> int:
         client.close()
 
         assert gateway.wait(timeout=60.0) == 0, "gateway exited non-zero"
-        for name, proc in workers.items():
-            assert proc.wait(timeout=30.0) == 0, f"worker {name} exited non-zero"
-        print("graceful drain: gateway and both workers exited 0")
+        print("graceful drain: gateway exited 0")
         print("tcp soak passed")
         return 0
     finally:
-        for proc in list(workers.values()) + [gateway]:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait(timeout=15)
+        if gateway.poll() is None:
+            gateway.kill()
+            gateway.wait(timeout=15)
 
 
 if __name__ == "__main__":

@@ -14,9 +14,10 @@ stdin/stdout (see :mod:`repro.service.server` for the protocol) — or,
 with ``--tcp HOST:PORT``, on a listening socket (see
 :mod:`repro.service.gateway`).  ``python -m repro batch <dir>`` checks
 every ``*.txt`` document in a directory, one JSON report line per
-document; ``--backend remote --bind HOST:PORT`` dispatches to
-``python -m repro worker --connect HOST:PORT`` processes on other
-machines instead of local worker processes.
+document, in this process or (``--backend process``) on the local
+worker pool.  It exits 0 when every document is consistent, 1 when one
+is not, and 2 on a usage error: no documents, an unreadable document or
+an invalid option.
 """
 
 from __future__ import annotations
@@ -221,63 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="snapshot-compact a session's journal once N records have "
         "accumulated (0 disables compaction; default: 256)",
     )
-    serve.add_argument(
-        "--workers-bind",
-        metavar="HOST:PORT",
-        default=None,
-        help="TCP only: also listen here for 'python -m repro worker' "
-        "registrations and dispatch batch/check work to them instead of "
-        "local worker processes",
-    )
-    serve.add_argument(
-        "--min-workers",
-        type=int,
-        default=1,
-        help="with --workers-bind: wait for this many registered workers "
-        "before the first dispatch (default: 1)",
-    )
     _add_config_arguments(serve)
-
-    worker = sub.add_parser(
-        "worker",
-        help="run a remote pool worker: connect to a dispatcher hub and "
-        "execute its document-check tasks",
-    )
-    worker.add_argument(
-        "--connect",
-        metavar="HOST:PORT",
-        required=True,
-        help="the RemoteWorkerHub to register with (a 'serve --tcp "
-        "--workers-bind' gateway or a 'batch --backend remote --bind' run)",
-    )
-    worker.add_argument(
-        "--name",
-        default=None,
-        help="stable worker name (default: hostname-pid); reusing a name "
-        "across restarts keeps its registration index, so scheduled "
-        "faults and placement stay deterministic",
-    )
-    worker.add_argument(
-        "--reconnect",
-        action="store_true",
-        help="re-register after the hub hangs up or restarts instead of "
-        "exiting",
-    )
-    worker.add_argument(
-        "--reconnect-delay",
-        type=float,
-        default=0.5,
-        help="base delay of the reconnect backoff; consecutive failed "
-        "attempts back off exponentially (seeded jitter) from here "
-        "(default: 0.5)",
-    )
-    worker.add_argument(
-        "--reconnect-cap",
-        type=float,
-        default=30.0,
-        help="upper bound on the reconnect backoff delay in seconds "
-        "(default: 30)",
-    )
 
     batch = sub.add_parser(
         "batch", help="check every *.txt document in a directory"
@@ -292,28 +237,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch.add_argument(
         "--backend",
-        choices=["thread", "process", "remote"],
+        choices=["thread", "process"],
         default="thread",
         help="thread (one document after another in this process, over "
-        "shared caches), process (persistent sharded worker pool, warm "
-        "per-process caches) or remote ('python -m repro worker' "
-        "processes registered over TCP; needs --bind, and --min-workers "
-        "sets the worker count)",
-    )
-    batch.add_argument(
-        "--bind",
-        metavar="HOST:PORT",
-        default=None,
-        help="remote backend: listen for worker registrations here "
-        "(port 0 picks a free port; the bound address is printed to "
-        "stderr)",
-    )
-    batch.add_argument(
-        "--min-workers",
-        type=int,
-        default=1,
-        help="remote backend: wait for this many registered workers "
-        "before dispatching (default: 1)",
+        "shared caches) or process (persistent sharded worker pool, warm "
+        "per-process caches)",
     )
     batch.add_argument(
         "--output", type=Path, default=None,
@@ -433,31 +361,6 @@ def run_serve(args: argparse.Namespace) -> int:
         from .service.gateway import serve_tcp
 
         host, port = _parse_address(args.tcp)
-        hub = None
-        batch_pool = None
-        if args.workers_bind is not None:
-            from .service.pool import WorkerPool, register_shared_pool
-            from .service.remote import RemoteWorkerHub
-
-            worker_host, worker_port = _parse_address(args.workers_bind)
-            hub = RemoteWorkerHub(
-                host=worker_host, port=worker_port, min_workers=args.min_workers
-            )
-            worker_host, worker_port = hub.start()
-            print(
-                f"workers connect to {worker_host}:{worker_port}",
-                file=sys.stderr,
-                flush=True,
-            )
-            # Registered with the shared registry so the stats/metrics
-            # ops report its routing and recovery counters over the wire.
-            batch_pool = register_shared_pool(
-                WorkerPool(
-                    tool=tool,
-                    shards=max(8, 4 * args.min_workers),
-                    remote=hub,
-                )
-            )
         try:
             return serve_tcp(
                 host,
@@ -470,14 +373,9 @@ def run_serve(args: argparse.Namespace) -> int:
                 rate=args.rate_limit,
                 burst=args.rate_burst,
                 allow_shutdown=not args.no_client_shutdown,
-                batch_pool=batch_pool,
                 journal_store=journal_store,
             )
         finally:
-            if batch_pool is not None:
-                batch_pool.shutdown(wait=False)
-            if hub is not None:
-                hub.close()
             if journal_store is not None:
                 journal_store.close()
     try:
@@ -495,65 +393,41 @@ def run_serve(args: argparse.Namespace) -> int:
             journal_store.close()
 
 
-def run_worker(args: argparse.Namespace) -> int:
-    from .service.remote import run_worker as run_once
-    from .service.remote import run_worker_loop
-
-    host, port = _parse_address(args.connect)
-    if args.reconnect:
-        return run_worker_loop(
-            host,
-            port,
-            name=args.name,
-            reconnect_delay=args.reconnect_delay,
-            reconnect_cap=args.reconnect_cap,
-        )
-    return run_once(host, port, name=args.name)
-
-
 def run_batch(args: argparse.Namespace) -> int:
     from .service.batch import BatchChecker
     from .service.supervision import SupervisionConfig
 
     paths = sorted(args.directory.glob("*.txt"))
     if not paths:
-        print(f"no *.txt documents in {args.directory}", file=sys.stderr)
+        print(f"repro batch: no *.txt documents in {args.directory}", file=sys.stderr)
         return 2
     supervision = None
-    if args.backend in ("process", "remote") and (
+    if args.backend == "process" and (
         args.task_timeout is not None or args.max_attempts != 3
     ):
         supervision = SupervisionConfig(
             task_timeout=args.task_timeout, max_attempts=args.max_attempts
         )
-    hub = None
-    if args.backend == "remote":
-        if args.bind is None:
-            print("--backend remote needs --bind HOST:PORT", file=sys.stderr)
-            return 2
-        from .service.remote import RemoteWorkerHub
-
-        host, port = _parse_address(args.bind)
-        hub = RemoteWorkerHub(host=host, port=port, min_workers=args.min_workers)
-        host, port = hub.start()
-        print(f"workers connect to {host}:{port}", file=sys.stderr)
-        sys.stderr.flush()
-    checker = BatchChecker(
-        config=_config_from(args),
-        workers=args.workers if args.backend != "remote" else args.min_workers,
-        backend=args.backend,
-        supervision=supervision,
-        remote=hub,
-    )
+    # Exit 1 means "inconsistent"; bad options and unreadable documents
+    # are usage errors.
     try:
-        results = checker.check_documents(
-            [(path.name, path.read_text()) for path in paths]
+        checker = BatchChecker(
+            config=_config_from(args),
+            workers=args.workers,
+            backend=args.backend,
+            supervision=supervision,
         )
-    finally:
-        if hub is not None:
-            if checker.pool is not None:
-                checker.pool.shutdown()
-            hub.close()
+    except ValueError as error:
+        print(f"repro batch: {error}", file=sys.stderr)
+        return 2
+    documents = []
+    for path in paths:
+        try:
+            documents.append((path.name, path.read_text()))
+        except (OSError, UnicodeDecodeError) as error:
+            print(f"repro batch: {path.name}: {error}", file=sys.stderr)
+            return 2
+    results = checker.check_documents(documents)
     lines = [
         json.dumps({"name": result.name, "report": result.data}, sort_keys=True)
         for result in results
@@ -577,8 +451,6 @@ def main(argv=None) -> int:
             return run_check(args)
     if args.command == "serve":
         return run_serve(args)
-    if args.command == "worker":
-        return run_worker(args)
     if args.command == "batch":
         with _TraceScope(args):
             return run_batch(args)

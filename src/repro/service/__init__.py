@@ -24,12 +24,8 @@ hash-consed core and the process-wide component/automaton caches:
 * :class:`SpecGateway` / :func:`serve_tcp` — the same loop over TCP
   (``python -m repro serve --tcp HOST:PORT``): per-connection session
   namespacing, token-bucket rate limiting, connection caps, graceful
-  drain — see :mod:`~repro.service.gateway`.
-* :class:`RemoteWorkerHub` / ``python -m repro worker --connect`` — the
-  worker pool across machine boundaries: remote processes register over
-  persistent sockets, shards are consistent-hash placed onto them, and
-  supervision treats a dropped connection exactly like a worker death
-  (respawn = await reconnect) — see :mod:`~repro.service.remote`.
+  drain — see :mod:`~repro.service.gateway`.  Its ``batch`` requests
+  run on the gateway's local :class:`WorkerPool`.
 * :mod:`~repro.service.supervision` / :mod:`~repro.service.faults` — the
   fault-tolerance layer: pool dispatch is supervised (retry, respawn,
   watchdog timeout, circuit-breaker degradation to an in-process path),
@@ -51,7 +47,6 @@ from .faults import FaultInjected, FaultPlan, FaultSpec
 from .gateway import SpecGateway, TokenBucket, serve_tcp
 from .journal import DurableSession, JournalStore, SessionJournal
 from .pool import WorkerPool, document_signature, shared_pool, shutdown_shared_pools
-from .remote import RemoteWorkerDied, RemoteWorkerHub, run_worker
 from .reportjson import error_to_dict, report_to_dict
 from .session import SessionDelta, SessionReport, SpecSession
 from .server import AsyncSpecServer, ServiceError, serve
@@ -66,8 +61,6 @@ __all__ = [
     "FaultPlan",
     "FaultSpec",
     "JournalStore",
-    "RemoteWorkerDied",
-    "RemoteWorkerHub",
     "ServiceError",
     "SessionDelta",
     "SessionJournal",
@@ -80,7 +73,6 @@ __all__ = [
     "document_signature",
     "error_to_dict",
     "report_to_dict",
-    "run_worker",
     "serve",
     "serve_tcp",
     "shared_pool",

@@ -1,9 +1,8 @@
-"""Checking many documents: in this process, on worker processes, or on
-remote workers.
+"""Checking many documents: in this process or on worker processes.
 
 :class:`BatchChecker` takes ``(name, document)`` items and returns one
 canonical report dictionary (``report_to_dict(report, timings=False)``)
-per document, in input order.  The three backends run the same
+per document, in input order.  The two backends run the same
 per-document pipeline over semantically transparent caches, so their
 reports are byte-identical (``tests/test_service.py`` and
 ``tests/test_pool.py`` assert it), and a document whose pipeline raises
@@ -19,12 +18,9 @@ still checked.
 * ``backend="process"`` dispatches documents onto the persistent sharded
   :class:`~repro.service.pool.WorkerPool`: workers are spawned once, keep
   their caches warm across tasks, and repeated documents route to the
-  shard that already analysed them.
-* ``backend="remote"`` dispatches the same tasks to ``python -m repro
-  worker`` processes registered with a
-  :class:`~repro.service.remote.RemoteWorkerHub`, behind the same
-  pool/supervision seam.  Pool workers return canonical report
-  dictionaries: interned formulas must not cross process boundaries.
+  shard that already analysed them.  This is where a batch gets CPU
+  parallelism.  Pool workers return canonical report dictionaries:
+  interned formulas must not cross process boundaries.
 """
 
 from __future__ import annotations
@@ -84,7 +80,7 @@ def _check_document(tool: SpecCC, document: Document) -> ConsistencyReport:
 class BatchChecker:
     """Check many documents with deterministic, backend-independent results."""
 
-    BACKENDS = ("thread", "process", "remote")
+    BACKENDS = ("thread", "process")
 
     def __init__(
         self,
@@ -95,7 +91,6 @@ class BatchChecker:
         pool: Optional[WorkerPool] = None,
         supervision: Optional[SupervisionConfig] = None,
         fault_plan: Optional[FaultPlan] = None,
-        remote=None,
     ) -> None:
         """*tool* overrides *config*: pass it to check with a non-default
         antonym dictionary or signs (the serve loop does, so its batch
@@ -111,23 +106,11 @@ class BatchChecker:
         *supervision* and *fault_plan* configure the pool's recovery
         policy and fault schedule when this checker creates it (they are
         ignored for an injected or already-registered pool).
-
-        ``backend="remote"`` needs *remote* — a started
-        :class:`~repro.service.remote.RemoteWorkerHub` — or an injected
-        remote-backed *pool*; *workers* then means the expected worker
-        count (the pool is sharded finer, ``max(8, 4 * workers)``, so
-        consistent-hash placement stays balanced as workers join and
-        leave).
         """
         if backend not in self.BACKENDS:
             raise ValueError(f"unknown backend {backend!r}")
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if backend == "remote" and remote is None and pool is None:
-            raise ValueError(
-                "backend='remote' needs a RemoteWorkerHub (remote=) or a "
-                "remote-backed WorkerPool (pool=)"
-            )
         self.tool = tool if tool is not None else SpecCC(config)
         self.config = self.tool.config
         self.workers = workers
@@ -135,7 +118,6 @@ class BatchChecker:
         self.pool = pool
         self.supervision = supervision
         self.fault_plan = fault_plan
-        self.remote = remote
 
     # ------------------------------------------------------------ running
     def check_documents(
@@ -151,7 +133,7 @@ class BatchChecker:
             backend=self.backend,
             workers=self.workers,
         ):
-            if self.backend != "thread":
+            if self.backend == "process":
                 tasks = self._pool().check_documents(items)
                 return [BatchResult(task.name, task.data) for task in tasks]
             results = []
@@ -167,23 +149,12 @@ class BatchChecker:
             return results
 
     def _pool(self) -> WorkerPool:
-        """The pool the process and remote backends dispatch onto."""
+        """The pool the process backend dispatches onto."""
         if self.pool is not None:
             return self.pool
-        if self.backend == "process":
-            return shared_pool(
-                tool=self.tool,
-                shards=self.workers,
-                supervision=self.supervision,
-                fault_plan=self.fault_plan,
-            )
-        # A remote-backed pool is this checker's own: it stays on
-        # ``self.pool`` for reuse, and the caller shuts it down.
-        self.pool = WorkerPool(
+        return shared_pool(
             tool=self.tool,
-            shards=max(8, 4 * self.workers),
-            remote=self.remote,
+            shards=self.workers,
             supervision=self.supervision,
             fault_plan=self.fault_plan,
         )
-        return self.pool

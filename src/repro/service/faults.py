@@ -35,9 +35,7 @@ way to spell "this shard is persistently broken".
 
 The plan can also come from the environment (``REPRO_FAULTS``, a JSON
 object — see :meth:`FaultPlan.from_env`), so CI soak jobs and the CLI
-can inject faults without touching code.  This is the harness pattern
-future remote-worker transports are expected to reuse: the transport
-changes, the fault vocabulary and determinism contract do not.
+can inject faults without touching code.
 """
 
 from __future__ import annotations
@@ -89,7 +87,7 @@ class FaultSpec:
 
     A ``raise`` fault fires on entry to
     :meth:`repro.SpecCC.check_translated`, the pipeline stage every pool
-    and remote worker task runs.
+    task runs.
     """
 
     kind: str

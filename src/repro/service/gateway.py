@@ -300,7 +300,6 @@ def serve_tcp(
     rate: Optional[float] = None,
     burst: Optional[float] = None,
     allow_shutdown: bool = True,
-    batch_pool=None,
     journal_store=None,
 ) -> int:
     """Blocking entry point of ``python -m repro serve --tcp HOST:PORT``.
@@ -308,8 +307,8 @@ def serve_tcp(
     Prints one ``listening on HOST:PORT`` line to stderr once bound
     (port 0 picks a free port — harnesses parse this line), then serves
     until SIGTERM/SIGINT or a client ``shutdown``.  ``batch`` requests
-    default to the persistent process pool (*batch_pool* when given, e.g.
-    the ``--workers-bind`` remote pool).  With *journal_store*
+    default to the gateway's persistent local process pool
+    (:func:`~repro.service.pool.shared_pool`).  With *journal_store*
     every journal in the store directory is recovered before the socket
     binds, and clients get the ``attach`` durable-session op.
     """
@@ -325,7 +324,6 @@ def serve_tcp(
             else DEFAULT_MAX_REQUEST_BYTES
         ),
         max_queue=max_queue,
-        batch_pool=batch_pool,
         journal_store=journal_store,
     )
     gateway = SpecGateway(

@@ -56,9 +56,10 @@ the supervisor's recovery counters in :meth:`WorkerPool.stats`;
 snapshot on demand.
 
 ``backend="process"`` of :class:`~repro.service.batch.BatchChecker` and
-the serve daemon's ``batch`` op both draw their pool from the module-level
-:func:`shared_pool` registry, so one set of warm workers serves every
-batch request in the process.
+the serve daemon's ``batch`` op, on stdio and over the TCP gateway, both
+draw their pool from the module-level :func:`shared_pool` registry, so
+one set of warm local worker processes serves every batch request in the
+process.
 """
 
 from __future__ import annotations
@@ -251,20 +252,10 @@ class WorkerPool:
         tool: Optional[SpecCC] = None,
         supervision: Optional[SupervisionConfig] = None,
         fault_plan: Optional[FaultPlan] = None,
-        remote: Optional["RemoteWorkerHub"] = None,
     ) -> None:
         """*tool* overrides *config* (mirrors ``BatchChecker``): the
         worker tools are rebuilt from its config, antonym dictionary and
-        signs, so pool verdicts match the supplying session's.
-
-        *remote* swaps the per-shard process executors for a
-        :class:`~repro.service.remote.RemoteWorkerHub`: shards are
-        placed onto registered ``python -m repro worker`` processes by
-        consistent hashing, dispatch goes over their persistent sockets,
-        and respawn means *wait for a reconnect*.  Everything else —
-        routing, supervision, span stitching, canonical report bytes —
-        is identical.  The hub's lifecycle belongs to the caller
-        (``shutdown`` does not close it)."""
+        signs, so pool verdicts match the supplying session's."""
         if shards < 1:
             raise ValueError("shards must be >= 1")
         template = tool if tool is not None else SpecCC(config)
@@ -285,14 +276,6 @@ class WorkerPool:
             )
         self.supervision = supervision
         self._supervisor = Supervisor(self, supervision)
-        self._remote = remote
-        #: Which remote worker served each shard's last dispatch — the
-        #: respawn hook disconnects exactly this worker when the shard's
-        #: task times out (a genuinely dead worker removes itself).
-        self._last_remote: Dict[int, object] = {}
-        if remote is not None:
-            remote.start()
-            remote.attach(self._setup, prewarm, self.fault_plan)
         self._executors: List[Optional[ProcessPoolExecutor]] = [None] * shards
         self._spawns = [0] * shards  # spawn generation per shard
         self._queues: List["queue.Queue"] = [queue.Queue() for _ in range(shards)]
@@ -348,10 +331,9 @@ class WorkerPool:
                 return self._startup_seconds
             start = time.perf_counter()
             for shard in range(self.shards):
-                if self._remote is None:
-                    self._executors[shard] = self._make_executor(
-                        shard, self._spawns[shard]
-                    )
+                self._executors[shard] = self._make_executor(
+                    shard, self._spawns[shard]
+                )
                 dispatcher = threading.Thread(
                     target=self._dispatch_loop,
                     args=(shard,),
@@ -360,18 +342,6 @@ class WorkerPool:
                 )
                 self._dispatchers[shard] = dispatcher
                 dispatcher.start()
-            if self._remote is not None:
-                # Remote mode: startup is workers *registering*, not
-                # processes spawning.  Block until the hub has its quorum
-                # so the first submit does not race the first register.
-                if not self._remote.wait_for_workers(
-                    self._remote.min_workers, self._remote.register_timeout
-                ):
-                    raise WorkerUnavailable(
-                        f"only {len(self._remote.workers())} of "
-                        f"{self._remote.min_workers} remote workers "
-                        f"registered within {self._remote.register_timeout}s"
-                    )
             self._startup_seconds = time.perf_counter() - start
             return self._startup_seconds
 
@@ -432,11 +402,6 @@ class WorkerPool:
             # Ask the worker to trace this task; its spans come back in
             # the delta dict and are stitched in by the dispatcher.
             item = item + (True,)
-        if self._remote is not None:
-            worker = self._remote.worker_for(shard)  # raises WorkerUnavailable
-            with self._lock:
-                self._last_remote[shard] = worker
-            return worker.submit(item)
         with self._lock:
             executor = self._executors[shard]
         if executor is None:
@@ -447,21 +412,7 @@ class WorkerPool:
         """Terminate shard *shard*'s worker and bring up a replacement
         through the ordinary initializer (+prewarm).  Raises when the
         replacement fails to come up (the supervisor counts that and may
-        trip the circuit breaker).
-
-        Remote flavour: the pool cannot resurrect a process on another
-        machine, so respawn becomes *reconnect* — drop the worker that
-        served the failing dispatch if it is still connected (presumed
-        hung), then block until a live worker can host the shard again
-        (see :meth:`~repro.service.remote.RemoteWorkerHub.respawn`)."""
-        if self._remote is not None:
-            with self._lock:
-                if self._closed:
-                    raise RuntimeError("pool is shut down")
-                suspect = self._last_remote.pop(shard, None)
-                self._spawns[shard] += 1
-            self._remote.respawn(shard, suspect)
-            return
+        trip the circuit breaker)."""
         with self._lock:
             if self._closed:
                 raise RuntimeError("pool is shut down")
@@ -602,10 +553,6 @@ class WorkerPool:
         of failing the whole call.
         """
         self.ensure_started()
-        if self._remote is not None:
-            # Remote mode: one snapshot per registered worker (not per
-            # shard — several shards share a worker's caches).
-            return self._remote.snapshots()
         with self._lock:
             executors = list(self._executors)
         snapshots: List[dict] = []
@@ -633,7 +580,6 @@ class WorkerPool:
         resolved to error records.
         """
         supervision = self._supervisor.stats()
-        remote = self._remote.stats() if self._remote is not None else None
         with self._lock:
             hits, misses = self._worker_hits, self._worker_misses
             total = hits + misses
@@ -641,7 +587,6 @@ class WorkerPool:
             sem_misses = self._worker_semantics_misses
             sem_total = sem_hits + sem_misses
             return {
-                "remote": remote,
                 "shards": self.shards,
                 "started": self._startup_seconds is not None,
                 "startup_seconds": self._startup_seconds,
@@ -720,20 +665,6 @@ def shared_pool(
             )
             _shared_pools[key] = pool
         return pool
-
-
-def register_shared_pool(pool: WorkerPool) -> WorkerPool:
-    """Expose an externally constructed pool through the registry.
-
-    The TCP gateway registers its remote-backed batch pool here so the
-    serve ``stats``/``metrics`` ops (``pool.*`` / ``supervision.*``
-    namespaces) report its routing and recovery counters over the wire
-    like any shared pool's.  Keyed by identity: the caller still owns
-    the pool's lifecycle (a shutdown pool simply reports its last
-    stats until the registry is cleared)."""
-    with _shared_lock:
-        _shared_pools[("external", id(pool))] = pool
-    return pool
 
 
 def shared_pool_stats() -> List[dict]:

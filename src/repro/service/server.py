@@ -355,7 +355,6 @@ class _Server:
             tool=self.core.tool,
             workers=max(1, min(int(request.get("workers", 4)), self.MAX_BATCH_WORKERS)),
             backend=str(request.get("backend", self.core.default_batch_backend)),
-            pool=self.core.batch_pool,
         )
         results = checker.check_documents(items)
         return {
@@ -507,14 +506,12 @@ class AsyncSpecServer:
         request_timeout: Optional[float] = None,
         max_request_bytes: int = DEFAULT_MAX_REQUEST_BYTES,
         max_queue: int = 64,
-        batch_pool=None,
         journal_store=None,
     ) -> None:
         """*default_batch_backend* answers ``batch`` requests that name no
-        backend; *batch_pool* pins the :class:`~repro.service.pool.
-        WorkerPool` behind ``backend="process"`` (the TCP gateway passes
-        its remote-worker pool here; without one the shared registry pool
-        is used).
+        backend; ``backend="process"`` runs on the process-wide
+        :func:`~repro.service.pool.shared_pool`, one set of warm workers
+        for every session and connection.
 
         *max_sessions* bounds the number of concurrently held client
         sessions: each named session keeps a :class:`SpecSession` alive
@@ -542,7 +539,6 @@ class AsyncSpecServer:
         self.request_timeout = request_timeout
         self.max_request_bytes = max_request_bytes
         self.max_queue = max_queue
-        self.batch_pool = batch_pool
         self.journal_store = journal_store
         self.started = time.monotonic()
         self._sessions: dict = {}

@@ -11,16 +11,12 @@ weakening order of preference:
    (deterministic document errors, injected ``raise`` faults) is retried
    up to ``max_attempts`` times with exponential backoff and
    deterministic seeded jitter.
-2. **Respawn and retry** — worker death (any ``BrokenExecutor``:
-   ``BrokenProcessPool`` locally, a dropped connection's
-   :class:`~repro.service.remote.RemoteWorkerDied` remotely) or a
-   per-task wall-clock timeout (a hung worker, observed by the watchdog
-   ``future.result(timeout=...)``) respawns the shard's worker, then
-   retries.  What "respawn" means belongs to the pool's transport:
-   terminate + re-initialize the local process, or — for remote workers
-   the parent cannot resurrect — disconnect the presumed-hung connection
-   and *wait for a reconnect*.  The ladder, the counters and the
-   circuit breaker are identical either way.
+2. **Respawn and retry** — worker death (any ``BrokenExecutor``, i.e.
+   ``BrokenProcessPool``) or a per-task wall-clock timeout (a hung
+   worker, observed by the watchdog ``future.result(timeout=...)``)
+   respawns the shard's worker, then retries.  Respawn means terminate
+   the shard's process and re-initialize a fresh one through the pool's
+   ordinary initializer (+prewarm).
 3. **Degrade in-process** — when attempts are exhausted, or respawn
    itself keeps failing (circuit breaker: ``max_respawn_failures``
    consecutive failures), the task runs on the parent's own sequential
@@ -115,9 +111,8 @@ class Supervisor:
 
     * ``_dispatch(shard, item) -> Future`` — submit to the shard's live
       executor, raising :class:`WorkerUnavailable` when there is none;
-    * ``_respawn_shard(shard)`` — bring the shard a healthy worker again
-      (terminate + respawn locally; disconnect + await-reconnect for
-      remote workers), raising on failure;
+    * ``_respawn_shard(shard)`` — terminate the shard's worker process
+      and re-initialize a fresh one, raising on failure;
     * ``_inline_check(item) -> (data, delta)`` — the sequential
       in-process fallback over the same tool setup.
 

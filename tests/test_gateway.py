@@ -442,31 +442,11 @@ class TestGateway:
         """``python -m repro serve --tcp`` answers a ``batch`` that names
         no backend from the persistent process pool (stdio ``serve``
         defaults to ``thread``)."""
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-        env.pop("REPRO_FAULTS", None)
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve", "--tcp", "127.0.0.1:0"],
-            env=env,
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.PIPE,
-            text=True,
-        )
+        proc, address = _spawn_serve_tcp()
         try:
-            marker = "listening on "
-            line = ""
-            while not line.startswith(marker):
-                line = proc.stderr.readline()
-                assert line, "serve --tcp exited before listening"
-            host, _, port = line[len(marker):].strip().rpartition(":")
-            sock = socket.create_connection((host, int(port)), timeout=120)
+            sock = socket.create_connection(address, timeout=120)
             with sock, sock.makefile("rwb") as stream:
-
-                def request(payload: dict) -> dict:
-                    stream.write(json.dumps(payload).encode("utf-8") + b"\n")
-                    stream.flush()
-                    return json.loads(stream.readline())
-
+                request = _line_requester(stream)
                 batch = request(
                     {
                         "op": "batch",
@@ -490,6 +470,101 @@ class TestGateway:
         assert batch["results"][1]["report"]["consistent"] is False
         pools = [(pool["shards"], pool["tasks"]) for pool in stats["pools"]]
         assert pools == [(2, 2)], pools
+
+    def test_serve_tcp_batch_recovers_worker_crash_with_exact_counters(self):
+        """A scheduled crash kills a worker of the gateway's local pool
+        mid-batch: the supervisor respawns it and retries the task, the
+        13 reports still match the sequential run byte for byte, and the
+        ``stats`` op reads exact counters, since each shard is one
+        process."""
+        from repro import BatchChecker
+        from test_pool import CORPUS13
+
+        sequential = [
+            json.dumps(result.data, sort_keys=True)
+            for result in BatchChecker(workers=1).check_documents(CORPUS13)
+        ]
+        plan = {
+            "seed": 11,
+            "faults": [{"kind": "crash", "shard": 0, "task": 2, "max_spawn": 0}],
+        }
+        proc, address = _spawn_serve_tcp(REPRO_FAULTS=json.dumps(plan))
+        try:
+            sock = socket.create_connection(address, timeout=120)
+            with sock, sock.makefile("rwb") as stream:
+                request = _line_requester(stream)
+                batch = request(
+                    {
+                        "op": "batch",
+                        "workers": 2,
+                        "documents": [
+                            {"name": name, "text": text}
+                            for name, text in CORPUS13
+                        ],
+                    }
+                )
+                stats = request({"op": "stats"})
+                request({"op": "shutdown"})
+            assert proc.wait(timeout=60) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=15)
+            proc.stderr.close()
+        assert batch["ok"] is True, batch
+        got = [
+            json.dumps(entry["report"], sort_keys=True)
+            for entry in batch["results"]
+        ]
+        assert got == sequential
+        (row,) = stats["pools"]
+        assert "remote" not in row
+        supervision = row["supervision"]
+        assert supervision["worker_deaths"] == 1
+        assert supervision["restarts"] == 1
+        assert supervision["retries"] == 1
+        assert supervision["attempts"] == len(CORPUS13) + 1
+        assert supervision["timeouts"] == 0
+        assert supervision["degraded"] is False
+        # The respawned worker (spawn 1) is outside max_spawn=0.
+        assert row["spawns"] == [1, 0]
+
+
+def _spawn_serve_tcp(**env_extra: str):
+    """Start ``python -m repro serve --tcp 127.0.0.1:0`` as deployed and
+    return the process with the address from its ``listening on`` line."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    env.pop("REPRO_FAULTS", None)
+    env.update(env_extra)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--tcp", "127.0.0.1:0"],
+        env=env,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    marker = "listening on "
+    line = ""
+    while not line.startswith(marker):
+        line = proc.stderr.readline()
+        if not line:
+            proc.wait(timeout=15)
+            proc.stderr.close()
+            raise AssertionError("serve --tcp exited before listening")
+    host, _, port = line[len(marker):].strip().rpartition(":")
+    return proc, (host, int(port))
+
+
+def _line_requester(stream):
+    """A blocking JSON-lines request function over a socket file."""
+
+    def request(payload: dict) -> dict:
+        stream.write(json.dumps(payload).encode("utf-8") + b"\n")
+        stream.flush()
+        return json.loads(stream.readline())
+
+    return request
 
 
 def _gateway_counters() -> dict:

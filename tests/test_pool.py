@@ -195,6 +195,48 @@ class TestWorkerPool:
             assert stats["supervision"]["task_errors"] == 3
             assert stats["spawns"] == [0]
 
+    def test_error_records_byte_identical_to_sequential(self):
+        """A pipeline exception raised inside a worker process crosses
+        the process boundary under its original type name: the error
+        record matches the sequential run byte for byte, and no worker
+        died for it."""
+        corpus = [("bad", [("R1", "")])] + DOCS
+        sequential = canonical(BatchChecker(workers=1).check_documents(corpus))
+        with WorkerPool(
+            shards=2, prewarm=False, supervision=SupervisionConfig(seed=0, **FAST)
+        ) as pool:
+            tasks = pool.check_documents(corpus)
+            stats = pool.stats()
+        assert canonical(tasks) == sequential
+        assert tasks[0].data["error"]["type"] == "StructuredEnglishError"
+        assert all(task.error is None for task in tasks[1:])
+        assert stats["supervision"]["error_records"] == 1
+        assert stats["supervision"]["worker_deaths"] == 0
+        assert stats["spawns"] == [0, 0]
+
+    def test_stats_row_keys(self):
+        """The pool row that the serve ``stats``/``metrics`` ops and
+        ``check --stats`` surface.  The local process pool is the only
+        transport, so the row carries no ``remote`` member."""
+        with WorkerPool(shards=1, prewarm=False) as pool:
+            pool.check_documents(DOCS[:1])
+            stats = pool.stats()
+        assert set(stats) == {
+            "shards",
+            "started",
+            "startup_seconds",
+            "tasks",
+            "failures",
+            "per_shard",
+            "spawns",
+            "distinct_signatures",
+            "affinity_repeats",
+            "supervision",
+            "worker_cache",
+            "worker_semantics",
+        }
+        assert stats["tasks"] == 1
+
     def test_invalid_configuration(self):
         with pytest.raises(ValueError):
             WorkerPool(shards=0)

@@ -22,6 +22,7 @@ from repro import (
     SpecCCConfig,
     SpecSession,
     Verdict,
+    WorkerPool,
 )
 from repro.__main__ import main as cli_main
 from repro.service.reportjson import report_to_dict
@@ -777,6 +778,42 @@ class TestServeAsync:
         finally:
             shutdown_shared_pools()
 
+    def test_stats_and_metrics_ops_report_the_process_pool_row(self):
+        """After a process-backend batch the ``stats`` and ``metrics`` ops
+        surface the same pool row, with its task and supervision counts
+        and no ``remote`` member: the local pool is the only transport."""
+        from repro.service.pool import shutdown_shared_pools
+
+        shutdown_shared_pools()
+        try:
+            batch, stats, metrics = run_serve(
+                [
+                    {
+                        "op": "batch",
+                        "backend": "process",
+                        "workers": 2,
+                        "documents": [
+                            {"name": "a", "text": BATCH_DOCS[0][1]},
+                            {"name": "b", "text": BATCH_DOCS[2][1]},
+                        ],
+                    },
+                    {"op": "stats"},
+                    {"op": "metrics", "full": False},
+                ]
+            )
+        finally:
+            shutdown_shared_pools()
+        assert batch["ok"] is True
+        pool = metrics["metrics"]["pool"]
+        assert (pool["pools"], pool["tasks"], pool["failures"]) == (1, 2, 0)
+        (stats_row,) = stats["pools"]
+        (metrics_row,) = pool["rows"]
+        for row in (stats_row, metrics_row):
+            assert "remote" not in row
+            assert (row["shards"], row["tasks"]) == (2, 2)
+            assert row["supervision"]["attempts"] == 2
+            assert row["supervision"]["worker_deaths"] == 0
+
     def test_invalid_op_does_not_allocate_a_session(self):
         """Invalid traffic must not grow daemon state: the op is validated
         before any per-session allocation happens."""
@@ -833,14 +870,15 @@ class TestServeAsync:
         assert captured["workers"] == server_module._Server.MAX_BATCH_WORKERS
         assert captured["backend"] == "thread"  # the stdio transport's default
 
-    def test_batch_op_rejects_unknown_backend(self):
-        """The cold-process reference backend is gone: a client cannot
-        make the daemon spawn a fresh process per document."""
+    @pytest.mark.parametrize("backend", ["process-fresh", "remote"])
+    def test_batch_op_rejects_unknown_backend(self, backend):
+        """The cold-process reference backend and the remote worker tier
+        are gone: a client can reach neither through a batch request."""
         responses = run_serve(
             [
                 {
                     "op": "batch",
-                    "backend": "process-fresh",
+                    "backend": backend,
                     "documents": [{"name": "a", "text": "The valve is opened."}],
                 }
             ]
@@ -1248,14 +1286,82 @@ class TestCLI:
     def test_batch_empty_directory(self, tmp_path):
         assert cli_main(["batch", str(tmp_path)]) == 2
 
-    def test_serve_rejects_async_flag(self, capsys):
-        """There is one request loop: the former ``--async`` front end is
-        plain ``serve``."""
+    def test_batch_undecodable_document_exits_2(self, tmp_path, capsys):
+        """Exit 1 means "inconsistent"; an unreadable document is a usage
+        error, reported without a traceback."""
+        (tmp_path / "a.txt").write_text("The valve is opened.\n")
+        (tmp_path / "b.txt").write_bytes(b"\xff\xfeThe valve is opened.\n")
+        assert cli_main(["batch", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("repro batch: b.txt: ")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_batch_invalid_workers_exits_2(self, tmp_path, capsys):
+        (tmp_path / "a.txt").write_text("The valve is opened.\n")
+        assert cli_main(["batch", str(tmp_path), "--workers", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "repro batch: workers must be >= 1\n"
+        assert captured.out == ""
+
+    def test_batch_unreadable_document_exits_2(self, tmp_path, capsys):
+        """Any ``*.txt`` that cannot be read (here a directory, an
+        ``OSError``) is a usage error as well."""
+        (tmp_path / "a.txt").write_text("The valve is opened.\n")
+        (tmp_path / "c.txt").mkdir()
+        assert cli_main(["batch", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("repro batch: c.txt: ")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_batch_process_backend_prints_thread_backend_bytes(
+        self, tmp_path, capsys
+    ):
+        """``--backend process`` is where a batch gets CPU parallelism;
+        its JSON lines and exit code match the in-process backend's."""
+        from repro.service.pool import shutdown_shared_pools
+
+        for name, text in BATCH_DOCS:
+            (tmp_path / f"{name}.txt").write_text(text)
+        assert cli_main(["batch", str(tmp_path)]) == 1  # "unsat" is inconsistent
+        thread_out = capsys.readouterr().out
+        try:
+            code = cli_main(
+                ["batch", str(tmp_path), "--backend", "process", "--workers", "2"]
+            )
+        finally:
+            shutdown_shared_pools()
+        assert code == 1
+        assert capsys.readouterr().out == thread_out
+        names = [json.loads(line)["name"] for line in thread_out.splitlines()]
+        assert names == sorted(f"{name}.txt" for name, _ in BATCH_DOCS)
+
+    @pytest.mark.parametrize(
+        "argv, removed",
+        [
+            (["serve", "--async"], "--async"),
+            (
+                ["serve", "--tcp", "127.0.0.1:0", "--workers-bind", "127.0.0.1:0"],
+                "--workers-bind",
+            ),
+            (["serve", "--min-workers", "2"], "--min-workers"),
+            (["worker", "--connect", "127.0.0.1:1"], "'worker'"),
+            (["batch", ".", "--backend", "remote"], "'remote'"),
+            (["batch", ".", "--bind", "127.0.0.1:0"], "--bind"),
+        ],
+        ids=["async", "workers-bind", "min-workers", "worker", "remote", "bind"],
+    )
+    def test_serve_rejects_async_flag(self, argv, removed, capsys):
+        """Removed surface is rejected at parse time, not half-alive: one
+        request loop (no ``--async``) and one pool transport (no remote
+        worker tier)."""
         from repro.__main__ import build_parser
 
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve", "--async"])
-        assert "--async" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert removed in capsys.readouterr().err
 
     def test_serve_accepts_tcp_flags(self):
         from repro.__main__ import build_parser
@@ -1268,8 +1374,6 @@ class TestCLI:
                 "--rate-burst", "10",
                 "--max-connections", "2",
                 "--no-client-shutdown",
-                "--workers-bind", "127.0.0.1:0",
-                "--min-workers", "2",
             ]
         )
         assert args.tcp == "127.0.0.1:0"
@@ -1277,34 +1381,7 @@ class TestCLI:
         assert args.rate_burst == 10.0
         assert args.max_connections == 2
         assert args.no_client_shutdown is True
-        assert args.workers_bind == "127.0.0.1:0"
-        assert args.min_workers == 2
         assert build_parser().parse_args(["serve"]).tcp is None
-
-    def test_worker_subcommand_parses(self):
-        from repro.__main__ import build_parser
-
-        args = build_parser().parse_args(
-            ["worker", "--connect", "host:7401", "--name", "w0", "--reconnect"]
-        )
-        assert args.connect == "host:7401"
-        assert args.name == "w0"
-        assert args.reconnect is True
-
-    def test_batch_accepts_remote_backend(self):
-        from repro.__main__ import build_parser
-
-        args = build_parser().parse_args(
-            [
-                "batch", ".",
-                "--backend", "remote",
-                "--bind", "127.0.0.1:0",
-                "--min-workers", "2",
-            ]
-        )
-        assert args.backend == "remote"
-        assert args.bind == "127.0.0.1:0"
-        assert args.min_workers == 2
 
     def test_json_rejects_textual_flags(self, tmp_path, capsys):
         document = tmp_path / "spec.txt"
@@ -1312,6 +1389,43 @@ class TestCLI:
         with pytest.raises(SystemExit):
             cli_main(["check", str(document), "--json", "--ltl"])
         assert "--json cannot be combined" in capsys.readouterr().err
+
+
+class TestOneTransport:
+    """The local process pool is the only pool transport: the remote
+    worker tier's parameters, backend and module are rejected, not
+    half-alive."""
+
+    @pytest.mark.parametrize(
+        "construct",
+        [
+            lambda: WorkerPool(shards=1, remote=None),
+            lambda: BatchChecker(remote=None),
+        ],
+        ids=["WorkerPool", "BatchChecker"],
+    )
+    def test_remote_parameter_is_rejected(self, construct):
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            construct()
+
+    def test_batch_checker_has_two_backends(self):
+        assert BatchChecker.BACKENDS == ("thread", "process")
+        with pytest.raises(ValueError, match="unknown backend 'remote'"):
+            BatchChecker(backend="remote")
+
+    def test_remote_module_is_gone_and_exports_resolve(self):
+        import importlib
+
+        import repro.service
+
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.service.remote")
+        # An export left behind for a deleted name would break ``import *``.
+        missing = [
+            name for name in repro.service.__all__
+            if not hasattr(repro.service, name)
+        ]
+        assert missing == []
 
 
 class TestCacheStats:
