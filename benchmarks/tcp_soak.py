@@ -31,7 +31,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from bench_service import fault_documents  # noqa: E402
+from soak_corpus import fault_documents  # noqa: E402
 from repro.service.batch import BatchChecker  # noqa: E402
 
 PLAN = {

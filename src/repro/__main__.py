@@ -37,6 +37,55 @@ from .nlp import (
 from .translate import AbstractionMethod, TranslationOptions
 
 
+def _at_least(convert, low, strict: bool = False):
+    """An argparse ``type=`` that converts with *convert* and requires
+    ``>= low`` (``> low`` when *strict*), so an out-of-range value is a
+    usage error (exit 2) instead of a traceback or a silently broken run."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not (value > low if strict else value >= low):
+            raise argparse.ArgumentTypeError(
+                f"must be {'>' if strict else '>='} {low}, got {text!r}"
+            )
+        return value
+
+    parse.__name__ = convert.__name__  # "invalid int value: ..." on junk
+    return parse
+
+
+_non_negative_int = _at_least(int, 0)
+_positive_int = _at_least(int, 1)
+_non_negative_float = _at_least(float, 0)
+_positive_float = _at_least(float, 0, strict=True)
+
+
+def _parse_address(text: str) -> "tuple":
+    """``HOST:PORT`` → ``(host, port)``, the port in 0–65535 (0 picks a
+    free one); an argparse ``type=``."""
+    host, separator, port = text.rpartition(":")
+    if not separator or not host:
+        raise argparse.ArgumentTypeError(f"expected HOST:PORT, got {text!r}")
+    try:
+        number = int(port)
+    except ValueError:
+        number = -1
+    if not 0 <= number <= 65535:
+        raise argparse.ArgumentTypeError(f"invalid port (0-65535) in {text!r}")
+    return host, number
+
+
+def _fsync_policy(text: str) -> str:
+    """The journal's own fsync-policy parser as an argparse ``type=``."""
+    from .service.journal import JournalStore
+
+    try:
+        JournalStore.parse_fsync(text)
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
+    return text
+
+
 def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--abstraction",
@@ -45,7 +94,10 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
         help="time abstraction method (default: optimal)",
     )
     parser.add_argument(
-        "--error-bound", type=int, default=5, help="budget B of Eq. (2)"
+        "--error-bound",
+        type=_non_negative_int,
+        default=5,
+        help="budget B of Eq. (2)",
     )
     parser.add_argument(
         "--keep-next",
@@ -72,7 +124,7 @@ def _add_trace_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--slow-span-ms",
-        type=float,
+        type=_non_negative_float,
         default=None,
         help="log any span exceeding this threshold (milliseconds) with "
         "its attributes via the 'repro.obs.trace' logger; implies tracing",
@@ -142,21 +194,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--request-timeout",
-        type=float,
+        type=_positive_float,
         default=None,
         help="per-request wall-clock deadline in seconds; an expired "
         "request gets a structured 'timeout' error (default: none)",
     )
     serve.add_argument(
         "--max-request-bytes",
-        type=int,
+        type=_positive_int,
         default=None,
         help="bound on one raw request line; longer lines get a "
         "structured 'oversized' error (default: 1 MiB)",
     )
     serve.add_argument(
         "--max-queue",
-        type=int,
+        type=_positive_int,
         default=64,
         help="max requests in flight per stream (stdio, or one TCP "
         "connection); at the bound the stream stops reading until one "
@@ -164,6 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--tcp",
+        type=_parse_address,
         metavar="HOST:PORT",
         default=None,
         help="listen on a TCP socket instead of stdio (port 0 picks a "
@@ -172,21 +225,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--max-connections",
-        type=int,
+        type=_positive_int,
         default=64,
         help="TCP only: concurrent client connections before new ones "
         "are rejected with 'overloaded' (default: 64)",
     )
     serve.add_argument(
         "--rate-limit",
-        type=float,
+        type=_positive_float,
         default=None,
         help="TCP only: per-connection request rate in requests/second "
         "(token bucket); excess requests get 'overloaded' (default: none)",
     )
     serve.add_argument(
         "--rate-burst",
-        type=float,
+        type=_positive_float,
         default=None,
         help="TCP only: token-bucket burst capacity (default: the rate)",
     )
@@ -208,6 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--journal-fsync",
+        type=_fsync_policy,
         default="always",
         metavar="POLICY",
         help="journal durability policy: 'always' (fsync every append), "
@@ -216,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--journal-compact-every",
-        type=int,
+        type=_non_negative_int,
         default=256,
         metavar="N",
         help="snapshot-compact a session's journal once N records have "
@@ -249,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch.add_argument(
         "--task-timeout",
-        type=float,
+        type=_positive_float,
         default=None,
         help="process backend: per-document wall-clock watchdog in "
         "seconds; a hung worker is respawned and the document retried "
@@ -257,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch.add_argument(
         "--max-attempts",
-        type=int,
+        type=_positive_int,
         default=3,
         help="process backend: supervised tries per document before it "
         "degrades to the in-process path or an error record (default: 3)",
@@ -323,17 +377,6 @@ def run_check(args: argparse.Namespace) -> int:
     return 0 if report.consistent else 1
 
 
-def _parse_address(text: str) -> "tuple":
-    """``HOST:PORT`` → ``(host, port)`` (raises SystemExit on nonsense)."""
-    host, separator, port = text.rpartition(":")
-    if not separator or not host:
-        raise SystemExit(f"expected HOST:PORT, got {text!r}")
-    try:
-        return host, int(port)
-    except ValueError:
-        raise SystemExit(f"invalid port in {text!r}") from None
-
-
 def run_serve(args: argparse.Namespace) -> int:
     from .service.server import DEFAULT_MAX_REQUEST_BYTES, AsyncSpecServer, serve
 
@@ -360,7 +403,7 @@ def run_serve(args: argparse.Namespace) -> int:
     if args.tcp is not None:
         from .service.gateway import serve_tcp
 
-        host, port = _parse_address(args.tcp)
+        host, port = args.tcp
         try:
             return serve_tcp(
                 host,

@@ -20,8 +20,9 @@ Design constraints, in order:
   it opens and queues it for the metrics registry when it closes (the
   registry folds durations into histograms when read);
   :func:`leaf_span` records a hot child-less call after the fact.
-  ``bench_core.py``'s ``tracing_overhead`` row holds the traced path
-  to 5% of a cold Table I check.
+  ``benchmarks/speed_gates.py`` gates the traced path at under 20% over
+  a cold pass of the 13 CARA Table I component documents (the median of
+  alternating pairs).
 * **Tracing on never changes results.**  Spans only *read* the pipeline
   (timings, counters, verdict strings); report bytes are identical with
   tracing on or off — asserted in ``tests/test_obs.py``.
@@ -173,7 +174,7 @@ class Tracer:
         self._lock = threading.Lock()
         self._records: List[SpanRecord] = []
         # next() on a count is GIL-atomic: unique ids without a lock on
-        # the hot path (bench_core's tracing_overhead row polices this).
+        # the hot path (the tracing speed gate polices this).
         self._ids = itertools.count(1)
         self._local = threading.local()
         self._observe = None  # resolved lazily from the metrics registry

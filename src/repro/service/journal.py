@@ -305,7 +305,7 @@ class JournalStore:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.fsync_policy = fsync
-        self.fsync_every = self._parse_fsync(fsync)
+        self.fsync_every = self.parse_fsync(fsync)
         self.compact_every = int(compact_every)
         self._lock = threading.Lock()
         self._attached: Dict[str, DurableSession] = {}
@@ -315,15 +315,22 @@ class JournalStore:
         registry().register_collector("journal", self.stats)
 
     @staticmethod
-    def _parse_fsync(policy: str) -> int:
+    def parse_fsync(policy: str) -> int:
+        """Appends per fsync under *policy* (0: never); ValueError if the
+        policy is unknown."""
         if policy == "always":
             return 1
         if policy == "never":
             return 0
         if policy.startswith("interval:"):
-            every = int(policy[len("interval:"):])
+            try:
+                every = int(policy[len("interval:"):])
+            except ValueError:
+                every = 0
             if every <= 0:
-                raise ValueError(f"fsync interval must be positive: {policy!r}")
+                raise ValueError(
+                    f"fsync interval must be a positive integer: {policy!r}"
+                )
             return every
         raise ValueError(
             f"unknown fsync policy {policy!r} "

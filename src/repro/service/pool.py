@@ -3,8 +3,8 @@
 ``ProcessPoolExecutor`` as PR 2 used it rebuilt the :class:`repro.SpecCC`
 tool *per task*, so every document paid the cold-start price — imports,
 grammar tables, an empty formula pool, an empty component-outcome LRU —
-and ``BENCH_service.json`` showed the process backend gaining nothing
-over one thread.  :class:`WorkerPool` fixes both halves of that:
+and the process backend gained nothing over one thread.
+:class:`WorkerPool` fixes both halves of that:
 
 * **Persistence** — each shard is one long-lived worker process, spawned
   once with an initializer that constructs the tool and runs

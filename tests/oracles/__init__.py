@@ -16,6 +16,5 @@ They plug in by subclassing the engine classes, by monkeypatching the
 names :mod:`repro.synthesis.realizability` looks up (``solve_game``,
 ``IncrementalBoundedSynthesizer``), or, for ``obligations``, by being
 called side by side with production on the same input.  The test modules
-import them as ``oracles.*`` (pytest puts ``tests/`` on ``sys.path``);
-``benchmarks/bench_synthesis.py`` adds ``tests/`` itself.
+import them as ``oracles.*`` (pytest puts ``tests/`` on ``sys.path``).
 """

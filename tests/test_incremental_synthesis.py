@@ -137,6 +137,56 @@ class TestIncrementalVsFresh:
             b = fresh.solve(num_states, bound)
             assert a.realizable == b.realizable, (num_states, bound)
 
+    #: The bound ladder: ``(text, inputs, outputs, verdicts at 1..4
+    #: states)``.  Five specs become winnable partway up, so the
+    #: persistent solver re-solves a grown encoding; the last is refuted
+    #: at every bound, where carried learnt clauses pay the most.
+    LADDER = [
+        ("G (X g <-> (a || b))", ["a", "b"], ["g"], [False, True, True, True]),
+        ("G (X g <-> (a && b))", ["a", "b"], ["g"], [False, True, True, True]),
+        (
+            "G (r -> X (g || X g)) && G (!r -> X !g)",
+            ["r"], ["g"], [False, True, True, True],
+        ),
+        (
+            "G (r -> (g || X g || X X g)) && G !(g && X g)",
+            ["r"], ["g"], [False, True, True, True],
+        ),
+        (
+            "G (r1 -> F g1) && G (r2 -> F g2) && G !(g1 && g2)",
+            ["r1", "r2"], ["g1", "g2"], [False, True, True, True],
+        ),
+        ("F g && G !g", [], ["g"], [False, False, False, False]),
+    ]
+
+    def test_bound_ladder_verdicts_and_conflicts(self):
+        """1 -> 4 states on every ladder spec: the golden verdicts,
+        byte-identical machines, and at least 2x fewer SAT conflicts in
+        aggregate than a from-scratch encoding per bound."""
+        conflicts = {"incremental": 0, "fresh": 0}
+        for text, inputs, outputs, golden in self.LADDER:
+            specification = parse(text)
+            incremental = IncrementalBoundedSynthesizer.for_system(
+                specification, inputs, outputs
+            )
+            fresh = FreshBoundedSynthesizer.for_system(
+                specification, inputs, outputs
+            )
+            verdicts = []
+            for num_states in range(1, 5):
+                a = incremental.solve(num_states)
+                b = fresh.solve(num_states)
+                assert a.realizable == b.realizable, (text, num_states)
+                if a.realizable:
+                    assert a.machine.transitions == b.machine.transitions
+                    assert a.machine.describe() == b.machine.describe()
+                verdicts.append(a.realizable)
+                conflicts["incremental"] += a.solver_stats["conflicts"]
+                conflicts["fresh"] += b.solver_stats["conflicts"]
+            assert verdicts == golden, text
+        ratio = conflicts["fresh"] / max(1, conflicts["incremental"])
+        assert ratio >= 2, conflicts
+
     def test_incremental_stats_report_reuse(self):
         specification = parse("F g && G !g")
         incremental = IncrementalBoundedSynthesizer.for_system(
@@ -227,12 +277,15 @@ class TestOnTheFlyVsOffline:
                     <= offline.stats["letters_enumerated"]
                 )
 
-    def test_early_abort_prunes_positions(self):
+    @pytest.mark.parametrize("bound", [1, 3])
+    def test_early_abort_prunes_positions(self, bound):
         # Unrealizable at this bound: the run must abandon worklist
         # positions and enumerate strictly fewer letters than offline.
-        onthefly = solve_safety_game(parse("G (r -> X X X X b)"), ["r"], ["b"], bound=3)
+        onthefly = solve_safety_game(
+            parse("G (r -> X X X X b)"), ["r"], ["b"], bound=bound
+        )
         offline = oracle_game.solve(
-            OfflineGame, parse("G (r -> X X X X b)"), ["r"], ["b"], bound=3
+            OfflineGame, parse("G (r -> X X X X b)"), ["r"], ["b"], bound=bound
         )
         assert not onthefly.realizable and not offline.realizable
         assert onthefly.stats["positions_pruned"] > 0

@@ -13,6 +13,7 @@ the request core, over stdio, and across real process crashes.
 from __future__ import annotations
 
 import asyncio
+import importlib.util
 import io
 import json
 import os
@@ -57,6 +58,16 @@ def scripted(store, requests, token: str = "docA") -> list:
         return [await server.handle_request(dict(request)) for request in requests]
 
     return asyncio.run(drive())
+
+
+def _load_soak_corpus():
+    """The 13-document soak corpus, imported from benchmarks/ (the one
+    definition the CI soaks and the speed gates share)."""
+    path = SRC.parent / "benchmarks" / "soak_corpus.py"
+    spec = importlib.util.spec_from_file_location("soak_corpus", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 SCRIPT = [
@@ -262,6 +273,23 @@ class TestSyncRecovery:
             sort_keys=True,
         ) == json.dumps(reference[-1]["report"], sort_keys=True)
         recovered_store.close()
+
+    def test_soak_corpus_recovers_byte_identical(self, tmp_path):
+        """The 13-session soak corpus: each history ends in a compaction,
+        replay recovers every session with no torn tail, and the
+        recovered reports equal both the acknowledged ones and a cold
+        client re-driving every history."""
+        corpus = _load_soak_corpus()
+        acknowledged, served = corpus.journal_histories(tmp_path)
+        recovered, replayed = corpus.replay(tmp_path)
+        assert len(acknowledged) == 13
+        assert served["appends"] > 0
+        assert served["compactions"] >= 13
+        assert replayed["recovered_sessions"] == 13
+        assert replayed["replayed_records"] > 0
+        assert replayed["truncated_tails"] == 0
+        assert recovered == acknowledged
+        assert corpus.redrive() == acknowledged
 
     def test_duplicate_rids_are_not_reapplied(self, tmp_path):
         store = JournalStore(tmp_path, fsync="never")

@@ -146,6 +146,19 @@ class TestLadderOrder:
         assert reached == ["tele-4", "tele-5"]
         assert methods == ["obligations"] * 114
 
+    @pytest.mark.parametrize("row", ["4", "5"])
+    def test_table1_repairs_drive_the_exact_engines(self, row):
+        """The component the certificate cannot settle goes to the
+        engines: a cold check records a game solve and a bounded SAT
+        solve, so Table I keeps the exact engines exercised."""
+        SpecCC.clear_caches()
+        report = paper_tool().check(application_requirements()[row])
+        stats = realizability.synthesis_stats()
+        SpecCC.clear_caches()
+        assert report.consistent
+        assert stats["game_solves"] >= 1, stats
+        assert stats["sat_solves"] >= 1, stats
+
     def test_order_changes_no_report_byte(self, monkeypatch):
         documents = table1_documents() + REGIME_DOCUMENTS
         tool = paper_tool()

@@ -151,6 +151,33 @@ class TestCDCLBasics:
 pigeonhole = CNF.pigeonhole
 
 
+def random_3sat(seed: int, num_vars: int, num_clauses: int) -> CNF:
+    """*num_clauses* random 3-literal clauses over distinct variables."""
+    rng = random.Random(seed)
+    cnf = CNF()
+    for _ in range(num_clauses):
+        clause = []
+        while len(clause) < 3:
+            var = rng.randint(1, num_vars)
+            lit = var if rng.random() < 0.5 else -var
+            if var not in {abs(other) for other in clause}:
+                clause.append(lit)
+        cnf.add(clause)
+    cnf.num_vars = max(cnf.num_vars, num_vars)
+    return cnf
+
+
+def exactly_one_grid(rows: int, cols: int) -> CNF:
+    """Exactly one true cell per row and per column: satisfiable but
+    propagation heavy, the shape of the bounded-synthesis encodings."""
+    cnf = CNF()
+    for r in range(rows):
+        cnf.add_exactly_one([r * cols + c + 1 for c in range(cols)])
+    for c in range(cols):
+        cnf.add_exactly_one([r * cols + c + 1 for r in range(rows)])
+    return cnf
+
+
 class TestRestartsAndLuby:
     def test_luby_sequence_prefix(self):
         assert [_luby(i) for i in range(1, 16)] == [
@@ -203,11 +230,23 @@ class TestPropagationSchemes:
         assert not CDCLSolver(cnf).solve()
         assert not ScanCDCLSolver(cnf).solve()
 
-    def test_watchers_visit_fewer_clauses_per_propagation(self):
-        cnf = pigeonhole(6, 5)
+    @pytest.mark.parametrize(
+        "make_cnf, satisfiable",
+        [
+            (lambda: pigeonhole(6, 5), False),
+            (lambda: random_3sat(1, 40, 170), False),
+            (lambda: exactly_one_grid(7, 7), True),
+        ],
+        ids=["pigeonhole-6x5", "random3sat-40v-170c", "exactly-one-7x7"],
+    )
+    def test_watchers_visit_fewer_clauses_per_propagation(
+        self, make_cnf, satisfiable
+    ):
+        cnf = make_cnf()
         watch = CDCLSolver(cnf)
         scan = ScanCDCLSolver(cnf)
-        assert not watch.solve() and not scan.solve()
+        assert bool(watch.solve()) is satisfiable
+        assert bool(scan.solve()) is satisfiable
         watch_rate = watch.clause_visits / max(1, watch.propagations)
         scan_rate = scan.clause_visits / max(1, scan.propagations)
         assert watch_rate * 2 <= scan_rate, (watch_rate, scan_rate)

@@ -293,11 +293,25 @@ class TestIncrementalSemantics:
         )
         assert self.session_bytes(report) == self.fresh_bytes(session)
 
-    def test_forty_sentence_session_edit_is_vocabulary_local(self):
+    @pytest.mark.parametrize(
+        "edited, reanalysed",
+        [
+            (7, ("A7", "B7")),
+            # The memo threads antonym states from one subject to the one
+            # folded after it, so an edit to that state (sensor 1) also
+            # replays its neighbour (sensor 10): the bound is 4 of 40.
+            (1, ("A1", "B1", "A10", "B10")),
+        ],
+        ids=["sensor-7", "sensor-1"],
+    )
+    def test_forty_sentence_session_edit_is_vocabulary_local(
+        self, edited, reanalysed
+    ):
         """The acceptance criterion at full size: one edit in a
-        40-sentence session replays Algorithm 1 for exactly one of the 20
-        vocabulary components (2 of 40 sentences), with the report
-        byte-identical to a fresh sequential check."""
+        40-sentence session replays Algorithm 1 for the edited one of the
+        20 vocabulary components (plus at most one state-adjacent
+        neighbour), with the report byte-identical to a fresh sequential
+        check."""
         SpecCC.clear_caches()
         session = SpecSession()
         for group in range(1, 21):
@@ -318,13 +332,15 @@ class TestIncrementalSemantics:
         assert first.delta.semantics_misses == 2
 
         session.update(
-            "A7", "If the sensor 7 is normal, the device 7 is started."
+            f"A{edited}",
+            f"If the sensor {edited} is normal, the device {edited} is started.",
         )
         report = session.check()
         delta = report.delta
-        assert delta.semantics_reanalysed == ("A7", "B7")
-        assert delta.semantics_misses == 1  # one component of twenty
-        assert delta.semantics_hits >= 19  # the rest came from the memo
+        assert delta.semantics_reanalysed == reanalysed
+        replayed = len(reanalysed) // 2  # components of twenty
+        assert delta.semantics_misses == replayed
+        assert delta.semantics_hits >= 20 - replayed  # the rest: memo hits
         assert self.session_bytes(report) == self.fresh_bytes(session)
 
     def test_batch_and_pool_reports_match_session_after_semantic_edit(self):
@@ -1363,6 +1379,53 @@ class TestCLI:
         assert excinfo.value.code == 2
         assert removed in capsys.readouterr().err
 
+    #: ``(argv, flag)``: option values that must fail at parse time.
+    MALFORMED_OPTIONS = [
+        (["check", "doc.txt", "--error-bound", "-1"], "--error-bound"),
+        (["batch", ".", "--error-bound", "-1"], "--error-bound"),
+        (["serve", "--error-bound", "-1"], "--error-bound"),
+        (["serve", "--tcp", "nonsense"], "--tcp"),
+        (["serve", "--tcp", "127.0.0.1:99999"], "--tcp"),
+        (
+            ["serve", "--journal", "j", "--journal-fsync", "sometimes"],
+            "--journal-fsync",
+        ),
+        (["serve", "--journal-fsync", "interval:0"], "--journal-fsync"),
+        (["serve", "--request-timeout", "-1"], "--request-timeout"),
+        (["serve", "--max-request-bytes", "0"], "--max-request-bytes"),
+        (["serve", "--max-queue", "0"], "--max-queue"),
+        (["serve", "--max-connections", "0"], "--max-connections"),
+        (["serve", "--rate-limit", "0"], "--rate-limit"),
+        (["serve", "--rate-burst", "-1"], "--rate-burst"),
+        (
+            ["serve", "--journal-compact-every", "-1"],
+            "--journal-compact-every",
+        ),
+        (
+            ["batch", ".", "--backend", "process", "--task-timeout", "-1"],
+            "--task-timeout",
+        ),
+        (["batch", ".", "--max-attempts", "0"], "--max-attempts"),
+        (["check", "doc.txt", "--slow-span-ms", "-1"], "--slow-span-ms"),
+    ]
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        MALFORMED_OPTIONS,
+        ids=[" ".join(argv) for argv, _ in MALFORMED_OPTIONS],
+    )
+    def test_malformed_option_is_a_usage_error(self, argv, flag, capsys):
+        """Out-of-range values fail at parse time with exit 2, not as a
+        traceback, the "inconsistent" exit code or a broken service."""
+        from repro.__main__ import build_parser
+
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {flag}: " in err
+        assert "Traceback" not in err
+
     def test_serve_accepts_tcp_flags(self):
         from repro.__main__ import build_parser
 
@@ -1376,7 +1439,7 @@ class TestCLI:
                 "--no-client-shutdown",
             ]
         )
-        assert args.tcp == "127.0.0.1:0"
+        assert args.tcp == ("127.0.0.1", 0)
         assert args.rate_limit == 5.0
         assert args.rate_burst == 10.0
         assert args.max_connections == 2
