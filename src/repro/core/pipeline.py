@@ -204,8 +204,10 @@ class SpecCC:
     #: Sentences the :meth:`prewarm` default workload runs: a
     #: condition/response pair sharing one component plus an antonym
     #: negation, which together touch the parser, the semantic analysis,
-    #: time abstraction, partitioning, GPVW translation and both verdict
-    #: directions of the realizability stack.
+    #: time abstraction, partitioning, one partition repair and both
+    #: verdict directions of the obligation certificate.  The clash is
+    #: settled from the certificate's conflict core, so the workload no
+    #: longer reaches GPVW translation or the exact engines.
     PREWARM_SENTENCES: Tuple[str, ...] = (
         "If the sensor is active, the valve is opened.",
         "If the sensor is normal, the valve is not opened.",
@@ -298,7 +300,8 @@ class SpecCC:
                     limits=self.config.limits,
                 )
                 localization = localize(formulas, checker)
-                sp.set(core=len(localization.core))
+                if localization is not None:  # None when no prefix is UNREALIZABLE
+                    sp.set(core=len(localization.core))
 
         return ConsistencyReport(
             translation=translation,

@@ -39,15 +39,39 @@ Soundness notes:
   the controller cannot observe the future: it must hold the response
   unconditionally.  The all-flags-raised check already assumes every
   obligation active, so they need no special case there.
+
+The failed solve is evidence the other way too.  Its assumption core names
+invariants whose responses no letter satisfies together; the certificate
+answers UNREALIZABLE when the environment can provably raise that whole
+core at once (Cimatti, Roveri, Schuppan & Tchaltsev, "Diagnostic
+Information for Realizability", VMCAI 2008, on unrealizable cores):
+
+* every member is *exact*: extracted from a top-level ``G (c -> X^k r)``
+  or ``G X^k r`` whose condition ``c`` (``X`` allowed) ranges over the
+  component's inputs.  Goals, ``W`` releases, nested bodies,
+  self-conditions and initial-step constraints are never exact — their
+  extraction over-approximates the requirement — and an atom that is not
+  a given input is never taken as environment-controlled;
+* the conditions are jointly satisfiable when aligned so that every
+  response falls on one step ``T = max k`` (condition *i* at
+  ``T - k_i``), one SAT solve over time-indexed input copies.  The
+  environment plays that input prefix, and whatever the system outputs
+  at ``T`` violates a member.  This is what keeps ``G (a -> o)``,
+  ``G (!a -> !o)`` (realizable with ``o := a``) INCONCLUSIVE;
+* the whole conjunction has a constant-word model.  This is not needed
+  for soundness: it leaves unsatisfiable conjunctions to the
+  satisfiability rung, whose ``unsat_witness`` they keep whichever rung
+  runs first.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from ..logic.ast import (
+    TRUE,
     And,
     Atom,
     Bool,
@@ -59,8 +83,11 @@ from ..logic.ast import (
     Next,
     Not,
     Or,
+    Release,
+    Until,
     WeakUntil,
     atoms,
+    conj,
     next_depth,
 )
 from ..sat.cdcl import CDCLSolver
@@ -73,6 +100,7 @@ _GOAL_DELAY = 10**9  # sentinel delay for Eventually responses
 
 class ObligationOutcome(enum.Enum):
     REALIZABLE = "realizable"
+    UNREALIZABLE = "unrealizable"  # the environment can force the core
     INCONCLUSIVE = "inconclusive"  # joint discharge failed at some vector
     NOT_APPLICABLE = "not-applicable"  # formulas outside the fragment
 
@@ -93,6 +121,11 @@ class Obligation:
     #: both sides, so instead of an adversarial flag the whole implication
     #: constrains every responder letter directly.
     self_condition: Optional[Formula] = None
+    #: Set only when the requirement is exactly
+    #: ``G (condition -> X^delay response)`` (``condition`` is ``true`` for
+    #: ``G X^delay response``); ``None`` when extraction over-approximates.
+    condition: Optional[Formula] = None
+    delay: int = 0
 
 
 @dataclass(frozen=True)
@@ -119,7 +152,10 @@ def extract_obligations(
         delay += 1
         formula = formula.operand
     if isinstance(formula, Globally):
-        return _from_body(formula.operand, outputs, frozenset(), 0)
+        extracted = _from_body(formula.operand, outputs, frozenset(), 0)
+        if extracted is None or delay:
+            return extracted
+        return [_exact(formula.operand, obligation) for obligation in extracted]
     if isinstance(formula, Finally):
         return _terminal(formula.operand, outputs, frozenset(), 0, _GOAL_DELAY)
     if _is_propositional(formula):
@@ -195,6 +231,24 @@ def _terminal(
     return [Obligation(inputs, response, always_active=anti_causal, is_goal=is_goal)]
 
 
+def _exact(body: Formula, obligation: Obligation) -> Obligation:
+    """Record ``c`` and ``k`` when the invariant's *body* is exactly
+    ``c -> X^k r`` or ``X^k r`` with *obligation*'s response ``r``.
+
+    Goals, ``W`` releases and nested bodies extract a response other than
+    the body's own, so they are never exact; neither is a self-condition.
+    """
+    condition = TRUE
+    if isinstance(body, Implies):
+        condition, body = body.left, body.right
+    delay = 0
+    while isinstance(body, Next):
+        delay, body = delay + 1, body.operand
+    if body is not obligation.response or obligation.self_condition is not None:
+        return obligation
+    return replace(obligation, condition=condition, delay=delay)
+
+
 def _is_propositional(formula: Formula) -> bool:
     if isinstance(formula, (Atom, Bool)):
         return True
@@ -216,7 +270,7 @@ def _strip_all_next(formula: Formula) -> Formula:
 
 
 def check_obligations(
-    formulas: Sequence[Formula], outputs: Sequence[str]
+    formulas: Sequence[Formula], inputs: Sequence[str], outputs: Sequence[str]
 ) -> ObligationCheckResult:
     """The certificate check.
 
@@ -228,7 +282,9 @@ def check_obligations(
     invariants.  One solver holds every obligation's constraint behind a
     selector literal; it is solved once under the invariants' selectors
     and once per goal under those plus the goal's.  A failed solve's
-    assumption core names the clashing obligations.
+    assumption core names the clashing obligations; when the invariants'
+    solve fails and the environment can force its core
+    (:func:`_forced`), the answer is UNREALIZABLE.
     """
     output_set = frozenset(outputs)
     obligations: List[Obligation] = []
@@ -254,12 +310,69 @@ def check_obligations(
         answer = solver.solve(assumptions)
         if not answer:
             conflict = tuple(sorted(lit - 1 for lit in answer.failed_assumptions))
+            outcome = ObligationOutcome.INCONCLUSIVE
+            if solves == 1:
+                core = [obligations[j] for j in conflict]
+                forced, extra = _forced(core, formulas, frozenset(inputs))
+                solves += extra
+                if forced:
+                    outcome = ObligationOutcome.UNREALIZABLE
             return ObligationCheckResult(
-                ObligationOutcome.INCONCLUSIVE, tuple(obligations), conflict, solves
+                outcome, tuple(obligations), conflict, solves
             )
     return ObligationCheckResult(
         ObligationOutcome.REALIZABLE, tuple(obligations), None, solves
     )
+
+
+def _forced(
+    core: Sequence[Obligation], formulas: Sequence[Formula], inputs: FrozenSet[str]
+) -> Tuple[bool, int]:
+    """Can the environment raise every obligation of *core* at once?
+
+    Returns the answer and the SAT solves it took.  Yes only when the core
+    is non-empty and exact over *inputs*, its conditions are jointly
+    satisfiable with every response aligned on step ``T = max k``, and the
+    whole conjunction of *formulas* has a constant-word model.
+    """
+    if not core or any(
+        o.condition is None or not atoms(o.condition) <= inputs for o in core
+    ):
+        return False, 0
+    step = max(o.delay for o in core)
+    if not _satisfiable(conj(_at(o.condition, step - o.delay) for o in core)):
+        return False, 1
+    return _satisfiable(conj(_constant(f) for f in formulas)), 2
+
+
+def _at(condition: Formula, step: int) -> Formula:
+    """*condition* at *step*, over time-indexed input copies ``name@t``."""
+    while isinstance(condition, Next):
+        condition, step = condition.operand, step + 1
+    if isinstance(condition, Atom):
+        return Atom(f"{condition.name}@{step}")
+    if not condition.children():
+        return condition
+    return type(condition)(*[_at(child, step) for child in condition.children()])
+
+
+def _constant(formula: Formula) -> Formula:
+    """*formula*'s value on a constant word, as a propositional formula."""
+    while isinstance(formula, (Next, Finally, Globally)):
+        formula = formula.operand
+    if isinstance(formula, (Until, Release)):
+        return _constant(formula.right)
+    if isinstance(formula, WeakUntil):
+        return Or(_constant(formula.left), _constant(formula.right))
+    if not formula.children():
+        return formula
+    return type(formula)(*[_constant(child) for child in formula.children()])
+
+
+def _satisfiable(formula: Formula) -> bool:
+    cnf = CNF()
+    cnf.add([encode(formula, cnf)])
+    return bool(CDCLSolver(cnf).solve())
 
 
 def _constraint_of(obligation: Obligation) -> Formula:

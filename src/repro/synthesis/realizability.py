@@ -3,10 +3,12 @@
 :func:`check_realizability` splits a specification into variable-connected
 components and runs each through a cost-ordered decision ladder
 (:data:`RUNGS`): the obligation certificate (:mod:`.invariants`, one SAT
-solve per goal), then the GPVW satisfiability and validity checks, then
-the exact engines — the safety game (realizable verdicts, G4LTL-style) and
-dual bounded synthesis (unrealizable verdicts).  The first rung with an
-answer decides and names itself in ``ComponentResult.method``.  Every
+solve per goal; REALIZABLE, or UNREALIZABLE from a conflict core the
+environment can force), then the GPVW satisfiability and validity checks,
+then the exact engines — the safety game (realizable verdicts,
+G4LTL-style) and dual bounded synthesis (unrealizable verdicts).  The
+first rung with an answer decides and names itself in
+``ComponentResult.method``.  Every
 produced controller is re-verified against its component's specification
 by the independent model checker in :mod:`repro.synthesis.verify` before
 it is returned.
@@ -398,22 +400,32 @@ class _Problem(NamedTuple):
 def _obligations(problem: _Problem) -> Optional[_ComponentOutcome]:
     """The obligation certificate (:mod:`.invariants`): alphabet-independent.
 
-    Sound on every component: it answers REALIZABLE only, and only inside
-    its fragment.  A realizable conjunction is satisfiable, so running it
-    before the satisfiability rung changes no outcome.  Outputless
-    components within the tableau caps are left to the validity rung, so
-    their ``method`` does not depend on the ladder order.
+    Sound on every component, and decisive only inside its fragment: it
+    answers REALIZABLE when one letter discharges every obligation, and
+    UNREALIZABLE when the environment can force a clashing core (with no
+    counterstrategy).  A realizable conjunction is satisfiable, and the
+    certificate claims UNREALIZABLE only on a conjunction with a
+    constant-word model, so running it before the satisfiability rung
+    changes no outcome.  Outputless components within the tableau caps
+    are left to the validity rung, so their ``method`` does not depend on
+    the ladder order.
     """
     if not problem.limits.use_obligations or (
         not problem.outputs and problem.tableau_ok
     ):
         return None
     with _obs_span("solve.obligations") as sp:
-        certificate = invariants.check_obligations(problem.formulas, problem.outputs)
+        certificate = invariants.check_obligations(
+            problem.formulas, problem.inputs, problem.outputs
+        )
         sp.set(outcome=certificate.outcome.value, solves=certificate.solves)
-    if certificate.outcome is not invariants.ObligationOutcome.REALIZABLE:
+    if certificate.outcome is invariants.ObligationOutcome.REALIZABLE:
+        verdict = Verdict.REALIZABLE
+    elif certificate.outcome is invariants.ObligationOutcome.UNREALIZABLE:
+        verdict = Verdict.UNREALIZABLE
+    else:
         return None
-    return _ComponentOutcome(Verdict.REALIZABLE, None, None, False, "obligations")
+    return _ComponentOutcome(verdict, None, None, False, "obligations")
 
 
 def _satisfiability(problem: _Problem) -> Optional[_ComponentOutcome]:
@@ -565,9 +577,10 @@ def _engines(problem: _Problem) -> _ComponentOutcome:
 
 
 #: The decision ladder, cheapest and most decisive first: on Table I the
-#: certificate settles every component, and the tableau rungs run only on
-#: what it cannot settle.  Each rung returns an outcome or ``None`` to
-#: fall through; the last one always answers.
+#: certificate settles every component, the unrealizable ones before a
+#: partition repair included, and the tableau rungs run only on what it
+#: cannot settle.  Each rung returns an outcome or ``None`` to fall
+#: through; the last one always answers.
 RUNGS: Tuple[Callable[[_Problem], Optional[_ComponentOutcome]], ...] = (
     _obligations,
     _satisfiability,

@@ -1,11 +1,12 @@
 """The component decision ladder (``realizability.RUNGS``).
 
 The obligation certificate runs first, and the GPVW satisfiability rung
-only on components the certificate cannot settle.  Because the
-certificate answers REALIZABLE only, and a realizable conjunction is
-satisfiable, the order changes no verdict, ``method`` or report byte;
-these tests hold the order to that and pin how often Table I still
-reaches the tableau.
+only on components the certificate cannot settle.  The certificate
+answers REALIZABLE, which implies a satisfiable conjunction, or
+UNREALIZABLE on a conjunction it has shown satisfiable by a constant
+word, so the order changes no verdict, ``method`` or report byte; these
+tests hold the order to that and pin that Table I never reaches the
+tableau.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from repro.obs import Tracer, registry, set_process_tracer
 from repro.service.reportjson import report_to_dict
 from repro.service.server import serve
 from repro.synthesis import realizability
+from repro.synthesis.realizability import SynthesisLimits, Verdict
 
 #: The ladder before the certificate moved to the front.
 PRECHECK_FIRST = (
@@ -141,21 +143,41 @@ class TestLadderOrder:
             assert report.consistent, label
             methods += [part.method for part in report.realizability.components]
         realizability.clear_caches()
-        # TELEPROMISE rows 4 and 5 each have one component the certificate
-        # cannot settle under the initial partition; the repair fixes it.
-        assert reached == ["tele-4", "tele-5"]
+        # TELEPROMISE rows 4 and 5 each have one unrealizable component
+        # under the initial partition; the certificate settles it from
+        # its conflict core, and the repair fixes it.
+        assert reached == []
         assert methods == ["obligations"] * 114
 
     @pytest.mark.parametrize("row", ["4", "5"])
     def test_table1_repairs_drive_the_exact_engines(self, row):
-        """The component the certificate cannot settle goes to the
-        engines: a cold check records a game solve and a bounded SAT
-        solve, so Table I keeps the exact engines exercised."""
+        """The certificate settles the component the repair fixes; with
+        the certificate off, the exact engines reach the same verdict
+        (a game solve and a bounded SAT solve), so Table I keeps the
+        engines exercised and cross-checks the certificate with them."""
         SpecCC.clear_caches()
         report = paper_tool().check(application_requirements()[row])
+        assert report.consistent and report.repair_attempts == 1
+        initial = report.translation.partition
+        inputs, outputs = frozenset(initial.inputs), frozenset(initial.outputs)
+        result = realizability.check_realizability(
+            report.translation.formulas, sorted(inputs), sorted(outputs)
+        )
+        (failing,) = [
+            part for part in result.components
+            if part.verdict is not Verdict.REALIZABLE
+        ]
+        assert (failing.verdict, failing.method) == (
+            Verdict.UNREALIZABLE, "obligations"
+        )
+        SpecCC.clear_caches()
+        exact = realizability.check_component(
+            failing.component, inputs, outputs,
+            limits=SynthesisLimits(use_obligations=False),
+        )
         stats = realizability.synthesis_stats()
         SpecCC.clear_caches()
-        assert report.consistent
+        assert (exact.verdict, exact.method) == (Verdict.UNREALIZABLE, "game")
         assert stats["game_solves"] >= 1, stats
         assert stats["sat_solves"] >= 1, stats
 
@@ -182,14 +204,24 @@ class TestLadderOrder:
 
 #: ``(formulas, inputs, outputs)`` reaching every rung, including an
 #: outputless component inside the certificate's fragment (the validity
-#: rung keeps it) and one past the explicit engines' alphabet limit.
+#: rung keeps it), one past the explicit engines' alphabet limit, and the
+#: clashing cores the certificate claims and those it must leave alone
+#: (``tests/test_synthesis.py`` pins which is which).
 FORMULA_SPECS = [
     (["G (a -> true)"], ["a"], []),
     (["G (a -> F a)"], ["a"], []),
     (["G a", "G !a"], ["a"], []),
     (["G (a -> o)", "G (b -> o2)"], ["a", "b"], ["o", "o2"]),
     (["G (a -> o)", "G (b -> !o)"], ["a", "b"], ["o"]),
+    (["G (a -> X o)", "G (b -> !o)"], ["a", "b"], ["o"]),
+    (["G (X X a -> o)", "G (b -> !o)"], ["a", "b"], ["o"]),
+    (["G (a -> o)", "G (X a -> !o)"], ["a"], ["o"]),
+    (["G (a -> o)", "G (!a -> !o)"], ["a"], ["o"]),
+    (["o", "G (a -> X !o)"], ["a"], ["o"]),
+    (["G (a -> (!b -> (o W b)))", "G (b -> !o)"], ["a", "b"], ["o"]),
+    (["G (a -> o)", "G (b -> !o)"], ["a"], ["o"]),
     (["F o", "G (a -> !o)"], ["a"], ["o"]),
+    (["F o", "G (a -> X !o)"], ["a"], ["o"]),
     (["G o", "G !o"], [], ["o"]),
     (["G (r -> X g)", "G (r -> F h)"], ["r"], ["g", "h"]),
     (["G (r -> (g U h))"], ["r"], ["g", "h"]),
@@ -242,6 +274,7 @@ class TestRungObservability:
         "regime,spans",
         [
             ("realizable", {"solve.obligations", "solve.satisfiability", "solve.game"}),
+            ("unrealizable", {"solve.obligations"}),
             ("unsatisfiable", {"solve.obligations", "solve.satisfiability"}),
             ("outputless", {"solve.obligations", "solve.satisfiability", "solve.validity"}),
         ],
@@ -264,7 +297,9 @@ class TestRungObservability:
             if name == "solve.obligations":
                 # Outside the fragment the certificate never reaches SAT.
                 applicable = args["outcome"] != "not-applicable"
-                assert args["outcome"] in ("realizable", "inconclusive", "not-applicable")
+                assert args["outcome"] in (
+                    "realizable", "unrealizable", "inconclusive", "not-applicable"
+                )
                 assert (args["solves"] > 0) == applicable
 
     def test_table1_cara_never_opens_the_tableau(self):
@@ -280,6 +315,24 @@ class TestRungObservability:
         assert report.consistent
         assert names.count("solve.obligations") == len(report.realizability.components)
         assert "solve.satisfiability" not in names
+
+    def test_unrealizable_regime_never_reaches_the_engines(self):
+        """Repairs and localization on an in-fragment clash are settled by
+        the certificate's conflict core: no tableau, no game, no dual."""
+        realizability.clear_caches()
+        tracer = Tracer(name="unrealizable")
+        set_process_tracer(tracer)
+        try:
+            report = paper_tool().check(dict(REGIME_DOCUMENTS)["unrealizable"])
+        finally:
+            set_process_tracer(None)
+            realizability.clear_caches()
+        names = {name for name, _, _ in _span_names(tracer)}
+        assert report.verdict is Verdict.UNREALIZABLE
+        assert report.repair_attempts == 3
+        assert report.inconsistent_requirements() == ["R7", "R8"]
+        assert "solve.obligations" in names
+        assert not names & {"solve.satisfiability", "solve.game", "solve.bounded"}
 
     def test_decided_by_counts_analysed_components_once(self):
         realizability.clear_caches()

@@ -3,6 +3,9 @@ loop, plus the case-study integration checks behind Table I."""
 
 from __future__ import annotations
 
+import io
+import json
+
 import pytest
 
 from repro import (
@@ -21,7 +24,10 @@ from repro.casestudies import (
     component_requirements,
     robot_requirements,
 )
+from repro.__main__ import main as cli_main
 from repro.logic import parse
+from repro.service.reportjson import report_to_dict
+from repro.service.server import serve
 from repro.synthesis import check_realizability
 from repro.translate import TranslationOptions as TOpts
 from repro.translate import Translator
@@ -126,6 +132,51 @@ class TestPipelineBasics:
         repaired = SpecCC().check_translated(translation)
         assert repaired.consistent
         assert stage_two(repaired.partition).verdict is Verdict.REALIZABLE
+
+
+#: Thirteen conditions on one lamp plus a precedence sentence: a single
+#: 15-proposition component outside the certificate's fragment and past
+#: the explicit engines' alphabet, so its verdict is UNKNOWN
+#: (``too-large``) and localization finds no unrealizable prefix.
+UNKNOWN_SENTENCES = [
+    f"If the {word} sensor is valid, the hub lamp is started."
+    for word in (
+        "alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta",
+        "theta", "iota", "kappa", "lambda", "mu", "nu",
+    )
+] + ["The hub lamp is started before the exit gate is ready."]
+
+
+class TestUnknownVerdict:
+    """An UNKNOWN verdict is a report like any other, with no culprits."""
+
+    def test_report_has_no_culprits(self):
+        report = SpecCC().check_document("\n".join(UNKNOWN_SENTENCES))
+        data = report_to_dict(report, timings=False)
+        assert data["verdict"] == "unknown"
+        assert data["culprits"] == []
+        assert [part["method"] for part in data["components"]] == ["too-large"]
+
+    def test_check_json_prints_the_report(self, tmp_path, capsys):
+        document = tmp_path / "spec.txt"
+        document.write_text("\n".join(UNKNOWN_SENTENCES) + "\n")
+        assert cli_main(["check", str(document), "--json"]) == 1
+        data = json.loads(capsys.readouterr().out)
+        assert data["verdict"] == "unknown"
+        assert data["culprits"] == []
+
+    def test_serve_answers_ok(self):
+        requests = [
+            {"op": "add", "id": f"R{index}", "text": text}
+            for index, text in enumerate(UNKNOWN_SENTENCES, 1)
+        ] + [{"op": "check", "timings": False}, {"op": "shutdown"}]
+        stdout = io.StringIO()
+        serve(io.StringIO("".join(json.dumps(r) + "\n" for r in requests)), stdout)
+        responses = [json.loads(line) for line in stdout.getvalue().splitlines()]
+        check = responses[len(UNKNOWN_SENTENCES)]
+        assert check["ok"] is True, check
+        assert check["report"]["verdict"] == "unknown"
+        assert check["report"]["culprits"] == []
 
 
 class TestPartitionRepair:

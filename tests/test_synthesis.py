@@ -415,7 +415,10 @@ OUTPUT_NAMES = ("o", "p", "q", "r")
 def fragment_specs(draw):
     """``(formulas, inputs, outputs)`` inside the certificate's fragment:
     ``G (c -> r)``, ``X`` delays, ``F`` goals, ``W`` hold-until-release,
-    anti-causal ``G (X X c -> r)`` and output-only self-conditions."""
+    delayed conditions ``G (X c -> r)`` and ``G (X X c -> r)``,
+    output-only self-conditions and initial-step constraints.  Conditions
+    share input atoms, so some clashing cores can be raised together and
+    some cannot."""
     inputs = INPUT_NAMES[: draw(st.integers(1, 4))]
     outputs = OUTPUT_NAMES[: draw(st.integers(1, 4))]
 
@@ -444,7 +447,7 @@ def fragment_specs(draw):
             release = draw(st.sampled_from(inputs))
             return f"G ({condition} -> (!{release} -> ({response} W {release})))"
         if kind == 5:
-            return f"G (X X {condition} -> {response})"
+            return f"G ({'X ' * draw(st.integers(1, 2))}{condition} -> {response})"
         if kind == 6:
             return f"G ({literal(outputs)} -> {response})"
         return response  # an initial-step constraint
@@ -490,16 +493,16 @@ class TestObligations:
 
     def test_joint_conflict_detected(self):
         result = check_obligations(
-            [parse("G (a -> o)"), parse("G (b -> !o)")], ["o"]
+            [parse("G (a -> o)"), parse("G (b -> !o)")], ["a", "b"], ["o"]
         )
-        assert result.outcome is ObligationOutcome.INCONCLUSIVE
-        assert result.conflict is not None
+        assert result.outcome is ObligationOutcome.UNREALIZABLE
+        assert result.conflict == (0, 1)
 
     def test_conflict_names_the_clashing_goal_and_invariant(self):
         # Obligations: F o (0), F p (1), G (a -> !p) (2).  Goal 1 clashes
         # with invariant 2; goal 0 is not involved.
         result = check_obligations(
-            [parse("F o"), parse("F p"), parse("G (a -> !p)")], ["o", "p"]
+            [parse("F o"), parse("F p"), parse("G (a -> !p)")], ["a"], ["o", "p"]
         )
         assert result.outcome is ObligationOutcome.INCONCLUSIVE
         assert result.conflict == (1, 2)
@@ -507,14 +510,16 @@ class TestObligations:
     def test_conflict_is_a_core(self):
         result = check_obligations(
             [parse("G (a -> o)"), parse("G (b -> !o)"), parse("G (c -> q)")],
+            ["a", "b", "c"],
             ["o", "q"],
         )
-        assert result.outcome is ObligationOutcome.INCONCLUSIVE
+        assert result.outcome is ObligationOutcome.UNREALIZABLE
         assert result.conflict == (0, 1)
 
     def test_one_solve_per_goal(self):
         result = check_obligations(
             [parse("G (a -> o)"), parse("G (b -> F p)"), parse("F !q")],
+            ["a", "b"],
             ["o", "p", "q"],
         )
         assert result.outcome is ObligationOutcome.REALIZABLE
@@ -522,7 +527,9 @@ class TestObligations:
 
     def test_compatible_responses_realizable(self):
         result = check_obligations(
-            [parse("G (a -> o1)"), parse("G (b -> !o1 || o2)")], ["o1", "o2"]
+            [parse("G (a -> o1)"), parse("G (b -> !o1 || o2)")],
+            ["a", "b"],
+            ["o1", "o2"],
         )
         assert result.outcome is ObligationOutcome.REALIZABLE
 
@@ -539,7 +546,7 @@ class TestObligations:
         # share extract_obligations, so a regression there could turn
         # these INCONCLUSIVE in both at once.
         formulas = [parse(text) for text in texts]
-        cert = check_obligations(formulas, outputs)
+        cert = check_obligations(formulas, inputs, outputs)
         assert cert.outcome is ObligationOutcome.REALIZABLE
         exact = check_realizability(
             formulas, inputs, outputs,
@@ -547,18 +554,83 @@ class TestObligations:
         )
         assert exact.verdict is Verdict.REALIZABLE
 
+    #: The environment can raise each core at once, so the certificate
+    #: claims them: a delayed response, an anti-causal condition and a
+    #: delayed condition against a same-step one.
+    FORCED = [
+        (["G (a -> X o)", "G (b -> !o)"], ["a", "b"], ["o"]),
+        (["G (X X a -> o)", "G (b -> !o)"], ["a", "b"], ["o"]),
+        (["G (a -> o)", "G (X a -> !o)"], ["a"], ["o"]),
+    ]
+
+    #: Cores the certificate must not claim.  Each clashes in the
+    #: invariants' solve, and each is claimed once the rule is loosened.
+    UNFORCED = [
+        # Conditions that never hold together: realizable with o := a.
+        (["G (a -> o)", "G (!a -> !o)"], ["a"], ["o"], True),
+        # An initial-step constraint is extracted like an invariant.
+        (["o", "G (a -> X !o)"], ["a"], ["o"], True),
+        # The Req-49 shape: nested and W-derived, realizable with o := !b.
+        (["G (a -> (!b -> (o W b)))", "G (b -> !o)"], ["a", "b"], ["o"], True),
+        # Goal cores: unrealizable here, but not by the invariants' solve,
+        # and realizable once the clash is delayed past the first step.
+        (["F o", "G (a -> !o)"], ["a"], ["o"], False),
+        (["F o", "G (a -> X !o)"], ["a"], ["o"], True),
+        # b is not an input, so nothing says the environment sets it.
+        (["G (a -> o)", "G (b -> !o)"], ["a"], ["o"], None),
+    ]
+
+    @pytest.mark.parametrize("texts, inputs, outputs", FORCED)
+    def test_forced_core_is_unrealizable(self, texts, inputs, outputs):
+        formulas = [parse(text) for text in texts]
+        cert = check_obligations(formulas, inputs, outputs)
+        assert cert.outcome is ObligationOutcome.UNREALIZABLE
+        assert cert.conflict == (0, 1)
+        result = check_realizability(formulas, inputs, outputs)
+        assert result.verdict is Verdict.UNREALIZABLE
+        assert [c.method for c in result.components] == ["obligations"]
+        exact = check_realizability(
+            formulas, inputs, outputs,
+            limits=SynthesisLimits(use_obligations=False),
+        )
+        assert exact.verdict is Verdict.UNREALIZABLE
+
+    @pytest.mark.parametrize("texts, inputs, outputs, realizable", UNFORCED)
+    def test_unforced_core_stays_inconclusive(
+        self, texts, inputs, outputs, realizable
+    ):
+        formulas = [parse(text) for text in texts]
+        cert = check_obligations(formulas, inputs, outputs)
+        assert cert.outcome is ObligationOutcome.INCONCLUSIVE
+        assert cert.conflict == (0, 1)
+        if realizable is not None:
+            exact = check_realizability(
+                formulas, inputs, outputs,
+                limits=SynthesisLimits(use_obligations=False),
+            )
+            expected = Verdict.REALIZABLE if realizable else Verdict.UNREALIZABLE
+            assert exact.verdict is expected
+
     @given(fragment_specs())
     @settings(max_examples=200, deadline=None, derandomize=True)
     def test_cross_validates_with_exact_engine(self, spec):
         # The certificate gates the satisfiability rung, so nothing else
         # double-checks it: every REALIZABLE must be backed by the CEGIS
-        # reference, a satisfying word and, on small alphabets, the game.
+        # reference, and every UNREALIZABLE by an INCONCLUSIVE reference;
+        # both by a satisfying word and, on small alphabets, the exact
+        # engines.
         texts, inputs, outputs = spec
         formulas = [parse(text) for text in texts]
-        cert = check_obligations(formulas, outputs)
+        cert = check_obligations(formulas, inputs, outputs)
         reference = oracle_obligations.check_obligations(formulas, outputs)
-        assert cert.outcome is reference.outcome
-        if cert.outcome is not ObligationOutcome.REALIZABLE:
+        if cert.outcome is ObligationOutcome.UNREALIZABLE:
+            assert reference.outcome is ObligationOutcome.INCONCLUSIVE
+            expected = Verdict.UNREALIZABLE
+        elif cert.outcome is ObligationOutcome.REALIZABLE:
+            assert reference.outcome is ObligationOutcome.REALIZABLE
+            expected = Verdict.REALIZABLE
+        else:
+            assert cert.outcome is reference.outcome
             return
         assert satisfiable(conj(formulas)) is not None
         if len(inputs) <= 3 and len(outputs) <= 3:
@@ -566,7 +638,7 @@ class TestObligations:
                 formulas, inputs, outputs,
                 limits=SynthesisLimits(use_obligations=False),
             )
-            assert exact.verdict is Verdict.REALIZABLE
+            assert exact.verdict is expected
 
     def test_large_alphabet_handled(self):
         # 40 variables: far beyond the explicit engines.
