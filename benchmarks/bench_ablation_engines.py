@@ -1,26 +1,26 @@
 """Ablation: synthesis engine comparison and modular decomposition.
 
-Design choices called out in DESIGN.md:
+Two design choices of the realizability stage:
 
 * the k-co-Büchi safety game (G4LTL's algorithm) vs SAT-based bounded
-  synthesis on the same small specifications;
-* variable-partitioned modular checking vs monolithic checking;
-* the CDCL SAT solver vs the brute-force reference on the bounded-
-  synthesis encodings.
+  synthesis of a system controller on the same small specifications;
+* variable-partitioned modular checking vs monolithic checking.
 """
 
 from __future__ import annotations
 
 import time
 
-from repro.logic import parse
-from repro.sat import CNF, solve, solve_brute
+from repro.logic import conj, parse
 from repro.synthesis import (
-    Engine,
+    Component,
+    IncrementalBoundedSynthesizer,
     SynthesisLimits,
     Verdict,
     check_realizability,
+    solve_safety_game,
 )
+from repro.synthesis.realizability import check_component
 
 SPECS = [
     ("request/grant", ["G (r -> X g)"], ["r"], ["g"]),
@@ -32,27 +32,43 @@ SPECS = [
 
 NO_OBLIGATIONS = SynthesisLimits(use_obligations=False)
 
+#: The largest game bound and machine size either engine tries.
+BOUND = 3
+
+
+def game_realizable(specification, inputs, outputs) -> bool:
+    """Whether the safety game wins at some bound up to :data:`BOUND`."""
+    return any(
+        solve_safety_game(specification, inputs, outputs, bound=bound).realizable
+        for bound in range(1, BOUND + 1)
+    )
+
+
+def bounded_realizable(specification, inputs, outputs) -> bool:
+    """Whether bounded synthesis finds a controller of at most
+    :data:`BOUND` states."""
+    synthesizer = IncrementalBoundedSynthesizer.for_system(
+        specification, inputs, outputs
+    )
+    return any(
+        synthesizer.solve(num_states=size).realizable
+        for size in range(1, BOUND + 1)
+    )
+
 
 def test_engine_comparison(capsys):
-    lines = [f"{'spec':<14} {'game':>10} {'bounded-SAT':>12} verdict"]
+    lines = [f"{'spec':<14} {'game':>10} {'bounded-SAT':>12} realizable"]
     for name, texts, inputs, outputs in SPECS:
-        formulas = [parse(t) for t in texts]
+        specification = conj([parse(t) for t in texts])
         start = time.perf_counter()
-        game = check_realizability(
-            formulas, inputs, outputs,
-            engine=Engine.SAFETY_GAME, limits=NO_OBLIGATIONS,
-        )
+        game = game_realizable(specification, inputs, outputs)
         game_seconds = time.perf_counter() - start
         start = time.perf_counter()
-        bounded = check_realizability(
-            formulas, inputs, outputs,
-            engine=Engine.BOUNDED_SAT, limits=NO_OBLIGATIONS,
-        )
+        bounded = bounded_realizable(specification, inputs, outputs)
         bounded_seconds = time.perf_counter() - start
-        assert game.verdict == bounded.verdict, name
+        assert game == bounded, name
         lines.append(
-            f"{name:<14} {game_seconds:>9.3f}s {bounded_seconds:>11.3f}s "
-            f"{game.verdict.value}"
+            f"{name:<14} {game_seconds:>9.3f}s {bounded_seconds:>11.3f}s {game}"
         )
     with capsys.disabled():
         print("\nAblation — engine comparison (verdicts must agree)")
@@ -68,15 +84,16 @@ def test_modular_vs_monolithic(capsys):
     outputs = [f"g{k}" for k in range(10)]
 
     start = time.perf_counter()
-    modular = check_realizability(
-        formulas, inputs, outputs, modular=True, limits=NO_OBLIGATIONS
-    )
+    modular = check_realizability(formulas, inputs, outputs, limits=NO_OBLIGATIONS)
     modular_seconds = time.perf_counter() - start
     assert modular.verdict is Verdict.REALIZABLE
     assert len(modular.components) == 10
 
-    monolithic = check_realizability(
-        formulas, inputs, outputs, modular=False, limits=NO_OBLIGATIONS
+    whole = Component(
+        tuple(range(len(formulas))), tuple(formulas), frozenset(inputs + outputs)
+    )
+    monolithic = check_component(
+        whole, frozenset(inputs), frozenset(outputs), limits=NO_OBLIGATIONS
     )
     assert monolithic.verdict is Verdict.UNKNOWN  # too many variables
 
@@ -86,32 +103,6 @@ def test_modular_vs_monolithic(capsys):
         print("  monolithic: unknown (20 variables exceed the explicit engines)")
 
 
-def test_cdcl_vs_brute_force(capsys):
-    import random
-
-    rng = random.Random(7)
-    cnf = CNF()
-    for _ in range(60):
-        clause = []
-        for _ in range(3):
-            var = rng.randint(1, 14)
-            clause.append(var if rng.random() < 0.5 else -var)
-        cnf.add(clause)
-    cnf.num_vars = 14
-
-    start = time.perf_counter()
-    cdcl_result = bool(solve(cnf))
-    cdcl_seconds = time.perf_counter() - start
-    start = time.perf_counter()
-    brute_result = solve_brute(cnf) is not None
-    brute_seconds = time.perf_counter() - start
-    assert cdcl_result == brute_result
-    with capsys.disabled():
-        print("\nAblation — CDCL vs brute force (14 vars, 60 clauses)")
-        print(f"  CDCL : {cdcl_seconds * 1000:.2f} ms")
-        print(f"  brute: {brute_seconds * 1000:.2f} ms")
-
-
 def test_game_engine_benchmark(benchmark):
     formulas = [parse("G (r -> F g)"), parse("G (g -> X !g)")]
     result = benchmark(
@@ -119,7 +110,6 @@ def test_game_engine_benchmark(benchmark):
         formulas,
         ["r"],
         ["g"],
-        engine=Engine.SAFETY_GAME,
         limits=NO_OBLIGATIONS,
     )
     assert result.verdict is Verdict.REALIZABLE

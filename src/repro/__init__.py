@@ -24,20 +24,19 @@ from .core.graph import AnalysisGraph, shared_graph
 from .core.pipeline import ConsistencyReport, SpecCC, SpecCCConfig
 from .logic import parse as parse_ltl
 from .service import BatchChecker, SessionReport, SpecSession, WorkerPool
-from .synthesis.realizability import Engine, SynthesisLimits, Verdict
+from .synthesis.realizability import SynthesisLimits, Verdict
 from .translate.semantics import SemanticsDelta
 from .translate.templates import TranslationOptions
 from .translate.timeabs import AbstractionMethod
 from .translate.translator import Translator
 
-__version__ = "1.3.0"
+__version__ = "1.4.0"
 
 __all__ = [
     "AbstractionMethod",
     "AnalysisGraph",
     "BatchChecker",
     "ConsistencyReport",
-    "Engine",
     "SemanticsDelta",
     "SessionReport",
     "SpecCC",

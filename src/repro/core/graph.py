@@ -1,16 +1,17 @@
 """The incremental analysis graph: signature-keyed pipeline stages.
 
-Every stage of the SpecCC pipeline — parsing, per-sentence vocabulary
-extraction, semantic analysis (Algorithm 1), per-sentence LTL translation,
-time abstraction, partitioning, component realizability — is a pure
-function of content the earlier stages produced.  This module gives those
+The cached stages of the SpecCC pipeline — parsing, per-sentence
+vocabulary extraction, per-sentence LTL translation, time abstraction,
+partitioning, component realizability — are pure functions of content
+the earlier stages produced (Algorithm 1 itself runs as one loop per
+pass over the cached vocabulary).  This module gives those
 stages one shared shape: a **node** is ``(stage, key)`` where the key is a
 content signature of everything the computation reads, and the node's
 value is the computed artefact.  Because keys are content signatures,
 invalidation is free: an edit changes the signature, the changed node
 misses, and every node whose signature is unaffected by the edit keeps
-hitting — editing one sentence re-runs Algorithm 1 only for the
-vocabulary components that sentence actually touches.
+hitting — editing one sentence re-extracts and re-translates only that
+sentence, and re-checks only the components it touches.
 
 Two graph flavours cover the pipeline:
 
@@ -21,14 +22,14 @@ Two graph flavours cover the pipeline:
   pass actually touched — exactly the hot set the next edit's re-check
   needs.
 * **The process-wide shared graph** (:func:`shared_graph`, ``lru=True``)
-  hosts the stages whose values are valid across documents, sessions and
-  threads alike: semantic-analysis components (Algorithm 1) and
-  realizability component outcomes.  Those stages evict least-recently
-  used entries at insert time, since no single pass owns them.
+  hosts the one stage whose values are valid across documents, sessions
+  and threads alike: realizability component outcomes.  It evicts
+  least-recently used entries at insert time, since no single pass owns
+  them.
 
 All operations are thread safe (serve executor threads and the worker
 pool's in-process fallback check documents concurrently over the shared
-stages).  Values must be deterministic functions of their keys: when two
+stage).  Values must be deterministic functions of their keys: when two
 threads race on a miss, both compute, one insert wins, and the results
 are identical by construction — which is also why the caches are
 semantically transparent and reports stay byte-identical to cache-less
@@ -230,12 +231,10 @@ class AnalysisGraph:
 
 
 # ------------------------------------------------------ the shared graph
-#: Stages whose nodes are valid process-wide: Algorithm 1 vocabulary
-#: components (``semantics``) and realizability component outcomes
-#: (``components``).  Sessions, one-shot checks, batch checks and pool
-#: workers all read the same nodes, so reuse crosses every entry point.
+#: The stage whose nodes are valid process-wide: realizability component
+#: outcomes (``components``).  Sessions, one-shot checks, batch checks and
+#: pool workers all read the same nodes, so reuse crosses every entry point.
 SHARED_STAGE_CAPACITIES: Dict[str, int] = {
-    "semantics": 4096,
     "components": 2048,
 }
 
@@ -247,5 +246,5 @@ _shared = AnalysisGraph(
 
 
 def shared_graph() -> AnalysisGraph:
-    """The process-wide analysis graph (cross-document stages)."""
+    """The process-wide analysis graph (the cross-document stage)."""
     return _shared

@@ -45,7 +45,6 @@ from ..smt.timeopt import Sign
 from ..synthesis.localization import LocalizationResult, default_checker, localize
 from ..synthesis.mealy import MealyMachine
 from ..synthesis.realizability import (
-    Engine,
     RealizabilityResult,
     SynthesisLimits,
     Verdict,
@@ -135,9 +134,7 @@ class SpecCCConfig:
     translation: TranslationOptions = TranslationOptions()
     abstraction: AbstractionMethod = AbstractionMethod.OPTIMAL
     error_bound: int = 5
-    engine: Engine = Engine.SAFETY_GAME
     limits: SynthesisLimits = SynthesisLimits()
-    modular: bool = True
     localize_on_failure: bool = True
     #: Try moving suspect inputs to outputs when synthesis fails
     #: (Section V-B, second bullet).  0 disables the repair loop.
@@ -179,10 +176,10 @@ class SpecCC:
     def cache_stats() -> dict:
         """Observability into the process-wide caches.
 
-        Returns component-outcome cache hits/misses and the Algorithm 1
-        semantics-memo counters (both stages of the shared analysis
-        graph, reset by :meth:`clear_caches`), the formula→automaton
-        cache size, the live interned-node count and the
+        Returns the component-outcome cache's size, capacity, hits and
+        misses (the shared analysis graph's one stage, reset by
+        :meth:`clear_caches`), the formula→automaton cache size, the live
+        interned-node count and the
         synthesis-engine work counters (SAT propagations/conflicts/
         restarts/clause visits plus the incremental-solver reuse pair
         ``sat_incremental_solves``/``sat_learnt_carried``, safety-game
@@ -296,7 +293,6 @@ class SpecCC:
                 checker = default_checker(
                     sorted(partition.inputs),
                     sorted(partition.outputs),
-                    engine=self.config.engine,
                     limits=self.config.limits,
                 )
                 localization = localize(formulas, checker)
@@ -322,9 +318,7 @@ class SpecCC:
             formulas,
             sorted(partition.inputs),
             sorted(partition.outputs),
-            engine=self.config.engine,
             limits=self.config.limits,
-            modular=self.config.modular,
         )
 
     def _repair_partition(

@@ -15,8 +15,7 @@ at snapshot time:
 namespace       source
 =============== ====================================================
 ``pipeline.*``  :func:`repro.synthesis.realizability.cache_snapshot`
-                (component cache, Algorithm 1 semantics memo,
-                automaton cache, interned nodes)
+                (component cache, automaton cache, interned nodes)
 ``sat.*``       ``synthesis_stats()`` SAT counters (propagations,
                 conflicts, decisions, restarts, clause visits)
 ``game.*``      ``synthesis_stats()`` safety-game counters

@@ -125,8 +125,6 @@ class PoolTask(NamedTuple):
     shard: int
     cache_hits: int  # component-outcome hits inside the worker, this task
     cache_misses: int
-    semantics_hits: int = 0  # Algorithm 1 memo traffic inside the worker
-    semantics_misses: int = 0
     error: Optional[str] = None
     attempts: int = 1
     #: Span records the worker recorded for this task (empty unless the
@@ -162,16 +160,11 @@ def _worker_init(
 
 
 def _counter_snapshot() -> Dict[str, int]:
-    """The per-task attribution counters, flat (components + semantics)."""
-    from ..core.graph import shared_graph
+    """The per-task attribution counters: component-cache hits/misses."""
+    from ..synthesis.realizability import component_cache_info
 
-    stats = shared_graph().stats()
-    return {
-        "hits": stats["components"].hits,
-        "misses": stats["components"].misses,
-        "semantics_hits": stats["semantics"].hits,
-        "semantics_misses": stats["semantics"].misses,
-    }
+    info = component_cache_info()
+    return {"hits": info.hits, "misses": info.misses}
 
 
 def _worker_check(item: Tuple) -> Tuple[dict, Dict[str, int]]:
@@ -290,8 +283,6 @@ class WorkerPool:
         self._per_shard = [0] * shards
         self._worker_hits = 0
         self._worker_misses = 0
-        self._worker_semantics_hits = 0
-        self._worker_semantics_misses = 0
         self._routed: "Dict[str, int]" = {}  # signature -> shard (bounded)
         self._affinity_repeats = 0
 
@@ -498,8 +489,6 @@ class WorkerPool:
                     self._failures += 1
                 self._worker_hits += delta.get("hits", 0)
                 self._worker_misses += delta.get("misses", 0)
-                self._worker_semantics_hits += delta.get("semantics_hits", 0)
-                self._worker_semantics_misses += delta.get("semantics_misses", 0)
             outer.set_result(
                 PoolTask(
                     name,
@@ -507,8 +496,6 @@ class WorkerPool:
                     shard,
                     delta.get("hits", 0),
                     delta.get("misses", 0),
-                    delta.get("semantics_hits", 0),
-                    delta.get("semantics_misses", 0),
                     error,
                     attempts,
                     tuple(spans),
@@ -583,9 +570,6 @@ class WorkerPool:
         with self._lock:
             hits, misses = self._worker_hits, self._worker_misses
             total = hits + misses
-            sem_hits = self._worker_semantics_hits
-            sem_misses = self._worker_semantics_misses
-            sem_total = sem_hits + sem_misses
             return {
                 "shards": self.shards,
                 "started": self._startup_seconds is not None,
@@ -601,13 +585,6 @@ class WorkerPool:
                     "hits": hits,
                     "misses": misses,
                     "hit_rate": round(hits / total, 4) if total else None,
-                },
-                "worker_semantics": {
-                    "hits": sem_hits,
-                    "misses": sem_misses,
-                    "hit_rate": round(sem_hits / sem_total, 4)
-                    if sem_total
-                    else None,
                 },
             }
 

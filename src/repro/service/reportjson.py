@@ -28,7 +28,7 @@ def stats_to_dict(
 
     One shape for the ``serve`` loops' ``stats`` op and the CLI's
     ``check --json --stats`` flag: the process-wide cache layers
-    (component cache, semantics memo, automaton cache, interned nodes)
+    (component cache, automaton cache, interned nodes)
     under ``"cache"``, the engine-work counters under ``"synthesis"``
     (one snapshot, lifted out of the cache block so each gauge appears
     exactly once), and — when a *tool* is given — its per-document

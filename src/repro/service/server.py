@@ -160,8 +160,6 @@ def _delta_to_dict(report: SessionReport) -> dict:
         "cache_misses": delta.cache_misses,
         "semantics_components": delta.semantics_components,
         "semantics_reanalysed": list(delta.semantics_reanalysed),
-        "semantics_hits": delta.semantics_hits,
-        "semantics_misses": delta.semantics_misses,
         "stage_seconds": dict(delta.stage_seconds),
     }
 
@@ -443,8 +441,6 @@ VOLATILE_RESPONSE_FIELDS = (
 VOLATILE_DELTA_FIELDS = (
     "cache_hits",
     "cache_misses",
-    "semantics_hits",
-    "semantics_misses",
     "stage_seconds",
 )
 

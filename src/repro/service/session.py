@@ -10,9 +10,9 @@ underneath:
 * sentence parses, vocabulary nodes, raw formulas and theta rewrites
   come from the session's graph-backed
   :class:`~repro.translate.translator.TranslationCache`;
-* Algorithm 1 runs per vocabulary component through the process-wide
-  ``semantics`` stage, so an edit re-analyses only sentences whose
-  antonym vocabulary it intersects (the delta names them);
+* Algorithm 1 runs over the session's cached per-sentence vocabulary,
+  and the delta names the sentences whose analysis unit an edit
+  dirtied;
 * component verdicts come from the shared graph's ``components`` stage,
   keyed by (interned formulas, local I/O split) and therefore hit by
   every component the edit left untouched — including across the repair
@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..core.pipeline import ConsistencyReport, SpecCC
 from ..nlp.tokenizer import split_sentences
 from ..obs.trace import get_tracer, span as _obs_span
-from ..synthesis.realizability import Verdict
+from ..synthesis.realizability import Verdict, component_cache_info
 
 #: The disjoint top-level pipeline stages the per-check timing breakdown
 #: sums span durations over (each covers a non-overlapping slice of the
@@ -74,16 +74,11 @@ class SessionDelta:
     components: Tuple[ComponentDelta, ...] = ()
     cache_hits: int = 0  # component-outcome cache hits during this check
     cache_misses: int = 0  # ... and misses (= component analyses run)
-    #: Algorithm 1 attribution: vocabulary components in the document, and
-    #: the identifiers of sentences whose component this check re-analysed
-    #: (deterministic — derived from the session's own graph, not from the
-    #: process-wide counters).
+    #: Algorithm 1 attribution: analysis units (pairing subjects) in the
+    #: document, and the identifiers of sentences whose unit this check
+    #: re-analysed (deterministic — derived from the session's own graph).
     semantics_components: int = 0
     semantics_reanalysed: Tuple[str, ...] = ()
-    #: Process-wide semantics-memo traffic across this check (exact while
-    #: the session is the only checker running, like cache_hits/misses).
-    semantics_hits: int = 0
-    semantics_misses: int = 0
     #: Per-stage wall-clock seconds for this check, summed from the active
     #: tracer's spans (empty when tracing is off).  Volatile by nature —
     #: the byte-identity machinery strips it (``VOLATILE_DELTA_FIELDS``).
@@ -276,7 +271,7 @@ class SpecSession:
         """Re-check the document, reusing everything an edit did not dirty."""
         start = time.perf_counter()
         edited = tuple(sorted(self._edited))
-        stats_before = self.tool.cache_stats()
+        before = component_cache_info()
         tracer = get_tracer()
         mark = tracer.mark() if tracer is not None else 0
         with _obs_span(
@@ -295,7 +290,7 @@ class SpecSession:
                         stage_seconds.get(record["name"], 0.0)
                         + record["dur"] / 1e6
                     )
-        stats_after = self.tool.cache_stats()
+        after = component_cache_info()
 
         identifiers = [req.identifier for req in translation.requirements]
         input_set = frozenset(report.partition.inputs)
@@ -325,20 +320,14 @@ class SpecSession:
         delta = SessionDelta(
             edited=edited,
             components=tuple(components),
-            cache_hits=stats_after["component_cache"]["hits"]
-            - stats_before["component_cache"]["hits"],
-            cache_misses=stats_after["component_cache"]["misses"]
-            - stats_before["component_cache"]["misses"],
+            cache_hits=after.hits - before.hits,
+            cache_misses=after.misses - before.misses,
             semantics_components=semantics.components if semantics else 0,
             semantics_reanalysed=tuple(
                 identifiers[index] for index in semantics.reanalysed
             )
             if semantics
             else (),
-            semantics_hits=stats_after["semantics"]["hits"]
-            - stats_before["semantics"]["hits"],
-            semantics_misses=stats_after["semantics"]["misses"]
-            - stats_before["semantics"]["misses"],
             stage_seconds=stage_seconds,
         )
         self._seen = seen

@@ -55,12 +55,7 @@ logger = logging.getLogger("repro.service.supervision")
 
 #: The per-task cache-attribution delta for tasks that never ran on a
 #: worker (error records; degraded tasks compute a real one instead).
-ZERO_DELTA = {
-    "hits": 0,
-    "misses": 0,
-    "semantics_hits": 0,
-    "semantics_misses": 0,
-}
+ZERO_DELTA = {"hits": 0, "misses": 0}
 
 
 class WorkerUnavailable(RuntimeError):

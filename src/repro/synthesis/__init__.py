@@ -1,9 +1,11 @@
 """Stage 2 of SpecCC: LTL realizability checking (the G4LTL substitute).
 
-Two engines — a k-co-Büchi safety-game reduction (G4LTL's algorithm) and
-SAT-based bounded synthesis (Finkbeiner-Schewe) — plus variable-partitioned
-modular decomposition, controller verification and inconsistency
-localization.
+One exact engine — a k-co-Büchi safety-game reduction (G4LTL's
+algorithm), with SAT-based bounded synthesis (Finkbeiner-Schewe) of an
+environment strategy as its dual for unrealizable verdicts — behind the
+obligation certificate and the GPVW tableau rungs, plus
+variable-partitioned modular decomposition, controller verification and
+inconsistency localization.
 """
 
 from .bounded import BoundedSynthesisResult, IncrementalBoundedSynthesizer
@@ -12,7 +14,6 @@ from .mealy import Letter, MealyMachine, all_letters
 from .modular import Component, decompose
 from .realizability import (
     ComponentResult,
-    Engine,
     RealizabilityResult,
     SynthesisLimits,
     Verdict,
@@ -27,7 +28,6 @@ __all__ = [
     "BoundedSynthesisResult",
     "Component",
     "ComponentResult",
-    "Engine",
     "IncrementalBoundedSynthesizer",
     "Letter",
     "LocalizationResult",

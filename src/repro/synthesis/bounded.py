@@ -1,8 +1,7 @@
 """Bounded LTL synthesis via SAT (Finkbeiner & Schewe).
 
-The G4LTL replacement's reference engine.  To decide whether a system with
-``n`` states can realize a specification ``phi`` over inputs ``I`` and
-outputs ``O``:
+To decide whether a system with ``n`` states can realize a specification
+``phi`` over inputs ``I`` and outputs ``O``:
 
 1. build the Büchi automaton of ``!phi`` (GPVW) and read it as a
    *universal co-Büchi* automaton: the closed loop must not let any run
@@ -17,7 +16,10 @@ outputs ``O``:
 Unrealizability is semi-decided through the *dual* game: the environment,
 now the constructive player, moves first each step (a Moore machine over
 the outputs) and tries to enforce ``!phi``; bounded synthesis of that
-machine witnesses unrealizability.
+machine witnesses unrealizability.  The realizability driver runs only
+this dual, after each bound the safety game does not win; the system
+direction (:meth:`IncrementalBoundedSynthesizer.for_system`) is what the
+differential tests cross-check the game against.
 
 Incremental solving across bounds
 ---------------------------------

@@ -25,7 +25,6 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..logic.ast import Formula, atoms
 from .realizability import (
-    Engine,
     RealizabilityResult,
     SynthesisLimits,
     Verdict,
@@ -47,14 +46,13 @@ class LocalizationResult:
 def default_checker(
     inputs: Sequence[str],
     outputs: Sequence[str],
-    engine: Engine = Engine.SAFETY_GAME,
     limits: SynthesisLimits = SynthesisLimits(),
 ) -> Checker:
     """A checker closure over a fixed I/O partition."""
 
     def run(formulas: Sequence[Formula]) -> Verdict:
         return check_realizability(
-            list(formulas), inputs, outputs, engine=engine, limits=limits
+            list(formulas), inputs, outputs, limits=limits
         ).verdict
 
     return run

@@ -5,13 +5,13 @@ components and runs each through a cost-ordered decision ladder
 (:data:`RUNGS`): the obligation certificate (:mod:`.invariants`, one SAT
 solve per goal; REALIZABLE, or UNREALIZABLE from a conflict core the
 environment can force), then the GPVW satisfiability and validity checks,
-then the exact engines — the safety game (realizable verdicts,
-G4LTL-style) and dual bounded synthesis (unrealizable verdicts).  The
-first rung with an answer decides and names itself in
-``ComponentResult.method``.  Every
-produced controller is re-verified against its component's specification
-by the independent model checker in :mod:`repro.synthesis.verify` before
-it is returned.
+then the exact engines — the safety game at bounds 1 to
+``max_game_bound`` (realizable verdicts, G4LTL-style) with dual bounded
+synthesis of an environment strategy after each bound it does not win
+(unrealizable verdicts).  The first rung with an answer decides and
+names itself in ``ComponentResult.method``.  Every produced controller is
+re-verified against its component's specification by the independent
+model checker in :mod:`repro.synthesis.verify` before it is returned.
 """
 
 from __future__ import annotations
@@ -45,13 +45,6 @@ class Verdict(enum.Enum):
     UNKNOWN = "unknown"
 
 
-class Engine(enum.Enum):
-    """Which algorithm attempts the constructive (system) direction."""
-
-    SAFETY_GAME = "game"  # G4LTL's k-co-Büchi reduction
-    BOUNDED_SAT = "bounded"  # Finkbeiner-Schewe SAT encoding
-
-
 @dataclass
 class ComponentResult:
     """Realizability outcome for one variable-connected component."""
@@ -62,7 +55,7 @@ class ComponentResult:
     counterstrategy: Optional[MealyMachine] = None
     unsat_witness: bool = False
     #: The rung that decided (see :data:`RUNGS`): obligations /
-    #: satisfiability / validity / game / bounded / too-large.
+    #: satisfiability / validity / game / too-large.
     method: str = ""
     seconds: float = 0.0
 
@@ -96,8 +89,6 @@ class RealizabilityResult:
 class SynthesisLimits:
     """Search budgets for the semi-decision procedures."""
 
-    max_system_states: int = 3
-    max_environment_states: int = 3
     max_game_bound: int = 3
     max_game_positions: int = 200_000
     #: Run the obligation certificate, the ladder's first rung (fast,
@@ -126,8 +117,8 @@ class _ComponentOutcome(NamedTuple):
 
 
 # Component-outcome cache: a component's analysis is a pure function of its
-# formulas, its *local* input/output split, the engine and the limits — not
-# of the global partition.  The partition-repair loop in core/pipeline.py
+# formulas, its *local* input/output split and the limits — not of the
+# global partition.  The partition-repair loop in core/pipeline.py
 # and the subset-growth localization checker therefore rehit this cache for
 # every component the current repair/growth step did not actually change,
 # and the per-formula Büchi automata behind it (gpvw/ltlsat caches) are
@@ -136,10 +127,10 @@ class _ComponentOutcome(NamedTuple):
 # bounded, thread-safe LRU) so sessions, batch checks and pool workers
 # all read the same nodes and the same hit/miss counters.
 _ComponentKey = Tuple[
-    Tuple[Formula, ...], Tuple[str, ...], Tuple[str, ...], "Engine", "SynthesisLimits"
+    Tuple[Formula, ...], Tuple[str, ...], Tuple[str, ...], "SynthesisLimits"
 ]
 
-# Engine-work accumulators: how much the SAT solver and the safety game
+# Work accumulators: how much the SAT solver and the safety game
 # actually did since the last clear_caches().  Cached component outcomes
 # add nothing here — the counters measure work performed, which is exactly
 # what the synthesis benchmarks want to assert shrank.  Guarded by their
@@ -230,12 +221,11 @@ def reset_synthesis_stats() -> None:
 def clear_caches() -> None:
     """Reset every formula-level cache behind the realizability stack.
 
-    Clears the shared analysis graph (component outcomes *and* the
-    Algorithm 1 semantics memo) and the GPVW translation cache, then
-    routes every counter surface through the one observability reset
-    (:func:`repro.obs.metrics.reset_counters`) so the graph stage
-    counters and the engine accumulators can never zero on divergent
-    paths.  Benchmarks use this to measure cold paths; ordinary callers
+    Clears the shared analysis graph (component outcomes) and the GPVW
+    translation cache, then routes every counter surface through the one
+    observability reset (:func:`repro.obs.metrics.reset_counters`) so the
+    graph stage counters and the engine accumulators can never zero on
+    divergent paths.  Benchmarks use this to measure cold paths; ordinary callers
     never need it — all caches are keyed by interned formulas / content
     signatures and semantically transparent.
     """
@@ -263,8 +253,7 @@ def cache_snapshot() -> dict:
     from ..automata.gpvw import translation_cache_size
     from ..logic.ast import interned_count
 
-    shared = shared_graph().snapshot()
-    info = shared["components"]
+    info = shared_graph().snapshot()["components"]
     return {
         "component_cache": {
             "size": info["size"],
@@ -272,7 +261,6 @@ def cache_snapshot() -> dict:
             "hits": info["hits"],
             "misses": info["misses"],
         },
-        "semantics": shared["semantics"],
         "automaton_cache": {"size": translation_cache_size()},
         "interned_nodes": interned_count(),
         "synthesis": synthesis_stats(),
@@ -283,9 +271,7 @@ def check_realizability(
     formulas: Sequence[Formula],
     inputs: Sequence[str],
     outputs: Sequence[str],
-    engine: Engine = Engine.SAFETY_GAME,
     limits: SynthesisLimits = SynthesisLimits(),
-    modular: bool = True,
 ) -> RealizabilityResult:
     """Decide (semi-) realizability of the conjunction of *formulas*.
 
@@ -295,18 +281,11 @@ def check_realizability(
     formulas = list(formulas)
     if not formulas:
         return RealizabilityResult(Verdict.REALIZABLE, [], 0.0)
-    if modular:
-        components = decompose(formulas)
-    else:
-        names = frozenset(name for f in formulas for name in _atoms(f))
-        components = [
-            Component(tuple(range(len(formulas))), tuple(formulas), names)
-        ]
     input_set = frozenset(inputs)
     output_set = frozenset(outputs)
     results = [
-        check_component(component, input_set, output_set, engine, limits)
-        for component in components
+        check_component(component, input_set, output_set, limits)
+        for component in decompose(formulas)
     ]
     overall = aggregate_verdict(result.verdict for result in results)
     return RealizabilityResult(overall, results, time.perf_counter() - start)
@@ -336,7 +315,6 @@ def check_component(
     component: Component,
     input_set: frozenset,
     output_set: frozenset,
-    engine: Engine = Engine.SAFETY_GAME,
     limits: SynthesisLimits = SynthesisLimits(),
 ) -> ComponentResult:
     """Check one variable-connected component against a global partition.
@@ -352,9 +330,7 @@ def check_component(
     start = time.perf_counter()
     local_inputs = tuple(sorted(component.variables & input_set))
     local_outputs = tuple(sorted(component.variables & output_set))
-    key: _ComponentKey = (
-        component.formulas, local_inputs, local_outputs, engine, limits
-    )
+    key: _ComponentKey = (component.formulas, local_inputs, local_outputs, limits)
     with _obs_span(
         "solve.component",
         formulas=len(component.formulas),
@@ -366,7 +342,7 @@ def check_component(
         def analyse() -> _ComponentOutcome:
             sp.set(cached=False)
             return _analyze_component(
-                component.formulas, local_inputs, local_outputs, engine, limits
+                component.formulas, local_inputs, local_outputs, limits
             )
 
         outcome = shared_graph().compute("components", key, analyse)
@@ -388,7 +364,6 @@ class _Problem(NamedTuple):
     formulas: Tuple[Formula, ...]
     inputs: Tuple[str, ...]
     outputs: Tuple[str, ...]
-    engine: Engine
     limits: SynthesisLimits
     specification: Formula
     #: Few enough propositions for the explicit-alphabet engines.
@@ -463,16 +438,18 @@ def _validity(problem: _Problem) -> Optional[_ComponentOutcome]:
 def _engines(problem: _Problem) -> _ComponentOutcome:
     """The exact engines; this rung always answers.
 
-    Sound on every component: a controller is model-checked against the
+    The safety game at bounds 1 to ``max_game_bound`` decides REALIZABLE;
+    after each bound it does not win, the dual (a bounded environment
+    strategy with as many states) may decide UNREALIZABLE.  Sound on
+    every component: a controller is model-checked against the
     specification before it is returned, and UNKNOWN means no bound up to
-    the limits' decided.  Past ``max_explicit_variables`` propositions
-    the alphabet is out of reach: UNKNOWN (``too-large``).
+    the limits decided.  Past ``max_explicit_variables`` propositions the
+    alphabet is out of reach: UNKNOWN (``too-large``).
     """
     if not problem.explicit_ok:
         return _ComponentOutcome(Verdict.UNKNOWN, None, None, False, "too-large")
     specification = problem.specification
     local_inputs, local_outputs = problem.inputs, problem.outputs
-    engine, limits = problem.engine, problem.limits
 
     controller: Optional[MealyMachine] = None
     counterstrategy: Optional[MealyMachine] = None
@@ -481,83 +458,48 @@ def _engines(problem: _Problem) -> _ComponentOutcome:
     # Dual (environment) synthesis enumerates the *output* alphabet as the
     # adversary; it is only tractable for small output supports.
     dual_ok = len(local_outputs) <= 8
+    # One persistent dual synthesizer: the bound only grows, so every
+    # attempt after the first reuses the learnt clauses, activity and
+    # phases of the previous one (see synthesis.bounded).  Built lazily —
+    # a component the game settles never pays for translating the
+    # positive specification.
+    dual: Optional[IncrementalBoundedSynthesizer] = None
 
-    # One persistent synthesizer per direction: the bound-growth loops
-    # below only ever grow num_states, so every attempt after the first
-    # reuses the learnt clauses, activity and phases of the previous one
-    # (see synthesis.bounded).
-    # Built lazily — a component settled without the dual never pays for
-    # translating the positive specification.
-    _env_synth: List[IncrementalBoundedSynthesizer] = []
-
-    def environment_synth() -> IncrementalBoundedSynthesizer:
-        if not _env_synth:
-            _env_synth.append(
-                IncrementalBoundedSynthesizer.for_environment(
-                    specification, local_inputs, local_outputs
+    for bound in range(1, problem.limits.max_game_bound + 1):
+        with _obs_span("solve.game", bound=bound) as sp:
+            try:
+                outcome = solve_game(
+                    specification,
+                    local_inputs,
+                    local_outputs,
+                    bound=bound,
+                    max_positions=problem.limits.max_game_positions,
                 )
-            )
-        return _env_synth[0]
-
-    if engine is Engine.SAFETY_GAME:
-        for bound in range(1, limits.max_game_bound + 1):
-            with _obs_span("solve.game", bound=bound) as sp:
-                try:
-                    outcome = solve_game(
-                        specification,
-                        local_inputs,
-                        local_outputs,
-                        bound=bound,
-                        max_positions=limits.max_game_positions,
-                    )
-                except StateSpaceLimit:
-                    sp.set(limit="positions")
-                    break
-                _record_game(outcome.stats)
-                sp.set(realizable=outcome.realizable, **outcome.stats)
-            if outcome.realizable:
-                controller = outcome.machine
-                verdict = Verdict.REALIZABLE
+            except StateSpaceLimit:
+                sp.set(limit="positions")
                 break
-            # Not winnable at this bound: consult the dual before growing k.
-            if dual_ok:
-                with _obs_span(
-                    "solve.bounded", direction="environment", states=bound
-                ) as sp:
-                    dual = environment_synth().solve(num_states=bound)
-                    _record_sat(dual.solver_stats)
-                    sp.set(realizable=dual.realizable, **dual.solver_stats)
-                if dual.realizable:
-                    counterstrategy = dual.machine
-                    verdict = Verdict.UNREALIZABLE
-                    break
-    else:
-        system_synth = IncrementalBoundedSynthesizer.for_system(
-            specification, local_inputs, local_outputs
-        )
-        for size in range(1, max(limits.max_system_states, limits.max_environment_states) + 1):
-            if size <= limits.max_system_states:
-                with _obs_span(
-                    "solve.bounded", direction="system", states=size
-                ) as sp:
-                    attempt = system_synth.solve(num_states=size)
-                    _record_sat(attempt.solver_stats)
-                    sp.set(realizable=attempt.realizable, **attempt.solver_stats)
-                if attempt.realizable:
-                    controller = attempt.machine
-                    verdict = Verdict.REALIZABLE
-                    break
-            if size <= limits.max_environment_states and dual_ok:
-                with _obs_span(
-                    "solve.bounded", direction="environment", states=size
-                ) as sp:
-                    dual = environment_synth().solve(num_states=size)
-                    _record_sat(dual.solver_stats)
-                    sp.set(realizable=dual.realizable, **dual.solver_stats)
-                if dual.realizable:
-                    counterstrategy = dual.machine
-                    verdict = Verdict.UNREALIZABLE
-                    break
+            _record_game(outcome.stats)
+            sp.set(realizable=outcome.realizable, **outcome.stats)
+        if outcome.realizable:
+            controller = outcome.machine
+            verdict = Verdict.REALIZABLE
+            break
+        # Not winnable at this bound: consult the dual before growing k.
+        if dual_ok:
+            with _obs_span(
+                "solve.bounded", direction="environment", states=bound
+            ) as sp:
+                if dual is None:
+                    dual = IncrementalBoundedSynthesizer.for_environment(
+                        specification, local_inputs, local_outputs
+                    )
+                attempt = dual.solve(num_states=bound)
+                _record_sat(attempt.solver_stats)
+                sp.set(realizable=attempt.realizable, **attempt.solver_stats)
+            if attempt.realizable:
+                counterstrategy = attempt.machine
+                verdict = Verdict.UNREALIZABLE
+                break
 
     if (
         controller is not None
@@ -567,13 +509,7 @@ def _engines(problem: _Problem) -> _ComponentOutcome:
             "synthesized controller failed independent verification — "
             "this indicates an engine bug, please report it"
         )
-    return _ComponentOutcome(
-        verdict,
-        controller,
-        counterstrategy,
-        False,
-        "game" if engine is Engine.SAFETY_GAME else "bounded",
-    )
+    return _ComponentOutcome(verdict, controller, counterstrategy, False, "game")
 
 
 #: The decision ladder, cheapest and most decisive first: on Table I the
@@ -593,7 +529,6 @@ def _analyze_component(
     formulas: Tuple[Formula, ...],
     local_inputs: Tuple[str, ...],
     local_outputs: Tuple[str, ...],
-    engine: Engine,
     limits: SynthesisLimits,
 ) -> _ComponentOutcome:
     specification = conj(formulas)
@@ -604,7 +539,6 @@ def _analyze_component(
         formulas,
         local_inputs,
         local_outputs,
-        engine,
         limits,
         specification,
         explicit_ok,

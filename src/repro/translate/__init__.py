@@ -19,7 +19,6 @@ from .semantics import (
     analyse_incremental,
     mutual_exclusion_assumptions,
     no_reasoning,
-    semantics_cache_info,
 )
 from .templates import TranslationOptions, clause_formula, group_formula, sentence_formula
 from .timeabs import (
@@ -63,7 +62,6 @@ __all__ = [
     "partition_formulas",
     "partition_report",
     "rewrite_chains",
-    "semantics_cache_info",
     "sentence_formula",
     "translate_requirements",
     "unify",

@@ -14,28 +14,24 @@ or adverb antonyms for a subject, we abbreviate the propositions by just
 using the subject and its negative form" — ``available_pulse_wave`` is
 written ``pulse_wave``.
 
-**Incrementality.**  Algorithm 1 walks the ``<subject, dependent>``
-table subject by subject, and each subject's step is a pure function of
-its sorted dependents plus the *pre-state* of each dependent word's
-antonym memo (``online(w)`` runs at most once per word, and pairing
-mutates the partner's memo — couplings the pre-states capture exactly).
-:func:`analyse` therefore folds memoised per-subject steps through the
-process-wide analysis graph (:func:`repro.core.graph.shared_graph`,
-stage ``"semantics"``), keyed by dependents + pre-states — editing one
-sentence re-runs the algorithm only for subjects whose dependents or
-threaded-in states the edit actually changed, and subjects with
-identical keys share a single node.  The pre-decomposition monolithic
-loop, the reference the differential tests compare against, lives with
-the tests (``tests/oracles/semantics.py``).
+**Incrementality.**  :func:`analyse_incremental` runs Algorithm 1 as the
+paper's loop over the subject table, merged from cached per-sentence
+``vocab`` nodes of the calling document's graph (an edit re-extracts only
+the sentences it touched).  The loop also records each pairing subject's
+*unit key*: its sorted dependents plus the pre-state of each dependent
+word's antonym memo (``online(w)`` runs at most once per word, and
+pairing mutates the partner's memo — couplings the pre-states capture
+exactly).  Comparing keys with the document's previous pass attributes an
+edit to exactly the sentences whose subject it dirtied.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from ..core.graph import AnalysisGraph, StageStats, shared_graph
+from ..core.graph import AnalysisGraph
 from ..nlp.antonyms import AntonymDictionary
 from ..nlp.dependencies import sentence_vocabulary, subject_dependents
 from ..nlp.grammar import Sentence
@@ -148,61 +144,13 @@ def _strip_negation_prefix(word: Optional[str]) -> Optional[str]:
     return None
 
 
-# --------------------------------------------------------------------------
-# Algorithm 1, decomposed into per-subject *analysis units*.
-#
-# The monolithic loop (kept with the tests as the reference) mutates shared
-# WordEntry state across subjects: the `online(w)` memo is filled at most
-# once per word, and pairing adds the reverse direction to the partner's
-# set — so a pairing under one subject can mask a later subject's
-# dictionary lookup.  Each subject's step is nevertheless a *pure
-# function* of its sorted dependents plus, per dependent word, the part of
-# the word's antonym-memo state the step can observe: whether the memo is
-# primed (non-empty — the ``online(w)`` lookup is skipped) and its
-# intersection with the subject's own dependents (everything ``found`` can
-# see).  Replaying the subjects in sorted order while threading the full
-# word states through reproduces the monolithic run exactly; memoising
-# each step under the *projected* key keeps edits local — a state change
-# a later subject cannot observe does not invalidate its node, and
-# subjects with identical keys (twenty sensors with the same adjective
-# pair) share a single node.
-
-
-#: A word's antonym-memo state as one subject's step observes it:
-#: ``None`` = unprimed (the next consult runs ``online(w)``); a tuple =
-#: primed, holding the memo's intersection with the subject's dependents.
-WordState = Optional[Tuple[str, ...]]
-
-
-class SubjectSemantics(NamedTuple):
-    """Frozen outcome of Algorithm 1's step for one subject.
-
-    Deliberately subject-name-free — the step's logic never reads the
-    name — so equal (dependents, observable pre-states) share one memo
-    node.  State changes are returned as a *delta* (lookups fetched,
-    partners added) the fold applies to the full states it threads.
-    Immutable and picklable.
-    """
-
-    #: ``(positive, negative)`` pairs in append order.
-    pairs: Tuple[Tuple[str, str], ...]
-    #: Dependent words coloured blue under this subject, sorted.
-    blue: Tuple[str, ...]
-    #: ``(word, full online(w) result)`` for every lookup this step ran.
-    looked_up: Tuple[Tuple[str, Tuple[str, ...]], ...]
-    #: ``(word, partners)`` added to word memos by this step's pairings.
-    added: Tuple[Tuple[str, Tuple[str, ...]], ...]
-
-
 @dataclass(frozen=True)
 class SemanticsDelta:
     """What one analysis actually re-ran, for session/bench reporting.
 
     ``reanalysed`` holds the indices (into the analysed sentence list) of
     sentences owning a subject whose analysis unit was not seen by the
-    *calling document's* previous pass — deterministic per session,
-    unlike the process-wide stage counters which concurrent checkers
-    bleed into.
+    *calling document's* previous pass — deterministic per session.
     """
 
     components: int = 0  # analysis units (subjects with > 1 dependent)
@@ -211,72 +159,12 @@ class SemanticsDelta:
     reanalysed: Tuple[int, ...] = ()  # sentence indices
 
 
-def _project(state: Optional[Set[str]], depset: Set[str]) -> WordState:
-    """A word's memo state as observed from inside one subject's step."""
-    return tuple(sorted(state & depset)) if state is not None else None
-
-
-def _replay_subject(
-    dependents: Tuple[str, ...],
-    pre: Tuple[WordState, ...],
-    dictionary: AntonymDictionary,
-) -> SubjectSemantics:
-    """One subject's slice of Algorithm 1, from observable word states.
-
-    Control-flow-faithful to the monolithic loop's inner body: ``found``
-    only ever reads ``dependents & antonyms``, which the projected *pre*
-    preserves, and a primed memo — projected or not — suppresses the
-    dictionary lookup exactly like a non-empty ``WordEntry.antonyms``.
-    """
-    depset = set(dependents)
-    primed: Dict[str, bool] = {}
-    effective: Dict[str, Set[str]] = {}  # memo ∩ dependents, evolving
-    for word, frozen in zip(dependents, pre):
-        primed[word] = frozen is not None
-        effective[word] = set(frozen) if frozen is not None else set()
-
-    blue: Set[str] = set()
-    pairs: List[Tuple[str, str]] = []
-    looked_up: List[Tuple[str, Tuple[str, ...]]] = []
-    added: Dict[str, Set[str]] = {}
-    for word in dependents:
-        if word in blue:  # color_for(subject) is not GREEN
-            continue
-        if not primed[word]:  # if not entry.antonyms: online(w)
-            result = dictionary.lookup(word)
-            looked_up.append((word, tuple(sorted(result))))
-            primed[word] = True
-            effective[word] |= depset & result
-        found = effective[word]  # dependents & entry.antonyms
-        if not found:
-            continue
-        blue.add(word)
-        for other in sorted(found):
-            blue.add(other)
-            primed[other] = True  # entry.antonyms.add(word)
-            effective[other].add(word)
-            added.setdefault(other, set()).add(word)
-            positive, negative = (
-                (word, other)
-                if dictionary.is_positive(word, other)
-                else (other, word)
-            )
-            pairs.append((positive, negative))
-    return SubjectSemantics(
-        pairs=tuple(pairs),
-        blue=tuple(sorted(blue)),
-        looked_up=tuple(looked_up),
-        added=tuple(
-            (word, tuple(sorted(partners)))
-            for word, partners in sorted(added.items())
-        ),
-    )
-
-
-#: An analysis unit as the fold visits it: subject, memo key, and the
-#: step outcome.  ``key = (dictionary signature, sorted dependents,
-#: observable pre-states)`` — everything the step reads.
-AnalysisUnit = Tuple[str, tuple, "SubjectSemantics"]
+#: An analysis unit: a pairing subject and its key ``(dictionary
+#: signature, sorted dependents, pre-states)`` — everything the subject's
+#: step of Algorithm 1 reads.  A dependent's pre-state is ``None`` while
+#: its antonym memo is unprimed (the step will run ``online(w)``), else
+#: the memo's intersection with the subject's dependents.
+AnalysisUnit = Tuple[str, tuple]
 
 
 def _analyse_table(
@@ -285,19 +173,16 @@ def _analyse_table(
     units: Optional[List[AnalysisUnit]] = None,
     dict_sig: Optional[tuple] = None,
 ) -> SemanticAnalysis:
-    """Algorithm 1 as a fold of memoised per-subject steps.
+    """Algorithm 1: one loop over the subjects in sorted order.
 
-    Walks the subjects in sorted order, threading each word's full
-    antonym memo through the steps; every step is served from the
-    process-wide ``semantics`` stage when its (dependents, observable
-    pre-states) key has been computed before — by this document, another
-    session, or another thread.  *units*, when given, collects the
-    visited units for delta attribution.  *dict_sig* lets callers that
-    already computed :meth:`AntonymDictionary.signature` (the translator
-    keys raw formulas by it) avoid rebuilding it per check.
+    ``online(w)`` runs at most once per word: a word is *primed* once it
+    is looked up or paired into, and a primed memo suppresses the lookup
+    even when it is empty.  *units*, when given, collects every pairing
+    subject's unit key for delta attribution.  *dict_sig* lets callers
+    that already computed :meth:`AntonymDictionary.signature` (the
+    translator keys raw formulas by it) avoid rebuilding it per check.
     """
-    shared = shared_graph()
-    if dict_sig is None:
+    if units is not None and dict_sig is None:
         dict_sig = dictionary.signature()
 
     wordset: Dict[str, WordEntry] = {}
@@ -305,7 +190,7 @@ def _analyse_table(
         for word in sorted(dependents):
             wordset.setdefault(word, WordEntry(word))
 
-    state: Dict[str, Optional[Set[str]]] = {word: None for word in wordset}
+    primed: Set[str] = set()
     pairs_by_subject: Dict[str, List[Tuple[str, str]]] = {}
     for subject in sorted(table):
         dependents = table[subject]
@@ -314,34 +199,38 @@ def _analyse_table(
             # Algorithm 1 skips it (line 3: |s.dep| > 1).
             continue
         ordered = tuple(sorted(dependents))
-        depset = set(ordered)
-        pre = tuple(_project(state[word], depset) for word in ordered)
-        key = (dict_sig, ordered, pre)
-        unit = shared.compute(
-            "semantics",
-            key,
-            lambda ordered=ordered, pre=pre: _replay_subject(
-                ordered, pre, dictionary
-            ),
-        )
         if units is not None:
-            units.append((subject, key, unit))
-        # Apply the step's state delta to the threaded full memos.
-        for word, result in unit.looked_up:
-            state[word] = set(result)
-        for word, partners in unit.added:
-            memo = state[word]
-            if memo is None:
-                memo = state[word] = set()
-            memo.update(partners)
-        for word in unit.blue:
-            wordset[word].colors[subject] = Color.BLUE
-        if unit.pairs:
-            pairs_by_subject[subject] = [tuple(pair) for pair in unit.pairs]
-
-    for word, accumulated in state.items():
-        if accumulated is not None:
-            wordset[word].antonyms = set(accumulated)
+            pre = tuple(
+                tuple(sorted(wordset[word].antonyms & dependents))
+                if word in primed
+                else None
+                for word in ordered
+            )
+            units.append((subject, (dict_sig, ordered, pre)))
+        for word in ordered:
+            entry = wordset[word]
+            if entry.color_for(subject) is not Color.GREEN:
+                continue
+            if word not in primed:
+                entry.antonyms = set(dictionary.lookup(word))  # online(w)
+                primed.add(word)
+            found = dependents & entry.antonyms
+            if not found:
+                continue
+            entry.colors[subject] = Color.BLUE
+            for other in sorted(found):
+                other_entry = wordset[other]
+                other_entry.colors[subject] = Color.BLUE
+                other_entry.antonyms.add(word)
+                primed.add(other)
+                positive, negative = (
+                    (word, other)
+                    if dictionary.is_positive(word, other)
+                    else (other, word)
+                )
+                pairs_by_subject.setdefault(subject, []).append(
+                    (positive, negative)
+                )
     return SemanticAnalysis(wordset, pairs_by_subject, dictionary)
 
 
@@ -368,14 +257,12 @@ def analyse_incremental(
     the calling document's graph (a
     :class:`~repro.translate.translator.TranslationCache` owns one).  Per
     sentence, a ``vocab`` node (keyed by text) caches the sentence's
-    subject/dependent contributions; the merged table then folds through
-    the process-wide ``semantics`` stage one analysis unit per pairing
-    subject.  A per-document ``semantics_seen`` stage records which unit
+    subject/dependent contributions; Algorithm 1 then runs over the merged
+    table.  A per-document ``semantics_seen`` stage records which unit
     keys earlier passes of *this* document produced, so the returned
     :class:`SemanticsDelta` attributes exactly the sentences whose unit an
     edit dirtied (by changing its dependents *or* the antonym-memo
-    pre-states threaded into it), deterministically even when other
-    sessions share the process-wide memo.
+    pre-states threaded into it).
     """
     contributions = []
     for text, sentence in items:
@@ -399,11 +286,11 @@ def analyse_incremental(
     analysis = _analyse_table(table, dictionary, units=units, dict_sig=dict_sig)
 
     # Seen-ness is evaluated against the *pre-pass* state for every unit
-    # before any unit is marked, so units sharing one memo key (identical
+    # before any unit is marked, so units sharing one key (identical
     # dependents and pre-states) all count as fresh on their first pass.
     flags = [
         (subject, key, graph.contains("semantics_seen", key))
-        for subject, key, _ in units
+        for subject, key in units
     ]
     reanalysed: Set[int] = set()
     reanalysed_units = 0
@@ -420,12 +307,6 @@ def analyse_incremental(
         reanalysed=tuple(sorted(reanalysed)),
     )
     return analysis, delta
-
-
-
-def semantics_cache_info() -> StageStats:
-    """Statistics of the process-wide Algorithm 1 component memo."""
-    return shared_graph().stats()["semantics"]
 
 
 def no_reasoning() -> SemanticAnalysis:

@@ -103,7 +103,7 @@ class SpecificationTranslation:
 DOCUMENT_STAGES: Tuple[str, ...] = (
     "parses",  # text -> Sentence
     "vocab",  # text -> Algorithm 1 contributions (subject, dependents)
-    "semantics_seen",  # component signature -> True (delta attribution)
+    "semantics_seen",  # Algorithm 1 unit key -> True (delta attribution)
     "raw_formulas",  # (text, sentence-local analysis slice) -> Formula
     "solutions",  # (thetas, method, bound, signs) -> abstraction solve
     "rewritten",  # (raw formula, solution key) -> rewritten formula

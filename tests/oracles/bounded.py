@@ -1,4 +1,5 @@
-"""The from-scratch bounded-synthesis encoding: one CNF and one solver per bound."""
+"""Bounded-synthesis references: the from-scratch encoding (one CNF and one
+solver per bound) and the system/dual bounded-synthesis engine rung."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ from typing import Dict, Optional, Tuple
 from repro.automata.buchi import BuchiAutomaton
 from repro.sat.cdcl import CDCLSolver
 from repro.sat.cnf import CNF
+from repro.synthesis import realizability
 from repro.synthesis.bounded import (
     _COUNTER_KEYS,
     BoundedSynthesisResult,
@@ -17,6 +19,8 @@ from repro.synthesis.bounded import (
     default_annotation_bound,
 )
 from repro.synthesis.mealy import Letter, all_letters
+from repro.synthesis.realizability import Verdict
+from repro.synthesis.verify import satisfies_specification
 
 
 class FreshBoundedSynthesizer(IncrementalBoundedSynthesizer):
@@ -167,4 +171,60 @@ def _synthesize_against(
     return BoundedSynthesisResult(
         True, machine, num_states, k, cnf.num_vars, len(cnf.clauses),
         solver_stats=flat_stats(),
+    )
+
+
+#: The state bound of both directions of :func:`bounded_engines`.
+MAX_STATES = 3
+
+
+def bounded_engines(problem) -> "realizability._ComponentOutcome":
+    """The exact-engine rung with bounded synthesis in both directions.
+
+    At each size from 1 to :data:`MAX_STATES`, bounded synthesis of a
+    system controller may decide REALIZABLE, then the dual (an
+    environment strategy with as many states) may decide UNREALIZABLE.
+    It takes the place of ``realizability._engines`` in
+    ``realizability.RUNGS``, and reads ``IncrementalBoundedSynthesizer``
+    through :mod:`repro.synthesis.realizability` at call time, so a test
+    can patch :class:`FreshBoundedSynthesizer` in there too.  The
+    component cache cannot tell the rungs apart: clear it around a swap.
+    """
+    if not problem.explicit_ok:
+        return realizability._ComponentOutcome(
+            Verdict.UNKNOWN, None, None, False, "too-large"
+        )
+    synthesizer = realizability.IncrementalBoundedSynthesizer
+    specification = problem.specification
+    system = synthesizer.for_system(specification, problem.inputs, problem.outputs)
+    environment = None
+    controller = counterstrategy = None
+    verdict = Verdict.UNKNOWN
+    for size in range(1, MAX_STATES + 1):
+        attempt = system.solve(num_states=size)
+        if attempt.realizable:
+            controller, verdict = attempt.machine, Verdict.REALIZABLE
+            break
+        if len(problem.outputs) <= 8:
+            if environment is None:
+                environment = synthesizer.for_environment(
+                    specification, problem.inputs, problem.outputs
+                )
+            dual = environment.solve(num_states=size)
+            if dual.realizable:
+                counterstrategy, verdict = dual.machine, Verdict.UNREALIZABLE
+                break
+    if controller is not None:
+        assert satisfies_specification(controller, specification)
+    return realizability._ComponentOutcome(
+        verdict, controller, counterstrategy, False, "bounded"
+    )
+
+
+def with_bounded_engines(rungs: tuple) -> tuple:
+    """*rungs* with :func:`bounded_engines` in place of the game rung."""
+    assert realizability._engines in rungs, "the game rung was renamed"
+    return tuple(
+        bounded_engines if rung is realizability._engines else rung
+        for rung in rungs
     )

@@ -1,8 +1,10 @@
-"""Full-clause re-scan propagation: the pre-watcher CDCL reference."""
+"""SAT references: full-clause re-scan propagation (the pre-watcher CDCL)
+and exhaustive enumeration (the ground truth for tiny instances)."""
 
 from __future__ import annotations
 
-from typing import List, Optional
+from itertools import product
+from typing import Dict, List, Optional
 
 from repro.sat.cdcl import CDCLSolver, _code
 from repro.sat.cnf import CNF, Lit
@@ -75,3 +77,24 @@ class ScanCDCLSolver(CDCLSolver):
                 if unassigned == 1:
                     self._enqueue(unit, index)
         return None
+
+
+def solve_brute(cnf: CNF, max_vars: int = 24) -> Optional[Dict[int, bool]]:
+    """Return a model as ``{var: bool}`` or ``None`` when unsatisfiable.
+
+    Raises :class:`ValueError` when the instance has more than *max_vars*
+    variables, to protect against accidental exponential blow-up.
+    """
+    if cnf.num_vars > max_vars:
+        raise ValueError(
+            f"instance has {cnf.num_vars} variables; brute force capped at {max_vars}"
+        )
+    variables = list(range(1, cnf.num_vars + 1))
+    for bits in product((False, True), repeat=len(variables)):
+        assignment = dict(zip(variables, bits))
+        if all(
+            any(assignment[abs(lit)] == (lit > 0) for lit in clause)
+            for clause in cnf.clauses
+        ):
+            return assignment
+    return None

@@ -14,8 +14,8 @@ def analyse_table_monolithic(
     """The paper's Algorithm 1 as one loop over the whole table.
 
     Kept verbatim as the reference implementation: the differential tests
-    assert the component decomposition reproduces it exactly, including
-    the order-coupled ``wordset`` mutations.
+    assert production's loop, gated by primed words, reproduces it
+    exactly, including the order-coupled ``wordset`` mutations.
     """
     wordset: Dict[str, WordEntry] = {}
     for dependents in table.values():

@@ -1,17 +1,16 @@
-"""Tests of the incremental analysis graph (core/graph.py) and of the
-component-decomposed Algorithm 1 riding on it.
+"""Tests of the incremental analysis graph (core/graph.py) and of
+Algorithm 1's incremental attribution riding on it.
 
 Two contracts matter:
 
 * the graph machinery itself — signature-keyed memos with exact hit/miss
   counters, LRU (shared flavour) vs retain-pruning (per-document
   flavour), thread safety;
-* the semantic decomposition — splitting Algorithm 1's subject table into
-  word-connected components and replaying each in isolation must
-  reproduce the monolithic algorithm *exactly*, including the
-  order-coupled ``wordset`` mutations (the ``online(w)`` memo is filled
-  at most once per word, so pairing under one subject can mask lookups
-  under a later subject — a component boundary must never change that).
+* Algorithm 1 — production's loop, gated by primed words, must reproduce
+  the algorithm as printed *exactly*, including the order-coupled
+  ``wordset`` mutations (the ``online(w)`` memo is filled at most once
+  per word, so pairing under one subject can mask lookups under a later
+  subject), and its per-subject unit keys must capture those couplings.
 """
 
 from __future__ import annotations
@@ -29,10 +28,8 @@ from repro.nlp.dependencies import candidate_subjects, sentence_vocabulary
 from repro.translate.semantics import (
     SemanticsDelta,
     _analyse_table,
-    _replay_subject,
     analyse,
     analyse_incremental,
-    semantics_cache_info,
 )
 from repro.translate.translator import TranslationCache
 
@@ -124,9 +121,8 @@ class TestAnalysisGraph:
 
     def test_shared_graph_hosts_the_pipeline_stages(self):
         stats = shared_graph().stats()
-        assert set(stats) == {"semantics", "components"}
+        assert set(stats) == {"components"}
         assert stats["components"].capacity == 2048
-        assert stats["semantics"].capacity == 4096
 
 
 def random_table(rng: random.Random) -> dict:
@@ -143,7 +139,7 @@ def random_table(rng: random.Random) -> dict:
 
 
 class TestComponentDecomposition:
-    """The component replay must equal the monolithic Algorithm 1."""
+    """Production's Algorithm 1 and its unit keys, against the printed loop."""
 
     dictionary = AntonymDictionary.default()
 
@@ -158,7 +154,7 @@ class TestComponentDecomposition:
         antonym memo with {'available'} only, so under s2 the dictionary
         lookup of 'lost' never runs — the pair with 'unavailable' is only
         found through the partner's own lookup.  Both subjects share a
-        word, hence one component: the replay must preserve the masking."""
+        word, hence coupled units: the loop must preserve the masking."""
         self.assert_equal(
             {"s1": {"available", "lost"}, "s2": {"lost", "unavailable"}}
         )
@@ -176,61 +172,36 @@ class TestComponentDecomposition:
         table = {"a": {"open", "closed"}, "b": {"busy", "idle"}, "c": {"full"}}
         units = []
         _analyse_table(table, self.dictionary, units=units)
-        assert [subject for subject, _, _ in units] == ["a", "b"]  # c skipped
+        assert [subject for subject, _ in units] == ["a", "b"]  # c skipped
         self.assert_equal(table)
 
     def test_identical_subjects_share_one_memo_node(self):
-        """Twenty sensors with the same adjective pair cost two analysis
-        nodes: one with fresh pre-states, one with the threaded states
-        every later subject observes."""
+        """Twenty sensors with the same adjective pair have two unit keys:
+        one with fresh pre-states, one with the threaded states every
+        later subject observes."""
         table = {f"s{index:02d}": {"on", "off"} for index in range(20)}
         units = []
         _analyse_table(table, self.dictionary, units=units)
         assert len(units) == 20
-        assert len({key for _, key, _ in units}) == 2
+        assert len({key for _, key in units}) == 2
         self.assert_equal(table)
 
     def test_pre_states_thread_through_shared_words(self):
         """s2's unit key differs from s1's because s1's pairing populated
-        the shared words' antonym memos — the edge the fold must track."""
+        the shared words' antonym memos — the edge the keys must track."""
         table = {"s1": {"on", "off"}, "s2": {"on", "off"}}
         units = []
         _analyse_table(table, self.dictionary, units=units)
-        (_, key1, _), (_, key2, _) = units
+        (_, key1), (_, key2) = units
         assert key1 != key2
         assert key1[1] == key2[1] == ("off", "on")  # same dependents
         assert key1[2] == (None, None)  # fresh states
         assert all(state is not None for state in key2[2])  # threaded states
 
-    def test_replay_subject_is_state_sensitive(self):
-        """The same dependents pair under fresh memos but not under masked
-        ones — why pre-states belong in the unit key.  A word paired into
-        while fresh carries only its partner in its memo, and the
-        non-empty memo suppresses the dictionary lookup forever."""
-        fresh = _replay_subject(("high", "low"), (None, None), self.dictionary)
-        assert fresh.pairs == (("high", "low"),)
-        assert fresh.blue == ("high", "low")
-        assert dict(fresh.looked_up)["high"]  # online(high) ran
-        # Primed-elsewhere memos (observable projection empty): the
-        # suppressed lookups mean the pair is never found.
-        masked = _replay_subject(("high", "low"), ((), ()), self.dictionary)
-        assert masked.pairs == ()
-        assert masked.blue == ()
-        assert masked.looked_up == ()
-
     def test_randomised_tables(self):
         rng = random.Random(20260729)
         for _ in range(150):
             self.assert_equal(random_table(rng))
-
-    def test_component_memo_serves_repeats(self):
-        table = {"p": {"valid", "invalid"}}
-        _analyse_table(table, self.dictionary)
-        before = semantics_cache_info()
-        _analyse_table(table, self.dictionary)
-        after = semantics_cache_info()
-        assert after.hits == before.hits + 1
-        assert after.misses == before.misses
 
     def test_distinct_dictionaries_do_not_share_nodes(self):
         custom = AntonymDictionary.default()

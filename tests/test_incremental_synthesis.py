@@ -15,7 +15,9 @@ Two references from ``tests/oracles/``:
   early abort on unrealizable-at-bound games.
 
 The driver-level suite swaps both into ``check_realizability`` by
-monkeypatching the names it looks up.  The Hypothesis schedules are
+monkeypatching the names it looks up, under the production game rung
+and under ``oracles.bounded.bounded_engines``, which decides with
+bounded synthesis in both directions.  The Hypothesis schedules are
 derandomized so CI is deterministic.
 """
 
@@ -30,7 +32,6 @@ from hypothesis import strategies as st
 from repro.automata.buchi import BuchiAutomaton, Label
 from repro.logic import parse
 from repro.synthesis import (
-    Engine,
     IncrementalBoundedSynthesizer,
     SynthesisLimits,
     check_realizability,
@@ -40,7 +41,7 @@ from repro.synthesis import (
 )
 
 from oracles import game as oracle_game
-from oracles.bounded import FreshBoundedSynthesizer
+from oracles.bounded import FreshBoundedSynthesizer, with_bounded_engines
 from oracles.game import OfflineGame
 
 DETERMINISTIC = settings(max_examples=30, deadline=None, derandomize=True)
@@ -392,7 +393,7 @@ class TestDriverEquivalence:
         ("F g && G !g", [], ["g"]),
     ]
 
-    @pytest.mark.parametrize("engine", [Engine.SAFETY_GAME, Engine.BOUNDED_SAT])
+    @pytest.mark.parametrize("engine", ["game", "bounded"])
     @pytest.mark.parametrize("text,inputs,outputs", CASES)
     def test_reference_knobs_do_not_change_verdicts(
         self, engine, text, inputs, outputs, monkeypatch
@@ -411,10 +412,13 @@ class TestDriverEquivalence:
                 calls.append("bounded")
                 return super().solve(*args, **kwargs)
 
+        if engine == "bounded":
+            monkeypatch.setattr(
+                realizability, "RUNGS", with_bounded_engines(realizability.RUNGS)
+            )
         limits = SynthesisLimits(use_obligations=False)
-        fast = check_realizability(
-            [parse(text)], inputs, outputs, engine=engine, limits=limits
-        )
+        clear_caches()  # the cache key does not name the rung
+        fast = check_realizability([parse(text)], inputs, outputs, limits=limits)
         with monkeypatch.context() as patch:
             patch.setattr(realizability, "solve_game", offline_game)
             patch.setattr(realizability, "IncrementalBoundedSynthesizer", CountedFresh)
@@ -422,7 +426,7 @@ class TestDriverEquivalence:
             # the reference run replays the fast outcome.
             clear_caches()
             reference = check_realizability(
-                [parse(text)], inputs, outputs, engine=engine, limits=limits
+                [parse(text)], inputs, outputs, limits=limits
             )
         clear_caches()
         assert fast.verdict is reference.verdict, (engine, text)
@@ -438,7 +442,6 @@ class TestDriverEquivalence:
         clear_caches()
         check_realizability(
             [parse("G (g <-> X X i)")], ["i"], ["g"],
-            engine=Engine.BOUNDED_SAT,
             limits=SynthesisLimits(use_obligations=False),
         )
         stats = synthesis_stats()
@@ -462,6 +465,8 @@ class TestDriverEquivalence:
             ("game_solving", "offline"),
             ("encoding", "fresh"),
             ("verify_controllers", False),
+            ("max_system_states", 3),
+            ("max_environment_states", 3),
         ]:
             with pytest.raises(TypeError):
                 SynthesisLimits(**{name: value})

@@ -32,6 +32,8 @@ from repro.service.server import serve
 from repro.synthesis import realizability
 from repro.synthesis.realizability import SynthesisLimits, Verdict
 
+from oracles.bounded import with_bounded_engines
+
 #: The ladder before the certificate moved to the front.
 PRECHECK_FIRST = (
     realizability._satisfiability,
@@ -191,12 +193,14 @@ class TestLadderOrder:
         assert {"obligations", "satisfiability", "validity", "game"} <= methods
 
     def test_bounded_engine_order_changes_no_verdict(self, monkeypatch):
-        tool = SpecCC(SpecCCConfig(
-            translation=TranslationOptions(next_as_x=False),
-            engine=realizability.Engine.BOUNDED_SAT,
-        ))
+        tool = paper_tool()
+        monkeypatch.setattr(
+            realizability, "RUNGS", with_bounded_engines(realizability.RUNGS)
+        )
         cost_ordered = _cold_reports(tool, REGIME_DOCUMENTS)
-        monkeypatch.setattr(realizability, "RUNGS", PRECHECK_FIRST)
+        monkeypatch.setattr(
+            realizability, "RUNGS", with_bounded_engines(PRECHECK_FIRST)
+        )
         assert _cold_reports(tool, REGIME_DOCUMENTS) == cost_ordered
         methods = {method for doc in cost_ordered[1] for _, method, _ in doc}
         assert "bounded" in methods
@@ -230,12 +234,12 @@ FORMULA_SPECS = [
 ]
 
 
-def _outcomes(engine):
+def _outcomes():
     outcomes = []
     for texts, inputs, outputs in FORMULA_SPECS:
         realizability.clear_caches()
         result = realizability.check_realizability(
-            [parse(text) for text in texts], inputs, outputs, engine=engine
+            [parse(text) for text in texts], inputs, outputs
         )
         outcomes.append([
             (
@@ -251,13 +255,17 @@ def _outcomes(engine):
     return outcomes
 
 
-@pytest.mark.parametrize("engine", list(realizability.Engine))
+@pytest.mark.parametrize("engine", ["game", "bounded"])
 def test_order_changes_no_component_outcome(monkeypatch, engine):
-    cost_ordered = _outcomes(engine)
-    monkeypatch.setattr(realizability, "RUNGS", PRECHECK_FIRST)
-    assert _outcomes(engine) == cost_ordered
+    # The last rung: the game with its bounded dual, or the reference rung
+    # deciding with bounded synthesis in both directions.
+    swap = with_bounded_engines if engine == "bounded" else tuple
+    monkeypatch.setattr(realizability, "RUNGS", swap(realizability.RUNGS))
+    cost_ordered = _outcomes()
+    monkeypatch.setattr(realizability, "RUNGS", swap(PRECHECK_FIRST))
+    assert _outcomes() == cost_ordered
     methods = {method for spec in cost_ordered for _, method, *_ in spec}
-    assert {"obligations", "satisfiability", "validity", engine.value, "too-large"} <= methods
+    assert {"obligations", "satisfiability", "validity", engine, "too-large"} <= methods
 
 
 def _span_names(tracer: Tracer):

@@ -3,6 +3,7 @@ loop, plus the case-study integration checks behind Table I."""
 
 from __future__ import annotations
 
+import importlib
 import io
 import json
 
@@ -177,6 +178,32 @@ class TestUnknownVerdict:
         assert check["ok"] is True, check
         assert check["report"]["verdict"] == "unknown"
         assert check["report"]["culprits"] == []
+
+
+class TestOnePath:
+    """Each stage has one production path: no engine or decomposition
+    knob, no process-wide Algorithm 1 memo, no reference in ``src``."""
+
+    @pytest.mark.parametrize("module", ["repro", "repro.synthesis"])
+    def test_engine_is_not_exported(self, module):
+        assert not hasattr(importlib.import_module(module), "Engine")
+
+    @pytest.mark.parametrize("knob", ["engine", "modular"])
+    def test_config_has_no_engine_or_modular_knob(self, knob):
+        with pytest.raises(TypeError):
+            SpecCCConfig(**{knob: None})
+
+    def test_shared_graph_hosts_only_component_outcomes(self):
+        from repro import shared_graph
+
+        assert shared_graph().stage_names() == ("components",)
+        assert "semantics" not in SpecCC.cache_stats()
+
+    def test_brute_force_sat_lives_with_the_tests(self):
+        import repro.sat
+
+        assert "solve_brute" not in repro.sat.__all__
+        assert not hasattr(repro.sat, "solve_brute")
 
 
 class TestPartitionRepair:

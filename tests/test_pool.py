@@ -127,14 +127,6 @@ class TestWorkerPool:
             second["worker_cache"]["hits"]
             >= first["worker_cache"]["hits"] + len(DOCS)
         )
-        # The Algorithm 1 memo warms the same way: the corpus has antonym
-        # vocabulary, and the second pass replays none of it.
-        assert first["worker_semantics"]["misses"] > 0
-        assert (
-            second["worker_semantics"]["misses"]
-            == first["worker_semantics"]["misses"]
-        )
-        assert second["worker_semantics"]["hits"] > first["worker_semantics"]["hits"]
         assert second["affinity_repeats"] == len(DOCS)
         assert second["distinct_signatures"] == len(DOCS)
         assert second["tasks"] == 2 * len(DOCS)
@@ -168,7 +160,6 @@ class TestWorkerPool:
         assert len(snapshots) == 2
         for snapshot in snapshots:
             assert "component_cache" in snapshot
-            assert "semantics" in snapshot
             assert "synthesis" in snapshot
         # The corpus was split over the shards, so at least one worker
         # actually analysed something.
@@ -233,7 +224,6 @@ class TestWorkerPool:
             "affinity_repeats",
             "supervision",
             "worker_cache",
-            "worker_semantics",
         }
         assert stats["tasks"] == 1
 

@@ -16,11 +16,10 @@ from repro.sat import (
     assert_formula,
     encode,
     solve,
-    solve_brute,
 )
 from repro.sat.cdcl import _luby
 
-from oracles.sat import ScanCDCLSolver
+from oracles.sat import ScanCDCLSolver, solve_brute
 
 
 def cnf_of(*clauses):

@@ -5,7 +5,8 @@ Hypothesis generates random CNFs (and assumption sets) and cross-checks
 * ``CDCLSolver`` — two-watched-literal propagation,
 * ``ScanCDCLSolver`` (``tests/oracles/sat.py``) — the full-clause
   re-scan reference,
-* ``solve_brute`` — exhaustive enumeration, the ground truth.
+* ``solve_brute`` (``tests/oracles/sat.py``) — exhaustive enumeration,
+  the ground truth.
 
 SAT answers are verified by evaluating the model against every clause;
 UNSAT answers must agree on all three sides; failed-assumption cores are
@@ -23,9 +24,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sat import CDCLSolver, CNF, solve_brute
+from repro.sat import CDCLSolver, CNF
 
-from oracles.sat import ScanCDCLSolver
+from oracles.sat import ScanCDCLSolver, solve_brute
 
 NUM_VARS = 6
 

@@ -217,7 +217,6 @@ class TestIncrementalSemantics:
     def test_edit_reanalyses_only_vocabulary_affected_sentences(self):
         """The acceptance criterion, in miniature: editing one sentence
         re-runs Algorithm 1 only for its own vocabulary component."""
-        SpecCC.clear_caches()  # exact counter deltas need a cold memo
         session = self.make()
         session.check()
 
@@ -227,8 +226,6 @@ class TestIncrementalSemantics:
         # Algorithm 1 re-ran for the feed component only: R3 and the
         # untouched-but-coupled R4 — never for the pulse-wave sentences.
         assert delta.semantics_reanalysed == ("R3", "R4")
-        assert delta.semantics_misses == 1  # one component replayed
-        assert delta.semantics_hits >= 1  # the other came from the memo
         assert self.session_bytes(report) == self.fresh_bytes(session)
 
     def test_new_antonym_pair_invalidates_previously_unrelated_sentence(self):
@@ -271,7 +268,6 @@ class TestIncrementalSemantics:
         # graph has already seen: no Algorithm 1 replay, no realizability
         # analysis, and bytes identical to a fresh run.
         assert delta.semantics_reanalysed == ()
-        assert delta.semantics_misses == 0
         assert delta.cache_misses == 0
         assert self.session_bytes(report) == self.fresh_bytes(session)
 
@@ -284,7 +280,6 @@ class TestIncrementalSemantics:
         delta = report.delta
         assert delta.edited == ("R1",)
         assert delta.semantics_reanalysed == ()
-        assert delta.semantics_misses == 0
         assert delta.cache_misses == 0  # realizability untouched too
         assert all(not c.reanalyzed for c in delta.components)
         # Identical formulas and verdicts (only the echoed text differs).
@@ -297,9 +292,9 @@ class TestIncrementalSemantics:
         "edited, reanalysed",
         [
             (7, ("A7", "B7")),
-            # The memo threads antonym states from one subject to the one
-            # folded after it, so an edit to that state (sensor 1) also
-            # replays its neighbour (sensor 10): the bound is 4 of 40.
+            # Algorithm 1 threads antonym states from one subject to the
+            # next in sorted order, so an edit to that state (sensor 1)
+            # also dirties its neighbour (sensor 10): the bound is 4 of 40.
             (1, ("A1", "B1", "A10", "B10")),
         ],
         ids=["sensor-7", "sensor-1"],
@@ -312,7 +307,6 @@ class TestIncrementalSemantics:
         20 vocabulary components (plus at most one state-adjacent
         neighbour), with the report byte-identical to a fresh sequential
         check."""
-        SpecCC.clear_caches()
         session = SpecSession()
         for group in range(1, 21):
             session.add(
@@ -326,10 +320,6 @@ class TestIncrementalSemantics:
         first = session.check()
         assert first.delta.semantics_components == 20
         assert len(first.delta.semantics_reanalysed) == 40
-        # Twenty identical units deduplicate onto two memo nodes: one with
-        # fresh antonym-memo pre-states, one with the threaded states
-        # every subject after the first observes.
-        assert first.delta.semantics_misses == 2
 
         session.update(
             f"A{edited}",
@@ -338,9 +328,6 @@ class TestIncrementalSemantics:
         report = session.check()
         delta = report.delta
         assert delta.semantics_reanalysed == reanalysed
-        replayed = len(reanalysed) // 2  # components of twenty
-        assert delta.semantics_misses == replayed
-        assert delta.semantics_hits >= 20 - replayed  # the rest: memo hits
         assert self.session_bytes(report) == self.fresh_bytes(session)
 
     def test_batch_and_pool_reports_match_session_after_semantic_edit(self):
@@ -611,7 +598,7 @@ class TestServe:
         responses = run_serve([{"op": "stats"}])
         assert "pools" in responses[0]  # pool.stats() rows, [] before use
         # The op speaks the shared stats format: cache layers + engine work.
-        assert "semantics" in responses[0]["cache"]
+        assert "component_cache" in responses[0]["cache"]
         assert "synthesis" in responses[0]
 
     def test_check_reports_semantics_delta(self):
@@ -1289,7 +1276,6 @@ class TestCLI:
         assert code == 0
         data = json.loads(capsys.readouterr().out)
         stats = data["stats"]
-        assert stats["cache"]["semantics"]["misses"] >= 1
         assert stats["cache"]["component_cache"]["misses"] >= 1
         assert "sat_propagations" in stats["synthesis"]
 
@@ -1297,7 +1283,7 @@ class TestCLI:
         document = tmp_path / "spec.txt"
         document.write_text("The valve is opened.\n")
         assert cli_main(["check", str(document), "--stats"]) == 0
-        assert '"semantics"' in capsys.readouterr().out
+        assert '"component_cache"' in capsys.readouterr().out
 
     def test_batch_empty_directory(self, tmp_path):
         assert cli_main(["batch", str(tmp_path)]) == 2
@@ -1496,7 +1482,6 @@ class TestCacheStats:
         stats = SpecCC.cache_stats()
         for key in ("size", "capacity", "hits", "misses"):
             assert key in stats["component_cache"]
-            assert key in stats["semantics"]
         assert "size" in stats["automaton_cache"]
         assert stats["interned_nodes"] >= 0
 
@@ -1506,26 +1491,6 @@ class TestCacheStats:
         tool.check([("R1", "If the sensor is active, the valve is opened.")])
         after = SpecCC.cache_stats()["component_cache"]
         assert after["hits"] > before["hits"]  # second run served from cache
-
-    def test_semantics_memo_moves_and_clears(self):
-        SpecCC.clear_caches()  # the memo may be warm from earlier tests
-        tool = SpecCC()
-        requirements = [
-            ("R1", "If the feed is valid, the lamp is activated."),
-            ("R2", "If the feed is invalid, the lamp is not activated."),
-        ]
-        before = SpecCC.cache_stats()["semantics"]
-        tool.check(requirements)
-        middle = SpecCC.cache_stats()["semantics"]
-        assert middle["misses"] > before["misses"]  # Algorithm 1 ran
-        tool.check(requirements)
-        after = SpecCC.cache_stats()["semantics"]
-        assert after["misses"] == middle["misses"]  # ... exactly once
-        assert after["hits"] > middle["hits"]
-
-        SpecCC.clear_caches()
-        cleared = SpecCC.cache_stats()["semantics"]
-        assert (cleared["size"], cleared["hits"], cleared["misses"]) == (0, 0, 0)
 
     def test_dictionary_mutation_invalidates_raw_formulas(self):
         """The stateless API must pick up dictionary edits even through

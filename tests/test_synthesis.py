@@ -1,4 +1,4 @@
-"""Tests for stage 2: Mealy machines, both engines, obligations, modular
+"""Tests for stage 2: Mealy machines, the engines, obligations, modular
 decomposition, localization, controller verification."""
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.automata.ltlsat import satisfiable
 from repro.logic import conj, parse
 from repro.synthesis import (
-    Engine,
     IncrementalBoundedSynthesizer,
     MealyMachine,
     SynthesisLimits,
@@ -32,9 +31,29 @@ from repro.synthesis.invariants import (
 
 from oracles import game as oracle_game
 from oracles import obligations as oracle_obligations
+from oracles.bounded import with_bounded_engines
 from oracles.game import ConcreteGame
 
-ENGINES = [Engine.SAFETY_GAME, Engine.BOUNDED_SAT]
+#: The exact-engine rung under test: the safety game with its bounded
+#: dual, or the reference rung deciding with bounded synthesis both ways.
+ENGINES = ["game", "bounded"]
+
+
+def check_with(engine, monkeypatch, *args, **kwargs):
+    """:func:`check_realizability` with the *engine* rung of the ladder."""
+    from repro.synthesis import realizability
+
+    if engine == "game":
+        return check_realizability(*args, **kwargs)
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            realizability, "RUNGS", with_bounded_engines(realizability.RUNGS)
+        )
+        realizability.clear_caches()  # the cache key does not name the rung
+        try:
+            return check_realizability(*args, **kwargs)
+        finally:
+            realizability.clear_caches()
 
 
 class TestMealyMachine:
@@ -82,22 +101,24 @@ class TestEnginesAgree:
 
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("text,inputs,outputs,realizable", CASES)
-    def test_verdicts(self, engine, text, inputs, outputs, realizable):
-        result = check_realizability([parse(text)], inputs, outputs, engine=engine)
+    def test_verdicts(self, engine, text, inputs, outputs, realizable, monkeypatch):
+        result = check_with(engine, monkeypatch, [parse(text)], inputs, outputs)
         expected = Verdict.REALIZABLE if realizable else Verdict.UNREALIZABLE
         assert result.verdict is expected
 
     @pytest.mark.parametrize("engine", ENGINES)
-    def test_controller_is_verified(self, engine):
+    def test_controller_is_verified(self, engine, monkeypatch):
         # Disable the obligation certificate so the exact engine runs and
         # produces an explicit controller.
-        result = check_realizability(
+        result = check_with(
+            engine,
+            monkeypatch,
             [parse("G (r -> X g)")],
             ["r"],
             ["g"],
-            engine=engine,
             limits=SynthesisLimits(use_obligations=False),
         )
+        assert result.components[0].method == engine
         (machine,) = result.controllers
         assert satisfies_specification(machine, parse("G (r -> X g)"))
 
@@ -295,9 +316,9 @@ class TestSynthesisStats:
         from repro.synthesis.realizability import clear_caches
 
         clear_caches()
+        # The game cannot win the clairvoyant spec, so its dual runs.
         check_realizability(
-            [parse("G (r -> X g)")], ["r"], ["g"],
-            engine=Engine.BOUNDED_SAT,
+            [parse("G (g <-> X X i)")], ["i"], ["g"],
             limits=SynthesisLimits(use_obligations=False),
         )
         stats = synthesis_stats()
