@@ -1,10 +1,10 @@
 """The incremental analysis graph: signature-keyed pipeline stages.
 
-The cached stages of the SpecCC pipeline — parsing, per-sentence
-vocabulary extraction, per-sentence LTL translation, time abstraction,
-partitioning, component realizability — are pure functions of content
-the earlier stages produced (Algorithm 1 itself runs as one loop per
-pass over the cached vocabulary).  This module gives those
+The cached stages of the SpecCC pipeline — parsing (with each sentence's
+vocabulary for Algorithm 1), per-sentence LTL translation, time
+abstraction, partitioning, component realizability — are pure functions
+of content the earlier stages produced (Algorithm 1 itself runs as one
+loop per pass over the cached vocabularies).  This module gives those
 stages one shared shape: a **node** is ``(stage, key)`` where the key is a
 content signature of everything the computation reads, and the node's
 value is the computed artefact.  Because keys are content signatures,

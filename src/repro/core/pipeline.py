@@ -15,10 +15,10 @@ The pipeline chains the three stages of the paper:
 Stages 2-3 revisit the same formulas over and over: every partition-repair
 iteration re-checks every component, and localization grows subsets one
 requirement at a time.  The whole pipeline therefore runs on an
-**incremental analysis graph** (:mod:`repro.core.graph`): parses,
-vocabulary, Algorithm 1 components, raw formulas, theta rewrites and the
-partition are per-document nodes keyed by content signatures, while
-semantic-analysis components and realizability component outcomes live on
+**incremental analysis graph** (:mod:`repro.core.graph`): parses (each
+with its sentence's Algorithm 1 vocabulary), Algorithm 1 unit keys, raw
+formulas, theta rewrites and the partition are per-document nodes keyed
+by content signatures, while realizability component outcomes live on
 the process-wide shared graph — formulas are interned
 (:mod:`repro.logic.ast`), so the realizability layer recognises repeats
 and serves component verdicts and Büchi automata from its stage without

@@ -21,7 +21,7 @@ from .grammar import (
     parse_clause,
     parse_sentence,
 )
-from .tokenizer import Token, split_sentences, tokenize, tokenize_document
+from .tokenizer import split_sentences, tokenize, tokenize_document
 from .tree import TreeNode, render, render_sentence, syntax_tree
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "StructuredEnglishError",
     "SubClause",
     "TimeConstraint",
-    "Token",
     "TreeNode",
     "candidate_subjects",
     "clause_dependencies",

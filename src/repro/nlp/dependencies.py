@@ -72,15 +72,21 @@ def subject_dependents(sentences: Sequence[Sentence]) -> Dict[str, Set[str]]:
 def sentence_vocabulary(sentence: Sentence) -> tuple:
     """One sentence's contribution to Algorithm 1's input, hashably.
 
-    A sorted ``((subject, (dependents...)), ...)`` tuple — the analysis
-    graph's per-sentence *vocabulary node*.  Unioning these over a
-    document reproduces :func:`subject_dependents` exactly, which is what
-    lets the semantic analysis attribute an edit to the vocabulary
-    components it actually touches.
+    A sorted ``((subject, (dependents...)), ...)`` tuple: the ``acomp``
+    pairs of :func:`subject_dependents` for this sentence alone, which the
+    translation graph's per-sentence ``parses`` node carries.  Unioning
+    these over a document reproduces :func:`subject_dependents` exactly,
+    which is what lets the semantic analysis attribute an edit to the
+    vocabulary components it actually touches.
     """
+    table: Dict[str, Set[str]] = {}
+    for clause in sentence.all_clauses():
+        if clause.complement is not None and clause.verb is None:
+            for subject in clause.subjects:
+                table.setdefault(subject, set()).add(clause.complement)
     return tuple(
         (subject, tuple(sorted(dependents)))
-        for subject, dependents in sorted(subject_dependents([sentence]).items())
+        for subject, dependents in sorted(table.items())
     )
 
 

@@ -11,9 +11,12 @@ The grammar (positive form, from the paper)::
     predicate    ::= verb | be participle | be complement
     constraint   ::= in t
 
-Parsing proceeds in two passes: the sentence is first segmented into comma
-groups and classified (leading subclauses, main clause group, trailing
-subclauses), then each group is parsed into :class:`Clause` records.  The
+Parsing is one pass over the sentence's lower-case tokens.  The pass cuts
+them into comma groups, and again before an interior subordinator; the
+groups are classified (leading subclauses, main clause group, trailing
+subclauses) and each is parsed into :class:`Clause` records.  One scan per
+clause finds where its predicate starts, and that boundary decides both
+whether a conjunction ends the clause and where its subject ends.  The
 result mirrors the syntax tree of Figure 2; :mod:`repro.nlp.tree` renders
 it.
 
@@ -26,7 +29,16 @@ Disambiguation rules implied by the paper's appendix:
   trailing subclause (Req-01 "… whenever the LSTAT is powered on");
 * ``next`` at the start of the main clause is a temporal marker on that
   clause (Req-13.1 "next arterial line is selected");
-* repeated ``if`` groups nest (Req-17.4).
+* repeated ``if`` groups nest (Req-17.4);
+* a conjunction separates two clauses only when the part before it is a
+  clause with a subject and the part after it has a predicate; otherwise
+  it joins substantives ("the pump and the valve are started").
+
+Shapes outside the grammar raise :class:`StructuredEnglishError` instead
+of translating to a wrong formula: a sentence whose last group opens with
+a subordinator (no main clause), a non-integer number ("in 2.5 seconds"),
+and a relative clause after a subject's noun ("the pump that is
+started").
 """
 
 from __future__ import annotations
@@ -35,7 +47,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from . import lexicon
-from .tokenizer import Token, tokenize
+from .tokenizer import tokenize
 
 
 class StructuredEnglishError(ValueError):
@@ -130,110 +142,105 @@ class Sentence:
 # ---------------------------------------------------------------------------
 # Sentence segmentation
 
+#: Commas separate groups.  The grammar drops the other marks, so a ";"
+#: does not separate clauses: "If A; B." has no main clause.
+_PUNCTUATION = frozenset({",", ".", ";", "!", "?"})
+
+#: Subordinators that open a subclause.  "next" only acts as one in
+#: clause-initial position; interior "next" ("the next page") stays part
+#: of the clause, and a leading "next" marks a main clause.
+_OPENERS = lexicon.SUBORDINATORS - {"next"}
+
+#: Verb forms that open a predicate with no auxiliary before them.
+_PREDICATE_VERBS = frozenset(
+    word
+    for word in lexicon.VERB_LEMMAS
+    if word not in lexicon.DETERMINERS
+    and word not in lexicon.NEGATIONS
+    and not lexicon.is_adjective(word)
+)
+
+#: A subclause before or after the main clause: its subordinator and
+#: its comma groups (continuation groups join their subclause).
+_Subclause = Tuple[str, List[List[str]]]
+
 
 def parse_sentence(text: str) -> Sentence:
     """Parse one requirement sentence into its clause structure."""
-    tokens = [t for t in tokenize(text) if t.text not in (".", ";", "!", "?")]
-    if not tokens:
+    groups: List[List[str]] = []
+    group: List[str] = []
+    for token in tokenize(text):
+        if token in _PUNCTUATION:
+            if token == "," and group:
+                groups.append(group)
+                group = []
+            continue
+        if "." in token:
+            raise StructuredEnglishError(f"non-integer number {token!r}", text)
+        # An interior subordinator starts a subclause (Req-01, Req-49).
+        if group and token in _OPENERS:
+            groups.append(group)
+            group = []
+        group.append(token)
+    if group:
+        groups.append(group)
+    if not groups:
         raise StructuredEnglishError("empty sentence", text)
-    groups = _split_comma_groups(tokens)
-    groups = _split_inline_subordinators(groups)
     pre, main_group, post = _classify_groups(groups, text)
 
     pre_subclauses = [
-        SubClause(sub, _parse_clause_group(body, text))
-        for sub, body in pre
+        SubClause(sub, _parse_clause_group(body, text)) for sub, body in pre
     ]
     post_subclauses = [
-        SubClause(sub, _parse_clause_group(body, text))
-        for sub, body in post
+        SubClause(sub, _parse_clause_group(body, text)) for sub, body in post
     ]
     main = _parse_clause_group(main_group, text)
     return Sentence(pre_subclauses, main, post_subclauses, text=text)
 
 
-def _split_comma_groups(tokens: Sequence[Token]) -> List[List[Token]]:
-    groups: List[List[Token]] = [[]]
-    for token in tokens:
-        if token.text == ",":
-            if groups[-1]:
-                groups.append([])
-        else:
-            groups[-1].append(token)
-    if not groups[-1]:
-        groups.pop()
-    return groups
-
-
-def _split_inline_subordinators(groups: List[List[Token]]) -> List[List[Token]]:
-    """Split a group at an interior subordinator (Req-01, Req-49)."""
-    result: List[List[Token]] = []
-    for group in groups:
-        current: List[Token] = []
-        for position, token in enumerate(group):
-            interior = position > 0 and token.text in lexicon.SUBORDINATORS
-            # "next" only acts as a subordinator in clause-initial position;
-            # interior "next" ("the next page") stays part of the clause.
-            if interior and token.text != "next":
-                result.append(current)
-                current = []
-            current.append(token)
-        if current:
-            result.append(current)
-    return result
-
-
 def _classify_groups(
-    groups: List[List[Token]], text: str
-) -> Tuple[
-    List[Tuple[str, List[List[Token]]]],
-    List[List[Token]],
-    List[Tuple[str, List[List[Token]]]],
-]:
+    groups: List[List[str]], text: str
+) -> Tuple[List[_Subclause], List[List[str]], List[_Subclause]]:
     """Assign comma groups to leading subclauses, main clause, trailing
-    subclauses.  Returns (pre, main groups, post); each subclause carries a
-    list of clause groups (continuation groups join their subclause)."""
-    if not groups:
-        raise StructuredEnglishError("no clause found", text)
-
-    pre: List[Tuple[str, List[List[Token]]]] = []
-    post: List[Tuple[str, List[List[Token]]]] = []
-    main: List[List[Token]] = []
+    subclauses.  Returns (pre, main groups, post)."""
+    pre: List[_Subclause] = []
+    post: List[_Subclause] = []
+    last = len(groups) - 1
     index = 0
 
     # Leading subclauses: groups starting with a subordinator, plus any
     # continuation groups starting with a conjunction — except the last
     # group overall, which is the main clause.  "next" marks a main clause
     # ("next manual mode is started"), not a subclause.
-    while index < len(groups) - 1 and _starts_subclause(groups[index]):
-        subordinator = groups[index][0].text
+    while index < last and groups[index][0] in _OPENERS:
+        subordinator = groups[index][0]
         body = [groups[index][1:]]
         index += 1
         while (
-            index < len(groups) - 1
-            and groups[index][0].text in lexicon.CONJUNCTIONS
+            index < last
+            and groups[index][0] in lexicon.CONJUNCTIONS
             and not _looks_like_main_start(groups, index)
         ):
             body.append(groups[index])
             index += 1
         pre.append((subordinator, body))
 
-    if index >= len(groups):
+    if groups[index][0] in _OPENERS:
         raise StructuredEnglishError("sentence has no main clause", text)
 
     # Main clause: everything up to a trailing subordinator group.
     main = [groups[index]]
     index += 1
-    while index < len(groups) and not _starts_subclause(groups[index]):
+    while index <= last and groups[index][0] not in _OPENERS:
         main.append(groups[index])
         index += 1
 
     # Trailing subclauses.
-    while index < len(groups):
-        subordinator = groups[index][0].text
+    while index <= last:
+        subordinator = groups[index][0]
         body = [groups[index][1:]]
         index += 1
-        while index < len(groups) and groups[index][0].text in lexicon.CONJUNCTIONS:
+        while index <= last and groups[index][0] in lexicon.CONJUNCTIONS:
             body.append(groups[index])
             index += 1
         post.append((subordinator, body))
@@ -241,23 +248,17 @@ def _classify_groups(
     return pre, main, post
 
 
-def _starts_subclause(group: List[Token]) -> bool:
-    """True when a comma group opens a subordinate clause."""
-    return bool(group) and group[0].text in lexicon.SUBORDINATORS and group[0].text != "next"
-
-
-def _looks_like_main_start(groups: List[List[Token]], index: int) -> bool:
+def _looks_like_main_start(groups: List[List[str]], index: int) -> bool:
     """A conjunction group is the main clause when every following group is
     a trailing subclause."""
-    remaining = groups[index + 1 :]
-    return all(_starts_subclause(g) for g in remaining)
+    return all(group[0] in _OPENERS for group in groups[index + 1 :])
 
 
 # ---------------------------------------------------------------------------
 # Clause parsing
 
 
-def _parse_clause_group(bodies: List[List[Token]], text: str) -> ClauseGroup:
+def _parse_clause_group(bodies: List[List[str]], text: str) -> ClauseGroup:
     """Parse one or more comma groups into a clause group.
 
     Each body may itself contain an inline conjunction of clauses ("an
@@ -268,138 +269,177 @@ def _parse_clause_group(bodies: List[List[Token]], text: str) -> ClauseGroup:
     for body in bodies:
         if not body:
             raise StructuredEnglishError("empty clause", text)
-        if body[0].text in lexicon.CONJUNCTIONS and clauses:
-            connectives.append(body[0].text)
+        if body[0] in lexicon.CONJUNCTIONS and clauses:
+            connectives.append(body[0])
             body = body[1:]
         elif clauses:
             connectives.append("and")
-        for clause, connective in _split_inline_clauses(body, text):
-            if connective is not None:
-                connectives.append(connective)
-            clauses.append(clause)
+        _parse_clauses(body, text, clauses, connectives)
     return ClauseGroup(clauses, connectives)
 
 
-def _split_inline_clauses(
-    body: List[Token], text: str
-) -> List[Tuple[Clause, Optional[str]]]:
-    """Split "C1 and C2" into clauses when both sides have predicates."""
-    for position, token in enumerate(body):
-        if token.text in lexicon.CONJUNCTIONS and 0 < position < len(body) - 1:
-            left, right = body[:position], body[position + 1 :]
-            if _has_predicate(left) and _has_predicate(right):
-                first = [(parse_clause(left, text), None)]
-                rest = _split_inline_clauses(right, text)
-                rest = [
-                    (clause, token.text if connective is None else connective)
-                    for clause, connective in rest
-                ]
-                return first + rest
-    return [(parse_clause(body, text), None)]
+def _parse_clauses(
+    words: List[str], text: str, clauses: List[Clause], connectives: List[str]
+) -> None:
+    """Parse "C1 and C2 ..." into *clauses*, joined by *connectives*.
+
+    A conjunction ends a clause when the part before it is a clause with
+    a subject and the part after it has a predicate.  Otherwise it joins
+    substantives of one subject, even when the noun before it is also a
+    verb ("the pump and the valve are started").
+    """
+    start = 0
+    end = len(words)
+    while True:
+        head, noun, auxiliary, verb = _scan(words, start)
+        for position in range(start + 1, end - 1):
+            if words[position] not in lexicon.CONJUNCTIONS:
+                continue
+            boundary = _boundary(auxiliary, verb, position)
+            if (
+                boundary is not None
+                and noun < boundary
+                and _has_predicate(words, position + 1)
+            ):
+                clauses.append(
+                    _parse_clause(words, start, head, position, boundary, text)
+                )
+                connectives.append(words[position])
+                start = position + 1
+                break
+        else:
+            boundary = _boundary(auxiliary, verb, end)
+            clauses.append(_parse_clause(words, start, head, end, boundary, text))
+            return
 
 
-def _has_predicate(tokens: Sequence[Token]) -> bool:
-    return any(
-        t.text in lexicon.BE_FORMS
-        or t.text in lexicon.MODALITIES
-        or t.text in lexicon.LINKING_VERBS
-        or t.text in lexicon.DO_FORMS
-        or (t.index != tokens[0].index and lexicon.verb_lemma(t.text) is not None)
-        for t in tokens
-    )
+def _scan(words: Sequence[str], start: int) -> Tuple[int, int, int, int]:
+    """One scan of the clause starting at *start*, up to its first auxiliary.
 
+    Returns ``(head, noun, auxiliary, verb)``: where the clause proper
+    starts after a leading "then", "next" and modifier; its first word
+    that can be a substantive (not a determiner or conjunction); its
+    first be/modal/do/linking verb; and its first verb form past *head*
+    before that auxiliary.  Absent positions are ``len(words)``.
 
-def parse_clause(tokens: Sequence[Token], sentence_text: str = "") -> Clause:
-    """Parse ``[modifier] subject predicate [constraint]``."""
-    words = [t.text for t in tokens]
-    original = " ".join(words)
-
+    A clause's predicate starts at the first auxiliary, else at the first
+    such verb (subjects never start at the predicate in the supported
+    grammar; see :func:`_boundary`); its subject is everything from *head*
+    up to there.
+    """
+    end = len(words)
+    head = start
     # "then" is a filter construction like "the"/"a" (Req-13.3: "..., then
     # cuff is selected"): it carries no meaning beyond the implication the
     # subordinator already established.
-    if words and words[0] == "then":
-        words = words[1:]
+    if head < end and words[head] == "then":
+        head += 1
+    if head < end and words[head] == "next":
+        head += 1
+    if head < end and words[head] in lexicon.MODIFIERS:
+        head += 1
+    noun = auxiliary = verb = end
+    for position in range(head, end):
+        word = words[position]
+        if word in lexicon.AUXILIARIES:
+            auxiliary = position
+            break
+        if verb == end and position > head and word in _PREDICATE_VERBS:
+            verb = position
+        if (
+            noun == end
+            and word not in lexicon.DETERMINERS
+            and word not in lexicon.CONJUNCTIONS
+        ):
+            noun = position
+    return head, noun, auxiliary, verb
 
-    next_marker = False
-    if words and words[0] == "next":
-        next_marker = True
-        words = words[1:]
 
-    modifier = None
-    if words and words[0] in lexicon.MODIFIERS:
-        modifier = words[0]
-        words = words[1:]
+def _boundary(auxiliary: int, verb: int, end: int) -> Optional[int]:
+    """Where a clause ending before *end* starts its predicate, from its
+    :func:`_scan`: at the first auxiliary, else at the first verb."""
+    if auxiliary < end:
+        return auxiliary
+    if verb < end:
+        return verb
+    return None
 
-    words, constraint = _extract_constraint(words, sentence_text)
 
-    boundary = _predicate_boundary(words, sentence_text, original)
-    subject_words = words[:boundary]
-    predicate_words = words[boundary:]
+def _has_predicate(words: Sequence[str], start: int) -> bool:
+    """True when ``words[start:]`` holds an auxiliary, or a verb form past
+    its first word."""
+    for position in range(start, len(words)):
+        word = words[position]
+        if word in lexicon.AUXILIARIES or (
+            position > start and word in lexicon.VERB_LEMMAS
+        ):
+            return True
+    return False
 
-    # A modifier may also sit immediately before the predicate
-    # ("the cuff will eventually be inflated" is out of grammar, but
-    # "eventually the cuff will be inflated" after a subclause is common).
-    subjects, subject_conjunction = _parse_subject(subject_words, sentence_text)
-    clause = _parse_predicate(predicate_words, sentence_text, original)
+
+def parse_clause(tokens: Sequence[str], sentence_text: str = "") -> Clause:
+    """Parse ``[modifier] subject predicate [constraint]``."""
+    words = list(tokens)
+    head, _, auxiliary, verb = _scan(words, 0)
+    end = len(words)
+    boundary = _boundary(auxiliary, verb, end)
+    return _parse_clause(words, 0, head, end, boundary, sentence_text)
+
+
+def _parse_clause(
+    words: List[str],
+    start: int,
+    head: int,
+    end: int,
+    boundary: Optional[int],
+    text: str,
+) -> Clause:
+    """The clause ``words[start:end]``: its leading "then", "next" and
+    modifier end at *head*, and its predicate starts at *boundary*
+    (``None`` when it has none)."""
+    original = " ".join(words[start:end])
+
+    # A trailing "in|within <number> <unit>" constraint.  Its words are
+    # never auxiliaries or verbs, so the boundary lies before it.
+    stop = end
+    constraint = None
+    if stop - head >= 3 and words[stop - 3] in ("in", "within"):
+        number = lexicon.parse_number(words[stop - 2])
+        unit = words[stop - 1]
+        if number is not None and unit in lexicon.TIME_UNITS:
+            stop -= 3
+            constraint = TimeConstraint(number, unit)
+
+    if boundary is None:
+        raise StructuredEnglishError(f"no predicate found in clause {original!r}", text)
+    if boundary == head:
+        raise StructuredEnglishError(f"clause {original!r} has no subject", text)
+
+    subjects, subject_conjunction = _parse_subject(words[head:boundary], text)
+    clause = _parse_predicate(words[boundary:stop], text, original)
+    prefix = words[start:head]  # "then", "next" and a modifier, in order
     clause.subjects = subjects
     clause.subject_conjunction = subject_conjunction
-    clause.modifier = modifier
-    clause.next_marker = next_marker
+    if prefix and prefix[-1] in lexicon.MODIFIERS:
+        clause.modifier = prefix[-1]
+    clause.next_marker = "next" in prefix
     clause.constraint = constraint
     clause.text = original
     return clause
 
 
-def _extract_constraint(
-    words: List[str], text: str
-) -> Tuple[List[str], Optional[TimeConstraint]]:
-    """Strip a trailing "in|within <number> <unit>" constraint."""
-    if len(words) >= 3 and words[-3] in ("in", "within"):
-        number = lexicon.parse_number(words[-2])
-        unit = words[-1]
-        if number is not None and unit in lexicon.TIME_UNITS:
-            return words[:-3], TimeConstraint(number, unit)
-    return words, None
-
-
-def _predicate_boundary(words: List[str], text: str, clause: str) -> int:
-    """Index where the predicate starts.
-
-    Preference order: first auxiliary (be/modal/do/linking verb), else the
-    first verb-looking token past position zero (subjects never start at
-    the predicate in the supported grammar).
-    """
-    for position, word in enumerate(words):
-        if (
-            word in lexicon.BE_FORMS
-            or word in lexicon.MODALITIES
-            or word in lexicon.DO_FORMS
-            or word in lexicon.LINKING_VERBS
-        ):
-            if position == 0:
-                raise StructuredEnglishError(
-                    f"clause {clause!r} has no subject", text
-                )
-            return position
-    for position, word in enumerate(words):
-        if position == 0:
-            continue
-        if word in lexicon.DETERMINERS or word in lexicon.NEGATIONS:
-            continue
-        lemma = lexicon.verb_lemma(word)
-        if lemma is not None and not lexicon.is_adjective(word):
-            return position
-    raise StructuredEnglishError(f"no predicate found in clause {clause!r}", text)
-
-
 def _parse_subject(words: List[str], text: str) -> Tuple[List[str], Optional[str]]:
     """``subject ::= substantive ((and|or) substantive)*``."""
-    meaningful = [w for w in words if w not in lexicon.DETERMINERS]
-    if not meaningful:
-        raise StructuredEnglishError("clause has no subject", text)
     substantives: List[List[str]] = [[]]
     conjunction: Optional[str] = None
-    for word in meaningful:
+    for word in words:
+        if word in lexicon.RELATIVE_PRONOUNS and substantives[-1]:
+            raise StructuredEnglishError(
+                f"relative clause in subject {' '.join(words)!r} is not supported",
+                text,
+            )
+        if word in lexicon.DETERMINERS:
+            continue
         if word in lexicon.CONJUNCTIONS:
             if conjunction is not None and conjunction != word:
                 raise StructuredEnglishError(
@@ -409,7 +449,7 @@ def _parse_subject(words: List[str], text: str) -> Tuple[List[str], Optional[str
             substantives.append([])
         else:
             substantives[-1].append(word)
-    trimmed: List[List[str]] = []
+    names: List[str] = []
     for parts in substantives:
         # Drop leading attributive adjectives ("a valid blood pressure" ->
         # blood_pressure) so the same entity yields the same proposition
@@ -417,8 +457,7 @@ def _parse_subject(words: List[str], text: str) -> Tuple[List[str], Optional[str
         while len(parts) > 1 and lexicon.is_adjective(parts[0]):
             parts = parts[1:]
         if parts:
-            trimmed.append(parts)
-    names = [normalise_name(parts) for parts in trimmed]
+            names.append(normalise_name(parts))
     if not names:
         raise StructuredEnglishError("clause has no subject", text)
     return names, conjunction
@@ -429,6 +468,7 @@ def _parse_predicate(words: List[str], text: str, clause: str) -> Clause:
     if not words:
         raise StructuredEnglishError(f"no predicate in clause {clause!r}", text)
     result = Clause(subjects=[], subject_conjunction=None, verb=None)
+    end = len(words)
     position = 0
 
     if words[position] in lexicon.MODALITIES:
@@ -438,28 +478,28 @@ def _parse_predicate(words: List[str], text: str, clause: str) -> Clause:
             result.negated = True
         position += 1
 
-    if position < len(words) and words[position] in lexicon.NEGATIONS:
+    if position < end and words[position] in lexicon.NEGATIONS:
         result.negated = True
         position += 1
 
-    if position >= len(words):
+    if position >= end:
         raise StructuredEnglishError(f"dangling modality in {clause!r}", text)
 
     word = words[position]
     if word in lexicon.DO_FORMS:
         # do-support: "does not sound"
         position += 1
-        if position < len(words) and words[position] in lexicon.NEGATIONS:
+        if position < end and words[position] in lexicon.NEGATIONS:
             result.negated = True
             position += 1
-        if position >= len(words):
+        if position >= end:
             raise StructuredEnglishError(f"dangling do-form in {clause!r}", text)
         word = words[position]
 
     if word in lexicon.BE_FORMS or word in lexicon.LINKING_VERBS:
         position += 1
         # "is initially turned on", "is not corroborated", "will be inflated"
-        while position < len(words) and (
+        while position < end and (
             words[position] in lexicon.NEGATIONS
             or words[position] in lexicon.BE_FORMS
             or words[position].endswith("ly")
@@ -467,38 +507,33 @@ def _parse_predicate(words: List[str], text: str, clause: str) -> Clause:
             if words[position] in lexicon.NEGATIONS:
                 result.negated = True
             position += 1
-        if position >= len(words):
+        if position >= end:
             raise StructuredEnglishError(
                 f"be-predicate without participle/complement in {clause!r}", text
             )
+        # A trailing agent/goal phrase after the participle or complement is
+        # out of scope but tolerated; it is ignored like the paper's filters.
         head = words[position]
-        rest = words[position + 1 :]
         if lexicon.is_adjective(head):
             result.complement = head
-        elif lexicon.is_participle(head):
-            result.verb = lexicon.participle_lemma(head)
+        elif head in lexicon.PARTICIPLE_LEMMAS:
+            result.verb = lexicon.PARTICIPLE_LEMMAS[head]
             result.passive = True
-            if rest and rest[0] in lexicon.PARTICLES:
-                result.particle = rest[0]
-                rest = rest[1:]
-        elif lexicon.is_progressive(head):
-            result.verb = lexicon.progressive_lemma(head)
+            if position + 1 < end and words[position + 1] in lexicon.PARTICLES:
+                result.particle = words[position + 1]
+        elif head in lexicon.PROGRESSIVE_LEMMAS:
+            result.verb = lexicon.PROGRESSIVE_LEMMAS[head]
             result.progressive = True
         elif head in lexicon.PREPOSITIONS:
             result.complement = normalise_name(
                 [w for w in words[position:] if w not in lexicon.DETERMINERS]
             )
-            rest = []
         else:
             # Unknown word after "be": treat as complement (open class).
             result.complement = head
-        if rest and result.complement is None and rest[0] not in lexicon.PREPOSITIONS:
-            # Passive with a trailing agent/goal phrase is out of scope but
-            # tolerated; the phrase is ignored like the paper's filters.
-            pass
         return result
 
-    lemma = lexicon.verb_lemma(word)
+    lemma = lexicon.VERB_LEMMAS.get(word)
     if lemma is None:
         raise StructuredEnglishError(
             f"unknown verb {word!r} in clause {clause!r}", text
@@ -519,7 +554,4 @@ def _parse_predicate(words: List[str], text: str, clause: str) -> Clause:
 def normalise_name(parts: Sequence[str]) -> str:
     """Join words into a proposition-name fragment (Section IV-C: "add '_'
     to contact relative words together")."""
-    cleaned = []
-    for part in parts:
-        cleaned.append(part.replace("-", "_").replace("'", ""))
-    return "_".join(cleaned)
+    return "_".join(parts).replace("-", "_").replace("'", "")

@@ -6,7 +6,8 @@ the restricted grammar.  The closed word classes (modals, subordinators,
 modifiers, determiners, conjunctions, be-forms) are exactly those the
 grammar of Section IV-B enumerates; the open classes (verbs, adjectives)
 hold the vocabulary of the three case studies and common requirement
-vocabulary, and unknown words fall back to morphology-based guessing.
+vocabulary.  Every inflected form the morphological rules accept is
+precomputed into a table at import, so classifying a token is a lookup.
 """
 
 from __future__ import annotations
@@ -53,6 +54,12 @@ LINKING_VERBS: FrozenSet[str] = frozenset(
 DO_FORMS: FrozenSet[str] = frozenset({"do", "does", "did"})
 
 NEGATIONS: FrozenSet[str] = frozenset({"not", "never", "no"})
+
+#: Words that open a relative clause after a noun ("the pump that is
+#: started"); the grammar has no relative clauses and rejects them.
+RELATIVE_PRONOUNS: FrozenSet[str] = frozenset(
+    {"that", "which", "who", "whom", "whose"}
+)
 
 PARTICLES: FrozenSet[str] = frozenset({"on", "off", "up", "down", "in", "out"})
 
@@ -150,35 +157,15 @@ IRREGULAR_PARTICIPLES: Dict[str, str] = {
 }
 
 
-def is_verb_form(word: str) -> bool:
-    """True when *word* looks like an inflected or base verb."""
-    return verb_lemma(word) is not None
+# ------------------------------------------------ word classes, at import
+#
+# The grammar looks every token up in the tables below.  They hold every
+# form the inflection rules accept, built once from the word lists above,
+# so a lookup is one dict probe and no morphology runs per word (the rules
+# themselves, as functions, are the tests' reference).
 
-
-def verb_lemma(word: str) -> Optional[str]:
-    """The base form of a verb token, or ``None`` if not recognised."""
-    word = word.lower()
-    if word in IRREGULAR_PARTICIPLES:
-        return IRREGULAR_PARTICIPLES[word]
-    if word in VERBS:
-        return word
-    if word in BE_FORMS:
-        return "be"
-    if word in LINKING_VERBS:
-        return _strip_third_person(word)
-    # third person singular: presses -> press, monitors -> monitor
-    stripped = _strip_third_person(word)
-    if stripped in VERBS:
-        return stripped
-    # past/participle: pressed -> press, terminated -> terminate
-    participle = participle_lemma(word)
-    if participle is not None:
-        return participle
-    # progressive: running -> run, monitoring -> monitor
-    progressive = progressive_lemma(word)
-    if progressive is not None:
-        return progressive
-    return None
+#: Be, modal, do and linking verbs: the words that open a predicate.
+AUXILIARIES: FrozenSet[str] = BE_FORMS | MODALITIES | DO_FORMS | LINKING_VERBS
 
 
 def _strip_third_person(word: str) -> str:
@@ -191,58 +178,68 @@ def _strip_third_person(word: str) -> str:
     return word
 
 
-def participle_lemma(word: str) -> Optional[str]:
-    """Base form of a regular past participle, or ``None``."""
-    word = word.lower()
-    if word in IRREGULAR_PARTICIPLES:
-        return IRREGULAR_PARTICIPLES[word]
-    if not word.endswith("ed") or len(word) < 4:
-        return None
-    stem = word[:-2]
-    for candidate in (stem, stem + "e", stem[:-1] if stem and stem[-1] == stem[-2:-1] else stem):
-        if candidate in VERBS:
-            return candidate
-    # doubled final consonant: plugged -> plug
-    if len(stem) >= 2 and stem[-1] == stem[-2] and stem[:-1] in VERBS:
-        return stem[:-1]
-    return None
+def _suffixed(suffix: str, min_length: int) -> Dict[str, str]:
+    """Regular ``-ed``/``-ing`` forms -> base, first rule first: the bare
+    base (pressed), a dropped final ``e`` (terminated), a doubled final
+    letter (plugged)."""
+    bare = [(verb, verb) for verb in VERBS]
+    dropped_e = [(verb[:-1], verb) for verb in VERBS if verb.endswith("e")]
+    doubled = [(verb + verb[-1], verb) for verb in VERBS]
+    forms: Dict[str, str] = {}
+    for rule in (bare, dropped_e, doubled):
+        for stem, verb in rule:
+            if len(stem) + len(suffix) >= min_length:
+                forms.setdefault(stem + suffix, verb)
+    return forms
 
 
-def progressive_lemma(word: str) -> Optional[str]:
-    """Base form of an ``-ing`` form, or ``None``."""
-    word = word.lower()
-    if not word.endswith("ing") or len(word) < 5:
-        return None
-    stem = word[:-3]
-    if stem in VERBS:
-        return stem
-    if stem + "e" in VERBS:
-        return stem + "e"
-    if len(stem) >= 2 and stem[-1] == stem[-2] and stem[:-1] in VERBS:
-        return stem[:-1]
-    return None
+#: Past participles usable in the passive voice -> base form.
+PARTICIPLE_LEMMAS: Dict[str, str] = {**_suffixed("ed", 4), **IRREGULAR_PARTICIPLES}
+
+#: ``-ing`` forms -> base form.
+PROGRESSIVE_LEMMAS: Dict[str, str] = _suffixed("ing", 5)
 
 
-def is_participle(word: str) -> bool:
-    """True for past participles usable in the passive voice."""
-    return participle_lemma(word) is not None
+def _verb_lemmas() -> Dict[str, str]:
+    table: Dict[str, str] = {}
+    for forms in (
+        IRREGULAR_PARTICIPLES,
+        {verb: verb for verb in VERBS},
+        {word: "be" for word in BE_FORMS},
+        {word: _strip_third_person(word) for word in LINKING_VERBS},
+        # third person singular: presses -> press, monitors -> monitor
+        {
+            form: verb
+            for verb in VERBS
+            for form in (verb + "s", verb + "es", verb[:-1] + "ies")
+            if _strip_third_person(form) == verb
+        },
+        PARTICIPLE_LEMMAS,
+        PROGRESSIVE_LEMMAS,
+    ):
+        for form, lemma in forms.items():
+            table.setdefault(form, lemma)
+    return table
 
 
-def is_progressive(word: str) -> bool:
-    return progressive_lemma(word) is not None
+#: Every recognised verb form -> base form; earlier rules win a clash.
+VERB_LEMMAS: Dict[str, str] = _verb_lemmas()
+
+#: Morphologically negated adjectives -> positive stem ("unavailable" ->
+#: "available").  The prefixes start with different letters, so no two
+#: entries share a form.
+NEGATED_ADJECTIVES: Dict[str, str] = {
+    prefix + adjective: adjective
+    for prefix in ("un", "in", "dis", "non")
+    for adjective in ADJECTIVES
+}
+
+ADJECTIVE_FORMS: FrozenSet[str] = ADJECTIVES | frozenset(NEGATED_ADJECTIVES)
 
 
 def is_adjective(word: str) -> bool:
-    word = word.lower()
-    if word in ADJECTIVES:
-        return True
-    # un-/in-/dis- negations of known adjectives are adjectives too.
-    for prefix in ("un", "in", "dis", "non"):
-        if word.startswith(prefix) and word[len(prefix):] in ADJECTIVES:
-            return True
-    if word.endswith("less"):
-        return True
-    return False
+    """Known adjectives, their negations and any ``-less`` word."""
+    return word in ADJECTIVE_FORMS or word.endswith("less")
 
 
 def parse_number(word: str) -> Optional[int]:

@@ -3,45 +3,33 @@
 A specification file is a sequence of requirements, one sentence each
 (Section IV-C: "A specification here is a set of sentences").  The
 tokenizer lower-cases words, keeps hyphenated compounds ("auto-control")
-as single tokens, separates punctuation, and splits a document into
-sentences at full stops.
+and decimal numbers ("2.5") as single tokens, separates punctuation, and
+splits a document into sentences at full stops.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterator, List
-
-
-@dataclass(frozen=True)
-class Token:
-    """A single word or punctuation mark with its position."""
-
-    text: str
-    index: int
-
-    @property
-    def is_word(self) -> bool:
-        return bool(re.match(r"[a-z0-9]", self.text))
-
 
 _TOKEN_RE = re.compile(
     r"""
       [a-zA-Z][a-zA-Z0-9]*(?:[-'][a-zA-Z0-9]+)*   # words, incl. hyphenated
-    | [0-9]+                                      # numbers
+    | [0-9]+(?:\.[0-9]+)?                         # numbers, incl. decimals
     | [.,;:!?()]                                  # punctuation
     """,
     re.VERBOSE,
 )
 
 
-def tokenize(text: str) -> List[Token]:
-    """Tokenise one sentence (or fragment) into lower-case tokens."""
-    tokens = []
-    for index, match in enumerate(_TOKEN_RE.finditer(text)):
-        tokens.append(Token(match.group().lower(), index))
-    return tokens
+def tokenize(text: str) -> List[str]:
+    """Tokenise one sentence (or fragment) into lower-case tokens.
+
+    Each match is lower-cased on its own: lower-casing the text first
+    would turn non-ASCII letters such as U+212A KELVIN SIGN into ASCII
+    ones the pattern then matches.
+    """
+    return list(map(str.lower, _TOKEN_RE.findall(text)))
 
 
 def split_sentences(document: str) -> Iterator[str]:
@@ -61,6 +49,6 @@ def split_sentences(document: str) -> Iterator[str]:
                 yield part
 
 
-def tokenize_document(document: str) -> List[List[Token]]:
+def tokenize_document(document: str) -> List[List[str]]:
     """Tokenise every sentence of *document*."""
     return [tokenize(sentence) for sentence in split_sentences(document)]

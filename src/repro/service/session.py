@@ -7,8 +7,8 @@ touched and re-analyses only the variable-connected components those
 sentences dirtied.  Everything else is served from the analysis graph
 underneath:
 
-* sentence parses, vocabulary nodes, raw formulas and theta rewrites
-  come from the session's graph-backed
+* sentence parses (each with its vocabulary), raw formulas and theta
+  rewrites come from the session's graph-backed
   :class:`~repro.translate.translator.TranslationCache`;
 * Algorithm 1 runs over the session's cached per-sentence vocabulary,
   and the delta names the sentences whose analysis unit an edit

@@ -20,14 +20,12 @@ in EXPERIMENTS.md.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from ..nlp.grammar import Clause
 
 
-@dataclass(frozen=True)
-class Proposition:
+class Proposition(NamedTuple):
     """One extracted atomic proposition, before semantic reduction."""
 
     name: str
@@ -42,13 +40,11 @@ class Proposition:
 
 def clause_propositions(clause: Clause) -> List[Proposition]:
     """One proposition per subject of *clause*."""
-    propositions = []
-    for subject in clause.subjects:
-        propositions.append(_single(clause, subject))
-    return propositions
+    return [subject_proposition(clause, subject) for subject in clause.subjects]
 
 
-def _single(clause: Clause, subject: str) -> Proposition:
+def subject_proposition(clause: Clause, subject: str) -> Proposition:
+    """The proposition *clause* states of *subject*."""
     if clause.verb is not None and clause.verb != "be":
         parts = [clause.verb]
         if clause.particle is not None:

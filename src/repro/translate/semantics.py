@@ -15,14 +15,15 @@ using the subject and its negative form" — ``available_pulse_wave`` is
 written ``pulse_wave``.
 
 **Incrementality.**  :func:`analyse_incremental` runs Algorithm 1 as the
-paper's loop over the subject table, merged from cached per-sentence
-``vocab`` nodes of the calling document's graph (an edit re-extracts only
-the sentences it touched).  The loop also records each pairing subject's
-*unit key*: its sorted dependents plus the pre-state of each dependent
-word's antonym memo (``online(w)`` runs at most once per word, and
-pairing mutates the partner's memo — couplings the pre-states capture
-exactly).  Comparing keys with the document's previous pass attributes an
-edit to exactly the sentences whose subject it dirtied.
+paper's loop over the subject table, merged from the per-sentence
+vocabularies the calling document's cached ``parses`` nodes carry (an
+edit re-extracts only the sentences it touched).  The loop also records
+each pairing subject's *unit key*: its sorted dependents plus the
+pre-state of each dependent word's antonym memo (``online(w)`` runs at
+most once per word, and pairing mutates the partner's memo — couplings
+the pre-states capture exactly).  Comparing keys with the document's
+previous pass attributes an edit to exactly the sentences whose subject
+it dirtied.
 """
 
 from __future__ import annotations
@@ -32,8 +33,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..core.graph import AnalysisGraph
+from ..nlp import lexicon
 from ..nlp.antonyms import AntonymDictionary
-from ..nlp.dependencies import sentence_vocabulary, subject_dependents
+from ..nlp.dependencies import subject_dependents
 from ..nlp.grammar import Sentence
 from .propositions import Proposition
 
@@ -106,7 +108,7 @@ class SemanticAnalysis:
             )
         # No observed pair: still normalise morphologically negative
         # adjectives ("unavailable" -> !available), which is always sound.
-        stem = _strip_negation_prefix(proposition.complement)
+        stem = lexicon.NEGATED_ADJECTIVES.get(proposition.complement)
         if stem is not None:
             return Proposition(
                 f"{stem}_{subject}", not proposition.negated, subject, stem
@@ -129,19 +131,6 @@ class SemanticAnalysis:
             if self.dictionary.is_positive(positive, word):
                 return positive
         return None
-
-
-def _strip_negation_prefix(word: Optional[str]) -> Optional[str]:
-    """The positive stem of a morphologically negated adjective, if any."""
-    from ..nlp import lexicon
-
-    if word is None:
-        return None
-    for prefix in ("un", "in", "dis", "non"):
-        stem = word[len(prefix):]
-        if word.startswith(prefix) and stem in lexicon.ADJECTIVES:
-            return stem
-    return None
 
 
 @dataclass(frozen=True)
@@ -245,39 +234,29 @@ def analyse(
 
 
 def analyse_incremental(
-    items: Sequence[Tuple[str, Sentence]],
+    vocabularies: Sequence[tuple],
     dictionary: AntonymDictionary,
     graph: AnalysisGraph,
     touched: Optional[Dict[str, set]] = None,
     dict_sig: Optional[tuple] = None,
 ) -> Tuple[SemanticAnalysis, SemanticsDelta]:
-    """Algorithm 1 through the analysis graph, with delta attribution.
+    """Algorithm 1 over per-sentence vocabularies, with delta attribution.
 
-    *items* are ``(text, parsed sentence)`` in document order; *graph* is
-    the calling document's graph (a
-    :class:`~repro.translate.translator.TranslationCache` owns one).  Per
-    sentence, a ``vocab`` node (keyed by text) caches the sentence's
-    subject/dependent contributions; Algorithm 1 then runs over the merged
-    table.  A per-document ``semantics_seen`` stage records which unit
-    keys earlier passes of *this* document produced, so the returned
-    :class:`SemanticsDelta` attributes exactly the sentences whose unit an
-    edit dirtied (by changing its dependents *or* the antonym-memo
-    pre-states threaded into it).
+    *vocabularies* are the sentences'
+    :func:`~repro.nlp.dependencies.sentence_vocabulary` tuples in
+    document order (the translator reads them from its cached ``parses``
+    nodes); *graph* is the calling document's graph (a
+    :class:`~repro.translate.translator.TranslationCache` owns one).
+    Algorithm 1 runs over the merged table.  A per-document
+    ``semantics_seen`` stage records which unit keys earlier passes of
+    *this* document produced, so the returned :class:`SemanticsDelta`
+    attributes exactly the sentences whose unit an edit dirtied (by
+    changing its dependents *or* the antonym-memo pre-states threaded
+    into it).
     """
-    contributions = []
-    for text, sentence in items:
-        contributions.append(
-            graph.compute(
-                "vocab",
-                text,
-                lambda sentence=sentence: sentence_vocabulary(sentence),
-                touched=touched,
-            )
-        )
-
     table: Dict[str, Set[str]] = {}
     owners: Dict[str, Set[int]] = {}  # subject -> sentence indices
-    for index, vocabulary in enumerate(contributions):
+    for index, vocabulary in enumerate(vocabularies):
         for subject, dependents in vocabulary:
             table.setdefault(subject, set()).update(dependents)
             owners.setdefault(subject, set()).add(index)

@@ -41,7 +41,7 @@ from ..logic.ast import (
 )
 from ..nlp import lexicon
 from ..nlp.grammar import Clause, ClauseGroup, Sentence, StructuredEnglishError
-from .propositions import Proposition, clause_propositions
+from .propositions import subject_proposition
 from .semantics import SemanticAnalysis, no_reasoning
 
 
@@ -67,13 +67,22 @@ def clause_formula(
     options: TranslationOptions = TranslationOptions(),
     subject_hint: Optional[str] = None,
 ) -> Formula:
-    """The formula of a single clause (propositions + local operators)."""
+    """The formula of a single clause (propositions + local operators).
+
+    A pronoun subject ("it") resolves to *subject_hint*, the enclosing
+    main clause's subject (Req-49).
+    """
     if analysis is None or not options.semantic_reasoning:
         analysis = no_reasoning()
-    clause = _resolve_pronoun(clause, subject_hint)
     literals: List[Formula] = []
-    for proposition in clause_propositions(clause):
-        reduced = analysis.reduce(proposition)
+    for subject in clause.subjects:
+        if subject == "it":
+            if subject_hint is None:
+                raise StructuredEnglishError(
+                    f"unresolvable pronoun in clause {clause.text!r}"
+                )
+            subject = subject_hint
+        reduced = analysis.reduce(subject_proposition(clause, subject))
         literal: Formula = Atom(reduced.name)
         if reduced.negated:
             literal = Not(literal)
@@ -94,19 +103,6 @@ def clause_formula(
     if clause.next_marker and options.next_as_x:
         formula = Next(formula)
     return formula
-
-
-def _resolve_pronoun(clause: Clause, subject_hint: Optional[str]) -> Clause:
-    """Resolve "it" to the enclosing main-clause subject (Req-49)."""
-    if "it" not in clause.subjects:
-        return clause
-    if subject_hint is None:
-        raise StructuredEnglishError(
-            f"unresolvable pronoun in clause {clause.text!r}"
-        )
-    subjects = [subject_hint if s == "it" else s for s in clause.subjects]
-    resolved = Clause(**{**clause.__dict__, "subjects": subjects})
-    return resolved
 
 
 def group_formula(
@@ -132,11 +128,12 @@ def sentence_formula(
     main_subject = sentence.main.clauses[0].subjects[0] if sentence.main.clauses else None
     consequent = group_formula(sentence.main, analysis, options)
 
-    antecedents: List[Formula] = []
-    for sub in sentence.pre:
-        antecedents.append(
-            _condition_formula(sub.subordinator, sub.group, analysis, options)
-        )
+    # All condition subordinators share the implication template; "after"
+    # and "once" describe the same triggering semantics at the abstraction
+    # level of the paper (state propositions, not events).
+    antecedents: List[Formula] = [
+        group_formula(sub.group, analysis, options) for sub in sentence.pre
+    ]
     until_formula: Optional[Formula] = None
     before_formula: Optional[Formula] = None
     for sub in sentence.post:
@@ -171,19 +168,6 @@ def sentence_formula(
     if options.bare_as_invariant:
         return Globally(consequent)
     return consequent
-
-
-def _condition_formula(
-    subordinator: str,
-    group: ClauseGroup,
-    analysis: Optional[SemanticAnalysis],
-    options: TranslationOptions,
-) -> Formula:
-    formula = group_formula(group, analysis, options)
-    # All condition subordinators share the implication template; "after"
-    # and "once" describe the same triggering semantics at the abstraction
-    # level of the paper (state propositions, not events).
-    return formula
 
 
 def _is_existence(sentence: Sentence) -> bool:

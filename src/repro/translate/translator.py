@@ -7,11 +7,12 @@ partition heuristic (Section IV-F).  The output
 (:mod:`repro.core`) consumes.
 
 Every stage runs through an incremental analysis graph
-(:class:`repro.core.graph.AnalysisGraph`): parses, per-sentence
-vocabulary, raw formulas, theta solutions, chain rewrites and the final
-partition are nodes keyed by content signatures.  Re-translating after
-an edit therefore recomputes exactly the nodes whose signatures the edit
-changed — in particular, a raw formula is keyed by the *sentence-local*
+(:class:`repro.core.graph.AnalysisGraph`): parses (each with its
+sentence's Algorithm 1 vocabulary and candidate subjects), raw formulas,
+theta solutions, chain rewrites and the final partition are nodes keyed
+by content signatures.  Re-translating after an edit therefore
+recomputes exactly the nodes whose signatures the edit changed — in
+particular, a raw formula is keyed by the *sentence-local*
 slice of the semantic analysis (the antonym pairs of the sentence's own
 candidate subjects), so a new antonym pair under one subject invalidates
 only the sentences that mention that subject, not the whole document.
@@ -20,13 +21,13 @@ only the sentences that mention that subject, not the whole document.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..core.graph import AnalysisGraph
 from ..logic.ast import Formula, atoms as formula_atoms
 from ..logic.rewrite import simplify
 from ..nlp.antonyms import AntonymDictionary
-from ..nlp.dependencies import candidate_subjects
+from ..nlp.dependencies import candidate_subjects, sentence_vocabulary
 from ..nlp.grammar import Sentence, parse_sentence
 from ..nlp.tokenizer import split_sentences
 from ..obs.trace import span as _obs_span
@@ -101,8 +102,7 @@ class SpecificationTranslation:
 
 #: Stages of a per-document translation graph, in pipeline order.
 DOCUMENT_STAGES: Tuple[str, ...] = (
-    "parses",  # text -> Sentence
-    "vocab",  # text -> Algorithm 1 contributions (subject, dependents)
+    "parses",  # text -> ParsedSentence
     "semantics_seen",  # Algorithm 1 unit key -> True (delta attribution)
     "raw_formulas",  # (text, sentence-local analysis slice) -> Formula
     "solutions",  # (thetas, method, bound, signs) -> abstraction solve
@@ -111,16 +111,38 @@ DOCUMENT_STAGES: Tuple[str, ...] = (
 )
 
 
+class ParsedSentence(NamedTuple):
+    """A ``parses`` node: one sentence's parse and what later stages read
+    of it."""
+
+    sentence: Sentence
+    #: Algorithm 1's input from this sentence (``sentence_vocabulary``).
+    vocabulary: tuple
+    #: The subjects owning antonym candidates (``candidate_subjects``),
+    #: sorted.
+    candidates: Tuple[str, ...]
+
+
+def _parsed(text: str) -> ParsedSentence:
+    """The ``parses`` node of *text*."""
+    sentence = parse_sentence(text)
+    return ParsedSentence(
+        sentence,
+        sentence_vocabulary(sentence),
+        tuple(sorted(candidate_subjects(sentence))),
+    )
+
+
 class TranslationCache:
     """Per-document analysis graph enabling incremental re-translation.
 
     Translation is *mostly* per-sentence work (parsing, template
     instantiation) glued together by two global passes: semantic reasoning
     (Algorithm 1) and time abstraction (one solve over the specification's
-    chain lengths).  Both passes now decompose: the analysis splits into
-    vocabulary components cached process-wide, and each per-sentence
-    artefact is a graph node keyed by the sentence text *plus* exactly the
-    slice of global context it reads — so reuse is exact:
+    chain lengths).  Algorithm 1 re-runs per pass over the cached
+    per-sentence vocabularies, and each per-sentence artefact is a graph
+    node keyed by the sentence text *plus* exactly the slice of global
+    context it reads — so reuse is exact:
     ``translate(requirements, cache)`` returns the same translation as a
     fresh ``translate(requirements)``, only skipping work for nodes whose
     signatures are unchanged.
@@ -164,28 +186,30 @@ class TranslationCache:
         self.graph.clear()
 
     def parse(self, text: str) -> Sentence:
-        return self.graph.compute("parses", text, lambda: parse_sentence(text))
+        return self.graph.compute("parses", text, lambda: _parsed(text)).sentence
 
 
 def _touched() -> Dict[str, set]:
     return {stage: set() for stage in DOCUMENT_STAGES}
 
 
-def _sentence_signature(analysis: SemanticAnalysis, sentence: Sentence) -> tuple:
-    """The slice of *analysis* this sentence's translation can read.
+def _sentence_signature(
+    analysis: SemanticAnalysis, candidates: Tuple[str, ...]
+) -> tuple:
+    """The slice of *analysis* a sentence's translation can read.
 
     :meth:`SemanticAnalysis.reduce` consults exactly the antonym pairs of
     an antonym-candidate proposition's subject (plus the dictionary and
     morphology, which are translator-constant), so two analyses agreeing
-    on the sentence's candidate subjects translate it identically.  Keying
-    raw formulas by this slice instead of the whole-document pair set is
-    what keeps an antonym-pair change local to the sentences that mention
-    the affected subject.
+    on the sentence's *candidates* (its sorted candidate subjects)
+    translate it identically.  Keying raw formulas by this slice instead
+    of the whole-document pair set is what keeps an antonym-pair change
+    local to the sentences that mention the affected subject.
     """
     if not analysis.enabled:
         return (False,)
     relevant = []
-    for subject in sorted(candidate_subjects(sentence)):
+    for subject in candidates:
         pairs = analysis.pairs_by_subject.get(subject)
         if pairs:
             relevant.append((subject, tuple(pairs)))
@@ -239,15 +263,12 @@ class Translator:
         touched = _touched()
         with _obs_span("translate", sentences=len(requirements)):
             with _obs_span("translate.parse"):
-                sentences = []
-                for identifier, text in requirements:
-                    parsed = graph.compute(
-                        "parses",
-                        text,
-                        lambda text=text: parse_sentence(text),
-                        touched=touched,
+                parses: List[ParsedSentence] = [
+                    graph.compute(
+                        "parses", text, lambda text=text: _parsed(text), touched=touched
                     )
-                    sentences.append((identifier, text, parsed))
+                    for _, text in requirements
+                ]
 
             # Computed once per check: Algorithm 1's unit keys and the raw
             # formulas below both incorporate it (raw formulas read the
@@ -259,7 +280,7 @@ class Translator:
             if self.options.semantic_reasoning:
                 with _obs_span("translate.semantics") as sp:
                     analysis, delta = analyse_incremental(
-                        [(text, sentence) for _, text, sentence in sentences],
+                        [parsed.vocabulary for parsed in parses],
                         self.dictionary,
                         graph,
                         touched=touched,
@@ -274,12 +295,16 @@ class Translator:
 
             with _obs_span("translate.formulas"):
                 raw_formulas: List[Formula] = []
-                for _, text, sentence in sentences:
-                    key = (text, dict_sig, _sentence_signature(analysis, sentence))
+                for (_, text), parsed in zip(requirements, parses):
+                    key = (
+                        text,
+                        dict_sig,
+                        _sentence_signature(analysis, parsed.candidates),
+                    )
                     raw = graph.compute(
                         "raw_formulas",
                         key,
-                        lambda sentence=sentence: sentence_formula(
+                        lambda sentence=parsed.sentence: sentence_formula(
                             sentence, analysis, self.options
                         ),
                         touched=touched,
@@ -290,10 +315,10 @@ class Translator:
                 abstraction = self._abstract(raw_formulas, graph, touched)
             translated = [
                 RequirementTranslation(
-                    identifier, text, sentence, raw, simplify(abstracted)
+                    identifier, text, parsed.sentence, raw, simplify(abstracted)
                 )
-                for (identifier, text, sentence), raw, abstracted in zip(
-                    sentences, raw_formulas, abstraction.formulas
+                for (identifier, text), parsed, raw, abstracted in zip(
+                    requirements, parses, raw_formulas, abstraction.formulas
                 )
             ]
             final_formulas = tuple(req.formula for req in translated)

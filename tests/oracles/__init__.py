@@ -15,12 +15,14 @@ Each module holds the straightforward version of one optimised engine in
   a memo is empty (vs. the loop gated by primed words that also records
   unit keys);
 * ``obligations`` — the certificate decided by a CEGIS loop over flag
-  vectors (vs. one incremental solve per goal).
+  vectors (vs. one incremental solve per goal);
+* ``lexicon`` — the morphology rules as functions applied per word (vs.
+  the lexicon's import-time tables of every form they accept).
 
 They plug in by subclassing the engine classes, by monkeypatching the
 names :mod:`repro.synthesis.realizability` looks up (``solve_game``,
 ``IncrementalBoundedSynthesizer``, ``RUNGS``), or, for ``sat``'s brute
-force, ``semantics`` and ``obligations``, by being called side by side
-with production on the same input.  The test modules
+force, ``semantics``, ``obligations`` and ``lexicon``, by being called
+side by side with production on the same input.  The test modules
 import them as ``oracles.*`` (pytest puts ``tests/`` on ``sys.path``).
 """

@@ -229,8 +229,8 @@ class TestAnalyseIncremental:
     dictionary = AntonymDictionary.default()
 
     def run(self, cache: TranslationCache, texts):
-        items = [(text, cache.parse(text)) for text in texts]
-        return analyse_incremental(items, self.dictionary, cache.graph)
+        vocabularies = [sentence_vocabulary(cache.parse(text)) for text in texts]
+        return analyse_incremental(vocabularies, self.dictionary, cache.graph)
 
     def test_first_pass_reanalyses_everything(self):
         cache = TranslationCache()

@@ -18,6 +18,7 @@ import copy
 import gc
 import hashlib
 import json
+import os
 import pickle
 import subprocess
 import sys
@@ -52,6 +53,13 @@ from repro.logic.ast import (
 from repro.logic.parser import parse
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_automata.json"
+
+
+def _child_env(hash_seed: str) -> dict:
+    """This process's environment with only the module path and the hash
+    seed replaced, so settings such as ``PYTHONDONTWRITEBYTECODE`` reach
+    the child too."""
+    return {**os.environ, "PYTHONPATH": "src", "PYTHONHASHSEED": hash_seed}
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +106,7 @@ def test_hash_stable_across_hash_randomisation():
         result = subprocess.run(
             [sys.executable, "-c", program],
             capture_output=True, text=True, check=True,
-            env={"PYTHONPATH": "src", "PYTHONHASHSEED": seed, "PATH": "/usr/bin:/bin"},
+            env=_child_env(seed),
             cwd=Path(__file__).parent.parent,
         )
         outputs.add(result.stdout.strip())
@@ -216,7 +224,7 @@ def test_acceptance_set_order_is_run_stable():
         result = subprocess.run(
             [sys.executable, "-c", program],
             capture_output=True, text=True, check=True,
-            env={"PYTHONPATH": "src", "PYTHONHASHSEED": seed, "PATH": "/usr/bin:/bin"},
+            env=_child_env(seed),
             cwd=Path(__file__).parent.parent,
         )
         outputs.add(result.stdout.strip())

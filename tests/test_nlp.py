@@ -25,15 +25,25 @@ from repro.nlp import lexicon
 class TestTokenizer:
     def test_simple_sentence(self):
         tokens = tokenize("The cuff is inflated.")
-        assert [t.text for t in tokens] == ["the", "cuff", "is", "inflated", "."]
+        assert tokens == ["the", "cuff", "is", "inflated", "."]
 
     def test_hyphenated_word_kept_together(self):
         tokens = tokenize("auto-control mode")
-        assert tokens[0].text == "auto-control"
+        assert tokens[0] == "auto-control"
 
     def test_numbers(self):
         tokens = tokenize("in 180 seconds")
-        assert [t.text for t in tokens] == ["in", "180", "seconds"]
+        assert tokens == ["in", "180", "seconds"]
+
+    def test_decimal_number_is_one_token(self):
+        assert tokenize("in 2.5 seconds.") == ["in", "2.5", "seconds", "."]
+
+    def test_non_ascii_letters_do_not_fold_into_words(self):
+        # U+212A KELVIN SIGN lower-cases to ASCII "k" and U+0130 to "i"
+        # plus a combining dot; matching before lower-casing keeps both
+        # out of the tokens, as they always were.
+        assert tokenize("\u212aelvin pump") == ["elvin", "pump"]
+        assert tokenize("\u0130nlet valve") == ["nlet", "valve"]
 
     def test_split_sentences_skips_comments_and_blanks(self):
         document = """
@@ -65,11 +75,11 @@ class TestLexicon:
         ],
     )
     def test_verb_lemma(self, word, lemma):
-        assert lexicon.verb_lemma(word) == lemma
+        assert lexicon.VERB_LEMMAS.get(word) == lemma
 
     def test_unknown_word_is_not_verb(self):
-        assert lexicon.verb_lemma("cuff") is None
-        assert lexicon.verb_lemma("xylophone") is None
+        assert lexicon.VERB_LEMMAS.get("cuff") is None
+        assert lexicon.VERB_LEMMAS.get("xylophone") is None
 
     def test_adjectives(self):
         assert lexicon.is_adjective("available")
@@ -313,3 +323,172 @@ class TestNormaliseName:
     def test_never_contains_hyphen_or_quote(self, parts):
         name = normalise_name(parts)
         assert "-" not in name and "'" not in name
+
+
+# ---------------------------------------------------------------------------
+# The one-pass front end
+
+
+def _inflections(word: str):
+    """Every form the inflection rules build from *word*, plus near misses."""
+    for stem in (word, word[:-1], word + word[-1]):
+        for suffix in ("", "s", "es", "ies", "ed", "d", "ing", "less"):
+            yield stem + suffix
+            for prefix in ("un", "in", "dis", "non"):
+                yield prefix + stem + suffix
+
+
+def _table1_tokens():
+    from repro.casestudies import (
+        TABLE_INSTANCES,
+        application_requirements,
+        component_requirements,
+        mode_switching_requirements,
+        robot_requirements,
+    )
+
+    documents = [mode_switching_requirements()]
+    documents += list(component_requirements().values())
+    documents += list(application_requirements().values())
+    documents += [robot_requirements(*TABLE_INSTANCES[row]) for row in TABLE_INSTANCES]
+    return sorted({
+        token
+        for requirements in documents
+        for _, text in requirements
+        for token in tokenize(text)
+    })
+
+
+def assert_tables_match_rules(word: str) -> None:
+    from oracles import lexicon as rules
+
+    assert lexicon.VERB_LEMMAS.get(word) == rules.verb_lemma(word), word
+    assert lexicon.PARTICIPLE_LEMMAS.get(word) == rules.participle_lemma(word), word
+    assert lexicon.PROGRESSIVE_LEMMAS.get(word) == rules.progressive_lemma(word), word
+    assert lexicon.is_adjective(word) == rules.is_adjective(word), word
+    assert lexicon.NEGATED_ADJECTIVES.get(word) == rules.strip_negation_prefix(word), word
+
+
+class TestLexiconTables:
+    """The import-time tables accept exactly what the morphology rules
+    (``tests/oracles/lexicon.py``) accept, with the same base forms."""
+
+    def test_every_generated_inflection(self):
+        words = set(lexicon.LINKING_VERBS | lexicon.BE_FORMS | set(lexicon.IRREGULAR_PARTICIPLES))
+        for word in lexicon.VERBS | lexicon.ADJECTIVES:
+            words.update(_inflections(word))
+        assert len(words) > 10_000
+        for word in sorted(words):
+            assert_tables_match_rules(word)
+
+    def test_every_table1_token(self):
+        tokens = _table1_tokens()
+        assert len(tokens) > 200
+        for token in tokens:
+            assert_tables_match_rules(token)
+
+    @given(
+        st.one_of(
+            st.text(alphabet="abcdeghilnoprstuy", min_size=1, max_size=10),
+            st.tuples(
+                st.sampled_from(sorted(lexicon.VERBS | lexicon.ADJECTIVES)),
+                st.sampled_from(["", "s", "es", "ed", "ing", "d", "ies", "less", "ly"]),
+                st.sampled_from(["", "un", "in", "dis", "non", "re"]),
+            ).map(lambda parts: parts[2] + parts[0] + parts[1]),
+        )
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_drawn_words(self, word):
+        assert_tables_match_rules(word)
+
+    def test_auxiliaries_are_the_union(self):
+        assert lexicon.AUXILIARIES == (
+            lexicon.BE_FORMS | lexicon.MODALITIES | lexicon.DO_FORMS | lexicon.LINKING_VERBS
+        )
+
+    def test_parsing_adds_no_entries(self):
+        """No per-word memo: parsing unseen words leaves every table as
+        built, so clearing the translation caches leaves nothing warm."""
+        tables = {
+            name: len(value)
+            for name, value in vars(lexicon).items()
+            if isinstance(value, (dict, set, frozenset))
+        }
+        parse_sentence("If the zorbing flimflam is unflappable, the quux is frobbed.")
+        assert tables == {
+            name: len(value)
+            for name, value in vars(lexicon).items()
+            if isinstance(value, (dict, set, frozenset))
+        }
+
+
+class TestConjoinedSubjects:
+    """A conjunction splits clauses only where the part before it is a
+    clause with a subject: nouns that are also lexicon verbs ("pump",
+    "alarm", "display") no longer cut a subject in two."""
+
+    @pytest.mark.parametrize(
+        "text,subjects,conjunction,verb",
+        [
+            ("The pump and the valve are started.", ["pump", "valve"], "and", "start"),
+            ("The alarm and the light are turned on.", ["alarm", "light"], "and", "turn"),
+            ("The display or the light is turned on.", ["display", "light"], "or", "turn"),
+        ],
+    )
+    def test_verb_noun_first(self, text, subjects, conjunction, verb):
+        (clause,) = parse_sentence(text).main.clauses
+        assert clause.subjects == subjects
+        assert clause.subject_conjunction == conjunction
+        assert clause.verb == verb and clause.passive
+
+    def test_in_a_condition(self):
+        sentence = parse_sentence(
+            "If the pump and the valve are started, the light is turned on."
+        )
+        (condition,) = sentence.pre[0].group.clauses
+        assert condition.subjects == ["pump", "valve"]
+        assert sentence.main.clauses[0].subjects == ["light"]
+
+    def test_clauses_still_split(self):
+        sentence = parse_sentence(
+            "If the cuff is lost, the pump is stopped and the alarm is issued."
+        )
+        assert [c.subjects for c in sentence.main.clauses] == [["pump"], ["alarm"]]
+        assert sentence.main.connectives == ["and"]
+
+
+class TestOutOfGrammar:
+    """Shapes the grammar does not cover raise instead of translating to a
+    wrong formula."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "If the button is pressed.",
+            "If the button is pressed; the pump is started.",
+            "When the pump is started, if the valve is opened.",
+        ],
+    )
+    def test_no_main_clause(self, text):
+        with pytest.raises(StructuredEnglishError, match="no main clause"):
+            parse_sentence(text)
+
+    def test_non_integer_time_constraint(self):
+        with pytest.raises(StructuredEnglishError, match=r"'2\.5'"):
+            parse_sentence("If the cuff is inflated, the pump is stopped in 2.5 seconds.")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "The pump that is started is stopped.",
+            "The alarm which is active is sounded.",
+            "If the valve that is opened is closed, the pump is stopped.",
+        ],
+    )
+    def test_restrictive_relative_clause(self, text):
+        with pytest.raises(StructuredEnglishError, match="relative clause"):
+            parse_sentence(text)
+
+    def test_that_as_determiner_still_parses(self):
+        clause = parse_sentence("That pump and that valve are started.").main.clauses[0]
+        assert clause.subjects == ["pump", "valve"]

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.logic import Atom, Next, atoms, next_chain, parse, to_str
-from repro.nlp import AntonymDictionary, parse_sentence
+from repro.logic import And, Atom, Next, Or, atoms, next_chain, parse, to_str
+from repro.nlp import AntonymDictionary, StructuredEnglishError, parse_sentence
 from repro.translate import (
     AbstractionMethod,
     Color,
@@ -365,3 +365,132 @@ class TestTranslator:
         a = optimal.translate_document(document)
         b = bitblast.translate_document(document)
         assert a.abstraction.solution.cost_next == b.abstraction.solution.cost_next
+
+
+class TestMetamorphic:
+    """Paraphrases the grammar accepts translate alike; shapes it cannot
+    tell apart are flagged, never conflated (SNIPPETS.md Snippets 1 and 3)."""
+
+    translator = Translator()
+
+    def formula(self, text: str):
+        translation = self.translator.translate(
+            [("R1", text)], self.translator.new_cache()
+        )
+        return translation.requirements[0].formula
+
+    def outcome(self, text: str):
+        try:
+            return self.formula(text)
+        except StructuredEnglishError:
+            return None
+
+    @pytest.mark.parametrize(
+        "restrictive,non_restrictive",
+        [
+            ("The pump that is started is stopped.",
+             "The pump, which is started, is stopped."),
+            ("The alarm which is active is sounded.",
+             "The alarm, which is active, is sounded."),
+            ("If the valve that is opened is closed, the pump is stopped.",
+             "If the valve, which is opened, is closed, the pump is stopped."),
+        ],
+    )
+    def test_relative_clauses_are_never_conflated(self, restrictive, non_restrictive):
+        first, second = self.outcome(restrictive), self.outcome(non_restrictive)
+        assert first is None or first is not second
+
+    clause_parts = st.tuples(
+        st.sampled_from(
+            ["the cuff", "the pump", "the alarm", "auto control mode", "the pulse wave"]
+        ),
+        st.sampled_from(
+            ["is lost", "is started", "is available", "is not available",
+             "is running", "is issued", "should sound"]
+        ),
+    ).map(" ".join)
+
+    @given(condition=clause_parts, consequence=clause_parts)
+    @settings(max_examples=60, deadline=None)
+    def test_condition_first_or_last(self, condition, consequence):
+        leading = self.formula(f"If {condition}, {consequence}.")
+        trailing = self.formula(f"{consequence.capitalize()} if {condition}.")
+        assert leading is trailing
+
+    @staticmethod
+    def conjuncts(formula):
+        """The kind and operands of the formula's one and/or node."""
+        stack = [formula]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, (And, Or)):
+                return type(node), {node.left, node.right}
+            stack.extend(
+                getattr(node, name)
+                for name in ("operand", "left", "right")
+                if hasattr(node, name)
+            )
+        raise AssertionError(f"no and/or in {formula}")
+
+    @given(
+        first=st.sampled_from(
+            ["pump", "valve", "alarm", "light", "display", "order", "report", "log", "switch", "door"]
+        ),
+        second=st.sampled_from(["valve", "light", "cuff", "alarm", "power", "display"]),
+        conjunction=st.sampled_from(["and", "or"]),
+        predicate=st.sampled_from(
+            ["are started", "are turned on", "are available", "are not lost"]
+        ),
+        condition=st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_swapped_conjoined_subjects(
+        self, first, second, conjunction, predicate, condition
+    ):
+        if first == second:
+            return
+        texts = [
+            f"The {a} {conjunction} the {b} {predicate}."
+            for a, b in ((first, second), (second, first))
+        ]
+        if condition:
+            texts = [
+                f"If {text[0].lower()}{text[1:-1]}, the lamp is opened."
+                for text in texts
+            ]
+        forward, backward = (self.formula(text) for text in texts)
+        assert self.conjuncts(forward) == self.conjuncts(backward)
+        assert self.conjuncts(forward)[0] is (And if conjunction == "and" else Or)
+
+    @pytest.mark.parametrize(
+        "ears,plain",
+        [
+            # Event-driven (WHEN ... SHALL).
+            ("When the button is pressed, the pump shall be started.",
+             "When the button is pressed, the pump is started."),
+            ("When the customer card is available, the order record shall be triggered.",
+             "If the customer card is available, the order record is triggered."),
+            ("When auto control mode is running, eventually the cuff shall be inflated.",
+             "When auto control mode is running, eventually the cuff will be inflated."),
+            # State-driven (WHILE ... SHALL).
+            ("While auto control mode is running, terminate auto control button "
+             "shall be available.",
+             "When auto control mode is running, terminate auto control button "
+             "should be available."),
+            # Unwanted behaviour (IF ... THEN ... SHALL).
+            ("If alarm reset button is pressed, then the alarm shall be disabled.",
+             "If alarm reset button is pressed, the alarm is disabled."),
+            ("If a confirmation button is available, and confirmation yes is "
+             "pressed, then manual mode shall be started.",
+             "If a confirmation button is available, and confirmation yes is "
+             "pressed, manual mode is started."),
+            # Ubiquitous (THE ... SHALL).
+            ("The zeta lamp shall be on.", "Always the zeta lamp is on."),
+        ],
+    )
+    def test_ears_variants_translate_like_plain_forms(self, ears, plain):
+        assert self.formula(ears) is self.formula(plain)
+
+    def test_ears_event_driven_formula(self):
+        formula = self.formula("When the button is pressed, the pump shall be started.")
+        assert to_str(formula) == "G (press_button -> start_pump)"
