@@ -29,6 +29,15 @@ independent of the number of input variables — which is what lets SpecCC
 handle the paper's 50-variable CARA mode-switching specification that
 explicit-alphabet engines cannot touch.
 
+Requirement responses are almost always literals or conjunctions of
+literals (cubes), and self-conditions ``literal -> literal``, which are
+binary clauses.  The question is then unit propagation plus a 2-SAT check
+(2-SAT is polynomial: Aspvall, Plass & Tarjan, IPL 1979), so the check
+assigns the responses in order and needs no SAT solver.  Other shapes
+(disjunctions, constants) are Tseitin-encoded and solved under selector
+literals, as are the few inputs whose conflict core only the solver's
+search determines (see :func:`_propagated`).
+
 Soundness notes:
 
 * a flag vector is *harder* for the system than the real condition
@@ -40,7 +49,7 @@ Soundness notes:
   unconditionally.  The all-flags-raised check already assumes every
   obligation active, so they need no special case there.
 
-The failed solve is evidence the other way too.  Its assumption core names
+A failed check is evidence the other way too.  Its conflict core names
 invariants whose responses no letter satisfies together; the certificate
 answers UNREALIZABLE when the environment can provably raise that whole
 core at once (Cimatti, Roveri, Schuppan & Tchaltsev, "Diagnostic
@@ -54,12 +63,13 @@ Information for Realizability", VMCAI 2008, on unrealizable cores):
   a given input is never taken as environment-controlled;
 * the conditions are jointly satisfiable when aligned so that every
   response falls on one step ``T = max k`` (condition *i* at
-  ``T - k_i``), one SAT solve over time-indexed input copies.  The
-  environment plays that input prefix, and whatever the system outputs
-  at ``T`` violates a member.  This is what keeps ``G (a -> o)``,
-  ``G (!a -> !o)`` (realizable with ``o := a``) INCONCLUSIVE;
-* the whole conjunction has a constant-word model.  This is not needed
-  for soundness: it leaves unsatisfiable conjunctions to the
+  ``T - k_i``), over time-indexed input copies: a clash check when every
+  condition is a cube, else one SAT solve.  The environment plays that
+  input prefix, and whatever the system outputs at ``T`` violates a
+  member.  This is what keeps ``G (a -> o)``, ``G (!a -> !o)``
+  (realizable with ``o := a``) INCONCLUSIVE;
+* the whole conjunction has a constant-word model (one SAT solve).  This
+  is not needed for soundness: it leaves unsatisfiable conjunctions to the
   satisfiability rung, whose ``unsat_witness`` they keep whichever rung
   runs first.
 """
@@ -68,7 +78,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from typing import FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from ..logic.ast import (
     TRUE,
@@ -132,10 +142,12 @@ class Obligation:
 class ObligationCheckResult:
     outcome: ObligationOutcome
     obligations: Tuple[Obligation, ...] = ()
-    #: Indices into ``obligations`` of a jointly undischargeable subset
-    #: (when inconclusive): the failed solve's assumption core.
+    #: Sorted indices into ``obligations`` of a jointly undischargeable
+    #: subset, set on every UNREALIZABLE and INCONCLUSIVE result: the
+    #: failed round's conflict core.
     conflict: Optional[Tuple[int, ...]] = None
-    #: SAT solves the check made.
+    #: SAT solver calls the check made: 0 when propagation decides and
+    #: the core needs no constant-word solve.
     solves: int = 0
 
 
@@ -269,6 +281,16 @@ def _strip_all_next(formula: Formula) -> Formula:
 # The joint-dischargeability check
 
 
+#: An output literal: the atom's name and the value it asks for.
+_Literal = Tuple[str, bool]
+#: One obligation's constraint as :func:`_propagated` reads it: a cube's
+#: literals, or a self-condition ``p -> q`` as its clause ``(!p, q)``.
+_Constraint = Union[Dict[str, bool], Tuple[_Literal, _Literal]]
+#: How the rounds went: the failed round's core (``None`` when every round
+#: succeeds), whether that round is the invariants', and the solver calls.
+_Rounds = Tuple[Optional[Tuple[int, ...]], bool, int]
+
+
 def check_obligations(
     formulas: Sequence[Formula], inputs: Sequence[str], outputs: Sequence[str]
 ) -> ObligationCheckResult:
@@ -279,12 +301,12 @@ def check_obligations(
     by monotonicity holds iff one letter satisfies every response at once.
     Eventually-goals carry no deadline, so the controller may serve them
     round-robin: each goal is checked *individually* on top of the
-    invariants.  One solver holds every obligation's constraint behind a
-    selector literal; it is solved once under the invariants' selectors
-    and once per goal under those plus the goal's.  A failed solve's
-    assumption core names the clashing obligations; when the invariants'
-    solve fails and the environment can force its core
-    (:func:`_forced`), the answer is UNREALIZABLE.
+    invariants.  That is one round for the invariants and one per goal,
+    decided by propagation (:func:`_propagated`) or, where only the
+    solver's search gives the core, by one CNF solve each
+    (:func:`_solved`).  A failed round's core names the clashing
+    obligations; when the invariants' round fails and the environment can
+    force its core (:func:`_forced`), the answer is UNREALIZABLE.
     """
     output_set = frozenset(outputs)
     obligations: List[Obligation] = []
@@ -296,6 +318,220 @@ def check_obligations(
     if not obligations:
         return ObligationCheckResult(ObligationOutcome.REALIZABLE, ())
 
+    rounds = _propagated(obligations)
+    if rounds is None:
+        rounds = _solved(obligations)
+    conflict, in_invariants, solves = rounds
+    if conflict is None:
+        return ObligationCheckResult(
+            ObligationOutcome.REALIZABLE, tuple(obligations), None, solves
+        )
+    outcome = ObligationOutcome.INCONCLUSIVE
+    if in_invariants:
+        core = [obligations[j] for j in conflict]
+        forced, extra = _forced(core, formulas, frozenset(inputs))
+        solves += extra
+        if forced:
+            outcome = ObligationOutcome.UNREALIZABLE
+    return ObligationCheckResult(outcome, tuple(obligations), conflict, solves)
+
+
+def _propagated(obligations: Sequence[Obligation]) -> Optional[_Rounds]:
+    """The rounds decided by propagation, with the cores :func:`_solved`
+    would find; ``None`` where only the solver's search gives the core.
+
+    The solver places the invariants' selectors in order, and each
+    placement propagates its response.  Replayed on the output literals,
+    that decides every cube and every ``literal -> literal``
+    self-condition, a binary clause.  An invariant clashes when one of its
+    literals is already false at its turn.  If that literal came straight
+    from an earlier response, the solver's core is the clashing invariant
+    plus the earliest one that set one of its literals the other way.
+    Clauses still over unset atoms once every invariant is placed are
+    decided as 2-SAT, and each goal is placed on top of the invariants.
+
+    The solver stays where its core depends on its search: a clash reached
+    through a self-condition, a conflict inside one placement
+    (``G (a -> o && !o)``), an unsatisfiable 2-SAT residue, and a goal
+    clash after a residue, whose free decisions may have left learnt
+    clauses behind.  So do disjunctions, constants and self-conditions
+    that are not ``literal -> literal``, which only the solver handles.
+    """
+    constraints: List[_Constraint] = []
+    for obligation in obligations:
+        response = _cube(obligation.response)
+        if response is None or not _consistent(response):
+            return None
+        if obligation.self_condition is None:
+            constraints.append(dict(response))
+            continue
+        condition = _cube(obligation.self_condition)
+        if condition is None or len(condition) != 1 or len(response) != 1:
+            return None
+        (name, value), head = condition[0], response[0]
+        if name != head[0]:
+            constraints.append(((name, not value), head))
+        else:  # p -> p holds anyway, and p -> !p asks for !p
+            constraints.append({} if value == head[1] else dict(response))
+
+    trail = _Trail()
+    goals = []
+    for k, constraint in enumerate(constraints):
+        if obligations[k].is_goal:
+            goals.append(k)
+        elif isinstance(constraint, tuple):
+            if not trail.activate(constraint, k):
+                return None
+        else:
+            clash = trail.falsified(constraint)
+            if clash:
+                core = trail.core(clash, k)
+                return None if core is None else (core, True, 0)
+            if not trail.place(constraint, k):
+                return None
+    residue = trail.residue()
+    if residue and not trail.satisfiable(residue):
+        return None
+    for k in goals:
+        clash = trail.falsified(constraints[k])
+        if clash:
+            core = None if residue else trail.core(clash, k)
+            return None if core is None else (core, False, 0)
+        mark = len(trail.atoms)
+        if not trail.place(constraints[k], k):
+            return None
+        trail.undo(mark)
+    return None, False, 0
+
+
+class _Trail:
+    """The output literals the solver's placements set, in order.
+
+    ``placed_by[name]`` is the obligation whose placement set the atom.
+    ``derived`` holds the atoms a self-condition's clause set, or may have
+    set before the response that also set them at the same placement.
+    """
+
+    def __init__(self) -> None:
+        self.value: Dict[str, bool] = {}
+        self.placed_by: Dict[str, int] = {}
+        self.derived: Set[str] = set()
+        self.atoms: List[str] = []
+        self.clauses: List[Tuple[_Literal, _Literal]] = []
+        #: The literals each literal forces through the active clauses.
+        self.implied: Dict[_Literal, List[_Literal]] = {}
+
+    def falsified(self, cube: Dict[str, bool]) -> List[str]:
+        """The atoms of *cube* already set the other way."""
+        return [
+            name for name, value in cube.items() if self.value.get(name, value) != value
+        ]
+
+    def core(self, clashing: List[str], k: int) -> Optional[Tuple[int, ...]]:
+        """The solver's core when obligation *k* finds its *clashing* atoms
+        false, or ``None`` if a self-condition may lie on its path.
+
+        The solver finds *k*'s selector false through the earliest
+        placement that set one of them, so the core is that placement and
+        *k*, unless an atom of *k* set there is derived.
+        """
+        first = min(self.placed_by[name] for name in clashing)
+        if any(
+            self.placed_by[name] == first and name in self.derived
+            for name in clashing
+        ):
+            return None
+        return tuple(sorted((first, k)))
+
+    def place(self, cube: Dict[str, bool], k: int) -> bool:
+        """Set *cube*'s unset atoms as placement *k* and propagate them;
+        ``False`` on a conflict through a self-condition."""
+        fresh = [name for name in cube if name not in self.value]
+        for name in fresh:
+            self._set(name, cube[name], k)
+        return self._propagate(fresh, k)
+
+    def activate(self, clause: Tuple[_Literal, _Literal], k: int) -> bool:
+        """Add self-condition *k*'s clause and propagate it; ``False`` when
+        it is false already."""
+        first, second = clause
+        self.clauses.append(clause)
+        self.implied.setdefault((first[0], not first[1]), []).append(second)
+        self.implied.setdefault((second[0], not second[1]), []).append(first)
+        return self._propagate([name for name, _ in clause if name in self.value], k)
+
+    def residue(self) -> List[Tuple[_Literal, _Literal]]:
+        """The active clauses over unset atoms; every other one holds."""
+        return [
+            clause
+            for clause in self.clauses
+            if clause[0][0] not in self.value and clause[1][0] not in self.value
+        ]
+
+    def satisfiable(self, clauses: List[Tuple[_Literal, _Literal]]) -> bool:
+        """Whether *clauses* over unset atoms have a model, leaving the
+        trail as it was.
+
+        Each unset atom takes a value whose propagation does not conflict.
+        In 2-SAT such a value leaves a subset of the clauses untouched, so
+        a model exists iff no atom conflicts both ways (Even, Itai &
+        Shamir, SIAM J. Comput. 1976).
+        """
+        mark = len(self.atoms)
+        try:
+            for clause in clauses:
+                for name, _ in clause:
+                    if name in self.value:
+                        continue
+                    for value in (True, False):
+                        attempt = len(self.atoms)
+                        self._set(name, value, -1)
+                        if self._propagate([name], -1):
+                            break
+                        self.undo(attempt)
+                    else:
+                        return False
+            return True
+        finally:
+            self.undo(mark)
+
+    def undo(self, mark: int) -> None:
+        """Unset every atom after the first *mark* set."""
+        for name in self.atoms[mark:]:
+            del self.value[name], self.placed_by[name]
+            self.derived.discard(name)
+        del self.atoms[mark:]
+
+    def _set(self, name: str, value: bool, k: int) -> None:
+        self.value[name] = value
+        self.placed_by[name] = k
+        self.atoms.append(name)
+
+    def _propagate(self, queue: List[str], k: int) -> bool:
+        while queue:
+            name = queue.pop()
+            for other, value in self.implied.get((name, self.value[name]), ()):
+                if other not in self.value:
+                    self._set(other, value, k)
+                    self.derived.add(other)
+                    queue.append(other)
+                elif self.value[other] != value:
+                    return False
+                elif self.placed_by[other] == k:
+                    # This placement's response set it too: the solver
+                    # may reach it through the clause first.
+                    self.derived.add(other)
+        return True
+
+
+def _solved(obligations: Sequence[Obligation]) -> _Rounds:
+    """The rounds as CNF solves.
+
+    One solver holds every obligation's constraint behind a selector
+    literal; it is solved once under the invariants' selectors and once
+    per goal under those plus the goal's.  A failed solve's assumption
+    core is the conflict.
+    """
     cnf = CNF()
     # Obligation j's selector is variable j + 1.
     selectors = [cnf.new_var() for _ in obligations]
@@ -310,19 +546,8 @@ def check_obligations(
         answer = solver.solve(assumptions)
         if not answer:
             conflict = tuple(sorted(lit - 1 for lit in answer.failed_assumptions))
-            outcome = ObligationOutcome.INCONCLUSIVE
-            if solves == 1:
-                core = [obligations[j] for j in conflict]
-                forced, extra = _forced(core, formulas, frozenset(inputs))
-                solves += extra
-                if forced:
-                    outcome = ObligationOutcome.UNREALIZABLE
-            return ObligationCheckResult(
-                outcome, tuple(obligations), conflict, solves
-            )
-    return ObligationCheckResult(
-        ObligationOutcome.REALIZABLE, tuple(obligations), None, solves
-    )
+            return conflict, solves == 1, solves
+    return None, False, len(rounds)
 
 
 def _forced(
@@ -330,8 +555,8 @@ def _forced(
 ) -> Tuple[bool, int]:
     """Can the environment raise every obligation of *core* at once?
 
-    Returns the answer and the SAT solves it took.  Yes only when the core
-    is non-empty and exact over *inputs*, its conditions are jointly
+    Returns the answer and the SAT solver calls it made.  Yes only when the
+    core is non-empty and exact over *inputs*, its conditions are jointly
     satisfiable with every response aligned on step ``T = max k``, and the
     whole conjunction of *formulas* has a constant-word model.
     """
@@ -340,9 +565,24 @@ def _forced(
     ):
         return False, 0
     step = max(o.delay for o in core)
-    if not _satisfiable(conj(_at(o.condition, step - o.delay) for o in core)):
-        return False, 1
-    return _satisfiable(conj(_constant(f) for f in formulas)), 2
+    aligned, calls = _jointly_satisfiable(
+        [_at(o.condition, step - o.delay) for o in core if o.condition is not TRUE]
+    )
+    if not aligned:
+        return False, calls
+    return _satisfiable(conj(_constant(f) for f in formulas)), calls + 1
+
+
+def _jointly_satisfiable(conditions: List[Formula]) -> Tuple[bool, int]:
+    """Whether *conditions* hold together, and the solver calls that took:
+    none when every condition is a cube, else one."""
+    literals: List[_Literal] = []
+    for condition in conditions:
+        cube = _cube(condition)
+        if cube is None:
+            return _satisfiable(conj(conditions)), 1
+        literals += cube
+    return _consistent(literals), 0
 
 
 def _at(condition: Formula, step: int) -> Formula:
@@ -367,6 +607,23 @@ def _constant(formula: Formula) -> Formula:
     if not formula.children():
         return formula
     return type(formula)(*[_constant(child) for child in formula.children()])
+
+
+def _cube(formula: Formula) -> Optional[List[_Literal]]:
+    """The literals of a conjunction of literals, or ``None`` for any
+    other formula."""
+    if isinstance(formula, And):
+        left, right = _cube(formula.left), _cube(formula.right)
+        return None if left is None or right is None else left + right
+    value = not isinstance(formula, Not)
+    if not value:
+        formula = formula.operand
+    return [(formula.name, value)] if isinstance(formula, Atom) else None
+
+
+def _consistent(literals: Sequence[_Literal]) -> bool:
+    """No atom occurs in *literals* with both values."""
+    return len(dict(literals)) == len(set(literals))
 
 
 def _satisfiable(formula: Formula) -> bool:

@@ -2,9 +2,10 @@
 
 :func:`check_realizability` splits a specification into variable-connected
 components and runs each through a cost-ordered decision ladder
-(:data:`RUNGS`): the obligation certificate (:mod:`.invariants`, one SAT
-solve per goal; REALIZABLE, or UNREALIZABLE from a conflict core the
-environment can force), then the GPVW satisfiability and validity checks,
+(:data:`RUNGS`): the obligation certificate (:mod:`.invariants`, decided
+by propagation with no SAT solver on requirement-shaped inputs;
+REALIZABLE, or UNREALIZABLE from a conflict core the environment can
+force), then the GPVW satisfiability and validity checks,
 then the exact engines — the safety game at bounds 1 to
 ``max_game_bound`` (realizable verdicts, G4LTL-style) with dual bounded
 synthesis of an environment strategy after each bound it does not win
@@ -20,6 +21,7 @@ import enum
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..automata import gpvw, ltlsat
@@ -30,7 +32,7 @@ from ..obs.trace import span as _obs_span
 # ``check_obligations`` through their own modules, at call time: those are
 # the bindings perfbench/tracer.py wraps to time each rung.
 from ..automata.ltlsat import satisfiable
-from ..logic.ast import Formula, conj
+from ..logic.ast import Formula, atoms, conj
 from . import invariants
 from .bounded import IncrementalBoundedSynthesizer
 from .mealy import MealyMachine
@@ -305,12 +307,6 @@ def aggregate_verdict(verdicts) -> Verdict:
     return Verdict.UNKNOWN
 
 
-def _atoms(formula: Formula):
-    from ..logic.ast import atoms
-
-    return atoms(formula)
-
-
 def check_component(
     component: Component,
     input_set: frozenset,
@@ -358,18 +354,24 @@ def check_component(
     )
 
 
-class _Problem(NamedTuple):
+@dataclass
+class _Problem:
     """One component analysis, as every rung of the ladder sees it."""
 
     formulas: Tuple[Formula, ...]
     inputs: Tuple[str, ...]
     outputs: Tuple[str, ...]
     limits: SynthesisLimits
-    specification: Formula
     #: Few enough propositions for the explicit-alphabet engines.
     explicit_ok: bool
     #: Small enough for one GPVW tableau of the whole conjunction.
     tableau_ok: bool
+
+    @cached_property
+    def specification(self) -> Formula:
+        """The conjunction of the formulas, built by the first rung that
+        reads it: a component the certificate decides never needs it."""
+        return conj(self.formulas)
 
 
 def _obligations(problem: _Problem) -> Optional[_ComponentOutcome]:
@@ -531,16 +533,15 @@ def _analyze_component(
     local_outputs: Tuple[str, ...],
     limits: SynthesisLimits,
 ) -> _ComponentOutcome:
-    specification = conj(formulas)
     # The component's variable set is a function of its formulas (union of
-    # their atoms), so it is safe to derive under the cache key.
-    explicit_ok = len(_atoms(specification)) <= limits.max_explicit_variables
+    # their cached atom sets), so it is safe to derive under the cache key.
+    variables = frozenset().union(*map(atoms, formulas))
+    explicit_ok = len(variables) <= limits.max_explicit_variables
     problem = _Problem(
         formulas,
         local_inputs,
         local_outputs,
         limits,
-        specification,
         explicit_ok,
         explicit_ok and len(formulas) <= limits.max_precheck_formulas,
     )

@@ -14,8 +14,9 @@ Each module holds the straightforward version of one optimised engine in
 * ``semantics`` — Algorithm 1 as printed, re-running ``online(w)`` while
   a memo is empty (vs. the loop gated by primed words that also records
   unit keys);
-* ``obligations`` — the certificate decided by a CEGIS loop over flag
-  vectors (vs. one incremental solve per goal);
+* ``obligations`` — the certificate as one incremental CDCL solve per
+  goal, and decided by a CEGIS loop over flag vectors (vs. propagation
+  with 2-SAT, and that solve only where its core depends on the search);
 * ``lexicon`` — the morphology rules as functions applied per word (vs.
   the lexicon's import-time tables of every form they accept).
 

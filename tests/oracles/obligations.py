@@ -1,19 +1,40 @@
-"""The obligation certificate decided by CEGIS: a falsifier and a responder.
+"""Two earlier forms of the obligation certificate, as references.
 
-The loop is the one production used before the certificate became a
-single incremental solve (:func:`repro.synthesis.invariants.check_obligations`).
-It is kept verbatim, with its own copy of the letter constraint, except
-that its results no longer carry the iteration count; its ``conflict``
-still indexes the private ``invariants + [pinned goal]`` list it solved.
-Only fragment extraction is shared with production.  The differential
-tests compare outcomes only.
+* :func:`check_obligations`, CEGIS with a falsifier and a responder: the
+  loop production used before the certificate became a single
+  incremental solve.  It is kept verbatim, with its own copy of the
+  letter constraint, except that its results no longer carry the
+  iteration count; its ``conflict`` still indexes the private
+  ``invariants + [pinned goal]`` list it solved.  The differential tests
+  compare its outcomes only.
+* :func:`single_solve`, that incremental solve: every obligation's
+  constraint behind a selector literal in one CDCL solver, solved once
+  for the invariants and once per goal, with its ``_forced`` making one
+  solve for the aligned conditions.  It is kept verbatim.  Production
+  (:func:`repro.synthesis.invariants.check_obligations`) now decides by
+  propagation and must match its ``outcome``, ``obligations`` and
+  ``conflict`` on every input.
+
+Fragment extraction and the formula rewrites ``_at`` and ``_constant``
+are shared with production.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.logic.ast import And, Atom, Bool, Formula, Iff, Implies, Not, Or
+from repro.logic.ast import (
+    And,
+    Atom,
+    Bool,
+    Formula,
+    Iff,
+    Implies,
+    Not,
+    Or,
+    atoms,
+    conj,
+)
 from repro.sat.cdcl import CDCLSolver
 from repro.sat.cnf import CNF
 from repro.sat.tseitin import encode
@@ -21,6 +42,8 @@ from repro.synthesis.invariants import (
     Obligation,
     ObligationCheckResult,
     ObligationOutcome,
+    _at,
+    _constant,
     extract_obligations,
 )
 
@@ -153,3 +176,85 @@ def _cegis(
             return ObligationOutcome.REALIZABLE, iterations, None
         falsifier.add_clause(uncovered)
     return ObligationOutcome.INCONCLUSIVE, iterations, None
+
+
+def single_solve(
+    formulas: Sequence[Formula], inputs: Sequence[str], outputs: Sequence[str]
+) -> ObligationCheckResult:
+    """The certificate check.
+
+    Invariant obligations must be *jointly* dischargeable for every flag
+    vector: ``forall flags exists letter: AND_j (flag_j -> resp_j)``, which
+    by monotonicity holds iff one letter satisfies every response at once.
+    Eventually-goals carry no deadline, so the controller may serve them
+    round-robin: each goal is checked *individually* on top of the
+    invariants.  One solver holds every obligation's constraint behind a
+    selector literal; it is solved once under the invariants' selectors
+    and once per goal under those plus the goal's.  A failed solve's
+    assumption core names the clashing obligations; when the invariants'
+    solve fails and the environment can force its core
+    (:func:`_forced`), the answer is UNREALIZABLE.
+    """
+    output_set = frozenset(outputs)
+    obligations: List[Obligation] = []
+    for formula in formulas:
+        extracted = extract_obligations(formula, output_set)
+        if extracted is None:
+            return ObligationCheckResult(ObligationOutcome.NOT_APPLICABLE)
+        obligations.extend(extracted)
+    if not obligations:
+        return ObligationCheckResult(ObligationOutcome.REALIZABLE, ())
+
+    cnf = CNF()
+    # Obligation j's selector is variable j + 1.
+    selectors = [cnf.new_var() for _ in obligations]
+    for selector, obligation in zip(selectors, obligations):
+        cnf.add([-selector, encode(_constraint_of(obligation), cnf)])
+    solver = CDCLSolver(cnf)
+    invariants = [s for s, o in zip(selectors, obligations) if not o.is_goal]
+    rounds = [invariants] + [
+        invariants + [s] for s, o in zip(selectors, obligations) if o.is_goal
+    ]
+    for solves, assumptions in enumerate(rounds, start=1):
+        answer = solver.solve(assumptions)
+        if not answer:
+            conflict = tuple(sorted(lit - 1 for lit in answer.failed_assumptions))
+            outcome = ObligationOutcome.INCONCLUSIVE
+            if solves == 1:
+                core = [obligations[j] for j in conflict]
+                forced, extra = _forced(core, formulas, frozenset(inputs))
+                solves += extra
+                if forced:
+                    outcome = ObligationOutcome.UNREALIZABLE
+            return ObligationCheckResult(
+                outcome, tuple(obligations), conflict, solves
+            )
+    return ObligationCheckResult(
+        ObligationOutcome.REALIZABLE, tuple(obligations), None, solves
+    )
+
+
+def _forced(
+    core: Sequence[Obligation], formulas: Sequence[Formula], inputs: FrozenSet[str]
+) -> Tuple[bool, int]:
+    """Can the environment raise every obligation of *core* at once?
+
+    Returns the answer and the SAT solves it took.  Yes only when the core
+    is non-empty and exact over *inputs*, its conditions are jointly
+    satisfiable with every response aligned on step ``T = max k``, and the
+    whole conjunction of *formulas* has a constant-word model.
+    """
+    if not core or any(
+        o.condition is None or not atoms(o.condition) <= inputs for o in core
+    ):
+        return False, 0
+    step = max(o.delay for o in core)
+    if not _satisfiable(conj(_at(o.condition, step - o.delay) for o in core)):
+        return False, 1
+    return _satisfiable(conj(_constant(f) for f in formulas)), 2
+
+
+def _satisfiable(formula: Formula) -> bool:
+    cnf = CNF()
+    cnf.add([encode(formula, cnf)])
+    return bool(CDCLSolver(cnf).solve())

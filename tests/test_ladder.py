@@ -27,12 +27,14 @@ from repro.casestudies import (
     robot_requirements,
 )
 from repro.obs import Tracer, registry, set_process_tracer
+from repro.sat.cdcl import CDCLSolver
 from repro.service.reportjson import report_to_dict
 from repro.service.server import serve
-from repro.synthesis import realizability
+from repro.synthesis import invariants, realizability
 from repro.synthesis.realizability import SynthesisLimits, Verdict
 
 from oracles.bounded import with_bounded_engines
+from oracles.obligations import single_solve
 
 #: The ladder before the certificate moved to the front.
 PRECHECK_FIRST = (
@@ -206,6 +208,59 @@ class TestLadderOrder:
         assert "bounded" in methods
 
 
+class TestCertificateWithoutSolver:
+    """The certificate decides Table I by propagation, with the cores the
+    single-solve reference (``oracles.obligations.single_solve``) finds."""
+
+    def test_matches_the_single_solve_on_every_call(self, monkeypatch):
+        calls = []
+        check = invariants.check_obligations
+
+        def recording(formulas, inputs, outputs):
+            calls.append((formulas, inputs, outputs))
+            return check(formulas, inputs, outputs)
+
+        monkeypatch.setattr(invariants, "check_obligations", recording)
+        tool = paper_tool()
+        for _, requirements in table1_documents() + REGIME_DOCUMENTS:
+            tool.clear_caches()
+            tool.clear_translation_cache()
+            tool.check(requirements)
+        realizability.clear_caches()
+        outcomes = set()
+        for formulas, inputs, outputs in calls:
+            result = check(formulas, inputs, outputs)
+            reference = single_solve(formulas, inputs, outputs)
+            assert (result.outcome, result.obligations, result.conflict) == (
+                reference.outcome, reference.obligations, reference.conflict
+            ), formulas
+            outcomes.add(result.outcome.value)
+        assert outcomes == {
+            "realizable", "unrealizable", "inconclusive", "not-applicable"
+        }
+
+    def test_table1_makes_two_solver_calls(self, monkeypatch):
+        """The single-solve certificate made 177 solves per cold Table I
+        pass.  Propagation makes none; the only two left are the
+        constant-word solves for the clashing component of TELEPROMISE
+        rows 4 and 5, whose cores have single-atom conditions."""
+        assumptions = []
+        solve = CDCLSolver.solve
+
+        def counting(solver, assumed=()):
+            assumptions.append(len(assumed))
+            return solve(solver, assumed)
+
+        monkeypatch.setattr(CDCLSolver, "solve", counting)
+        tool = paper_tool()
+        for label, requirements in table1_documents():
+            tool.clear_caches()
+            tool.clear_translation_cache()
+            assert tool.check(requirements).consistent, label
+        realizability.clear_caches()
+        assert assumptions == [0, 0]
+
+
 #: ``(formulas, inputs, outputs)`` reaching every rung, including an
 #: outputless component inside the certificate's fragment (the validity
 #: rung keeps it), one past the explicit engines' alphabet limit, and the
@@ -304,11 +359,11 @@ class TestRungObservability:
                 assert parent == "solve.component", name
             if name == "solve.obligations":
                 # Outside the fragment the certificate never reaches SAT.
-                applicable = args["outcome"] != "not-applicable"
                 assert args["outcome"] in (
                     "realizable", "unrealizable", "inconclusive", "not-applicable"
                 )
-                assert (args["solves"] > 0) == applicable
+                if args["outcome"] == "not-applicable":
+                    assert args["solves"] == 0
 
     def test_table1_cara_never_opens_the_tableau(self):
         realizability.clear_caches()

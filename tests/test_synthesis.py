@@ -4,7 +4,7 @@ decomposition, localization, controller verification."""
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.automata.ltlsat import satisfiable
@@ -477,6 +477,51 @@ def fragment_specs(draw):
     return texts, list(inputs), list(outputs)
 
 
+@st.composite
+def clash_specs(draw):
+    """``(formulas, inputs, outputs)`` for the certificate's propagation
+    and its fallbacks: 2–8 formulas over at most 4 outputs.  Responses mix
+    literals, 3-literal cubes, self-contradictory cubes, ``true``/``false``
+    and disjunctions.  ``literal -> literal`` self-conditions share the
+    first two outputs, so derived literals, clashes through
+    self-conditions and satisfiable 2-SAT residues occur; an
+    unsatisfiable residue is rare enough to pin as an example."""
+    inputs = INPUT_NAMES[: draw(st.integers(1, 2))]
+    outputs = OUTPUT_NAMES[: draw(st.integers(1, 4))]
+
+    def literal(names):
+        name = draw(st.sampled_from(names))
+        return name if draw(st.booleans()) else f"!{name}"
+
+    def response():
+        kind = draw(st.integers(0, 11))
+        if kind <= 4:
+            return literal(outputs)
+        if kind <= 8:
+            return f"({literal(outputs)} && {literal(outputs)} && {literal(outputs)})"
+        if kind == 9:
+            name = draw(st.sampled_from(outputs))
+            return f"({name} && !{name})"
+        if kind == 10:
+            return draw(st.sampled_from(["true", "false"]))
+        return f"({literal(outputs)} || {literal(outputs)})"
+
+    def formula():
+        kind = draw(st.integers(0, 7))
+        if kind <= 3:  # on the first two outputs, so residues can clash
+            return f"G ({literal(outputs[:2])} -> {literal(outputs[:2])})"
+        if kind == 4:
+            return f"G ({literal(inputs)} -> {response()})"
+        if kind == 5:
+            return f"G ({literal(inputs)} -> X {response()})"
+        if kind == 6:
+            return f"G ({literal(inputs)} -> F {response()})"
+        return f"F {response()}"
+
+    texts = [formula() for _ in range(draw(st.integers(2, 8)))]
+    return texts, list(inputs), list(outputs)
+
+
 class TestObligations:
     def test_extraction_of_invariant(self):
         obligations = extract_obligations(
@@ -538,13 +583,42 @@ class TestObligations:
         assert result.conflict == (0, 1)
 
     def test_one_solve_per_goal(self):
-        result = check_obligations(
+        spec = (
             [parse("G (a -> o)"), parse("G (b -> F p)"), parse("F !q")],
             ["a", "b"],
             ["o", "p", "q"],
         )
+        # The single-solve reference solves the invariants, then each of
+        # two goals; propagation decides the same rounds with no solver.
+        reference = oracle_obligations.single_solve(*spec)
+        assert reference.outcome is ObligationOutcome.REALIZABLE
+        assert reference.solves == 3
+        result = check_obligations(*spec)
         assert result.outcome is ObligationOutcome.REALIZABLE
-        assert result.solves == 3  # the invariants, then each of two goals
+        assert result.solves == 0
+
+    @given(st.one_of(fragment_specs(), clash_specs()))
+    # A conflict inside one placement, and an unsatisfiable 2-SAT residue:
+    # only the solver's search gives these cores.
+    @example((["G (a -> o && !o)"], ["a"], ["o"]))
+    @example((["G (p -> q)", "G (p -> !q)", "G (!p -> q)", "G (!p -> !q)"], [], ["p", "q"]))
+    # The core holds the earliest placement that set a clashing literal.
+    @example((["G (a -> o)", "G (b -> p)", "G (c -> !o && !p)"], ["a", "b", "c"], ["o", "p"]))
+    # The response and the self-condition both set !r at one placement,
+    # and the solver's core goes through the self-condition.
+    @example((["F r", "G (!q -> !r)", "G (c -> !q && o && !r)"], ["c"], ["o", "q", "r"]))
+    # The residue forces q, and the clauses the solver learns deciding it
+    # set !o before G (o -> !o) does: the goal's core is not (3, 4).
+    @example((["G (q -> !o)", "G (p -> q)", "G (!q -> p)", "G (o -> !o)", "F o"], [], ["o", "p", "q"]))
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    def test_matches_the_single_solve(self, spec):
+        texts, inputs, outputs = spec
+        formulas = [parse(text) for text in texts]
+        result = check_obligations(formulas, inputs, outputs)
+        reference = oracle_obligations.single_solve(formulas, inputs, outputs)
+        assert (result.outcome, result.obligations, result.conflict) == (
+            reference.outcome, reference.obligations, reference.conflict
+        )
 
     def test_compatible_responses_realizable(self):
         result = check_obligations(
