@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import time
 
+import pytest
+
 from repro.logic import conj, parse
 from repro.synthesis import (
     Component,
     IncrementalBoundedSynthesizer,
-    SynthesisLimits,
     Verdict,
     check_realizability,
+    realizability,
     solve_safety_game,
 )
 from repro.synthesis.realizability import check_component
@@ -30,7 +32,24 @@ SPECS = [
      ["r1", "r2"], ["g1", "g2"]),
 ]
 
-NO_OBLIGATIONS = SynthesisLimits(use_obligations=False)
+
+@pytest.fixture
+def no_obligations(monkeypatch):
+    """The decision ladder without the obligation certificate, so every
+    component reaches the exact engines.  The component cache does not
+    record which rungs ran: clear it on both sides of the swap."""
+    monkeypatch.setattr(
+        realizability,
+        "RUNGS",
+        tuple(
+            rung for rung in realizability.RUNGS
+            if rung is not realizability._obligations
+        ),
+    )
+    realizability.clear_caches()
+    yield
+    realizability.clear_caches()
+
 
 #: The largest game bound and machine size either engine tries.
 BOUND = 3
@@ -75,7 +94,7 @@ def test_engine_comparison(capsys):
         print("\n".join(lines))
 
 
-def test_modular_vs_monolithic(capsys):
+def test_modular_vs_monolithic(capsys, no_obligations):
     # Ten independent request/grant pairs: modular checking splits them
     # into ten 2-variable games; monolithic checking sees 20 variables and
     # must give up (the explicit alphabet is out of reach).
@@ -84,7 +103,7 @@ def test_modular_vs_monolithic(capsys):
     outputs = [f"g{k}" for k in range(10)]
 
     start = time.perf_counter()
-    modular = check_realizability(formulas, inputs, outputs, limits=NO_OBLIGATIONS)
+    modular = check_realizability(formulas, inputs, outputs)
     modular_seconds = time.perf_counter() - start
     assert modular.verdict is Verdict.REALIZABLE
     assert len(modular.components) == 10
@@ -92,9 +111,7 @@ def test_modular_vs_monolithic(capsys):
     whole = Component(
         tuple(range(len(formulas))), tuple(formulas), frozenset(inputs + outputs)
     )
-    monolithic = check_component(
-        whole, frozenset(inputs), frozenset(outputs), limits=NO_OBLIGATIONS
-    )
+    monolithic = check_component(whole, frozenset(inputs), frozenset(outputs))
     assert monolithic.verdict is Verdict.UNKNOWN  # too many variables
 
     with capsys.disabled():
@@ -103,13 +120,7 @@ def test_modular_vs_monolithic(capsys):
         print("  monolithic: unknown (20 variables exceed the explicit engines)")
 
 
-def test_game_engine_benchmark(benchmark):
+def test_game_engine_benchmark(benchmark, no_obligations):
     formulas = [parse("G (r -> F g)"), parse("G (g -> X !g)")]
-    result = benchmark(
-        check_realizability,
-        formulas,
-        ["r"],
-        ["g"],
-        limits=NO_OBLIGATIONS,
-    )
+    result = benchmark(check_realizability, formulas, ["r"], ["g"])
     assert result.verdict is Verdict.REALIZABLE

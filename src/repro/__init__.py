@@ -24,7 +24,7 @@ from .core.graph import AnalysisGraph, shared_graph
 from .core.pipeline import ConsistencyReport, SpecCC, SpecCCConfig
 from .logic import parse as parse_ltl
 from .service import BatchChecker, SessionReport, SpecSession, WorkerPool
-from .synthesis.realizability import SynthesisLimits, Verdict
+from .synthesis.realizability import Verdict
 from .translate.semantics import SemanticsDelta
 from .translate.templates import TranslationOptions
 from .translate.timeabs import AbstractionMethod
@@ -42,7 +42,6 @@ __all__ = [
     "SpecCC",
     "SpecCCConfig",
     "SpecSession",
-    "SynthesisLimits",
     "TranslationOptions",
     "Translator",
     "Verdict",

@@ -1,28 +1,17 @@
 """Automata substrate: Büchi automata, GPVW translation, emptiness, LTL-SAT."""
 
-from .acceptance import accepts
 from .buchi import BuchiAutomaton, Label, Transition
 from .emptiness import Witness, find_witness, is_empty
 from .gpvw import translate
-from .ltlsat import (
-    counterexample_to_implication,
-    equivalent,
-    is_satisfiable,
-    is_valid,
-    satisfiable,
-)
+from .ltlsat import is_valid, satisfiable
 
 __all__ = [
     "BuchiAutomaton",
     "Label",
     "Transition",
     "Witness",
-    "accepts",
-    "counterexample_to_implication",
-    "equivalent",
     "find_witness",
     "is_empty",
-    "is_satisfiable",
     "is_valid",
     "satisfiable",
     "translate",

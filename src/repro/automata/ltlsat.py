@@ -1,4 +1,4 @@
-"""LTL satisfiability, validity and equivalence via automata emptiness.
+"""LTL satisfiability and validity via automata emptiness.
 
 The realizability ladder (:mod:`repro.synthesis.realizability`) uses
 satisfiability and validity as its second and third rungs, on components
@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..logic.ast import And, Formula, Not
-from ..logic.semantics import LassoWord
+from ..logic.ast import Formula, Not
 from .emptiness import Witness, find_witness
 from .gpvw import translate
 
@@ -30,29 +29,6 @@ def satisfiable(formula: Formula) -> Optional[Witness]:
     return find_witness(translate(formula))
 
 
-def is_satisfiable(formula: Formula) -> bool:
-    return satisfiable(formula) is not None
-
-
 def is_valid(formula: Formula) -> bool:
     """True when *formula* holds on every infinite word."""
     return satisfiable(Not(formula)) is None
-
-
-def equivalent(left: Formula, right: Formula) -> bool:
-    """Language equivalence of two formulas.
-
-    Used by the test suite to compare translated requirements against the
-    paper's gold formulas modulo logically-irrelevant syntax differences.
-    """
-    if satisfiable(And(left, Not(right))) is not None:
-        return False
-    return satisfiable(And(Not(left), right)) is None
-
-
-def counterexample_to_implication(
-    left: Formula, right: Formula
-) -> Optional[LassoWord]:
-    """A word satisfying *left* but not *right*, if one exists."""
-    witness = satisfiable(And(left, Not(right)))
-    return witness.word if witness is not None else None

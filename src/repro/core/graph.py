@@ -45,7 +45,6 @@ from typing import (
     Dict,
     Hashable,
     Iterable,
-    List,
     Mapping,
     NamedTuple,
     Optional,
@@ -187,14 +186,6 @@ class AnalysisGraph:
                     for key in keys
                     if key in memo.entries
                 )
-
-    def set_capacity(self, capacity: int, stage: Optional[str] = None) -> None:
-        with self._lock:
-            stages: List[_Stage] = (
-                [self._stage(stage)] if stage is not None else list(self._stages.values())
-            )
-            for memo in stages:
-                memo.capacity = capacity
 
     def clear(self) -> None:
         """Drop every node and counter (benchmarks; memory bounds)."""

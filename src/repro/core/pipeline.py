@@ -39,14 +39,11 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from ..logic.ast import Formula
-from ..nlp.antonyms import AntonymDictionary
 from ..obs.trace import span as _obs_span
-from ..smt.timeopt import Sign
 from ..synthesis.localization import LocalizationResult, default_checker, localize
 from ..synthesis.mealy import MealyMachine
 from ..synthesis.realizability import (
     RealizabilityResult,
-    SynthesisLimits,
     Verdict,
     check_realizability,
 )
@@ -127,36 +124,35 @@ class ConsistencyReport:
         return "\n".join(lines)
 
 
+#: How many suspect inputs the repair loop moves to the outputs, one per
+#: attempt, before it gives up on a failing specification (Section V-B,
+#: second bullet).
+MAX_PARTITION_REPAIRS = 3
+
+
 @dataclass(frozen=True)
 class SpecCCConfig:
-    """All knobs of the pipeline in one place."""
+    """The paper's settings: how to read "next" and whether Algorithm 1
+    reasons over antonyms (*translation*), and the time-abstraction
+    method and its error budget ``B`` (Section IV-E).  Everything else
+    (the realizability ladder's budgets, the repair limit
+    :data:`MAX_PARTITION_REPAIRS`, the antonym dictionary) is a constant.
+    """
 
     translation: TranslationOptions = TranslationOptions()
     abstraction: AbstractionMethod = AbstractionMethod.OPTIMAL
     error_bound: int = 5
-    limits: SynthesisLimits = SynthesisLimits()
-    localize_on_failure: bool = True
-    #: Try moving suspect inputs to outputs when synthesis fails
-    #: (Section V-B, second bullet).  0 disables the repair loop.
-    max_partition_repairs: int = 3
 
 
 class SpecCC:
     """The Specification Consistency Checking tool."""
 
-    def __init__(
-        self,
-        config: SpecCCConfig = SpecCCConfig(),
-        dictionary: Optional[AntonymDictionary] = None,
-        signs: Optional[Sequence[Sign]] = None,
-    ) -> None:
+    def __init__(self, config: SpecCCConfig = SpecCCConfig()) -> None:
         self.config = config
         self.translator = Translator(
             options=config.translation,
-            dictionary=dictionary,
             abstraction=config.abstraction,
             error_bound=config.error_bound,
-            signs=signs,
         )
 
     @staticmethod
@@ -270,7 +266,7 @@ class SpecCC:
         # Section V-B: adjust the heuristic partition before giving up.
         while (
             result.verdict is not Verdict.REALIZABLE
-            and repairs < self.config.max_partition_repairs
+            and repairs < MAX_PARTITION_REPAIRS
         ):
             with _obs_span("pipeline.repair", attempt=repairs + 1) as sp:
                 candidate = self._repair_partition(formulas, partition, result)
@@ -285,15 +281,10 @@ class SpecCC:
                 repaired = partition
 
         localization = None
-        if (
-            result.verdict is not Verdict.REALIZABLE
-            and self.config.localize_on_failure
-        ):
+        if result.verdict is not Verdict.REALIZABLE:
             with _obs_span("pipeline.localization", formulas=len(formulas)) as sp:
                 checker = default_checker(
-                    sorted(partition.inputs),
-                    sorted(partition.outputs),
-                    limits=self.config.limits,
+                    sorted(partition.inputs), sorted(partition.outputs)
                 )
                 localization = localize(formulas, checker)
                 if localization is not None:  # None when no prefix is UNREALIZABLE
@@ -315,10 +306,7 @@ class SpecCC:
         self, formulas: List[Formula], partition: Partition
     ) -> RealizabilityResult:
         return check_realizability(
-            formulas,
-            sorted(partition.inputs),
-            sorted(partition.outputs),
-            limits=self.config.limits,
+            formulas, sorted(partition.inputs), sorted(partition.outputs)
         )
 
     def _repair_partition(

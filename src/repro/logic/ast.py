@@ -459,18 +459,6 @@ def next_depth(formula: Formula) -> int:
     return formula._next_depth
 
 
-def clear_node_caches() -> None:
-    """Reset the lazily computed per-node caches on all live formulas.
-
-    Only useful for benchmarking cold paths; the caches are semantically
-    transparent.
-    """
-    for cls in _all_concrete_classes():
-        for node in list(cls._pool.values()):
-            for slot in _CACHE_SLOTS:
-                object.__setattr__(node, slot, None)
-
-
 def interned_count() -> int:
     """Number of live interned nodes (diagnostics / leak tests)."""
     return sum(len(cls._pool) for cls in _all_concrete_classes())

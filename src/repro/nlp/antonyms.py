@@ -16,8 +16,9 @@ deterministic choice so repeated runs agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Set, Tuple
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Dict, FrozenSet, Iterable, Mapping, Set, Tuple
 
 #: Curated antonym pairs, (positive form, negative form).
 DEFAULT_PAIRS: Tuple[Tuple[str, str], ...] = (
@@ -45,49 +46,38 @@ DEFAULT_PAIRS: Tuple[Tuple[str, str], ...] = (
 _NEGATION_PREFIXES: Tuple[str, ...] = ("un", "in", "dis", "non", "im", "ir")
 
 
-@dataclass
+@dataclass(frozen=True)
 class AntonymDictionary:
-    """Bidirectional antonym map with polarity information."""
+    """Bidirectional antonym map with polarity information.
 
-    pairs: Dict[str, Set[str]] = field(default_factory=dict)
-    positive_forms: Set[str] = field(default_factory=set)
+    Immutable: :meth:`default` and :meth:`from_pairs` build every
+    dictionary, so translations cached against one can never go stale.
+    """
+
+    pairs: Mapping[str, FrozenSet[str]]
+    positive_forms: FrozenSet[str]
 
     @staticmethod
     def default() -> "AntonymDictionary":
-        dictionary = AntonymDictionary()
-        for positive, negative in DEFAULT_PAIRS:
-            dictionary.add_pair(positive, negative)
-        return dictionary
+        """The curated dictionary of :data:`DEFAULT_PAIRS`, built once."""
+        return _DEFAULT
 
     @staticmethod
     def from_pairs(pairs: Iterable[Tuple[str, str]]) -> "AntonymDictionary":
-        dictionary = AntonymDictionary()
+        """A dictionary of ``(positive form, negative form)`` pairs."""
+        antonyms: Dict[str, Set[str]] = {}
+        positive_forms: Set[str] = set()
         for positive, negative in pairs:
-            dictionary.add_pair(positive, negative)
-        return dictionary
-
-    def add_pair(self, positive: str, negative: str) -> None:
-        positive, negative = positive.lower(), negative.lower()
-        self.pairs.setdefault(positive, set()).add(negative)
-        self.pairs.setdefault(negative, set()).add(positive)
-        self.positive_forms.add(positive)
-        self.positive_forms.discard(negative)
-
-    def signature(self) -> Tuple:
-        """Stable content signature of the dictionary.
-
-        Two dictionaries with equal signatures answer every
-        :meth:`lookup` / :meth:`is_positive` query identically (the
-        morphology rules are fixed), so cached semantic analyses keyed by
-        this signature are exact across dictionaries, sessions and worker
-        processes.  ``PYTHONHASHSEED``-free by construction.
-        """
-        return (
-            tuple(
-                (word, tuple(sorted(antonyms)))
-                for word, antonyms in sorted(self.pairs.items())
+            positive, negative = positive.lower(), negative.lower()
+            antonyms.setdefault(positive, set()).add(negative)
+            antonyms.setdefault(negative, set()).add(positive)
+            positive_forms.add(positive)
+            positive_forms.discard(negative)
+        return AntonymDictionary(
+            MappingProxyType(
+                {word: frozenset(others) for word, others in antonyms.items()}
             ),
-            tuple(sorted(self.positive_forms)),
+            frozenset(positive_forms),
         )
 
     def lookup(self, word: str) -> FrozenSet[str]:
@@ -131,3 +121,6 @@ class AntonymDictionary:
             if antonym.startswith(prefix) and antonym[len(prefix):] == word:
                 return True
         return word < antonym
+
+
+_DEFAULT = AntonymDictionary.from_pairs(DEFAULT_PAIRS)

@@ -66,14 +66,9 @@ class TimeConstraint:
     value: int
     unit: str = "seconds"
 
-    def ticks(self, unit_seconds: int = 1) -> int:
-        """The number of discrete time ticks (Section IV-E)."""
-        seconds = self.value * lexicon.TIME_UNITS[self.unit]
-        if seconds % unit_seconds:
-            raise ValueError(
-                f"{seconds}s is not a multiple of the {unit_seconds}s unit time"
-            )
-        return seconds // unit_seconds
+    def ticks(self) -> int:
+        """The number of discrete time ticks, one per second (Section IV-E)."""
+        return self.value * lexicon.TIME_UNITS[self.unit]
 
 
 @dataclass

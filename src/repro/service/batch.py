@@ -92,8 +92,8 @@ class BatchChecker:
         supervision: Optional[SupervisionConfig] = None,
         fault_plan: Optional[FaultPlan] = None,
     ) -> None:
-        """*tool* overrides *config*: pass it to check with a non-default
-        antonym dictionary or signs (the serve loop does, so its batch
+        """*tool* overrides *config*: the checker shares that tool and
+        its config (the serve loop passes its session's tool, so its batch
         requests judge documents exactly like its session checks).
 
         ``backend="thread"`` checks in this process, one document after
@@ -153,7 +153,7 @@ class BatchChecker:
         if self.pool is not None:
             return self.pool
         return shared_pool(
-            tool=self.tool,
+            self.config,
             shards=self.workers,
             supervision=self.supervision,
             fault_plan=self.fault_plan,

@@ -66,7 +66,6 @@ from __future__ import annotations
 
 import atexit
 import hashlib
-import pickle
 import queue
 import threading
 import time
@@ -140,7 +139,7 @@ _WORKER_TOOL: Optional[SpecCC] = None
 
 
 def _worker_init(
-    setup: tuple,
+    config: SpecCCConfig,
     prewarm: bool,
     shard: int = 0,
     spawn: int = 0,
@@ -153,8 +152,7 @@ def _worker_init(
     # before anything else: crash_init faults fire here, and the pipeline
     # hook must be in place before prewarm exercises the pipeline.
     faults.install(fault_plan, shard=shard, spawn=spawn)
-    config, dictionary, signs = setup
-    _WORKER_TOOL = SpecCC(config, dictionary=dictionary, signs=signs)
+    _WORKER_TOOL = SpecCC(config)
     if prewarm:
         _WORKER_TOOL.prewarm()
 
@@ -242,24 +240,16 @@ class WorkerPool:
         config: SpecCCConfig = SpecCCConfig(),
         shards: int = 4,
         prewarm: bool = True,
-        tool: Optional[SpecCC] = None,
         supervision: Optional[SupervisionConfig] = None,
         fault_plan: Optional[FaultPlan] = None,
     ) -> None:
-        """*tool* overrides *config* (mirrors ``BatchChecker``): the
-        worker tools are rebuilt from its config, antonym dictionary and
-        signs, so pool verdicts match the supplying session's."""
+        """Every worker builds ``SpecCC(config)``: the config is all a
+        tool's verdicts depend on."""
         if shards < 1:
             raise ValueError("shards must be >= 1")
-        template = tool if tool is not None else SpecCC(config)
-        self.config = template.config
+        self.config = config
         self.shards = shards
         self.prewarm = prewarm
-        self._setup = (
-            self.config,
-            template.translator.dictionary,
-            template.translator.signs,
-        )
         if fault_plan is None:
             fault_plan = FaultPlan.from_env()
         self.fault_plan = fault_plan if fault_plan else None
@@ -298,7 +288,7 @@ class WorkerPool:
         executor = ProcessPoolExecutor(
             max_workers=1,
             initializer=_worker_init,
-            initargs=(self._setup, self.prewarm, shard, spawn, self.fault_plan),
+            initargs=(self.config, self.prewarm, shard, spawn, self.fault_plan),
         )
         try:
             # Force the spawn + initializer to actually complete.
@@ -424,7 +414,7 @@ class WorkerPool:
         self, item: Tuple[str, Document]
     ) -> Tuple[dict, Dict[str, int]]:
         """The degraded fallback: run the task in *this* process, on a
-        lazily built tool with the pool's exact setup.  Same pipeline,
+        lazily built tool with the pool's config.  Same pipeline,
         same canonical bytes — just no process isolation."""
         from .batch import _check_document
         from .reportjson import report_to_dict
@@ -432,9 +422,7 @@ class WorkerPool:
         with self._lock:
             tool = self._inline_tool
             if tool is None:
-                config, dictionary, signs = self._setup
-                tool = SpecCC(config, dictionary=dictionary, signs=signs)
-                self._inline_tool = tool
+                tool = self._inline_tool = SpecCC(self.config)
         before = _counter_snapshot()
         report = _check_document(tool, item[1])
         after = _counter_snapshot()
@@ -590,53 +578,36 @@ class WorkerPool:
 
 
 # --------------------------------------------------------- shared registry
-# One pool per (tool setup, shard count) per process: BatchChecker's
-# process backend and the serve daemon's batch op both call shared_pool(),
-# so every batch request in a daemon reuses the same warm workers.
-_shared_pools: Dict[Tuple[bytes, int], WorkerPool] = {}
+# One pool per (config, shard count) per process: BatchChecker's process
+# backend and the serve daemon's batch op both call shared_pool(), so
+# every batch request in a daemon reuses the same warm workers.
+_shared_pools: Dict[Tuple[SpecCCConfig, int], WorkerPool] = {}
 _shared_lock = threading.Lock()
 
 
-def _setup_key(tool: SpecCC) -> bytes:
-    """Canonical bytes identifying a tool's worker-relevant setup."""
-    dictionary = tool.translator.dictionary
-    canonical = (
-        tool.config,
-        tuple(
-            (word, tuple(sorted(antonyms)))
-            for word, antonyms in sorted(dictionary.pairs.items())
-        ),
-        tuple(sorted(dictionary.positive_forms)),
-        tuple(tool.translator.signs) if tool.translator.signs is not None else None,
-    )
-    return pickle.dumps(canonical)
-
-
 def shared_pool(
-    tool: Optional[SpecCC] = None,
     config: SpecCCConfig = SpecCCConfig(),
     shards: int = 4,
     prewarm: bool = True,
     supervision: Optional[SupervisionConfig] = None,
     fault_plan: Optional[FaultPlan] = None,
 ) -> WorkerPool:
-    """The process-wide pool for this tool setup, created on first use.
+    """The process-wide pool for *config*, created on first use.
 
     Registry mutation is serialized under one lock, so concurrent
-    callers with the same setup get the *same* pool.  A registered pool
+    callers with the same config get the *same* pool.  A registered pool
     that has been shut down (tests, supervisors, operators) is replaced
     with a fresh one rather than handed out dead.  *supervision* and
     *fault_plan* apply only when this call creates the pool.
     """
-    template = tool if tool is not None else SpecCC(config)
-    key = (_setup_key(template), shards)
+    key = (config, shards)
     with _shared_lock:
         pool = _shared_pools.get(key)
         if pool is None or pool.closed:
             pool = WorkerPool(
+                config,
                 shards=shards,
                 prewarm=prewarm,
-                tool=template,
                 supervision=supervision,
                 fault_plan=fault_plan,
             )

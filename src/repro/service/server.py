@@ -348,7 +348,7 @@ class _Server:
             else:
                 raise ValueError(f"document {name!r} has neither text nor requirements")
         # Share the session's tool so batch requests judge documents with
-        # the same dictionary/signs as session checks.
+        # the same config as session checks.
         checker = BatchChecker(
             tool=self.core.tool,
             workers=max(1, min(int(request.get("workers", 4)), self.MAX_BATCH_WORKERS)),

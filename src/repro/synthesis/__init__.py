@@ -15,7 +15,6 @@ from .modular import Component, decompose
 from .realizability import (
     ComponentResult,
     RealizabilityResult,
-    SynthesisLimits,
     Verdict,
     check_realizability,
     synthesis_stats,
@@ -35,7 +34,6 @@ __all__ = [
     "RealizabilityResult",
     "SafetyGameResult",
     "StateSpaceLimit",
-    "SynthesisLimits",
     "Verdict",
     "all_letters",
     "check_realizability",

@@ -24,12 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..logic.ast import Formula, atoms
-from .realizability import (
-    RealizabilityResult,
-    SynthesisLimits,
-    Verdict,
-    check_realizability,
-)
+from .realizability import Verdict, check_realizability
 
 Checker = Callable[[Sequence[Formula]], Verdict]
 
@@ -43,17 +38,11 @@ class LocalizationResult:
     checks: int  # number of realizability queries spent
 
 
-def default_checker(
-    inputs: Sequence[str],
-    outputs: Sequence[str],
-    limits: SynthesisLimits = SynthesisLimits(),
-) -> Checker:
+def default_checker(inputs: Sequence[str], outputs: Sequence[str]) -> Checker:
     """A checker closure over a fixed I/O partition."""
 
     def run(formulas: Sequence[Formula]) -> Verdict:
-        return check_realizability(
-            list(formulas), inputs, outputs, limits=limits
-        ).verdict
+        return check_realizability(list(formulas), inputs, outputs).verdict
 
     return run
 

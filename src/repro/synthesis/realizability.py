@@ -7,7 +7,7 @@ by propagation with no SAT solver on requirement-shaped inputs;
 REALIZABLE, or UNREALIZABLE from a conflict core the environment can
 force), then the GPVW satisfiability and validity checks,
 then the exact engines — the safety game at bounds 1 to
-``max_game_bound`` (realizable verdicts, G4LTL-style) with dual bounded
+:data:`MAX_GAME_BOUND` (realizable verdicts, G4LTL-style) with dual bounded
 synthesis of an environment strategy after each bound it does not win
 (unrealizable verdicts).  The first rung with an answer decides and
 names itself in ``ComponentResult.method``.  Every produced controller is
@@ -87,25 +87,18 @@ class RealizabilityResult:
         return tuple(indices)
 
 
-@dataclass(frozen=True)
-class SynthesisLimits:
-    """Search budgets for the semi-decision procedures."""
-
-    max_game_bound: int = 3
-    max_game_positions: int = 200_000
-    #: Run the obligation certificate, the ladder's first rung (fast,
-    #: alphabet-independent); off, every component goes to the tableau
-    #: rungs and the exact engines.
-    use_obligations: bool = True
-    #: Components with more propositions than this skip the explicit
-    #: engines (their alphabets are out of reach) and the satisfiability
-    #: and validity rungs (tableau blow-up); the obligation rung still
-    #: applies.
-    max_explicit_variables: int = 12
-    #: The satisfiability and validity rungs build one tableau for the
-    #: whole conjunction, which blows up combinatorially past a handful of
-    #: liveness requirements; cap the number of formulas they see.
-    max_precheck_formulas: int = 6
+#: The safety game's largest bound; the dual tries as many states.
+MAX_GAME_BOUND = 3
+#: Positions the safety game may explore at one bound before it gives up.
+MAX_GAME_POSITIONS = 200_000
+#: Components with more propositions than this skip the explicit engines
+#: (their alphabets are out of reach) and the satisfiability and validity
+#: rungs (tableau blow-up); the obligation rung still applies.
+MAX_EXPLICIT_VARIABLES = 12
+#: The satisfiability and validity rungs build one tableau for the whole
+#: conjunction, which blows up combinatorially past a handful of liveness
+#: requirements; cap the number of formulas they see.
+MAX_PRECHECK_FORMULAS = 6
 
 
 class _ComponentOutcome(NamedTuple):
@@ -119,8 +112,8 @@ class _ComponentOutcome(NamedTuple):
 
 
 # Component-outcome cache: a component's analysis is a pure function of its
-# formulas, its *local* input/output split and the limits — not of the
-# global partition.  The partition-repair loop in core/pipeline.py
+# formulas and its *local* input/output split — not of the global
+# partition.  The partition-repair loop in core/pipeline.py
 # and the subset-growth localization checker therefore rehit this cache for
 # every component the current repair/growth step did not actually change,
 # and the per-formula Büchi automata behind it (gpvw/ltlsat caches) are
@@ -128,9 +121,7 @@ class _ComponentOutcome(NamedTuple):
 # (:func:`repro.core.graph.shared_graph`, stage ``"components"`` — a
 # bounded, thread-safe LRU) so sessions, batch checks and pool workers
 # all read the same nodes and the same hit/miss counters.
-_ComponentKey = Tuple[
-    Tuple[Formula, ...], Tuple[str, ...], Tuple[str, ...], "SynthesisLimits"
-]
+_ComponentKey = Tuple[Tuple[Formula, ...], Tuple[str, ...], Tuple[str, ...]]
 
 # Work accumulators: how much the SAT solver and the safety game
 # actually did since the last clear_caches().  Cached component outcomes
@@ -273,7 +264,6 @@ def check_realizability(
     formulas: Sequence[Formula],
     inputs: Sequence[str],
     outputs: Sequence[str],
-    limits: SynthesisLimits = SynthesisLimits(),
 ) -> RealizabilityResult:
     """Decide (semi-) realizability of the conjunction of *formulas*.
 
@@ -286,7 +276,7 @@ def check_realizability(
     input_set = frozenset(inputs)
     output_set = frozenset(outputs)
     results = [
-        check_component(component, input_set, output_set, limits)
+        check_component(component, input_set, output_set)
         for component in decompose(formulas)
     ]
     overall = aggregate_verdict(result.verdict for result in results)
@@ -311,7 +301,6 @@ def check_component(
     component: Component,
     input_set: frozenset,
     output_set: frozenset,
-    limits: SynthesisLimits = SynthesisLimits(),
 ) -> ComponentResult:
     """Check one variable-connected component against a global partition.
 
@@ -326,7 +315,7 @@ def check_component(
     start = time.perf_counter()
     local_inputs = tuple(sorted(component.variables & input_set))
     local_outputs = tuple(sorted(component.variables & output_set))
-    key: _ComponentKey = (component.formulas, local_inputs, local_outputs, limits)
+    key: _ComponentKey = (component.formulas, local_inputs, local_outputs)
     with _obs_span(
         "solve.component",
         formulas=len(component.formulas),
@@ -338,7 +327,7 @@ def check_component(
         def analyse() -> _ComponentOutcome:
             sp.set(cached=False)
             return _analyze_component(
-                component.formulas, local_inputs, local_outputs, limits
+                component.formulas, local_inputs, local_outputs
             )
 
         outcome = shared_graph().compute("components", key, analyse)
@@ -361,7 +350,6 @@ class _Problem:
     formulas: Tuple[Formula, ...]
     inputs: Tuple[str, ...]
     outputs: Tuple[str, ...]
-    limits: SynthesisLimits
     #: Few enough propositions for the explicit-alphabet engines.
     explicit_ok: bool
     #: Small enough for one GPVW tableau of the whole conjunction.
@@ -387,9 +375,7 @@ def _obligations(problem: _Problem) -> Optional[_ComponentOutcome]:
     are left to the validity rung, so their ``method`` does not depend on
     the ladder order.
     """
-    if not problem.limits.use_obligations or (
-        not problem.outputs and problem.tableau_ok
-    ):
+    if not problem.outputs and problem.tableau_ok:
         return None
     with _obs_span("solve.obligations") as sp:
         certificate = invariants.check_obligations(
@@ -440,13 +426,14 @@ def _validity(problem: _Problem) -> Optional[_ComponentOutcome]:
 def _engines(problem: _Problem) -> _ComponentOutcome:
     """The exact engines; this rung always answers.
 
-    The safety game at bounds 1 to ``max_game_bound`` decides REALIZABLE;
-    after each bound it does not win, the dual (a bounded environment
-    strategy with as many states) may decide UNREALIZABLE.  Sound on
-    every component: a controller is model-checked against the
+    The safety game at bounds 1 to :data:`MAX_GAME_BOUND` decides
+    REALIZABLE; after each bound it does not win, the dual (a bounded
+    environment strategy with as many states) may decide UNREALIZABLE.
+    Sound on every component: a controller is model-checked against the
     specification before it is returned, and UNKNOWN means no bound up to
-    the limits decided.  Past ``max_explicit_variables`` propositions the
-    alphabet is out of reach: UNKNOWN (``too-large``).
+    :data:`MAX_GAME_BOUND` decided within :data:`MAX_GAME_POSITIONS`.
+    Past :data:`MAX_EXPLICIT_VARIABLES` propositions the alphabet is out
+    of reach: UNKNOWN (``too-large``).
     """
     if not problem.explicit_ok:
         return _ComponentOutcome(Verdict.UNKNOWN, None, None, False, "too-large")
@@ -467,7 +454,7 @@ def _engines(problem: _Problem) -> _ComponentOutcome:
     # positive specification.
     dual: Optional[IncrementalBoundedSynthesizer] = None
 
-    for bound in range(1, problem.limits.max_game_bound + 1):
+    for bound in range(1, MAX_GAME_BOUND + 1):
         with _obs_span("solve.game", bound=bound) as sp:
             try:
                 outcome = solve_game(
@@ -475,7 +462,7 @@ def _engines(problem: _Problem) -> _ComponentOutcome:
                     local_inputs,
                     local_outputs,
                     bound=bound,
-                    max_positions=problem.limits.max_game_positions,
+                    max_positions=MAX_GAME_POSITIONS,
                 )
             except StateSpaceLimit:
                 sp.set(limit="positions")
@@ -531,19 +518,17 @@ def _analyze_component(
     formulas: Tuple[Formula, ...],
     local_inputs: Tuple[str, ...],
     local_outputs: Tuple[str, ...],
-    limits: SynthesisLimits,
 ) -> _ComponentOutcome:
     # The component's variable set is a function of its formulas (union of
     # their cached atom sets), so it is safe to derive under the cache key.
     variables = frozenset().union(*map(atoms, formulas))
-    explicit_ok = len(variables) <= limits.max_explicit_variables
+    explicit_ok = len(variables) <= MAX_EXPLICIT_VARIABLES
     problem = _Problem(
         formulas,
         local_inputs,
         local_outputs,
-        limits,
         explicit_ok,
-        explicit_ok and len(formulas) <= limits.max_precheck_formulas,
+        explicit_ok and len(formulas) <= MAX_PRECHECK_FORMULAS,
     )
     for rung in RUNGS:
         outcome = rung(problem)

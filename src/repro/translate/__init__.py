@@ -32,7 +32,6 @@ from .translator import (
     RequirementTranslation,
     SpecificationTranslation,
     Translator,
-    translate_requirements,
 )
 
 __all__ = [
@@ -63,6 +62,5 @@ __all__ = [
     "partition_report",
     "rewrite_chains",
     "sentence_formula",
-    "translate_requirements",
     "unify",
 ]

@@ -148,11 +148,13 @@ class SemanticsDelta:
     reanalysed: Tuple[int, ...] = ()  # sentence indices
 
 
-#: An analysis unit: a pairing subject and its key ``(dictionary
-#: signature, sorted dependents, pre-states)`` — everything the subject's
-#: step of Algorithm 1 reads.  A dependent's pre-state is ``None`` while
-#: its antonym memo is unprimed (the step will run ``online(w)``), else
-#: the memo's intersection with the subject's dependents.
+#: An analysis unit: a pairing subject and its key ``(sorted dependents,
+#: pre-states)`` — everything the subject's step of Algorithm 1 reads
+#: besides the dictionary, which is the same on every pass of a document
+#: (the translator only reads :meth:`AntonymDictionary.default`).  A
+#: dependent's pre-state is ``None`` while its antonym memo is unprimed
+#: (the step will run ``online(w)``), else the memo's intersection with
+#: the subject's dependents.
 AnalysisUnit = Tuple[str, tuple]
 
 
@@ -160,20 +162,14 @@ def _analyse_table(
     table: Mapping[str, Set[str]],
     dictionary: AntonymDictionary,
     units: Optional[List[AnalysisUnit]] = None,
-    dict_sig: Optional[tuple] = None,
 ) -> SemanticAnalysis:
     """Algorithm 1: one loop over the subjects in sorted order.
 
     ``online(w)`` runs at most once per word: a word is *primed* once it
     is looked up or paired into, and a primed memo suppresses the lookup
     even when it is empty.  *units*, when given, collects every pairing
-    subject's unit key for delta attribution.  *dict_sig* lets callers
-    that already computed :meth:`AntonymDictionary.signature` (the
-    translator keys raw formulas by it) avoid rebuilding it per check.
+    subject's unit key for delta attribution.
     """
-    if units is not None and dict_sig is None:
-        dict_sig = dictionary.signature()
-
     wordset: Dict[str, WordEntry] = {}
     for dependents in table.values():
         for word in sorted(dependents):
@@ -195,7 +191,7 @@ def _analyse_table(
                 else None
                 for word in ordered
             )
-            units.append((subject, (dict_sig, ordered, pre)))
+            units.append((subject, (ordered, pre)))
         for word in ordered:
             entry = wordset[word]
             if entry.color_for(subject) is not Color.GREEN:
@@ -235,10 +231,8 @@ def analyse(
 
 def analyse_incremental(
     vocabularies: Sequence[tuple],
-    dictionary: AntonymDictionary,
     graph: AnalysisGraph,
     touched: Optional[Dict[str, set]] = None,
-    dict_sig: Optional[tuple] = None,
 ) -> Tuple[SemanticAnalysis, SemanticsDelta]:
     """Algorithm 1 over per-sentence vocabularies, with delta attribution.
 
@@ -247,12 +241,13 @@ def analyse_incremental(
     document order (the translator reads them from its cached ``parses``
     nodes); *graph* is the calling document's graph (a
     :class:`~repro.translate.translator.TranslationCache` owns one).
-    Algorithm 1 runs over the merged table.  A per-document
-    ``semantics_seen`` stage records which unit keys earlier passes of
-    *this* document produced, so the returned :class:`SemanticsDelta`
-    attributes exactly the sentences whose unit an edit dirtied (by
-    changing its dependents *or* the antonym-memo pre-states threaded
-    into it).
+    Algorithm 1 runs over the merged table, with
+    :meth:`AntonymDictionary.default` as its ``online(w)`` oracle.  A
+    per-document ``semantics_seen`` stage records which unit keys earlier
+    passes of *this* document produced, so the returned
+    :class:`SemanticsDelta` attributes exactly the sentences whose unit
+    an edit dirtied (by changing its dependents *or* the antonym-memo
+    pre-states threaded into it).
     """
     table: Dict[str, Set[str]] = {}
     owners: Dict[str, Set[int]] = {}  # subject -> sentence indices
@@ -262,7 +257,7 @@ def analyse_incremental(
             owners.setdefault(subject, set()).add(index)
 
     units: List[AnalysisUnit] = []
-    analysis = _analyse_table(table, dictionary, units=units, dict_sig=dict_sig)
+    analysis = _analyse_table(table, AntonymDictionary.default(), units=units)
 
     # Seen-ness is evaluated against the *pre-pass* state for every unit
     # before any unit is marked, so units sharing one key (identical

@@ -55,10 +55,6 @@ class TranslationOptions:
     next_as_x: bool = True
     #: Apply Algorithm 1's proposition reduction.
     semantic_reasoning: bool = True
-    #: Seconds represented by one Next operator before abstraction.
-    unit_seconds: int = 1
-    #: Interpret bare declarative sentences as invariants (Universality).
-    bare_as_invariant: bool = True
 
 
 def clause_formula(
@@ -99,7 +95,7 @@ def clause_formula(
     elif clause.modifier in lexicon.MODIFIERS and clause.modifier is not None:
         formula = Globally(formula)
     if clause.constraint is not None:
-        formula = next_chain(formula, clause.constraint.ticks(options.unit_seconds))
+        formula = next_chain(formula, clause.constraint.ticks())
     if clause.next_marker and options.next_as_x:
         formula = Next(formula)
     return formula
@@ -165,9 +161,8 @@ def sentence_formula(
         return consequent
     if _is_existence(sentence):
         return consequent
-    if options.bare_as_invariant:
-        return Globally(consequent)
-    return consequent
+    # A bare declarative sentence is an invariant (Universality).
+    return Globally(consequent)
 
 
 def _is_existence(sentence: Sentence) -> bool:

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Sequence, Set, Tuple
 
 from ..logic.ast import Formula, Next, next_chain
 from ..smt.timeopt import (
-    Sign,
     TimeAbstractionProblem,
     TimeAbstractionSolution,
     gcd_reduction,
@@ -94,7 +93,6 @@ def solve_abstraction(
     thetas: Tuple[int, ...],
     method: AbstractionMethod = AbstractionMethod.OPTIMAL,
     error_bound: int = 5,
-    signs: Optional[Sequence[Sign]] = None,
 ) -> TimeAbstractionSolution:
     """Solve the abstraction problem for a set of chain lengths.
 
@@ -109,7 +107,7 @@ def solve_abstraction(
         )
     if method is AbstractionMethod.GCD:
         return gcd_reduction(thetas)
-    problem = TimeAbstractionProblem.of(thetas, error_bound, signs)
+    problem = TimeAbstractionProblem.of(thetas, error_bound)
     if method is AbstractionMethod.BITBLAST:
         return solve_bitblast(problem)
     return solve_reference(problem)
@@ -119,16 +117,14 @@ def abstract_time(
     formulas: Sequence[Formula],
     method: AbstractionMethod = AbstractionMethod.OPTIMAL,
     error_bound: int = 5,
-    signs: Optional[Sequence[Sign]] = None,
 ) -> AbstractionResult:
     """Measure, solve and rewrite in one step.
 
-    *error_bound* is the paper's user-specified ``B``; *signs* restricts
-    each chain's arrival error (default: all early, as in the running
-    example of Section IV-E).
+    *error_bound* is the paper's user-specified ``B``; every chain may
+    arrive early, as in the running example of Section IV-E.
     """
     thetas = chain_lengths(formulas)
-    solution = solve_abstraction(thetas, method, error_bound, signs)
+    solution = solve_abstraction(thetas, method, error_bound)
     if method is AbstractionMethod.NONE or not thetas:
         return AbstractionResult(tuple(formulas), solution, method, thetas)
     mapping = dict(zip(thetas, solution.scaled))

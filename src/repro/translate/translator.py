@@ -26,12 +26,10 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 from ..core.graph import AnalysisGraph
 from ..logic.ast import Formula, atoms as formula_atoms
 from ..logic.rewrite import simplify
-from ..nlp.antonyms import AntonymDictionary
 from ..nlp.dependencies import candidate_subjects, sentence_vocabulary
 from ..nlp.grammar import Sentence, parse_sentence
 from ..nlp.tokenizer import split_sentences
 from ..obs.trace import span as _obs_span
-from ..smt.timeopt import Sign
 from .partition import Partition, partition_formulas
 from .semantics import (
     SemanticAnalysis,
@@ -105,7 +103,7 @@ DOCUMENT_STAGES: Tuple[str, ...] = (
     "parses",  # text -> ParsedSentence
     "semantics_seen",  # Algorithm 1 unit key -> True (delta attribution)
     "raw_formulas",  # (text, sentence-local analysis slice) -> Formula
-    "solutions",  # (thetas, method, bound, signs) -> abstraction solve
+    "solutions",  # (thetas, method, bound) -> abstraction solve
     "rewritten",  # (raw formula, solution key) -> rewritten formula
     "partitions",  # final formula tuple -> Partition
 )
@@ -147,12 +145,13 @@ class TranslationCache:
     fresh ``translate(requirements)``, only skipping work for nodes whose
     signatures are unchanged.
 
-    A cache is tied to the :class:`Translator` that created it (options,
-    dictionary and abstraction settings are deliberately not part of the
-    keys); obtain one from :meth:`Translator.new_cache`.  Safe to share
-    across threads (the serve loop's executor threads and the worker
-    pool's in-process fallback share the translator's default cache);
-    single-document sessions keep one alive across edits.
+    A cache is tied to the :class:`Translator` that created it (its
+    options are deliberately not part of the keys, and the antonym
+    dictionary is always :meth:`AntonymDictionary.default`); obtain one
+    from :meth:`Translator.new_cache`.  Safe to share across threads (the
+    serve loop's executor threads and the worker pool's in-process
+    fallback share the translator's default cache); single-document
+    sessions keep one alive across edits.
 
     Memory: a long edit stream would otherwise accumulate every sentence
     ever seen (under every stale analysis slice and theta mapping), each
@@ -163,17 +162,7 @@ class TranslationCache:
     """
 
     def __init__(self, max_entries: int = 2048) -> None:
-        self._max_entries = max_entries
         self.graph = AnalysisGraph(DOCUMENT_STAGES, max_entries=max_entries)
-
-    @property
-    def max_entries(self) -> int:
-        return self._max_entries
-
-    @max_entries.setter
-    def max_entries(self, value: int) -> None:
-        self._max_entries = value
-        self.graph.set_capacity(value)
 
     def stats(self) -> Dict[str, int]:
         """Per-stage node counts (legacy memo-size shape)."""
@@ -199,8 +188,8 @@ def _sentence_signature(
     """The slice of *analysis* a sentence's translation can read.
 
     :meth:`SemanticAnalysis.reduce` consults exactly the antonym pairs of
-    an antonym-candidate proposition's subject (plus the dictionary and
-    morphology, which are translator-constant), so two analyses agreeing
+    an antonym-candidate proposition's subject (plus the default
+    dictionary and morphology, which are constant), so two analyses agreeing
     on the sentence's *candidates* (its sorted candidate subjects)
     translate it identically.  Keying raw formulas by this slice instead
     of the whole-document pair set is what keeps an antonym-pair change
@@ -222,16 +211,12 @@ class Translator:
     def __init__(
         self,
         options: TranslationOptions = TranslationOptions(),
-        dictionary: Optional[AntonymDictionary] = None,
         abstraction: AbstractionMethod = AbstractionMethod.OPTIMAL,
         error_bound: int = 5,
-        signs: Optional[Sequence[Sign]] = None,
     ) -> None:
         self.options = options
-        self.dictionary = dictionary if dictionary is not None else AntonymDictionary.default()
         self.abstraction = abstraction
         self.error_bound = error_bound
-        self.signs = signs
         # The translator's own graph: one-shot `SpecCC.check` calls reuse
         # it across documents, so even the stateless API is incremental.
         self._default_cache = TranslationCache()
@@ -270,21 +255,13 @@ class Translator:
                     for _, text in requirements
                 ]
 
-            # Computed once per check: Algorithm 1's unit keys and the raw
-            # formulas below both incorporate it (raw formulas read the
-            # dictionary directly through the curated-positive fallback in
-            # SemanticAnalysis.reduce, so a mutated dictionary must miss even
-            # through the translator's persistent default graph).
-            dict_sig = self.dictionary.signature()
             delta: Optional[SemanticsDelta] = None
             if self.options.semantic_reasoning:
                 with _obs_span("translate.semantics") as sp:
                     analysis, delta = analyse_incremental(
                         [parsed.vocabulary for parsed in parses],
-                        self.dictionary,
                         graph,
                         touched=touched,
-                        dict_sig=dict_sig,
                     )
                     sp.set(
                         components=delta.components,
@@ -296,11 +273,7 @@ class Translator:
             with _obs_span("translate.formulas"):
                 raw_formulas: List[Formula] = []
                 for (_, text), parsed in zip(requirements, parses):
-                    key = (
-                        text,
-                        dict_sig,
-                        _sentence_signature(analysis, parsed.candidates),
-                    )
+                    key = (text, _sentence_signature(analysis, parsed.candidates))
                     raw = graph.compute(
                         "raw_formulas",
                         key,
@@ -345,14 +318,11 @@ class Translator:
     ) -> AbstractionResult:
         """Time abstraction with the solve and per-formula rewrites memoised."""
         thetas = chain_lengths(raw_formulas)
-        signs = tuple(self.signs) if self.signs is not None else None
-        key = (thetas, self.abstraction, self.error_bound, signs)
+        key = (thetas, self.abstraction, self.error_bound)
         solution = graph.compute(
             "solutions",
             key,
-            lambda: solve_abstraction(
-                thetas, self.abstraction, self.error_bound, self.signs
-            ),
+            lambda: solve_abstraction(thetas, self.abstraction, self.error_bound),
             touched=touched,
         )
         if self.abstraction is AbstractionMethod.NONE or not thetas:
@@ -384,9 +354,3 @@ class Translator:
         ]
         return self.translate(pairs, cache)
 
-
-def translate_requirements(
-    requirements: Sequence[Tuple[str, str]], **kwargs
-) -> SpecificationTranslation:
-    """Convenience one-shot wrapper around :class:`Translator`."""
-    return Translator(**kwargs).translate(requirements)

@@ -20,6 +20,11 @@ Each module holds the straightforward version of one optimised engine in
 * ``lexicon`` — the morphology rules as functions applied per word (vs.
   the lexicon's import-time tables of every form they accept).
 
+Two modules are helpers rather than references: ``ladder`` takes the
+obligation certificate out of ``realizability.RUNGS`` so the exact
+engines decide, and ``automata`` holds lasso-word membership and
+formula equivalence, which only the tests use.
+
 They plug in by subclassing the engine classes, by monkeypatching the
 names :mod:`repro.synthesis.realizability` looks up (``solve_game``,
 ``IncrementalBoundedSynthesizer``, ``RUNGS``), or, for ``sat``'s brute

@@ -1,17 +1,23 @@
-"""Membership of ultimately-periodic words in Büchi languages.
+"""Automata helpers only the tests use: lasso membership and equivalence.
 
-Used by the test suite to cross-validate the GPVW construction against the
-direct trace semantics of :mod:`repro.logic.semantics`, and by the pipeline
-to double-check witnesses before they are shown to the user.
+* ``accepts`` decides whether a Büchi automaton accepts an ultimately
+  periodic word, which cross-validates the GPVW construction against the
+  direct trace semantics of :mod:`repro.logic.semantics`;
+* ``equivalent`` compares translated requirements with the paper's gold
+  formulas modulo logically irrelevant syntax;
+* ``is_satisfiable`` is :func:`repro.automata.ltlsat.satisfiable` as a
+  boolean.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from ..logic.semantics import LassoWord
-from .buchi import BuchiAutomaton, Label
-from .emptiness import is_empty
+from repro.automata.buchi import BuchiAutomaton, Label
+from repro.automata.emptiness import is_empty
+from repro.automata.ltlsat import satisfiable
+from repro.logic.ast import And, Formula, Not
+from repro.logic.semantics import LassoWord
 
 
 def accepts(automaton: BuchiAutomaton, word: LassoWord) -> bool:
@@ -58,3 +64,14 @@ def accepts(automaton: BuchiAutomaton, word: LassoWord) -> bool:
         for acc in automaton.accepting_sets
     ]
     return not is_empty(product)
+
+
+def is_satisfiable(formula: Formula) -> bool:
+    return satisfiable(formula) is not None
+
+
+def equivalent(left: Formula, right: Formula) -> bool:
+    """Language equivalence of two formulas."""
+    if satisfiable(And(left, Not(right))) is not None:
+        return False
+    return satisfiable(And(Not(left), right)) is None

@@ -9,11 +9,8 @@ from hypothesis import strategies as st
 from repro.automata import (
     BuchiAutomaton,
     Label,
-    accepts,
-    equivalent,
     find_witness,
     is_empty,
-    is_satisfiable,
     is_valid,
     satisfiable,
     translate,
@@ -36,6 +33,8 @@ from repro.logic import (
     parse,
     satisfies,
 )
+
+from oracles.automata import accepts, equivalent, is_satisfiable
 
 
 class TestLabel:

@@ -23,7 +23,7 @@ import pytest
 
 from repro.core.graph import AnalysisGraph, shared_graph
 from repro.nlp import parse_sentence
-from repro.nlp.antonyms import AntonymDictionary
+from repro.nlp.antonyms import DEFAULT_PAIRS, AntonymDictionary
 from repro.nlp.dependencies import candidate_subjects, sentence_vocabulary
 from repro.translate.semantics import (
     SemanticsDelta,
@@ -194,9 +194,9 @@ class TestComponentDecomposition:
         _analyse_table(table, self.dictionary, units=units)
         (_, key1), (_, key2) = units
         assert key1 != key2
-        assert key1[1] == key2[1] == ("off", "on")  # same dependents
-        assert key1[2] == (None, None)  # fresh states
-        assert all(state is not None for state in key2[2])  # threaded states
+        assert key1[0] == key2[0] == ("off", "on")  # same dependents
+        assert key1[1] == (None, None)  # fresh states
+        assert all(state is not None for state in key2[1])  # threaded states
 
     def test_randomised_tables(self):
         rng = random.Random(20260729)
@@ -204,8 +204,7 @@ class TestComponentDecomposition:
             self.assert_equal(random_table(rng))
 
     def test_distinct_dictionaries_do_not_share_nodes(self):
-        custom = AntonymDictionary.default()
-        custom.add_pair("stable", "wobbly")
+        custom = AntonymDictionary.from_pairs(DEFAULT_PAIRS + (("stable", "wobbly"),))
         table = {"p": {"stable", "wobbly"}}
         assert _analyse_table(table, self.dictionary).pairs_by_subject == {}
         assert _analyse_table(table, custom).pairs_by_subject == {
@@ -230,7 +229,7 @@ class TestAnalyseIncremental:
 
     def run(self, cache: TranslationCache, texts):
         vocabularies = [sentence_vocabulary(cache.parse(text)) for text in texts]
-        return analyse_incremental(vocabularies, self.dictionary, cache.graph)
+        return analyse_incremental(vocabularies, cache.graph)
 
     def test_first_pass_reanalyses_everything(self):
         cache = TranslationCache()

@@ -23,8 +23,6 @@ derandomized so CI is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import fields
-
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
@@ -33,7 +31,6 @@ from repro.automata.buchi import BuchiAutomaton, Label
 from repro.logic import parse
 from repro.synthesis import (
     IncrementalBoundedSynthesizer,
-    SynthesisLimits,
     check_realizability,
     satisfies_specification,
     solve_automaton,
@@ -43,6 +40,7 @@ from repro.synthesis import (
 from oracles import game as oracle_game
 from oracles.bounded import FreshBoundedSynthesizer, with_bounded_engines
 from oracles.game import OfflineGame
+from oracles.ladder import without_obligations
 
 DETERMINISTIC = settings(max_examples=30, deadline=None, derandomize=True)
 
@@ -416,19 +414,18 @@ class TestDriverEquivalence:
             monkeypatch.setattr(
                 realizability, "RUNGS", with_bounded_engines(realizability.RUNGS)
             )
-        limits = SynthesisLimits(use_obligations=False)
-        clear_caches()  # the cache key does not name the rung
-        fast = check_realizability([parse(text)], inputs, outputs, limits=limits)
-        with monkeypatch.context() as patch:
-            patch.setattr(realizability, "solve_game", offline_game)
-            patch.setattr(realizability, "IncrementalBoundedSynthesizer", CountedFresh)
-            # The cache key cannot tell the runs apart: without a clear,
-            # the reference run replays the fast outcome.
-            clear_caches()
-            reference = check_realizability(
-                [parse(text)], inputs, outputs, limits=limits
-            )
-        clear_caches()
+        # The swap clears the caches: the cache key does not name the rung.
+        with without_obligations():
+            fast = check_realizability([parse(text)], inputs, outputs)
+            with monkeypatch.context() as patch:
+                patch.setattr(realizability, "solve_game", offline_game)
+                patch.setattr(
+                    realizability, "IncrementalBoundedSynthesizer", CountedFresh
+                )
+                # The cache key cannot tell the runs apart: without a
+                # clear, the reference run replays the fast outcome.
+                clear_caches()
+                reference = check_realizability([parse(text)], inputs, outputs)
         assert fast.verdict is reference.verdict, (engine, text)
         if fast.components[0].method == "satisfiability":
             assert not calls  # the precheck decides before any engine runs
@@ -437,36 +434,26 @@ class TestDriverEquivalence:
 
     def test_driver_records_new_counters(self):
         from repro.synthesis import synthesis_stats
-        from repro.synthesis.realizability import clear_caches
 
-        clear_caches()
-        check_realizability(
-            [parse("G (g <-> X X i)")], ["i"], ["g"],
-            limits=SynthesisLimits(use_obligations=False),
-        )
-        stats = synthesis_stats()
-        assert stats["sat_incremental_solves"] > 0
-        clear_caches()
-        check_realizability(
-            [parse("G (r -> X X X X b)")], ["r"], ["b"],
-            limits=SynthesisLimits(use_obligations=False),
-        )
-        assert synthesis_stats()["game_positions_pruned"] > 0
+        with without_obligations():
+            check_realizability([parse("G (g <-> X X i)")], ["i"], ["g"])
+            assert synthesis_stats()["sat_incremental_solves"] > 0
+        with without_obligations():
+            check_realizability([parse("G (r -> X X X X b)")], ["r"], ["b"])
+            assert synthesis_stats()["game_positions_pruned"] > 0
 
-    def test_limits_hold_budgets_only(self):
-        # The limits are part of the component cache key, so an engine mode
-        # there would split the cache by reference engine.  The references
-        # are swapped in by monkeypatching instead (see above).
-        defaults = SynthesisLimits()
-        for field in fields(SynthesisLimits):
-            assert isinstance(getattr(defaults, field.name), int), field.name
+    def test_driver_takes_no_engine_or_budget_argument(self):
+        # The component cache key is the formulas and the local I/O split
+        # only, so nothing selects a reference engine or a budget per
+        # call: the references are swapped in by monkeypatching (see
+        # above), and the budgets are module constants.
         for name, value in [
+            ("limits", None),
             ("game_exploration", "concrete"),
             ("game_solving", "offline"),
             ("encoding", "fresh"),
             ("verify_controllers", False),
-            ("max_system_states", 3),
-            ("max_environment_states", 3),
+            ("max_game_positions", 2),
         ]:
             with pytest.raises(TypeError):
-                SynthesisLimits(**{name: value})
+                check_realizability([parse("G g")], [], ["g"], **{name: value})

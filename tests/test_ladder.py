@@ -31,9 +31,10 @@ from repro.sat.cdcl import CDCLSolver
 from repro.service.reportjson import report_to_dict
 from repro.service.server import serve
 from repro.synthesis import invariants, realizability
-from repro.synthesis.realizability import SynthesisLimits, Verdict
+from repro.synthesis.realizability import Verdict
 
 from oracles.bounded import with_bounded_engines
+from oracles.ladder import without_obligations
 from oracles.obligations import single_solve
 
 #: The ladder before the certificate moved to the front.
@@ -174,13 +175,9 @@ class TestLadderOrder:
         assert (failing.verdict, failing.method) == (
             Verdict.UNREALIZABLE, "obligations"
         )
-        SpecCC.clear_caches()
-        exact = realizability.check_component(
-            failing.component, inputs, outputs,
-            limits=SynthesisLimits(use_obligations=False),
-        )
-        stats = realizability.synthesis_stats()
-        SpecCC.clear_caches()
+        with without_obligations():
+            exact = realizability.check_component(failing.component, inputs, outputs)
+            stats = realizability.synthesis_stats()
         assert (exact.verdict, exact.method) == (Verdict.UNREALIZABLE, "game")
         assert stats["game_solves"] >= 1, stats
         assert stats["sat_solves"] >= 1, stats

@@ -98,11 +98,6 @@ class TestTimeConstraint:
     def test_ticks_in_seconds(self):
         assert TimeConstraint(3, "seconds").ticks() == 3
         assert TimeConstraint(2, "minutes").ticks() == 120
-        assert TimeConstraint(120, "seconds").ticks(unit_seconds=60) == 2
-
-    def test_ticks_rejects_fractional(self):
-        with pytest.raises(ValueError):
-            TimeConstraint(90, "seconds").ticks(unit_seconds=60)
 
 
 class TestClauseParsing:
@@ -312,6 +307,20 @@ class TestAntonymDictionary:
         dictionary = AntonymDictionary.from_pairs([("hot", "cold")])
         assert dictionary.are_antonyms("hot", "cold")
         assert dictionary.is_positive("hot", "cold")
+
+    def test_dictionaries_cannot_change_once_built(self):
+        # Translations cached against the default dictionary stay exact
+        # only while nothing can edit it.
+        import dataclasses
+
+        dictionary = AntonymDictionary.default()
+        assert dictionary is AntonymDictionary.default()
+        with pytest.raises(TypeError):
+            dictionary.pairs["vacant"] = frozenset({"occupied"})
+        with pytest.raises(AttributeError):
+            dictionary.pairs["available"].add("gone")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            dictionary.positive_forms = frozenset()
 
 
 class TestNormaliseName:

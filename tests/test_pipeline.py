@@ -3,6 +3,7 @@ loop, plus the case-study integration checks behind Table I."""
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import io
 import json
@@ -12,11 +13,9 @@ import pytest
 from repro import (
     SpecCC,
     SpecCCConfig,
-    SynthesisLimits,
     TranslationOptions,
     Verdict,
 )
-from repro.automata import equivalent
 from repro.casestudies import (
     GOLD_FORMULAS,
     INITIALLY_FAILING_ROWS,
@@ -26,6 +25,7 @@ from repro.casestudies import (
     robot_requirements,
 )
 from repro.__main__ import main as cli_main
+from repro.core import pipeline
 from repro.logic import parse
 from repro.service.reportjson import report_to_dict
 from repro.service.server import serve
@@ -33,6 +33,8 @@ from repro.synthesis import check_realizability
 from repro.translate import TranslationOptions as TOpts
 from repro.translate import Translator
 
+from oracles.automata import equivalent
+from oracles.ladder import without_obligations
 
 PAPER_CONFIG = SpecCCConfig(translation=TranslationOptions(next_as_x=False))
 
@@ -49,11 +51,11 @@ class TestPipelineBasics:
         assert report.consistent
         assert "verdict: realizable" in report.summary()
 
-    def test_inconsistent_specification_is_localized(self):
+    def test_inconsistent_specification_is_localized(self, monkeypatch):
         # Repairs disabled: the heuristic could otherwise "fix" the clash
         # by declaring the sensor an output.
-        config = SpecCCConfig(max_partition_repairs=0)
-        report = SpecCC(config).check(
+        monkeypatch.setattr(pipeline, "MAX_PARTITION_REPAIRS", 0)
+        report = SpecCC().check(
             [
                 ("R1", "If the sensor is active, the valve is opened."),
                 ("R2", "If the sensor is active, the valve is not opened."),
@@ -73,12 +75,10 @@ class TestPipelineBasics:
         assert not report.consistent
 
     def test_controllers_for_exact_engine(self):
-        config = SpecCCConfig(
-            limits=SynthesisLimits(use_obligations=False),
-        )
-        report = SpecCC(config).check(
-            [("R1", "If the button is pressed, the lamp is activated.")]
-        )
+        with without_obligations():
+            report = SpecCC().check(
+                [("R1", "If the button is pressed, the lamp is activated.")]
+            )
         assert report.consistent
         assert len(report.controllers) == 1
 
@@ -94,15 +94,17 @@ class TestPipelineBasics:
         assert report.repair_attempts >= 1
         assert report.repaired_partition is not None
 
-    def test_repair_can_be_disabled(self):
-        config = SpecCCConfig(max_partition_repairs=0, localize_on_failure=False)
-        report = SpecCC(config).check(
+    def test_repair_can_be_disabled(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "MAX_PARTITION_REPAIRS", 0)
+        report = SpecCC().check(
             [
                 ("R1", "If the session is active, the page is displayed."),
                 ("R2", "If the notice is posted, the page is not displayed."),
             ]
         )
         assert not report.consistent
+        assert report.repair_attempts == 0
+        assert report.inconsistent_requirements() == ["R1", "R2"]
 
     def test_check_translated_stamps_seconds(self):
         translator = Translator()
@@ -182,7 +184,8 @@ class TestUnknownVerdict:
 
 class TestOnePath:
     """Each stage has one production path: no engine or decomposition
-    knob, no process-wide Algorithm 1 memo, no reference in ``src``."""
+    knob, no process-wide Algorithm 1 memo, no reference in ``src``, and
+    no setting beyond the paper's."""
 
     @pytest.mark.parametrize("module", ["repro", "repro.synthesis"])
     def test_engine_is_not_exported(self, module):
@@ -204,6 +207,38 @@ class TestOnePath:
 
         assert "solve_brute" not in repro.sat.__all__
         assert not hasattr(repro.sat, "solve_brute")
+
+    def test_config_holds_only_the_papers_settings(self):
+        # How to read "next", Algorithm 1 on or off, and the time
+        # abstraction method with its budget B (Sections IV-D and IV-E).
+        assert [field.name for field in dataclasses.fields(SpecCCConfig)] == [
+            "translation", "abstraction", "error_bound"
+        ]
+        assert [field.name for field in dataclasses.fields(TranslationOptions)] == [
+            "next_as_x", "semantic_reasoning"
+        ]
+
+    @pytest.mark.parametrize("knob", ["signs", "dictionary"])
+    def test_tools_take_no_signs_or_dictionary(self, knob):
+        with pytest.raises(TypeError):
+            SpecCC(**{knob: None})
+        with pytest.raises(TypeError):
+            Translator(**{knob: None})
+
+    def test_limits_and_dictionary_signature_are_gone(self):
+        from repro.nlp.antonyms import AntonymDictionary
+
+        for module in ("repro", "repro.synthesis", "repro.synthesis.realizability"):
+            assert not hasattr(importlib.import_module(module), "SynthesisLimits")
+        assert not hasattr(AntonymDictionary, "signature")
+        assert not hasattr(AntonymDictionary, "add_pair")
+
+    def test_lasso_membership_and_equivalence_live_with_the_tests(self):
+        import repro.automata
+
+        for name in ("accepts", "equivalent", "is_satisfiable"):
+            assert name not in repro.automata.__all__
+            assert not hasattr(repro.automata, name)
 
 
 class TestPartitionRepair:
@@ -272,9 +307,9 @@ class TestPartitionRepair:
         assert report.repair_attempts == 1
         assert report.repaired_partition is None
 
-    def test_attempts_never_exceed_the_configured_cap(self):
-        config = SpecCCConfig(max_partition_repairs=2, localize_on_failure=False)
-        report = SpecCC(config).check(
+    def test_attempts_never_exceed_the_configured_cap(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "MAX_PARTITION_REPAIRS", 2)
+        report = SpecCC().check(
             [
                 ("R1", "The valve is opened."),
                 ("R2", "The valve is not opened."),

@@ -248,13 +248,12 @@ class TestSharedRegistry:
     def test_distinct_shard_counts_get_distinct_pools(self):
         assert shared_pool(shards=2) is not shared_pool(shards=3)
 
-    def test_distinct_dictionaries_get_distinct_pools(self):
-        from repro.nlp.antonyms import AntonymDictionary
-
-        dictionary = AntonymDictionary.default()
-        dictionary.add_pair("active", "normal")
-        custom = shared_pool(tool=SpecCC(dictionary=dictionary), shards=2)
-        assert custom is not shared_pool(shards=2)
+    def test_pools_are_keyed_on_the_config(self):
+        # The config is all a worker needs to rebuild its tool, so equal
+        # configs share one pool and another config gets its own.
+        assert shared_pool(SpecCCConfig(), shards=2) is shared_pool(shards=2)
+        other = SpecCCConfig(error_bound=4)
+        assert shared_pool(other, shards=2) is not shared_pool(shards=2)
 
     def test_batchchecker_process_backend_uses_registry(self):
         sequential = canonical(BatchChecker(workers=1).check_documents(DOCS))

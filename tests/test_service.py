@@ -19,7 +19,6 @@ import pytest
 from repro import (
     BatchChecker,
     SpecCC,
-    SpecCCConfig,
     SpecSession,
     Verdict,
     WorkerPool,
@@ -33,10 +32,6 @@ TWO_COMPONENTS = [
     ("R1", "If the sensor is active, the valve is opened."),
     ("R2", "If the button is pressed, the lamp is activated."),
 ]
-
-
-def make_session(**config) -> SpecSession:
-    return SpecSession(SpecCC(SpecCCConfig(**config)))
 
 
 class TestSpecSession:
@@ -110,8 +105,11 @@ class TestSpecSession:
         with pytest.raises(KeyError):
             session.remove("R9")
 
-    def test_verdict_transition_is_reported(self):
-        session = make_session(max_partition_repairs=0, localize_on_failure=False)
+    def test_verdict_transition_is_reported(self, monkeypatch):
+        from repro.core import pipeline
+
+        monkeypatch.setattr(pipeline, "MAX_PARTITION_REPAIRS", 0)
+        session = SpecSession()
         session.add("R1", "If the sensor is active, the valve is opened.")
         # Shares open_valve with R1, so both live in one component.
         session.add("R2", "If the button is pressed, the valve is opened.")
@@ -144,10 +142,10 @@ class TestSpecSession:
     def test_translation_cache_stays_bounded(self):
         """A long edit stream must not accumulate stale memo entries."""
         from repro import Translator
+        from repro.translate.translator import TranslationCache
 
         translator = Translator()
-        cache = translator.new_cache()
-        cache.max_entries = 8
+        cache = TranslationCache(max_entries=8)
         requirements = [("R1", "If the sensor is active, the valve is opened.")]
         for index in range(50):
             requirements[0] = (
@@ -156,9 +154,9 @@ class TestSpecSession:
             )
             translator.translate(requirements, cache)
         stats = cache.stats()
-        assert stats["parses"] <= cache.max_entries + 1
-        assert stats["raw_formulas"] <= cache.max_entries + 1
-        assert stats["rewritten"] <= cache.max_entries + 1
+        assert stats["parses"] <= 8 + 1
+        assert stats["raw_formulas"] <= 8 + 1
+        assert stats["rewritten"] <= 8 + 1
         # ... and the surviving entries still serve the current document.
         before = dict(stats)
         translator.translate(requirements, cache)
@@ -429,33 +427,6 @@ class TestBatchChecker:
             BatchChecker(backend="fiber")
         with pytest.raises(ValueError):
             BatchChecker(workers=0)
-
-    def test_custom_dictionary_reaches_every_backend(self):
-        """A supplied tool's antonym dictionary must shape batch verdicts
-        exactly like session checks — in-process and across processes."""
-        from repro.nlp.antonyms import AntonymDictionary
-
-        doc = (
-            "If the sensor is active, the valve is opened.\n"
-            "If the sensor is normal, the valve is not opened.\n"
-        )
-        dictionary = AntonymDictionary.default()
-        dictionary.add_pair("active", "normal")
-        tool = SpecCC(dictionary=dictionary)
-
-        def formulas(checker):
-            result = checker.check_documents([("d", doc)])[0]
-            return [entry["formula"] for entry in result.data["requirements"]]
-
-        paired = ["G (sensor -> open_valve)", "G (!sensor -> !open_valve)"]
-        assert formulas(BatchChecker(tool=tool, workers=1)) == paired
-        assert formulas(BatchChecker(tool=tool, workers=2)) == paired
-        assert (
-            formulas(BatchChecker(tool=tool, workers=2, backend="process"))
-            == paired
-        )
-        # ... while the default dictionary keeps the adjectives apart.
-        assert formulas(BatchChecker(workers=1)) != paired
 
     def test_process_backend_matches_thread_backend(self):
         docs = BATCH_DOCS[:2]
@@ -1491,25 +1462,6 @@ class TestCacheStats:
         tool.check([("R1", "If the sensor is active, the valve is opened.")])
         after = SpecCC.cache_stats()["component_cache"]
         assert after["hits"] > before["hits"]  # second run served from cache
-
-    def test_dictionary_mutation_invalidates_raw_formulas(self):
-        """The stateless API must pick up dictionary edits even through
-        the translator's persistent default graph: raw formulas read the
-        dictionary directly (curated-positive fallback), so its content
-        signature is part of their node key."""
-        from repro.nlp.antonyms import AntonymDictionary
-
-        requirements = [("R1", "If the slot is occupied, the alarm is sounded.")]
-        tool = SpecCC()
-        before = str(tool.check(requirements).translation.formulas[0])
-        tool.translator.dictionary.add_pair("vacant", "occupied")
-        after = str(tool.check(requirements).translation.formulas[0])
-
-        fresh_dictionary = AntonymDictionary.default()
-        fresh_dictionary.add_pair("vacant", "occupied")
-        fresh = SpecCC(dictionary=fresh_dictionary).check(requirements)
-        assert after == str(fresh.translation.formulas[0])
-        assert after != before  # the pair really rewrote the proposition
 
     def test_clear_translation_cache_drops_the_tool_graph(self):
         tool = SpecCC()

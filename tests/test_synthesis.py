@@ -12,7 +12,6 @@ from repro.logic import conj, parse
 from repro.synthesis import (
     IncrementalBoundedSynthesizer,
     MealyMachine,
-    SynthesisLimits,
     Verdict,
     all_letters,
     check_realizability,
@@ -33,6 +32,7 @@ from oracles import game as oracle_game
 from oracles import obligations as oracle_obligations
 from oracles.bounded import with_bounded_engines
 from oracles.game import ConcreteGame
+from oracles.ladder import without_obligations
 
 #: The exact-engine rung under test: the safety game with its bounded
 #: dual, or the reference rung deciding with bounded synthesis both ways.
@@ -110,14 +110,10 @@ class TestEnginesAgree:
     def test_controller_is_verified(self, engine, monkeypatch):
         # Disable the obligation certificate so the exact engine runs and
         # produces an explicit controller.
-        result = check_with(
-            engine,
-            monkeypatch,
-            [parse("G (r -> X g)")],
-            ["r"],
-            ["g"],
-            limits=SynthesisLimits(use_obligations=False),
-        )
+        with without_obligations():
+            result = check_with(
+                engine, monkeypatch, [parse("G (r -> X g)")], ["r"], ["g"]
+            )
         assert result.components[0].method == engine
         (machine,) = result.controllers
         assert satisfies_specification(machine, parse("G (r -> X g)"))
@@ -126,7 +122,6 @@ class TestEnginesAgree:
         """A controller the independent model checker refutes is an engine
         bug, never a REALIZABLE verdict."""
         from repro.synthesis import SafetyGameResult, realizability
-        from repro.synthesis.realizability import clear_caches
 
         machine = MealyMachine(inputs=("r",), outputs=("g",), num_states=1)
         machine.add_transition(0, [], 0, [])
@@ -136,12 +131,11 @@ class TestEnginesAgree:
             "solve_game",
             lambda *args, **kwargs: SafetyGameResult(True, machine, 1, 1),
         )
-        clear_caches()  # a cached outcome would skip the engine
-        with pytest.raises(AssertionError, match="independent verification"):
-            check_realizability(
-                [parse("G (r -> X g)")], ["r"], ["g"],
-                limits=SynthesisLimits(use_obligations=False),
-            )
+        # The swap clears the caches: a cached outcome would skip the engine.
+        with without_obligations(), pytest.raises(
+            AssertionError, match="independent verification"
+        ):
+            check_realizability([parse("G (r -> X g)")], ["r"], ["g"])
 
     def test_empty_specification_realizable(self):
         assert check_realizability([], ["i"], ["o"]).verdict is Verdict.REALIZABLE
@@ -272,19 +266,16 @@ class TestSafetyGameEquivalence:
             calls.append(args)
             return oracle_game.solve(ConcreteGame, *args, **kwargs)
 
-        limits = SynthesisLimits(use_obligations=False)
         for text, inputs, outputs, _ in TestEnginesAgree.CASES:
             formulas = [parse(text)]
-            partial = check_realizability(formulas, inputs, outputs, limits=limits)
-            with monkeypatch.context() as patch:
-                patch.setattr(realizability, "solve_game", concrete_game)
-                # The cache key cannot tell the runs apart: without a
-                # clear, the reference run replays the partial outcome.
-                clear_caches()
-                concrete = check_realizability(
-                    formulas, inputs, outputs, limits=limits
-                )
-            clear_caches()
+            with without_obligations():
+                partial = check_realizability(formulas, inputs, outputs)
+                with monkeypatch.context() as patch:
+                    patch.setattr(realizability, "solve_game", concrete_game)
+                    # The cache key cannot tell the runs apart: without a
+                    # clear, the reference run replays the partial outcome.
+                    clear_caches()
+                    concrete = check_realizability(formulas, inputs, outputs)
             assert partial.verdict is concrete.verdict, text
         assert calls, "the concrete-letter game never ran"
 
@@ -299,14 +290,10 @@ class TestSafetyGameEquivalence:
 class TestSynthesisStats:
     def test_game_work_recorded(self):
         from repro.synthesis import synthesis_stats
-        from repro.synthesis.realizability import clear_caches
 
-        clear_caches()
-        check_realizability(
-            [parse("G (r -> X g)")], ["r"], ["g"],
-            limits=SynthesisLimits(use_obligations=False),
-        )
-        stats = synthesis_stats()
+        with without_obligations():
+            check_realizability([parse("G (r -> X g)")], ["r"], ["g"])
+            stats = synthesis_stats()
         assert stats["game_solves"] >= 1
         assert stats["game_positions"] > 0
         assert stats["game_letters"] > 0
@@ -315,17 +302,14 @@ class TestSynthesisStats:
         from repro.synthesis import synthesis_stats
         from repro.synthesis.realizability import clear_caches
 
-        clear_caches()
         # The game cannot win the clairvoyant spec, so its dual runs.
-        check_realizability(
-            [parse("G (g <-> X X i)")], ["i"], ["g"],
-            limits=SynthesisLimits(use_obligations=False),
-        )
-        stats = synthesis_stats()
+        with without_obligations():
+            check_realizability([parse("G (g <-> X X i)")], ["i"], ["g"])
+            stats = synthesis_stats()
+            clear_caches()
+            assert synthesis_stats()["sat_solves"] == 0
         assert stats["sat_solves"] >= 1
         assert stats["sat_propagations"] > 0
-        clear_caches()
-        assert synthesis_stats()["sat_solves"] == 0
 
     def test_bounded_result_carries_solver_stats(self):
         result = IncrementalBoundedSynthesizer.for_system(
@@ -369,13 +353,16 @@ class TestSafetyGameEngine:
                 bound=3, max_positions=2,
             )
 
-    def test_position_cap_degrades_to_unknown_verdict(self):
+    def test_position_cap_degrades_to_unknown_verdict(self, monkeypatch):
         # The realizability driver must swallow StateSpaceLimit and report
         # UNKNOWN instead of crashing when the cap rules the game out.
-        result = check_realizability(
-            [parse("G (a -> X X X X b)")], ["a"], ["b"],
-            limits=SynthesisLimits(use_obligations=False, max_game_positions=2),
-        )
+        from repro.synthesis import realizability
+
+        monkeypatch.setattr(realizability, "MAX_GAME_POSITIONS", 2)
+        with without_obligations():
+            result = check_realizability(
+                [parse("G (a -> X X X X b)")], ["a"], ["b"]
+            )
         assert result.verdict is Verdict.UNKNOWN
 
 
@@ -643,10 +630,8 @@ class TestObligations:
         formulas = [parse(text) for text in texts]
         cert = check_obligations(formulas, inputs, outputs)
         assert cert.outcome is ObligationOutcome.REALIZABLE
-        exact = check_realizability(
-            formulas, inputs, outputs,
-            limits=SynthesisLimits(use_obligations=False),
-        )
+        with without_obligations():
+            exact = check_realizability(formulas, inputs, outputs)
         assert exact.verdict is Verdict.REALIZABLE
 
     #: The environment can raise each core at once, so the certificate
@@ -684,10 +669,8 @@ class TestObligations:
         result = check_realizability(formulas, inputs, outputs)
         assert result.verdict is Verdict.UNREALIZABLE
         assert [c.method for c in result.components] == ["obligations"]
-        exact = check_realizability(
-            formulas, inputs, outputs,
-            limits=SynthesisLimits(use_obligations=False),
-        )
+        with without_obligations():
+            exact = check_realizability(formulas, inputs, outputs)
         assert exact.verdict is Verdict.UNREALIZABLE
 
     @pytest.mark.parametrize("texts, inputs, outputs, realizable", UNFORCED)
@@ -699,10 +682,8 @@ class TestObligations:
         assert cert.outcome is ObligationOutcome.INCONCLUSIVE
         assert cert.conflict == (0, 1)
         if realizable is not None:
-            exact = check_realizability(
-                formulas, inputs, outputs,
-                limits=SynthesisLimits(use_obligations=False),
-            )
+            with without_obligations():
+                exact = check_realizability(formulas, inputs, outputs)
             expected = Verdict.REALIZABLE if realizable else Verdict.UNREALIZABLE
             assert exact.verdict is expected
 
@@ -729,10 +710,8 @@ class TestObligations:
             return
         assert satisfiable(conj(formulas)) is not None
         if len(inputs) <= 3 and len(outputs) <= 3:
-            exact = check_realizability(
-                formulas, inputs, outputs,
-                limits=SynthesisLimits(use_obligations=False),
-            )
+            with without_obligations():
+                exact = check_realizability(formulas, inputs, outputs)
             assert exact.verdict is expected
 
     def test_large_alphabet_handled(self):
