@@ -1,6 +1,6 @@
 """Automata substrate: Büchi automata, GPVW translation, emptiness, LTL-SAT."""
 
-from .buchi import BuchiAutomaton, Label, Transition
+from .buchi import BuchiAutomaton, Label
 from .emptiness import Witness, find_witness, is_empty
 from .gpvw import translate
 from .ltlsat import is_valid, satisfiable
@@ -8,7 +8,6 @@ from .ltlsat import is_valid, satisfiable
 __all__ = [
     "BuchiAutomaton",
     "Label",
-    "Transition",
     "Witness",
     "find_witness",
     "is_empty",

@@ -61,13 +61,6 @@ class Label:
         return " && ".join(parts) if parts else "true"
 
 
-@dataclass(frozen=True)
-class Transition:
-    src: int
-    label: Label
-    dst: int
-
-
 @dataclass
 class BuchiAutomaton:
     """A (generalized) nondeterministic Büchi automaton.
@@ -107,16 +100,8 @@ class BuchiAutomaton:
     def successors(self, state: int) -> List[Tuple[Label, int]]:
         return self.transitions.get(state, [])
 
-    def all_transitions(self) -> Iterable[Transition]:
-        for src, edges in self.transitions.items():
-            for label, dst in edges:
-                yield Transition(src, label, dst)
-
     def num_transitions(self) -> int:
         return sum(len(edges) for edges in self.transitions.values())
-
-    def is_generalized(self) -> bool:
-        return len(self.accepting_sets) != 1
 
     def degeneralize(self) -> "BuchiAutomaton":
         """Counter construction turning a GBA into an equivalent NBA.

@@ -78,7 +78,7 @@ def _pop_deterministic(formulas: Set[Formula]) -> Formula:
 
 # Per-formula automaton cache (one per ``simplify_nnf`` flavour).  The
 # automaton depends only on the formula, so the realizability driver, the
-# partition-repair loop and the localization checker all reuse one
+# partition-repair loop and localization all reuse one
 # translation however often they revisit the formula.  Weak keys: entries
 # vanish with the (interned) formula.  Cached automata are shared — callers
 # must treat them as immutable, which every consumer in this code base does.

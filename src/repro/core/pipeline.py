@@ -8,12 +8,13 @@ The pipeline chains the three stages of the paper:
 2. **Realizability** — the conjunction is checked by LTL synthesis; success
    yields a controller per variable-connected component, i.e. the
    specification is consistent in the implementability sense.
-3. **Heuristic refinement** — on failure, the inconsistent requirements are
-   located by incremental subset growth, and the input/output partition is
-   adjusted before re-analysis (Section V-B).
+3. **Heuristic refinement** — on failure, the input/output partition is
+   adjusted before re-analysis, and the inconsistent requirements are
+   located by growing variable-connected groups one requirement at a time
+   (Section V-B).
 
 Stages 2-3 revisit the same formulas over and over: every partition-repair
-iteration re-checks every component, and localization grows subsets one
+iteration re-checks every component, and localization grows groups one
 requirement at a time.  The whole pipeline therefore runs on an
 **incremental analysis graph** (:mod:`repro.core.graph`): parses (each
 with its sentence's Algorithm 1 vocabulary), Algorithm 1 unit keys, raw
@@ -40,7 +41,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..logic.ast import Formula
 from ..obs.trace import span as _obs_span
-from ..synthesis.localization import LocalizationResult, default_checker, localize
+from ..synthesis.localization import LocalizationResult, localize
 from ..synthesis.mealy import MealyMachine
 from ..synthesis.realizability import (
     RealizabilityResult,
@@ -283,10 +284,9 @@ class SpecCC:
         localization = None
         if result.verdict is not Verdict.REALIZABLE:
             with _obs_span("pipeline.localization", formulas=len(formulas)) as sp:
-                checker = default_checker(
-                    sorted(partition.inputs), sorted(partition.outputs)
+                localization = localize(
+                    formulas, sorted(partition.inputs), sorted(partition.outputs)
                 )
-                localization = localize(formulas, checker)
                 if localization is not None:  # None when no prefix is UNREALIZABLE
                     sp.set(core=len(localization.core))
 

@@ -90,10 +90,6 @@ class Clause:
     constraint: Optional[TimeConstraint] = None
     text: str = ""
 
-    def key_phrase(self) -> str:
-        """Human-readable summary used in tree rendering and reports."""
-        return self.text or " ".join(self.subjects)
-
 
 @dataclass
 class ClauseGroup:

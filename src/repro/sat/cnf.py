@@ -81,10 +81,6 @@ class CNF:
             self.add([-lit, out])
         self.add([-out] + list(inputs))
 
-    def add_implies(self, antecedents: Sequence[Lit], consequent: Lit) -> None:
-        """Encode ``AND(antecedents) -> consequent``."""
-        self.add([-lit for lit in antecedents] + [consequent])
-
     def to_dimacs(self) -> str:
         lines = [f"p cnf {self.num_vars} {len(self.clauses)}"]
         for clause in self.clauses:

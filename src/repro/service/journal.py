@@ -457,10 +457,6 @@ class JournalStore:
                 self._counters["recovered_sessions"] += 1
         return durable
 
-    def attached_tokens(self) -> Tuple[str, ...]:
-        with self._lock:
-            return tuple(sorted(self._attached))
-
     # -------------------------------------------------------- maintenance
     def record_duplicate(self) -> None:
         """Count one deduplicated (exactly-once) retry acknowledgement."""

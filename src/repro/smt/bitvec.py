@@ -98,14 +98,6 @@ class BitVecBuilder:
         self.cnf.add([out, a, -b])
         return out
 
-    def _mux(self, select: Lit, then: Lit, otherwise: Lit) -> Lit:
-        out = self.cnf.new_var()
-        self.cnf.add([-select, -then, out])
-        self.cnf.add([-select, then, -out])
-        self.cnf.add([select, -otherwise, out])
-        self.cnf.add([select, otherwise, -out])
-        return out
-
     # ---------------------------------------------------------- arithmetic
     def add(self, left: BitVec, right: BitVec, *, modular: bool = False) -> BitVec:
         """Sum of two vectors; one extra output bit unless *modular*."""

@@ -80,9 +80,6 @@ class TimeAbstractionSolution:
     cost_next: int  # sum theta'_i
     cost_error: int  # sum |Delta_i|
 
-    def scaled_length(self, theta: int, problem: TimeAbstractionProblem) -> int:
-        return self.scaled[problem.thetas.index(theta)]
-
     def check(self, problem: TimeAbstractionProblem) -> None:
         """Validate the solution against Eq. (1); raises on violation."""
         if self.divisor < 1:

@@ -9,7 +9,7 @@ inconsistency localization.
 """
 
 from .bounded import BoundedSynthesisResult, IncrementalBoundedSynthesizer
-from .localization import LocalizationResult, default_checker, localize
+from .localization import LocalizationResult, localize
 from .mealy import Letter, MealyMachine, all_letters
 from .modular import Component, decompose
 from .realizability import (
@@ -38,7 +38,6 @@ __all__ = [
     "all_letters",
     "check_realizability",
     "decompose",
-    "default_checker",
     "localize",
     "satisfies_specification",
     "solve_automaton",

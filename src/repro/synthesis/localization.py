@@ -6,50 +6,43 @@ with the subset.  Once we have located the problem, we could filter out
 other formulas that do not contain any propositions of the located
 formulas."
 
-:func:`localize` implements exactly that incremental growth, followed by a
-shrinking pass that removes formulas irrelevant to the conflict, yielding
-an (inclusion-)minimal unrealizable core.
+:func:`localize` grows the subset one formula at a time over
+variable-connected groups: formula *k* merges the groups whose
+propositions it shares, and only that merged group is checked.  No other
+group changed, and none was unrealizable, or growth would have stopped;
+so the subset is unrealizable iff the merged group is.  That group is
+also the paper's filter: the formulas connected to the culprit through
+shared propositions.  A shrinking pass then removes formulas irrelevant to
+the conflict, yielding an (inclusion-)minimal unrealizable core.
 
-The growth loop issues O(n) realizability queries over overlapping subsets
-and the shrink loop another O(core²) — almost all of whose components have
-been analysed before.  With interned formulas the realizability layer's
-component cache answers those repeats without re-translating a single
-formula, which is what keeps localization affordable on Table-I-sized
-specifications.
+Growth makes one component query per formula.  Each group is built as
+:func:`.modular.decompose` builds it, so a group any earlier check
+analysed is answered by the component cache.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..logic.ast import Formula, atoms
-from .realizability import Verdict, check_realizability
-
-Checker = Callable[[Sequence[Formula]], Verdict]
+from . import realizability
+from .modular import Component
+from .realizability import Verdict
 
 
 @dataclass(frozen=True)
 class LocalizationResult:
-    """An unrealizable core with bookkeeping for reporting."""
+    """An unrealizable core, as reports name it."""
 
     culprit: int  # index whose addition broke realizability
     core: Tuple[int, ...]  # minimal set of indices jointly unrealizable
-    checks: int  # number of realizability queries spent
-
-
-def default_checker(inputs: Sequence[str], outputs: Sequence[str]) -> Checker:
-    """A checker closure over a fixed I/O partition."""
-
-    def run(formulas: Sequence[Formula]) -> Verdict:
-        return check_realizability(list(formulas), inputs, outputs).verdict
-
-    return run
 
 
 def localize(
     formulas: Sequence[Formula],
-    checker: Checker,
+    inputs: Sequence[str],
+    outputs: Sequence[str],
 ) -> Optional[LocalizationResult]:
     """Locate a minimal unrealizable subset by incremental growth.
 
@@ -57,54 +50,40 @@ def localize(
     (or the engines cannot decide it).
     """
     formulas = list(formulas)
-    checks = 0
-    culprit: Optional[int] = None
-    prefix: List[int] = []
-    for index in range(len(formulas)):
-        prefix.append(index)
-        checks += 1
-        if checker([formulas[i] for i in prefix]) is Verdict.UNREALIZABLE:
-            culprit = index
+    input_set, output_set = frozenset(inputs), frozenset(outputs)
+    owner: Dict[str, Component] = {}  # proposition -> the group holding it
+    for culprit, formula in enumerate(formulas):
+        names = atoms(formula)
+        joined = {id(old): old for old in map(owner.get, names) if old is not None}
+        # In index order, as decompose() lists a component: the cache key.
+        indices = tuple(
+            sorted(index for old in joined.values() for index in old.indices)
+        ) + (culprit,)
+        group = Component(
+            indices,
+            tuple(formulas[index] for index in indices),
+            names.union(*(old.variables for old in joined.values())),
+        )
+        for name in group.variables:
+            owner[name] = group
+        check = realizability.check_component(group, input_set, output_set)
+        if check.verdict is Verdict.UNREALIZABLE:
             break
-    if culprit is None:
+    else:
         return None
 
-    # Filter: keep only formulas sharing propositions with the culprit
-    # (transitively), as the paper suggests, then shrink to a minimal core.
-    relevant = _proposition_closure(formulas, prefix, culprit)
-    core = list(relevant)
+    # Shrink the group to a minimal core that still holds the culprit.
+    core = list(group.indices)
     position = 0
     while position < len(core):
         candidate = core[:position] + core[position + 1 :]
         if culprit not in candidate:
             position += 1
             continue
-        checks += 1
-        if checker([formulas[i] for i in candidate]) is Verdict.UNREALIZABLE:
+        subset = [formulas[index] for index in candidate]
+        verdict = realizability.check_realizability(subset, inputs, outputs).verdict
+        if verdict is Verdict.UNREALIZABLE:
             core = candidate
         else:
             position += 1
-    return LocalizationResult(culprit, tuple(core), checks)
-
-
-def _proposition_closure(
-    formulas: Sequence[Formula], candidates: Sequence[int], culprit: int
-) -> List[int]:
-    """Indices connected to the culprit through shared propositions."""
-    # atoms() is cached per interned node, but hoisting the lookups keeps
-    # the fixpoint loop free of repeated frozenset construction.
-    support = {index: atoms(formulas[index]) for index in candidates}
-    support[culprit] = atoms(formulas[culprit])
-    names = set(support[culprit])
-    selected = {culprit}
-    changed = True
-    while changed:
-        changed = False
-        for index in candidates:
-            if index in selected:
-                continue
-            if support[index] & names:
-                selected.add(index)
-                names |= support[index]
-                changed = True
-    return sorted(selected)
+    return LocalizationResult(culprit, tuple(core))

@@ -113,11 +113,11 @@ class _ComponentOutcome(NamedTuple):
 
 # Component-outcome cache: a component's analysis is a pure function of its
 # formulas and its *local* input/output split — not of the global
-# partition.  The partition-repair loop in core/pipeline.py
-# and the subset-growth localization checker therefore rehit this cache for
-# every component the current repair/growth step did not actually change,
-# and the per-formula Büchi automata behind it (gpvw/ltlsat caches) are
-# never rebuilt.  The cache lives on the process-wide analysis graph
+# partition.  The partition-repair loop in core/pipeline.py therefore
+# rehits this cache for every component a repair did not change, and
+# localization for every group an earlier check analysed, and the
+# per-formula Büchi automata behind it (gpvw/ltlsat caches) are never
+# rebuilt.  The cache lives on the process-wide analysis graph
 # (:func:`repro.core.graph.shared_graph`, stage ``"components"`` — a
 # bounded, thread-safe LRU) so sessions, batch checks and pool workers
 # all read the same nodes and the same hit/miss counters.

@@ -18,7 +18,10 @@ Each module holds the straightforward version of one optimised engine in
   goal, and decided by a CEGIS loop over flag vectors (vs. propagation
   with 2-SAT, and that solve only where its core depends on the search);
 * ``lexicon`` — the morphology rules as functions applied per word (vs.
-  the lexicon's import-time tables of every form they accept).
+  the lexicon's import-time tables of every form they accept);
+* ``localization`` — every whole prefix re-checked and the culprit's
+  component recomputed as a proposition fixpoint (vs. growth that
+  checks only the group the new formula joins).
 
 Two modules are helpers rather than references: ``ladder`` takes the
 obligation certificate out of ``realizability.RUNGS`` so the exact
@@ -28,7 +31,8 @@ formula equivalence, which only the tests use.
 They plug in by subclassing the engine classes, by monkeypatching the
 names :mod:`repro.synthesis.realizability` looks up (``solve_game``,
 ``IncrementalBoundedSynthesizer``, ``RUNGS``), or, for ``sat``'s brute
-force, ``semantics``, ``obligations`` and ``lexicon``, by being called
-side by side with production on the same input.  The test modules
-import them as ``oracles.*`` (pytest puts ``tests/`` on ``sys.path``).
+force, ``semantics``, ``obligations``, ``lexicon`` and ``localization``,
+by being called side by side with production on the same input.  The
+test modules import them as ``oracles.*`` (pytest puts ``tests/`` on
+``sys.path``).
 """

@@ -5,8 +5,11 @@ from __future__ import annotations
 
 import dataclasses
 import importlib
+import importlib.util
 import io
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -29,10 +32,12 @@ from repro.core import pipeline
 from repro.logic import parse
 from repro.service.reportjson import report_to_dict
 from repro.service.server import serve
-from repro.synthesis import check_realizability
+from repro.service.session import SpecSession
+from repro.synthesis import check_realizability, decompose, localize, realizability
 from repro.translate import TranslationOptions as TOpts
 from repro.translate import Translator
 
+from oracles import localization as oracle_localization
 from oracles.automata import equivalent
 from oracles.ladder import without_obligations
 
@@ -232,6 +237,17 @@ class TestOnePath:
             assert not hasattr(importlib.import_module(module), "SynthesisLimits")
         assert not hasattr(AntonymDictionary, "signature")
         assert not hasattr(AntonymDictionary, "add_pair")
+
+    def test_localization_returns_only_culprit_and_core(self):
+        import repro.synthesis
+        from repro.synthesis import LocalizationResult, localization
+
+        assert [field.name for field in dataclasses.fields(LocalizationResult)] == [
+            "culprit", "core"
+        ]
+        for name in ("Checker", "default_checker", "_proposition_closure"):
+            assert not hasattr(localization, name)
+        assert "default_checker" not in repro.synthesis.__all__
 
     def test_lasso_membership_and_equivalence_live_with_the_tests(self):
         import repro.automata
@@ -470,3 +486,91 @@ class TestPrewarm:
 
         snapshot = SpecCC.cache_stats()
         assert pickle.loads(pickle.dumps(snapshot)) == snapshot
+
+
+@pytest.fixture(scope="module")
+def bench_corpus():
+    """perfbench/corpus.py, imported read-only by file path: the generated
+    documents and edit blocks of the benchmark of record."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclass() looks its module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestLocalizationCorpus:
+    """Every localizing check of the benchmark's generated corpora against
+    prefix growth (``oracles.localization``), with a lookup bound."""
+
+    @pytest.fixture
+    def localizations(self, monkeypatch):
+        """Record each ``localize`` call the pipeline makes: its arguments,
+        its result and the ``check_component`` calls it made."""
+        records = []
+
+        def recording(formulas, inputs, outputs):
+            original = realizability.check_component
+            calls = 0
+
+            def counting(*args):
+                nonlocal calls
+                calls += 1
+                return original(*args)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(realizability, "check_component", counting)
+                result = localize(formulas, inputs, outputs)
+            records.append((list(formulas), inputs, outputs, result, calls))
+            return result
+
+        monkeypatch.setattr(pipeline, "localize", recording)
+        return records
+
+    def assert_matches_prefix_growth(self, records):
+        """Same culprit and core as the reference, and at most n + g²
+        component lookups: one per formula while growing, then at most g
+        per shrink step, g being the culprit's group (the paper's filter)."""
+        for formulas, inputs, outputs, result, calls in records:
+            assert result is not None
+            reference = oracle_localization.localize(formulas, inputs, outputs)
+            assert (result.culprit, result.core) == reference
+            (group,) = [
+                component
+                for component in decompose(formulas[: result.culprit + 1])
+                if result.culprit in component.indices
+            ]
+            bound = len(formulas) + len(group.indices) ** 2
+            assert calls <= bound, (calls, len(formulas), len(group.indices))
+
+    @pytest.mark.parametrize("seed", [5, 11])
+    def test_regimes_block(self, seed, bench_corpus, localizations):
+        tool = SpecCC(PAPER_CONFIG)
+        localizing = 0
+        for document in next(bench_corpus.regimes_blocks(seed)):
+            report = tool.check(list(document.requirements))
+            assert tuple(sorted(report.inconsistent_requirements())) == document.expected.culprits
+            localizing += document.expected.verdict == "unrealizable"
+        assert localizing == len(localizations) == 4
+        self.assert_matches_prefix_growth(localizations)
+
+    @pytest.mark.parametrize("seed", [7, 13])
+    def test_maintain_block(self, seed, bench_corpus, localizations):
+        script = bench_corpus.maintain_script(seed)
+        session = SpecSession(SpecCC(PAPER_CONFIG))
+        for identifier, text in script.base:
+            session.add(identifier, text)
+        assert session.check().consistent
+        for edit in next(script.blocks):
+            if edit.op == "add":
+                session.add(edit.identifier, edit.text)
+            elif edit.op == "update":
+                session.update(edit.identifier, edit.text)
+            else:
+                session.remove(edit.identifier)
+            report = session.check().report
+            assert tuple(sorted(report.inconsistent_requirements())) == edit.expected.culprits
+        assert len(localizations) == 1
+        assert len(localizations[0][0]) == len(script.base) + 2
+        self.assert_matches_prefix_growth(localizations)

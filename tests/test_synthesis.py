@@ -16,7 +16,6 @@ from repro.synthesis import (
     all_letters,
     check_realizability,
     decompose,
-    default_checker,
     localize,
     satisfies_specification,
     solve_safety_game,
@@ -29,6 +28,7 @@ from repro.synthesis.invariants import (
 )
 
 from oracles import game as oracle_game
+from oracles import localization as oracle_localization
 from oracles import obligations as oracle_obligations
 from oracles.bounded import with_bounded_engines
 from oracles.game import ConcreteGame
@@ -724,6 +724,47 @@ class TestObligations:
         assert all(c.method == "obligations" for c in result.components)
 
 
+@st.composite
+def localization_specs(draw):
+    """``(formulas, inputs, outputs)`` for localization: 1–8 formulas over
+    at most 6 atoms, each atom an input or an output by a draw.  Shapes
+    are invariants, delayed and eventual responses, cubes and constants,
+    so groups merge, conflicts arise inside and across groups, and some
+    specifications never localize."""
+    names = "abcdef"[: draw(st.integers(1, 6))]
+    roles = draw(st.lists(st.booleans(), min_size=len(names), max_size=len(names)))
+    inputs = [name for name, is_input in zip(names, roles) if is_input]
+    outputs = [name for name, is_input in zip(names, roles) if not is_input]
+
+    def literal(pool=names):
+        name = draw(st.sampled_from(pool))
+        return name if draw(st.booleans()) else f"!{name}"
+
+    def response():
+        # Mostly over outputs, so most formulas are realizable alone and
+        # conflicts need several of them.
+        return literal(outputs if outputs and draw(st.integers(0, 3)) else names)
+
+    def formula():
+        kind = draw(st.integers(0, 9))
+        if kind <= 2:
+            return f"G ({literal()} -> {response()})"
+        if kind == 3:
+            return f"G ({literal()} -> X {response()})"
+        if kind == 4:
+            return f"G ({literal()} -> F {response()})"
+        if kind == 5:
+            return f"F {response()}"
+        if kind <= 7:
+            return f"G ({literal()} -> ({response()} && {response()}))"
+        if kind == 8:
+            return f"G {response()}"
+        return draw(st.sampled_from(["G false", "G true", "false", "F false"]))
+
+    texts = [formula() for _ in range(draw(st.integers(1, 8)))]
+    return texts, inputs, outputs
+
+
 class TestLocalization:
     def test_core_found(self):
         formulas = [
@@ -732,19 +773,19 @@ class TestLocalization:
             parse("G (c -> y)"),
             parse("G (b -> !y)"),  # conflicts with formula 1
         ]
-        checker = default_checker(["a", "b", "c"], ["x", "y"])
-        result = localize(formulas, checker)
+        inputs, outputs = ["a", "b", "c"], ["x", "y"]
+        result = localize(formulas, inputs, outputs)
         assert result is not None
         assert result.culprit == 3
         # Both {1,3} and {2,3} are minimal unrealizable cores; either is
         # a correct localization.
         assert 3 in result.core and len(result.core) == 2
-        assert checker([formulas[i] for i in result.core]) is Verdict.UNREALIZABLE
+        core = [formulas[i] for i in result.core]
+        assert check_realizability(core, inputs, outputs).verdict is Verdict.UNREALIZABLE
 
     def test_realizable_specification_yields_none(self):
         formulas = [parse("G (a -> x)"), parse("G (b -> y)")]
-        checker = default_checker(["a", "b"], ["x", "y"])
-        assert localize(formulas, checker) is None
+        assert localize(formulas, ["a", "b"], ["x", "y"]) is None
 
     def test_core_is_minimal(self):
         formulas = [
@@ -752,6 +793,21 @@ class TestLocalization:
             parse("G (a -> !x)"),
             parse("G (a -> z)"),
         ]
-        checker = default_checker(["a"], ["x", "z"])
-        result = localize(formulas, checker)
+        result = localize(formulas, ["a"], ["x", "z"])
         assert set(result.core) == {0, 1}
+
+    @given(localization_specs())
+    # The culprit merges the groups of formulas 0 and 1; the shrink pass
+    # drops formula 1 again.
+    @example((["G (a -> o)", "G (b -> p)", "G (a -> (!o && p))"], ["a", "b"], ["o", "p"]))
+    # An atomless formula is a group of its own.
+    @example((["G (a -> o)", "G true", "G false", "G (a -> !o)"], ["a"], ["o"]))
+    # Realizable throughout: no prefix localizes.
+    @example((["G (a -> o)", "G (b -> F o)", "F !o", "G (b -> X b)"], ["a"], ["b", "o"]))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_matches_prefix_growth(self, spec):
+        texts, inputs, outputs = spec
+        formulas = [parse(text) for text in texts]
+        result = localize(formulas, inputs, outputs)
+        reference = oracle_localization.localize(formulas, inputs, outputs)
+        assert (None if result is None else (result.culprit, result.core)) == reference
