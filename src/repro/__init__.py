@@ -20,7 +20,6 @@ Quickstart::
     print(report.summary())
 """
 
-from .core.graph import AnalysisGraph, shared_graph
 from .core.pipeline import ConsistencyReport, SpecCC, SpecCCConfig
 from .logic import parse as parse_ltl
 from .service import BatchChecker, SessionReport, SpecSession, WorkerPool
@@ -34,7 +33,6 @@ __version__ = "1.4.0"
 
 __all__ = [
     "AbstractionMethod",
-    "AnalysisGraph",
     "BatchChecker",
     "ConsistencyReport",
     "SemanticsDelta",
@@ -47,6 +45,5 @@ __all__ = [
     "Verdict",
     "WorkerPool",
     "parse_ltl",
-    "shared_graph",
     "__version__",
 ]

@@ -347,7 +347,7 @@ def run_check(args: argparse.Namespace) -> int:
             from .service.pool import shared_pool_stats
 
             data = report_to_dict(report)
-            data["stats"] = stats_to_dict(tool, pools=shared_pool_stats())
+            data["stats"] = stats_to_dict(tool.translator.cache(), pools=shared_pool_stats())
         else:
             data = report_to_dict(report, cache=tool.cache_stats())
         print(json.dumps(data, indent=2, sort_keys=True))
@@ -369,7 +369,7 @@ def run_check(args: argparse.Namespace) -> int:
         print()
         print(
             json.dumps(
-                stats_to_dict(tool, pools=shared_pool_stats()),
+                stats_to_dict(tool.translator.cache(), pools=shared_pool_stats()),
                 indent=2,
                 sort_keys=True,
             )

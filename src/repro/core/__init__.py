@@ -1,15 +1,9 @@
 """SpecCC pipeline: the paper's primary contribution, end to end."""
 
-# graph first: lower layers (translate, synthesis) import it while
-# pipeline's own import below is still in progress.
-from .graph import AnalysisGraph, StageStats, shared_graph
 from .pipeline import ConsistencyReport, SpecCC, SpecCCConfig
 
 __all__ = [
-    "AnalysisGraph",
     "ConsistencyReport",
     "SpecCC",
     "SpecCCConfig",
-    "StageStats",
-    "shared_graph",
 ]

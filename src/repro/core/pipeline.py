@@ -15,19 +15,19 @@ The pipeline chains the three stages of the paper:
 
 Stages 2-3 revisit the same formulas over and over: every partition-repair
 iteration re-checks every component, and localization grows groups one
-requirement at a time.  The whole pipeline therefore runs on an
-**incremental analysis graph** (:mod:`repro.core.graph`): parses (each
-with its sentence's Algorithm 1 vocabulary), Algorithm 1 unit keys, raw
-formulas, theta rewrites and the partition are per-document nodes keyed
-by content signatures, while realizability component outcomes live on
-the process-wide shared graph — formulas are interned
-(:mod:`repro.logic.ast`), so the realizability layer recognises repeats
-and serves component verdicts and Büchi automata from its stage without
-rebuilding anything a repair did not touch.  The caches are semantically
+requirement at a time.  Two caches keep that cheap.  Each tool's
+:class:`~repro.translate.translator.TranslationCache` holds one record
+per sentence text (its parse, its raw formula per sentence-local analysis
+slice, its final formula per chain mapping) plus the Algorithm 1 unit
+keys, abstraction solutions and partitions of earlier passes.  The
+process-wide component-outcome LRU in :mod:`repro.synthesis.realizability`
+serves component verdicts by (interned formulas, local I/O split), so
+nothing a repair or an edit did not touch is re-decided, and the Büchi
+automata behind them are not rebuilt.  The caches are semantically
 transparent; :meth:`SpecCC.clear_caches` resets the process-wide ones
 (benchmarking, or bounding memory in long-lived services), while each
-tool's per-document translation graph is bounded by retain-pruning and
-cleared via :meth:`SpecCC.clear_translation_cache`.
+tool's translation cache is bounded by pruning and cleared via
+:meth:`SpecCC.clear_translation_cache`.
 
 :class:`SpecCC` is the façade a user interacts with; it returns a
 :class:`ConsistencyReport` mirroring what the prototype tool prints.
@@ -158,15 +158,15 @@ class SpecCC:
 
     @staticmethod
     def clear_caches() -> None:
-        """Reset the process-wide caches (shared graph, automata, engine
-        counters).  Per-tool translation graphs are instance state — see
-        :meth:`clear_translation_cache`."""
+        """Reset the process-wide caches (component outcomes, automata,
+        engine counters).  Per-tool translation caches are instance
+        state — see :meth:`clear_translation_cache`."""
         from ..synthesis.realizability import clear_caches
 
         clear_caches()
 
     def clear_translation_cache(self) -> None:
-        """Drop this tool's per-document translation graph (all stages)."""
+        """Drop this tool's translation cache (every level)."""
         self.translator.cache().clear()
 
     @staticmethod
@@ -174,9 +174,8 @@ class SpecCC:
         """Observability into the process-wide caches.
 
         Returns the component-outcome cache's size, capacity, hits and
-        misses (the shared analysis graph's one stage, reset by
-        :meth:`clear_caches`), the formula→automaton cache size, the live
-        interned-node count and the
+        misses (reset by :meth:`clear_caches`), the formula→automaton
+        cache size, the live interned-node count and the
         synthesis-engine work counters (SAT propagations/conflicts/
         restarts/clause visits plus the incremental-solver reuse pair
         ``sat_incremental_solves``/``sat_learnt_carried``, safety-game
@@ -190,10 +189,6 @@ class SpecCC:
         from ..synthesis.realizability import cache_snapshot
 
         return cache_snapshot()
-
-    def translation_cache_stats(self) -> dict:
-        """Node counts of this tool's per-document translation graph."""
-        return self.translator.cache().stats()
 
     #: Sentences the :meth:`prewarm` default workload runs: a
     #: condition/response pair sharing one component plus an antonym

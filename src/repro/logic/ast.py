@@ -104,11 +104,8 @@ class Formula:
         raise NotImplementedError
 
     def sort_key(self) -> str:
-        """Canonical string for deterministic ordering, cached per node.
-
-        Replaces the old module-level ``_sort_keys`` dict in the tableau
-        construction (which grew without bound across runs).
-        """
+        """The printer's string (``str(formula)``), cached per node: the
+        canonical key for deterministic ordering."""
         key = self._sort_key
         if key is None:
             from .printer import to_str
@@ -134,15 +131,11 @@ class Formula:
     def children(self) -> Tuple["Formula", ...]:
         return ()
 
-    def __str__(self) -> str:  # pragma: no cover - delegated
-        from .printer import to_str
-
-        return to_str(self)
+    def __str__(self) -> str:
+        return self.sort_key()
 
     def __repr__(self) -> str:
-        from .printer import to_str
-
-        return f"Formula({to_str(self)!r})"
+        return f"Formula({self.sort_key()!r})"
 
 
 def _new_node(cls, structural_hash: int, fields: Tuple[str, ...], values: Tuple) -> Formula:

@@ -74,7 +74,7 @@ def sentence_vocabulary(sentence: Sentence) -> tuple:
 
     A sorted ``((subject, (dependents...)), ...)`` tuple: the ``acomp``
     pairs of :func:`subject_dependents` for this sentence alone, which the
-    translation graph's per-sentence ``parses`` node carries.  Unioning
+    translation cache's per-sentence record carries.  Unioning
     these over a document reproduces :func:`subject_dependents` exactly,
     which is what lets the semantic analysis attribute an edit to the
     vocabulary components it actually touches.

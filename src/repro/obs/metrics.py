@@ -1,8 +1,8 @@
 """The unified metrics surface: counters, gauges, latency histograms.
 
-Before this module the repo had five *disjoint* counter surfaces — the
-analysis graph's per-stage hit/miss counters, ``SpecCC.cache_stats()``,
-the SAT/game engine accumulators (``synthesis_stats()``), worker-pool
+Before this module the repo had *disjoint* counter surfaces —
+``SpecCC.cache_stats()`` (the component cache's hit/miss counters among
+them), the SAT/game engine accumulators (``synthesis_stats()``), worker-pool
 routing counters (``pool.stats()``) and the supervision recovery
 counters — each with its own dict shape and its own reset path.  The
 :class:`MetricsRegistry` absorbs all of them behind **one namespaced
@@ -15,7 +15,8 @@ at snapshot time:
 namespace       source
 =============== ====================================================
 ``pipeline.*``  :func:`repro.synthesis.realizability.cache_snapshot`
-                (component cache, automaton cache, interned nodes)
+                (the component-outcome LRU, automaton cache,
+                interned nodes)
 ``sat.*``       ``synthesis_stats()`` SAT counters (propagations,
                 conflicts, decisions, restarts, clause visits)
 ``game.*``      ``synthesis_stats()`` safety-game counters
@@ -41,13 +42,11 @@ folded in when the histograms are read), surfaced through the
 ``metrics`` serve op and ``check --stats``.
 
 **One reset path.**  Counter surfaces used to be reset by different
-code paths (``clear_caches()`` zeroed the engine accumulators and the
-shared graph together, graph GC and per-document clears zeroed graph
-counters alone), which could leave cross-surface ratios inconsistent —
-a hit count on one surface with its matching lookup total already
-zeroed on another.  :func:`reset_counters` is now the single owner:
-it zeroes the shared graph's stage counters, the synthesis accumulators
-and the registry's native instruments in one call, and
+code paths, which could leave cross-surface ratios inconsistent — a hit
+count on one surface with its matching lookup total already zeroed on
+another.  :func:`reset_counters` is the single owner: it zeroes the
+component cache's hit/miss counts, the synthesis accumulators and the
+registry's native instruments in one call, and
 ``repro.synthesis.realizability.clear_caches`` routes through it.
 """
 
@@ -58,7 +57,7 @@ import threading
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 #: Default latency bucket upper bounds, in seconds.  Spans in this
-#: codebase range from microsecond graph hits to multi-second solver
+#: codebase range from microsecond cache hits to multi-second solver
 #: calls, so the buckets are log-spaced across six decades.
 DEFAULT_BUCKETS: Tuple[float, ...] = (
     0.00005, 0.0001, 0.00025, 0.0005,
@@ -358,7 +357,7 @@ def registry() -> MetricsRegistry:
 def reset_counters() -> None:
     """THE observability reset: zero every counter surface in one call.
 
-    Covers the shared analysis graph's per-stage hit/miss counters, the
+    Covers the component cache's hit/miss counters, the
     SAT/game engine accumulators and the registry's native instruments —
     leaving cached *values* untouched, so resetting observability never
     changes what the pipeline computes.  ``clear_caches()`` (which does
@@ -367,9 +366,7 @@ def reset_counters() -> None:
     surface can report a hit count its sibling's lookup total has
     already forgotten.
     """
-    from ..core.graph import shared_graph
     from ..synthesis.realizability import reset_synthesis_stats
 
-    shared_graph().reset_counters()
     reset_synthesis_stats()
     registry().reset()

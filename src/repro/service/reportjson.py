@@ -17,10 +17,11 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence
 
 from ..core.pipeline import ConsistencyReport, SpecCC
+from ..translate.translator import TranslationCache
 
 
 def stats_to_dict(
-    tool: Optional[SpecCC] = None,
+    translation_cache: Optional[TranslationCache] = None,
     pools: Optional[Sequence[dict]] = None,
     journal: Optional[dict] = None,
 ) -> dict:
@@ -31,8 +32,9 @@ def stats_to_dict(
     (component cache, automaton cache, interned nodes)
     under ``"cache"``, the engine-work counters under ``"synthesis"``
     (one snapshot, lifted out of the cache block so each gauge appears
-    exactly once), and — when a *tool* is given — its per-document
-    translation-graph node counts under ``"translation_graph"``.
+    exactly once), and — when a *translation_cache* is given (the
+    requesting session's, or the one-shot tool's) — its entry counts per
+    level under ``"translation_cache"``.
 
     *pools* attaches worker-pool rows (``WorkerPool.stats()`` shape)
     under ``"pools"`` plus one fleet-level ``"supervision"`` summary of
@@ -55,8 +57,8 @@ def stats_to_dict(
     """
     cache = SpecCC.cache_stats()
     payload = {"cache": cache, "synthesis": cache.pop("synthesis")}
-    if tool is not None:
-        payload["translation_graph"] = tool.translation_cache_stats()
+    if translation_cache is not None:
+        payload["translation_cache"] = translation_cache.stats()
     if pools is not None:
         from .supervision import aggregate_stats
 

@@ -367,7 +367,7 @@ class _Server:
 
         store = self.core.journal_store
         payload = stats_to_dict(
-            self.core.tool,
+            self.session.translation_cache,
             pools=shared_pool_stats(),
             journal=store.stats() if store is not None else None,
         )

@@ -4,19 +4,18 @@ A :class:`SpecSession` is the maintenance loop of Figure 1 made stateful:
 requirements are added, updated and removed by identifier, and every
 :meth:`SpecSession.check` re-translates only the sentences an edit
 touched and re-analyses only the variable-connected components those
-sentences dirtied.  Everything else is served from the analysis graph
-underneath:
+sentences dirtied.  Everything else is served from two caches:
 
-* sentence parses (each with its vocabulary), raw formulas and theta
-  rewrites come from the session's graph-backed
-  :class:`~repro.translate.translator.TranslationCache`;
-* Algorithm 1 runs over the session's cached per-sentence vocabulary,
-  and the delta names the sentences whose analysis unit an edit
-  dirtied;
-* component verdicts come from the shared graph's ``components`` stage,
-  keyed by (interned formulas, local I/O split) and therefore hit by
-  every component the edit left untouched — including across the repair
-  and localization loops.
+* the session's own
+  :class:`~repro.translate.translator.TranslationCache` holds one record
+  per sentence text: its parse with its vocabulary, its raw formula per
+  sentence-local analysis slice and its final formula per chain mapping;
+  Algorithm 1 runs over the records' vocabularies, and the delta names
+  the sentences whose analysis unit an edit dirtied;
+* component verdicts come from the process-wide component-outcome LRU
+  in :mod:`repro.synthesis.realizability`, keyed by (interned formulas,
+  local I/O split) and therefore hit by every component the edit left
+  untouched — including across the repair and localization loops.
 
 The session never *computes* differently from the one-shot pipeline: each
 check runs the ordinary :meth:`repro.SpecCC.check_translated`, so verdicts
@@ -76,7 +75,7 @@ class SessionDelta:
     cache_misses: int = 0  # ... and misses (= component analyses run)
     #: Algorithm 1 attribution: analysis units (pairing subjects) in the
     #: document, and the identifiers of sentences whose unit this check
-    #: re-analysed (deterministic — derived from the session's own graph).
+    #: re-analysed (deterministic — derived from the session's own cache).
     semantics_components: int = 0
     semantics_reanalysed: Tuple[str, ...] = ()
     #: Per-stage wall-clock seconds for this check, summed from the active
@@ -138,7 +137,8 @@ class SpecSession:
 
     def __init__(self, tool: Optional[SpecCC] = None) -> None:
         self.tool = tool if tool is not None else SpecCC()
-        self._cache = self.tool.translator.new_cache()
+        # Every check translates through it; the serve ``stats`` op reports it.
+        self.translation_cache = self.tool.translator.new_cache()
         self._created = time.monotonic()
         self._order: List[str] = []
         self._sentences: Dict[str, str] = {}
@@ -278,7 +278,7 @@ class SpecSession:
             "session.check", revision=self._revision + 1, edits=len(edited)
         ) as sp:
             translation = self.tool.translator.translate(
-                self.requirements(), self._cache
+                self.requirements(), self.translation_cache
             )
             report = self.tool.check_translated(translation)
             sp.set(verdict=report.verdict.value)

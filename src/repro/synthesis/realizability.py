@@ -21,13 +21,12 @@ import enum
 import threading
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..automata import gpvw, ltlsat
-from ..core.graph import shared_graph
 from ..obs.metrics import registry
-from ..obs.trace import span as _obs_span
+from ..obs.trace import annotate, span as _obs_span
 # The rungs call ``satisfiable`` through this module and ``is_valid`` and
 # ``check_obligations`` through their own modules, at call time: those are
 # the bindings perfbench/tracer.py wraps to time each rung.
@@ -117,11 +116,11 @@ class _ComponentOutcome(NamedTuple):
 # rehits this cache for every component a repair did not change, and
 # localization for every group an earlier check analysed, and the
 # per-formula Büchi automata behind it (gpvw/ltlsat caches) are never
-# rebuilt.  The cache lives on the process-wide analysis graph
-# (:func:`repro.core.graph.shared_graph`, stage ``"components"`` — a
-# bounded, thread-safe LRU) so sessions, batch checks and pool workers
-# all read the same nodes and the same hit/miss counters.
-_ComponentKey = Tuple[Tuple[Formula, ...], Tuple[str, ...], Tuple[str, ...]]
+# rebuilt.  The cache is one bounded, thread-safe LRU per process
+# (``lru_cache`` on :func:`_analyze_component`, :data:`COMPONENT_CACHE_CAPACITY`
+# entries), so sessions, batch checks and pool workers all read the same
+# entries and the same hit/miss counters.
+COMPONENT_CACHE_CAPACITY = 2048
 
 # Work accumulators: how much the SAT solver and the safety game
 # actually did since the last clear_caches().  Cached component outcomes
@@ -188,8 +187,9 @@ class CacheInfo(NamedTuple):
     """Component-outcome cache statistics.
 
     The first two fields keep the historical ``(size, capacity)`` tuple
-    shape; ``hits``/``misses`` count lookups since the last
-    :func:`clear_caches` and let callers (sessions, benchmarks, tests)
+    shape; ``hits``/``misses`` count lookups since the last counter
+    reset (:func:`repro.obs.metrics.reset_counters`, which
+    :func:`clear_caches` runs) and let callers (sessions, benchmarks, tests)
     assert reuse instead of guessing from timings.
     """
 
@@ -199,40 +199,53 @@ class CacheInfo(NamedTuple):
     misses: int
 
 
+#: The component cache's (hits, misses) at the last counter reset:
+#: ``lru_cache`` cannot zero its counters without evicting, so they are
+#: read against this baseline.
+_counts_at_reset = (0, 0)
+
+
 def reset_synthesis_stats() -> None:
-    """Zero the engine-work accumulators without touching any cache.
+    """Zero the engine-work accumulators and the component cache's hit
+    and miss counts, evicting nothing.
 
     Part of the single observability reset
     (:func:`repro.obs.metrics.reset_counters`); callers wanting *all*
     counter surfaces zeroed together should use that instead.
     """
+    global _counts_at_reset
     with _stats_lock:
         _synthesis_stats.clear()
         _synthesis_stats.update(_zero_synthesis_stats())
+        info = _analyze_component.cache_info()
+        _counts_at_reset = (info.hits, info.misses)
 
 
 def clear_caches() -> None:
     """Reset every formula-level cache behind the realizability stack.
 
-    Clears the shared analysis graph (component outcomes) and the GPVW
-    translation cache, then routes every counter surface through the one
-    observability reset (:func:`repro.obs.metrics.reset_counters`) so the
-    graph stage counters and the engine accumulators can never zero on
-    divergent paths.  Benchmarks use this to measure cold paths; ordinary callers
-    never need it — all caches are keyed by interned formulas / content
+    Clears the component-outcome cache and the GPVW translation cache,
+    then routes every counter surface through the one observability reset
+    (:func:`repro.obs.metrics.reset_counters`) so the cache counters and
+    the engine accumulators can never zero on divergent paths.
+    Benchmarks use this to measure cold paths; ordinary callers never
+    need it — all caches are keyed by interned formulas / content
     signatures and semantically transparent.
     """
     from ..obs.metrics import reset_counters
 
-    shared_graph().clear()
+    _analyze_component.cache_clear()
     gpvw.clear_translation_cache()
     reset_counters()
 
 
 def component_cache_info() -> CacheInfo:
     """Size/capacity/hit/miss statistics of the component-outcome cache."""
-    stats = shared_graph().stats()["components"]
-    return CacheInfo(stats.size, stats.capacity, stats.hits, stats.misses)
+    info = _analyze_component.cache_info()
+    hits, misses = _counts_at_reset
+    return CacheInfo(
+        info.currsize, info.maxsize, info.hits - hits, info.misses - misses
+    )
 
 
 def cache_snapshot() -> dict:
@@ -246,14 +259,8 @@ def cache_snapshot() -> dict:
     from ..automata.gpvw import translation_cache_size
     from ..logic.ast import interned_count
 
-    info = shared_graph().snapshot()["components"]
     return {
-        "component_cache": {
-            "size": info["size"],
-            "capacity": info["capacity"],
-            "hits": info["hits"],
-            "misses": info["misses"],
-        },
+        "component_cache": component_cache_info()._asdict(),
         "automaton_cache": {"size": translation_cache_size()},
         "interned_nodes": interned_count(),
         "synthesis": synthesis_stats(),
@@ -315,7 +322,6 @@ def check_component(
     start = time.perf_counter()
     local_inputs = tuple(sorted(component.variables & input_set))
     local_outputs = tuple(sorted(component.variables & output_set))
-    key: _ComponentKey = (component.formulas, local_inputs, local_outputs)
     with _obs_span(
         "solve.component",
         formulas=len(component.formulas),
@@ -323,14 +329,9 @@ def check_component(
         outputs=len(local_outputs),
         cached=True,
     ) as sp:
-
-        def analyse() -> _ComponentOutcome:
-            sp.set(cached=False)
-            return _analyze_component(
-                component.formulas, local_inputs, local_outputs
-            )
-
-        outcome = shared_graph().compute("components", key, analyse)
+        outcome = _analyze_component(
+            component.formulas, local_inputs, local_outputs
+        )
         sp.set(verdict=outcome.verdict.value, method=outcome.method)
     return ComponentResult(
         component,
@@ -514,11 +515,13 @@ RUNGS: Tuple[Callable[[_Problem], Optional[_ComponentOutcome]], ...] = (
 )
 
 
+@lru_cache(maxsize=COMPONENT_CACHE_CAPACITY)
 def _analyze_component(
     formulas: Tuple[Formula, ...],
     local_inputs: Tuple[str, ...],
     local_outputs: Tuple[str, ...],
 ) -> _ComponentOutcome:
+    annotate(cached=False)  # on the caller's solve.component span
     # The component's variable set is a function of its formulas (union of
     # their cached atom sets), so it is safe to derive under the cache key.
     variables = frozenset().union(*map(atoms, formulas))

@@ -16,13 +16,13 @@ written ``pulse_wave``.
 
 **Incrementality.**  :func:`analyse_incremental` runs Algorithm 1 as the
 paper's loop over the subject table, merged from the per-sentence
-vocabularies the calling document's cached ``parses`` nodes carry (an
+vocabularies the calling document's cached sentence records carry (an
 edit re-extracts only the sentences it touched).  The loop also records
 each pairing subject's *unit key*: its sorted dependents plus the
 pre-state of each dependent word's antonym memo (``online(w)`` runs at
 most once per word, and pairing mutates the partner's memo — couplings
 the pre-states capture exactly).  Comparing keys with the document's
-previous pass attributes an edit to exactly the sentences whose subject
+earlier passes attributes an edit to exactly the sentences whose subject
 it dirtied.
 """
 
@@ -30,9 +30,18 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    AbstractSet,
+    Dict,
+    FrozenSet,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
-from ..core.graph import AnalysisGraph
 from ..nlp import lexicon
 from ..nlp.antonyms import AntonymDictionary
 from ..nlp.dependencies import subject_dependents
@@ -231,23 +240,22 @@ def analyse(
 
 def analyse_incremental(
     vocabularies: Sequence[tuple],
-    graph: AnalysisGraph,
-    touched: Optional[Dict[str, set]] = None,
-) -> Tuple[SemanticAnalysis, SemanticsDelta]:
+    seen: AbstractSet[tuple],
+) -> Tuple[SemanticAnalysis, SemanticsDelta, FrozenSet[tuple]]:
     """Algorithm 1 over per-sentence vocabularies, with delta attribution.
 
     *vocabularies* are the sentences'
     :func:`~repro.nlp.dependencies.sentence_vocabulary` tuples in
-    document order (the translator reads them from its cached ``parses``
-    nodes); *graph* is the calling document's graph (a
-    :class:`~repro.translate.translator.TranslationCache` owns one).
+    document order (the translator reads them from its cached sentence
+    records); *seen* holds the unit keys earlier passes of the same
+    document produced (a
+    :class:`~repro.translate.translator.TranslationCache` keeps them).
     Algorithm 1 runs over the merged table, with
-    :meth:`AntonymDictionary.default` as its ``online(w)`` oracle.  A
-    per-document ``semantics_seen`` stage records which unit keys earlier
-    passes of *this* document produced, so the returned
-    :class:`SemanticsDelta` attributes exactly the sentences whose unit
-    an edit dirtied (by changing its dependents *or* the antonym-memo
-    pre-states threaded into it).
+    :meth:`AntonymDictionary.default` as its ``online(w)`` oracle.  The
+    returned :class:`SemanticsDelta` attributes exactly the sentences
+    whose unit key is not in *seen* — an edit dirtied the unit by
+    changing its dependents *or* the antonym-memo pre-states threaded
+    into it — and the returned set holds this pass's unit keys.
     """
     table: Dict[str, Set[str]] = {}
     owners: Dict[str, Set[int]] = {}  # subject -> sentence indices
@@ -259,18 +267,10 @@ def analyse_incremental(
     units: List[AnalysisUnit] = []
     analysis = _analyse_table(table, AntonymDictionary.default(), units=units)
 
-    # Seen-ness is evaluated against the *pre-pass* state for every unit
-    # before any unit is marked, so units sharing one key (identical
-    # dependents and pre-states) all count as fresh on their first pass.
-    flags = [
-        (subject, key, graph.contains("semantics_seen", key))
-        for subject, key in units
-    ]
     reanalysed: Set[int] = set()
     reanalysed_units = 0
-    for subject, key, seen in flags:
-        graph.compute("semantics_seen", key, lambda: True, touched=touched)
-        if not seen:
+    for subject, key in units:
+        if key not in seen:
             reanalysed_units += 1
             reanalysed.update(owners[subject])
 
@@ -280,7 +280,7 @@ def analyse_incremental(
         reused_components=len(units) - reanalysed_units,
         reanalysed=tuple(sorted(reanalysed)),
     )
-    return analysis, delta
+    return analysis, delta, frozenset(key for _, key in units)
 
 
 def no_reasoning() -> SemanticAnalysis:

@@ -6,30 +6,43 @@ partition heuristic (Section IV-F).  The output
 :class:`SpecificationTranslation` is what the consistency-checking stage
 (:mod:`repro.core`) consumes.
 
-Every stage runs through an incremental analysis graph
-(:class:`repro.core.graph.AnalysisGraph`): parses (each with its
-sentence's Algorithm 1 vocabulary and candidate subjects), raw formulas,
-theta solutions, chain rewrites and the final partition are nodes keyed
-by content signatures.  Re-translating after an edit therefore
-recomputes exactly the nodes whose signatures the edit changed — in
-particular, a raw formula is keyed by the *sentence-local*
-slice of the semantic analysis (the antonym pairs of the sentence's own
-candidate subjects), so a new antonym pair under one subject invalidates
-only the sentences that mention that subject, not the whole document.
+Translation is per-sentence work joined by two document passes,
+Algorithm 1 and the time abstraction.  A :class:`TranslationCache`
+therefore holds one record per sentence text: its parse with the
+sentence's Algorithm 1 vocabulary and candidate subjects; under it, the
+raw formula for each *sentence-local* slice of the semantic analysis (the
+antonym pairs of the sentence's own candidate subjects) with that
+formula's own chain lengths; under that, the final formula for each set
+of lengths those chains map to.  Re-translating after an edit parses and
+translates only the edited sentences, a new antonym pair under one
+subject re-translates only the sentences that mention that subject, and a
+new chain length elsewhere re-rewrites only the formulas whose own
+chains now map differently.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
-from ..core.graph import AnalysisGraph
 from ..logic.ast import Formula, atoms as formula_atoms
 from ..logic.rewrite import simplify
 from ..nlp.dependencies import candidate_subjects, sentence_vocabulary
 from ..nlp.grammar import Sentence, parse_sentence
 from ..nlp.tokenizer import split_sentences
 from ..obs.trace import span as _obs_span
+from ..smt.timeopt import TimeAbstractionSolution
 from .partition import Partition, partition_formulas
 from .semantics import (
     SemanticAnalysis,
@@ -66,8 +79,8 @@ class SpecificationTranslation:
     analysis: SemanticAnalysis
     abstraction: AbstractionResult
     partition: Partition
-    #: What Algorithm 1 actually re-ran for this translation (populated by
-    #: graph-backed translations with semantic reasoning enabled).
+    #: What Algorithm 1 actually re-ran for this translation (populated
+    #: when semantic reasoning is enabled).
     semantics_delta: Optional[SemanticsDelta] = None
 
     @property
@@ -98,88 +111,155 @@ class SpecificationTranslation:
         return "\n".join(lines)
 
 
-#: Stages of a per-document translation graph, in pipeline order.
-DOCUMENT_STAGES: Tuple[str, ...] = (
-    "parses",  # text -> ParsedSentence
-    "semantics_seen",  # Algorithm 1 unit key -> True (delta attribution)
-    "raw_formulas",  # (text, sentence-local analysis slice) -> Formula
-    "solutions",  # (thetas, method, bound) -> abstraction solve
-    "rewritten",  # (raw formula, solution key) -> rewritten formula
-    "partitions",  # final formula tuple -> Partition
-)
+#: A :class:`TranslationCache` level (sentence records, final formulas,
+#: Algorithm 1 unit keys, abstraction solutions, partitions) that a pass
+#: leaves holding more than this many entries is pruned back to what the
+#: pass read: the hot set the next edit's re-check needs.
+MAX_CACHE_ENTRIES = 2048
 
 
-class ParsedSentence(NamedTuple):
-    """A ``parses`` node: one sentence's parse and what later stages read
-    of it."""
+class _RawFormula:
+    """A sentence's formula under one analysis slice, before time
+    abstraction, with its own chain lengths and its final formulas."""
 
-    sentence: Sentence
-    #: Algorithm 1's input from this sentence (``sentence_vocabulary``).
-    vocabulary: tuple
-    #: The subjects owning antonym candidates (``candidate_subjects``),
-    #: sorted.
-    candidates: Tuple[str, ...]
+    __slots__ = ("formula", "lengths", "finals")
+
+    def __init__(self, formula: Formula) -> None:
+        self.formula = formula
+        self.lengths = chain_lengths((formula,))
+        #: The lengths ``lengths`` map to -> (rewritten, simplified).
+        self.finals: Dict[Tuple[int, ...], Tuple[Formula, Formula]] = {}
 
 
-def _parsed(text: str) -> ParsedSentence:
-    """The ``parses`` node of *text*."""
-    sentence = parse_sentence(text)
-    return ParsedSentence(
-        sentence,
-        sentence_vocabulary(sentence),
-        tuple(sorted(candidate_subjects(sentence))),
-    )
+class _Record:
+    """One sentence text: its parse and what later stages read of it."""
+
+    __slots__ = ("sentence", "vocabulary", "candidates", "raws")
+
+    def __init__(self, text: str) -> None:
+        self.sentence = parse_sentence(text)
+        #: Algorithm 1's input from this sentence (``sentence_vocabulary``).
+        self.vocabulary = sentence_vocabulary(self.sentence)
+        #: The subjects owning antonym candidates, sorted.
+        self.candidates = tuple(sorted(candidate_subjects(self.sentence)))
+        #: The sentence-local analysis slice -> the raw formula.
+        self.raws: Dict[tuple, _RawFormula] = {}
 
 
 class TranslationCache:
-    """Per-document analysis graph enabling incremental re-translation.
+    """One document's translation state, for incremental re-translation.
 
-    Translation is *mostly* per-sentence work (parsing, template
-    instantiation) glued together by two global passes: semantic reasoning
-    (Algorithm 1) and time abstraction (one solve over the specification's
-    chain lengths).  Algorithm 1 re-runs per pass over the cached
-    per-sentence vocabularies, and each per-sentence artefact is a graph
-    node keyed by the sentence text *plus* exactly the slice of global
-    context it reads — so reuse is exact:
+    One :class:`_Record` per sentence text (see the module docstring),
+    plus the document passes' own state: the Algorithm 1 unit keys
+    earlier passes produced (delta attribution), the abstraction solution
+    per theta set and the partition per tuple of final formulas.  Every
+    entry is keyed by exactly what its computation reads, so
     ``translate(requirements, cache)`` returns the same translation as a
-    fresh ``translate(requirements)``, only skipping work for nodes whose
-    signatures are unchanged.
+    fresh ``translate(requirements)``, only skipping work.
 
     A cache is tied to the :class:`Translator` that created it (its
     options are deliberately not part of the keys, and the antonym
     dictionary is always :meth:`AntonymDictionary.default`); obtain one
     from :meth:`Translator.new_cache`.  Safe to share across threads (the
     serve loop's executor threads and the worker pool's in-process
-    fallback share the translator's default cache); single-document
-    sessions keep one alive across edits.
-
-    Memory: a long edit stream would otherwise accumulate every sentence
-    ever seen (under every stale analysis slice and theta mapping), each
-    entry pinning interned formula nodes alive.  Each stage is therefore
-    bounded: when it outgrows *max_entries*, :meth:`AnalysisGraph.retain`
-    prunes it back to the nodes the current translation actually touched —
-    exactly the hot set the next edit's re-check needs.
+    fallback share the translator's default cache): inserts are
+    idempotent and the first one wins.  Single-document sessions keep one
+    alive across edits.  A long edit stream stays bounded by
+    :data:`MAX_CACHE_ENTRIES`.
     """
 
-    def __init__(self, max_entries: int = 2048) -> None:
-        self.graph = AnalysisGraph(DOCUMENT_STAGES, max_entries=max_entries)
-
-    def stats(self) -> Dict[str, int]:
-        """Per-stage node counts (legacy memo-size shape)."""
-        return self.graph.sizes()
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self.clear()
 
     def clear(self) -> None:
-        """Drop every node (cold-path measurements; releases pinned
-        formulas).  Process-wide stages are cleared separately by
+        """Drop every entry (cold-path measurements; releases pinned
+        formulas).  Process-wide caches are cleared separately by
         :meth:`repro.SpecCC.clear_caches`."""
-        self.graph.clear()
+        with self._lock:
+            self._records: Dict[str, _Record] = {}
+            self._finals = 0  # final formulas inserted: what the bound counts
+            self._units: Set[tuple] = set()
+            self._solutions: Dict[Tuple[int, ...], TimeAbstractionSolution] = {}
+            self._partitions: Dict[Tuple[Formula, ...], Partition] = {}
 
-    def parse(self, text: str) -> Sentence:
-        return self.graph.compute("parses", text, lambda: _parsed(text)).sentence
+    def stats(self) -> Dict[str, int]:
+        """Entry counts per level."""
+        with self._lock:
+            raws = [
+                raw for record in self._records.values() for raw in record.raws.values()
+            ]
+            return {
+                "sentences": len(self._records),
+                "raw_formulas": len(raws),
+                "formulas": sum(len(raw.finals) for raw in raws),
+                "units": len(self._units),
+                "solutions": len(self._solutions),
+                "partitions": len(self._partitions),
+            }
+
+    def _lookup(self, table: dict, key, compute: Callable[[], object]):
+        """``table[key]``, computed on a miss; the first insert wins."""
+        value = table.get(key)
+        if value is None:
+            value = compute()
+            with self._lock:
+                value = table.setdefault(key, value)
+        return value
+
+    def _final(
+        self, raw: _RawFormula, scaled: Tuple[int, ...]
+    ) -> Tuple[Formula, Formula]:
+        final = raw.finals.get(scaled)
+        if final is None:
+            rewritten = raw.formula
+            if scaled != raw.lengths:
+                rewritten = rewrite_chains(rewritten, dict(zip(raw.lengths, scaled)))
+            final = (rewritten, simplify(rewritten))
+            with self._lock:
+                final = raw.finals.setdefault(scaled, final)
+                self._finals += 1
+        return final
+
+    def _add_units(self, units: FrozenSet[tuple]) -> None:
+        if not units <= self._units:
+            with self._lock:
+                self._units |= units
+
+    def _retain(
+        self,
+        read: Iterable[Tuple[str, tuple, Tuple[int, ...]]],
+        units: FrozenSet[tuple],
+        thetas: Tuple[int, ...],
+        formulas: Tuple[Formula, ...],
+    ) -> None:
+        """Prune each level that outgrew :data:`MAX_CACHE_ENTRIES` back to
+        what one pass read.  *read* yields the pass's ``(text, analysis
+        slice, mapped lengths)`` per sentence: one slice and one mapping
+        per text, as both are functions of the text's record."""
+        with self._lock:
+            if max(len(self._records), self._finals) > MAX_CACHE_ENTRIES:
+                records = {}
+                for text, signature, scaled in read:
+                    record = self._records.get(text)
+                    raw = record.raws.get(signature) if record is not None else None
+                    final = raw.finals.get(scaled) if raw is not None else None
+                    if final is not None:  # else pruned by a concurrent pass
+                        raw.finals = {scaled: final}
+                        record.raws = {signature: raw}
+                        records[text] = record
+                self._records = records
+                self._finals = len(records)
+            if len(self._units) > MAX_CACHE_ENTRIES:
+                self._units = set(units)
+            if len(self._solutions) > MAX_CACHE_ENTRIES:
+                self._solutions = _only(self._solutions, thetas)
+            if len(self._partitions) > MAX_CACHE_ENTRIES:
+                self._partitions = _only(self._partitions, formulas)
 
 
-def _touched() -> Dict[str, set]:
-    return {stage: set() for stage in DOCUMENT_STAGES}
+def _only(table: dict, key) -> dict:
+    return {key: table[key]} if key in table else {}
 
 
 def _sentence_signature(
@@ -217,7 +297,7 @@ class Translator:
         self.options = options
         self.abstraction = abstraction
         self.error_bound = error_bound
-        # The translator's own graph: one-shot `SpecCC.check` calls reuse
+        # The translator's own cache: one-shot `SpecCC.check` calls reuse
         # it across documents, so even the stateless API is incremental.
         self._default_cache = TranslationCache()
 
@@ -236,33 +316,29 @@ class Translator:
     ) -> SpecificationTranslation:
         """Translate ``(identifier, sentence)`` pairs into a specification.
 
-        Runs on *cache*'s analysis graph (default: the translator's own),
-        so only sentences whose text — or whose signature-relevant global
-        context: the antonym pairs of their own subjects, the chain-length
-        set — changed since the previous call are re-translated; the
+        Runs on *cache* (default: the translator's own), so only
+        sentences whose text — or whose slice of the document passes: the
+        antonym pairs of their own subjects, the lengths their own chains
+        map to — changed since the previous call are re-translated; the
         result is identical to a cache-less run.
         """
         if cache is None:
             cache = self._default_cache
-        graph = cache.graph
-        touched = _touched()
         with _obs_span("translate", sentences=len(requirements)):
             with _obs_span("translate.parse"):
-                parses: List[ParsedSentence] = [
-                    graph.compute(
-                        "parses", text, lambda text=text: _parsed(text), touched=touched
-                    )
+                records: List[_Record] = [
+                    cache._lookup(cache._records, text, lambda: _Record(text))
                     for _, text in requirements
                 ]
 
             delta: Optional[SemanticsDelta] = None
+            units: FrozenSet[tuple] = frozenset()
             if self.options.semantic_reasoning:
                 with _obs_span("translate.semantics") as sp:
-                    analysis, delta = analyse_incremental(
-                        [parsed.vocabulary for parsed in parses],
-                        graph,
-                        touched=touched,
+                    analysis, delta, units = analyse_incremental(
+                        [record.vocabulary for record in records], cache._units
                     )
+                    cache._add_units(units)
                     sp.set(
                         components=delta.components,
                         reanalysed=delta.reanalysed_components,
@@ -271,76 +347,65 @@ class Translator:
                 analysis = no_reasoning()
 
             with _obs_span("translate.formulas"):
-                raw_formulas: List[Formula] = []
-                for (_, text), parsed in zip(requirements, parses):
-                    key = (text, _sentence_signature(analysis, parsed.candidates))
-                    raw = graph.compute(
-                        "raw_formulas",
-                        key,
-                        lambda sentence=parsed.sentence: sentence_formula(
-                            sentence, analysis, self.options
+                signatures = [
+                    _sentence_signature(analysis, record.candidates)
+                    for record in records
+                ]
+                raws: List[_RawFormula] = [
+                    cache._lookup(
+                        record.raws,
+                        signature,
+                        lambda: _RawFormula(
+                            sentence_formula(record.sentence, analysis, self.options)
                         ),
-                        touched=touched,
                     )
-                    raw_formulas.append(raw)
+                    for record, signature in zip(records, signatures)
+                ]
 
             with _obs_span("translate.abstraction", method=self.abstraction.value):
-                abstraction = self._abstract(raw_formulas, graph, touched)
+                thetas = tuple(sorted(set().union(*(raw.lengths for raw in raws))))
+                solution = cache._lookup(
+                    cache._solutions,
+                    thetas,
+                    lambda: solve_abstraction(
+                        thetas, self.abstraction, self.error_bound
+                    ),
+                )
+                mapping = dict(zip(thetas, solution.scaled))
+                scaled = [tuple(mapping[n] for n in raw.lengths) for raw in raws]
+                finals = [cache._final(raw, key) for raw, key in zip(raws, scaled)]
+            abstraction = AbstractionResult(
+                tuple(rewritten for rewritten, _ in finals),
+                solution,
+                self.abstraction,
+                thetas,
+            )
             translated = [
                 RequirementTranslation(
-                    identifier, text, parsed.sentence, raw, simplify(abstracted)
+                    identifier, text, record.sentence, raw.formula, final
                 )
-                for (identifier, text), parsed, raw, abstracted in zip(
-                    requirements, parses, raw_formulas, abstraction.formulas
+                for (identifier, text), record, raw, (_, final) in zip(
+                    requirements, records, raws, finals
                 )
             ]
             final_formulas = tuple(req.formula for req in translated)
             with _obs_span("translate.partition") as sp:
-                partition = graph.compute(
-                    "partitions",
+                partition = cache._lookup(
+                    cache._partitions,
                     final_formulas,
                     lambda: partition_formulas(list(final_formulas)),
-                    touched=touched,
                 )
                 sp.set(
                     inputs=len(partition.inputs), outputs=len(partition.outputs)
                 )
-            graph.retain(touched)
+            cache._retain(
+                zip((text for _, text in requirements), signatures, scaled),
+                units,
+                thetas,
+                final_formulas,
+            )
         return SpecificationTranslation(
             translated, analysis, abstraction, partition, semantics_delta=delta
-        )
-
-    def _abstract(
-        self,
-        raw_formulas: Sequence[Formula],
-        graph: AnalysisGraph,
-        touched: Dict[str, set],
-    ) -> AbstractionResult:
-        """Time abstraction with the solve and per-formula rewrites memoised."""
-        thetas = chain_lengths(raw_formulas)
-        key = (thetas, self.abstraction, self.error_bound)
-        solution = graph.compute(
-            "solutions",
-            key,
-            lambda: solve_abstraction(thetas, self.abstraction, self.error_bound),
-            touched=touched,
-        )
-        if self.abstraction is AbstractionMethod.NONE or not thetas:
-            return AbstractionResult(
-                tuple(raw_formulas), solution, self.abstraction, thetas
-            )
-        mapping = dict(zip(thetas, solution.scaled))
-        rewritten = []
-        for raw in raw_formulas:
-            formula = graph.compute(
-                "rewritten",
-                (raw, key),
-                lambda raw=raw: rewrite_chains(raw, mapping),
-                touched=touched,
-            )
-            rewritten.append(formula)
-        return AbstractionResult(
-            tuple(rewritten), solution, self.abstraction, thetas
         )
 
     def translate_document(

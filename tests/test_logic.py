@@ -82,6 +82,24 @@ class TestAst:
         assert next_depth(parse("G(a -> X X X b)")) == 3
         assert next_depth(parse("X a && X X b")) == 2
 
+    def test_str_renders_once_per_node(self, monkeypatch):
+        from repro.logic import printer
+
+        renders = []
+        real = printer._render
+        monkeypatch.setattr(
+            printer,
+            "_render",
+            lambda *args: renders.append(args[0]) or real(*args),
+        )
+        formula = Globally(Implies(Atom("str_probe"), Next(b)))
+        assert str(formula) == "G (str_probe -> X b)"
+        assert renders
+        renders.clear()
+        assert str(formula) == "G (str_probe -> X b)"
+        assert repr(formula) == "Formula('G (str_probe -> X b)')"
+        assert renders == []
+
 
 class TestParser:
     @pytest.mark.parametrize(

@@ -396,22 +396,25 @@ class TestUnifiedReset:
     def test_reset_counters_zeroes_every_surface_keeping_values(self):
         tool = SpecCC()
         tool.check_document(DOC)
-        tool.check_document(DOC)  # repeat: guarantees graph hits
-        from repro.core.graph import shared_graph
-        from repro.synthesis.realizability import synthesis_stats
+        tool.check_document(DOC)  # repeat: guarantees cache hits
+        from repro.synthesis.realizability import (
+            component_cache_info,
+            synthesis_stats,
+        )
 
-        graph = shared_graph()
-        before = graph.stats()
-        assert any(s.hits or s.misses for s in before.values())
-        sizes_before = graph.sizes()
+        before = component_cache_info()
+        assert before.hits and before.misses
 
         reset_counters()
 
-        after = graph.stats()
-        assert all(s.hits == 0 and s.misses == 0 for s in after.values())
-        assert graph.sizes() == sizes_before  # values untouched
+        after = component_cache_info()
+        assert (after.hits, after.misses) == (0, 0)
+        assert after.size == before.size  # values untouched
         assert all(v == 0 for v in synthesis_stats().values())
         assert registry().histograms_summary() == {}
+        report = tool.check_document(DOC)  # ... and still served: hits only
+        components = len(report.realizability.components)
+        assert component_cache_info()[2:] == (components, 0)
 
     def test_clear_caches_routes_through_the_one_reset(self):
         tool = SpecCC()

@@ -201,11 +201,16 @@ class TestOnePath:
         with pytest.raises(TypeError):
             SpecCCConfig(**{knob: None})
 
-    def test_shared_graph_hosts_only_component_outcomes(self):
-        from repro import shared_graph
+    def test_process_wide_cache_holds_only_component_outcomes(self):
+        assert set(SpecCC.cache_stats()) == {
+            "component_cache", "automaton_cache", "interned_nodes", "synthesis"
+        }
 
-        assert shared_graph().stage_names() == ("components",)
-        assert "semantics" not in SpecCC.cache_stats()
+    def test_core_exports_only_the_pipeline(self):
+        import repro.core
+
+        assert repro.core.__all__ == ["ConsistencyReport", "SpecCC", "SpecCCConfig"]
+        assert not hasattr(importlib.import_module("repro"), "shared_graph")
 
     def test_brute_force_sat_lives_with_the_tests(self):
         import repro.sat

@@ -139,24 +139,41 @@ class TestSpecSession:
             fresh, timings=False
         )
 
-    def test_translation_cache_stays_bounded(self):
-        """A long edit stream must not accumulate stale memo entries."""
+    def test_translation_cache_stays_bounded(self, monkeypatch):
+        """A long edit stream must not accumulate stale entries."""
         from repro import Translator
-        from repro.translate.translator import TranslationCache
+        from repro.translate import translator as translator_module
 
+        monkeypatch.setattr(translator_module, "MAX_CACHE_ENTRIES", 8)
         translator = Translator()
-        cache = TranslationCache(max_entries=8)
-        requirements = [("R1", "If the sensor is active, the valve is opened.")]
+        cache = translator.new_cache()
+        words = ["available", "lost", "invalid", "enabled", "on", "off",
+                 "high", "low", "busy", "idle", "full", "empty"]
+        requirements = [
+            ("R1", ""),
+            ("R2", "If the door is open, the lamp is on in 4 seconds."),
+            ("R3", ""),
+            ("R4", "If the feed is valid, the alarm is sounded."),
+        ]
+        largest = {}
         for index in range(50):
+            # Every level outgrows the bound: new sentences, theta sets,
+            # final formulas of R2, unit keys of the feed and partitions.
             requirements[0] = (
                 "R1",
-                f"If the sensor {index} is active, the valve is opened.",
+                f"If the sensor {index} is active, the valve is opened"
+                f" in {index % 11 + 2} seconds.",
+            )
+            requirements[2] = (
+                "R3",
+                f"If the feed is {words[index % len(words)]}, the lamp is on.",
             )
             translator.translate(requirements, cache)
+            for level, size in cache.stats().items():
+                largest[level] = max(largest.get(level, 0), size)
         stats = cache.stats()
-        assert stats["parses"] <= 8 + 1
-        assert stats["raw_formulas"] <= 8 + 1
-        assert stats["rewritten"] <= 8 + 1
+        assert set(largest.values()) == {8}, largest
+        assert all(size <= 8 for size in stats.values()), stats
         # ... and the surviving entries still serve the current document.
         before = dict(stats)
         translator.translate(requirements, cache)
@@ -571,6 +588,34 @@ class TestServe:
         # The op speaks the shared stats format: cache layers + engine work.
         assert "component_cache" in responses[0]["cache"]
         assert "synthesis" in responses[0]
+
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_stats_reports_the_requesting_sessions_translation_cache(
+        self, transport
+    ):
+        """The ``stats`` op counts the translation cache the requesting
+        session translates through, not the daemon tool's unused one."""
+        responses = TRANSPORTS[transport](
+            [
+                {"op": "add", "id": "R1", "text": TWO_COMPONENTS[0][1]},
+                {"op": "check", "timings": False},
+                {"op": "stats"},
+                {"op": "stats", "session": "idle"},
+            ]
+        )
+        assert all(response["ok"] for response in responses)
+        checked, idle = responses[2], responses[3]
+        assert checked["size"] == 1
+        assert checked["translation_cache"] == {
+            "sentences": 1,
+            "raw_formulas": 1,
+            "formulas": 1,
+            "units": 0,
+            "solutions": 1,
+            "partitions": 1,
+        }
+        assert "translation_graph" not in checked
+        assert all(size == 0 for size in idle["translation_cache"].values())
 
     def test_check_reports_semantics_delta(self):
         responses = run_serve(
@@ -1463,23 +1508,30 @@ class TestCacheStats:
         after = SpecCC.cache_stats()["component_cache"]
         assert after["hits"] > before["hits"]  # second run served from cache
 
-    def test_clear_translation_cache_drops_the_tool_graph(self):
+    def test_clear_translation_cache_drops_the_tool_cache(self):
         tool = SpecCC()
         tool.check([("R1", "If the sensor is active, the valve is opened.")])
-        assert tool.translation_cache_stats()["parses"] == 1
+        assert tool.translator.cache().stats()["sentences"] == 1
         tool.clear_translation_cache()
-        assert all(size == 0 for size in tool.translation_cache_stats().values())
+        assert all(size == 0 for size in tool.translator.cache().stats().values())
 
-    def test_one_shot_tool_is_incremental_across_checks(self):
-        """SpecCC.check rides the translator's own graph: repeating a
+    def test_one_shot_tool_is_incremental_across_checks(self, monkeypatch):
+        """SpecCC.check rides the translator's own cache: repeating a
         document re-parses nothing."""
+        from repro.translate import translator as translator_module
+
+        parsed = []
+        real = translator_module.parse_sentence
+        monkeypatch.setattr(
+            translator_module,
+            "parse_sentence",
+            lambda text: parsed.append(text) or real(text),
+        )
         tool = SpecCC()
         requirements = [("R1", "If the sensor is active, the valve is opened.")]
         tool.check(requirements)
-        sizes = tool.translation_cache_stats()
-        assert sizes["parses"] == 1
-        graph = tool.translator.cache().graph
-        hits_before = graph.stats()["parses"].hits
+        sizes = tool.translator.cache().stats()
+        assert sizes["sentences"] == 1 and len(parsed) == 1
         tool.check(requirements)
-        assert graph.stats()["parses"].hits > hits_before
-        assert tool.translation_cache_stats() == sizes
+        assert len(parsed) == 1
+        assert tool.translator.cache().stats() == sizes
