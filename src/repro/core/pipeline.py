@@ -15,15 +15,20 @@ The pipeline chains the three stages of the paper:
 
 Stages 2-3 revisit the same formulas over and over: every partition-repair
 iteration re-checks every component, and localization grows groups one
-requirement at a time.  Two caches keep that cheap.  Each tool's
+requirement at a time.  What does not depend on the partition is derived
+once.  A check decomposes its formulas once and every repair re-checks
+those components.  Each tool's
 :class:`~repro.translate.translator.TranslationCache` holds one record
 per sentence text (its parse, its raw formula per sentence-local analysis
-slice, its final formula per chain mapping) plus the Algorithm 1 unit
-keys, abstraction solutions and partitions of earlier passes.  The
-process-wide component-outcome LRU in :mod:`repro.synthesis.realizability`
-serves component verdicts by (interned formulas, local I/O split), so
-nothing a repair or an edit did not touch is re-decided, and the Büchi
-automata behind them are not rebuilt.  The caches are semantically
+slice, its final formula and that formula's I/O class per chain mapping)
+plus the Algorithm 1 unit keys and abstraction solutions of earlier
+passes; the repair reads the stored I/O classes.  The process-wide
+component-outcome LRU in :mod:`repro.synthesis.realizability` serves
+component verdicts by (interned formulas, local I/O split), so nothing a
+repair or an edit did not touch is re-decided, and the Büchi automata
+behind them are not rebuilt; a component a repair did change reuses the
+certificate's constant-word verdict of its formulas
+(:mod:`repro.synthesis.invariants`).  The caches are semantically
 transparent; :meth:`SpecCC.clear_caches` resets the process-wide ones
 (benchmarking, or bounding memory in long-lived services), while each
 tool's translation cache is bounded by pruning and cleared via
@@ -39,16 +44,13 @@ import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from ..logic.ast import Formula
 from ..obs.trace import span as _obs_span
+from ..synthesis import realizability
 from ..synthesis.localization import LocalizationResult, localize
 from ..synthesis.mealy import MealyMachine
-from ..synthesis.realizability import (
-    RealizabilityResult,
-    Verdict,
-    check_realizability,
-)
-from ..translate.partition import Partition
+from ..synthesis.modular import Component
+from ..synthesis.realizability import RealizabilityResult, Verdict
+from ..translate.partition import Partition, RequirementPartition
 from ..translate.timeabs import AbstractionMethod
 from ..translate.translator import (
     SpecificationTranslation,
@@ -253,8 +255,12 @@ class SpecCC:
         start = time.perf_counter()
         formulas = list(translation.formulas)
         partition = translation.partition
+        # The components do not depend on the partition, so every repair
+        # pass re-checks these under its own split.  Reached through the
+        # module at call time: that is the binding perfbench/tracer.py wraps.
+        components = realizability.decompose(formulas)
         with _obs_span("pipeline.realizability", formulas=len(formulas)) as sp:
-            result = self._realizability(formulas, partition)
+            result = self._realizability(components, partition)
             sp.set(verdict=result.verdict.value, components=len(result.components))
         repairs = 0
         repaired: Optional[Partition] = None
@@ -265,13 +271,17 @@ class SpecCC:
             and repairs < MAX_PARTITION_REPAIRS
         ):
             with _obs_span("pipeline.repair", attempt=repairs + 1) as sp:
-                candidate = self._repair_partition(formulas, partition, result)
+                candidate = self._repair_partition(
+                    [req.io_class for req in translation.requirements],
+                    partition,
+                    result,
+                )
                 if candidate is None:
                     sp.set(moved=None)
                     break
                 repairs += 1
                 partition = candidate
-                result = self._realizability(formulas, partition)
+                result = self._realizability(components, partition)
                 sp.set(verdict=result.verdict.value)
             if result.verdict is Verdict.REALIZABLE:
                 repaired = partition
@@ -298,15 +308,15 @@ class SpecCC:
 
     # ------------------------------------------------------------- internals
     def _realizability(
-        self, formulas: List[Formula], partition: Partition
+        self, components: List[Component], partition: Partition
     ) -> RealizabilityResult:
-        return check_realizability(
-            formulas, sorted(partition.inputs), sorted(partition.outputs)
+        return realizability.check_components(
+            components, sorted(partition.inputs), sorted(partition.outputs)
         )
 
     def _repair_partition(
         self,
-        formulas: List[Formula],
+        io_classes: Sequence[RequirementPartition],
         partition: Partition,
         result: RealizabilityResult,
     ) -> Optional[Partition]:
@@ -315,15 +325,13 @@ class SpecCC:
         The paper: "The propositions belonging to the intermediated
         variables in the located formulas are targets to be adjusted."  A
         variable that is an input globally but appears on the response side
-        of a failing component's requirement is such an intermediate.
+        of a failing component's requirement is such an intermediate: the
+        requirement's I/O class (*io_classes*, stored by the translator)
+        lists it among the outputs.
         """
-        from ..translate.partition import classify_requirement
-
-        failing = result.failing_indices()
         candidates: List[str] = []
-        for index in failing:
-            classified = classify_requirement(formulas[index])
-            for name in sorted(classified.outputs):
+        for index in result.failing_indices():
+            for name in io_classes[index].outputs:
                 if name in partition.inputs and name not in candidates:
                     candidates.append(name)
         if not candidates:

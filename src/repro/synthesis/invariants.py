@@ -72,12 +72,19 @@ Information for Realizability", VMCAI 2008, on unrealizable cores):
   is not needed for soundness: it leaves unsatisfiable conjunctions to the
   satisfiability rung, whose ``unsat_witness`` they keep whichever rung
   runs first.
+
+The constant-word model does not depend on the input/output partition,
+and the pipeline's partition repairs and localization re-check the same
+formulas under new splits.  So its verdict is cached per formula tuple
+(bounded by ``COMPONENT_CACHE_CAPACITY``); :func:`clear_caches` drops it,
+and ``realizability.clear_caches()`` calls that.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+import threading
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from ..logic.ast import (
@@ -103,6 +110,7 @@ from ..logic.ast import (
 from ..sat.cdcl import CDCLSolver
 from ..sat.cnf import CNF
 from ..sat.tseitin import encode
+from .modular import COMPONENT_CACHE_CAPACITY
 
 
 _GOAL_DELAY = 10**9  # sentinel delay for Eventually responses
@@ -147,8 +155,24 @@ class ObligationCheckResult:
     #: failed round's conflict core.
     conflict: Optional[Tuple[int, ...]] = None
     #: SAT solver calls the check made: 0 when propagation decides and
-    #: the core needs no constant-word solve.
+    #: the core needs no constant-word solve, or its verdict is cached.
     solves: int = 0
+
+
+# ---------------------------------------------------------------------------
+# The constant-word cache (see the module docstring)
+
+#: formulas -> whether their conjunction has a constant-word model; at
+#: most ``COMPONENT_CACHE_CAPACITY`` entries, the oldest evicted first.
+_constant_words: Dict[Tuple[Formula, ...], bool] = {}
+#: Guards inserts and evictions; lookups take no lock.
+_cache_lock = threading.Lock()
+
+
+def clear_caches() -> None:
+    """Drop the cached constant-word verdicts."""
+    with _cache_lock:
+        _constant_words.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +282,14 @@ def _exact(body: Formula, obligation: Obligation) -> Obligation:
         delay, body = delay + 1, body.operand
     if body is not obligation.response or obligation.self_condition is not None:
         return obligation
-    return replace(obligation, condition=condition, delay=delay)
+    return Obligation(
+        obligation.condition_inputs,
+        obligation.response,
+        always_active=obligation.always_active,
+        is_goal=obligation.is_goal,
+        condition=condition,
+        delay=delay,
+    )
 
 
 def _is_propositional(formula: Formula) -> bool:
@@ -272,7 +303,7 @@ def _is_propositional(formula: Formula) -> bool:
 def _strip_all_next(formula: Formula) -> Formula:
     if isinstance(formula, Next):
         return _strip_all_next(formula.operand)
-    if not formula.children():
+    if not formula.children() or not next_depth(formula):
         return formula
     return type(formula)(*[_strip_all_next(child) for child in formula.children()])
 
@@ -558,7 +589,9 @@ def _forced(
     Returns the answer and the SAT solver calls it made.  Yes only when the
     core is non-empty and exact over *inputs*, its conditions are jointly
     satisfiable with every response aligned on step ``T = max k``, and the
-    whole conjunction of *formulas* has a constant-word model.
+    whole conjunction of *formulas* has a constant-word model, a verdict
+    cached per formula tuple: a repair or a localization step that re-checks
+    the same formulas makes no solve for it.
     """
     if not core or any(
         o.condition is None or not atoms(o.condition) <= inputs for o in core
@@ -570,7 +603,16 @@ def _forced(
     )
     if not aligned:
         return False, calls
-    return _satisfiable(conj(_constant(f) for f in formulas)), calls + 1
+    key = tuple(formulas)
+    constant_word = _constant_words.get(key)
+    if constant_word is not None:
+        return constant_word, calls
+    constant_word = _satisfiable(conj(_constant(f) for f in key))
+    with _cache_lock:
+        _constant_words[key] = constant_word
+        if len(_constant_words) > COMPONENT_CACHE_CAPACITY:
+            del _constant_words[next(iter(_constant_words))]
+    return constant_word, calls + 1
 
 
 def _jointly_satisfiable(conditions: List[Formula]) -> Tuple[bool, int]:

@@ -23,6 +23,11 @@ from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
 from ..logic.ast import Formula, atoms
 
+#: Entries in each per-component cache: the component outcomes
+#: (:mod:`.realizability`) and the constant-word verdicts
+#: (:mod:`.invariants`).
+COMPONENT_CACHE_CAPACITY = 2048
+
 
 @dataclass(frozen=True)
 class Component:

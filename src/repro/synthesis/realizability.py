@@ -31,11 +31,11 @@ from ..obs.trace import annotate, span as _obs_span
 # ``check_obligations`` through their own modules, at call time: those are
 # the bindings perfbench/tracer.py wraps to time each rung.
 from ..automata.ltlsat import satisfiable
-from ..logic.ast import Formula, atoms, conj
+from ..logic.ast import Formula, atoms, conj, next_depth
 from . import invariants
 from .bounded import IncrementalBoundedSynthesizer
 from .mealy import MealyMachine
-from .modular import Component, decompose
+from .modular import COMPONENT_CACHE_CAPACITY, Component, decompose
 from .safety_game import StateSpaceLimit, solve as solve_game
 from .verify import satisfies_specification
 
@@ -98,6 +98,17 @@ MAX_EXPLICIT_VARIABLES = 12
 #: conjunction, which blows up combinatorially past a handful of liveness
 #: requirements; cap the number of formulas they see.
 MAX_PRECHECK_FORMULAS = 6
+#: Caps on a component's ``X`` chains, summed over its formulas
+#: (``next_depth`` of each): a GPVW tableau state carries the pending steps
+#: of every chain, so the rungs' cost roughly doubles with each further
+#: ``X``.  A component past a cap skips the rungs it caps, like one past
+#: :data:`MAX_EXPLICIT_VARIABLES`.  Each cap is the largest sum at which
+#: the slowest measured component of up to :data:`MAX_PRECHECK_FORMULAS`
+#: formulas stays within about a second: the tableau rungs took 0.6 s at
+#: 10 and 1.1 s at 12, the game 0.7 s at 6 and 1.1 s at 7 (README, *The
+#: decision ladder*).
+MAX_TABLEAU_NEXT_DEPTH = 10
+MAX_GAME_NEXT_DEPTH = 6
 
 
 class _ComponentOutcome(NamedTuple):
@@ -119,8 +130,9 @@ class _ComponentOutcome(NamedTuple):
 # rebuilt.  The cache is one bounded, thread-safe LRU per process
 # (``lru_cache`` on :func:`_analyze_component`, :data:`COMPONENT_CACHE_CAPACITY`
 # entries), so sessions, batch checks and pool workers all read the same
-# entries and the same hit/miss counters.
-COMPONENT_CACHE_CAPACITY = 2048
+# entries and the same hit/miss counters.  A component a repair did change
+# still reuses the certificate's constant-word verdict, cached per formula
+# tuple (:mod:`.invariants`).
 
 # Work accumulators: how much the SAT solver and the safety game
 # actually did since the last clear_caches().  Cached component outcomes
@@ -224,8 +236,9 @@ def reset_synthesis_stats() -> None:
 def clear_caches() -> None:
     """Reset every formula-level cache behind the realizability stack.
 
-    Clears the component-outcome cache and the GPVW translation cache,
-    then routes every counter surface through the one observability reset
+    Clears the component-outcome cache, the certificate's constant-word
+    cache and the GPVW translation cache, then routes every counter
+    surface through the one observability reset
     (:func:`repro.obs.metrics.reset_counters`) so the cache counters and
     the engine accumulators can never zero on divergent paths.
     Benchmarks use this to measure cold paths; ordinary callers never
@@ -235,6 +248,7 @@ def clear_caches() -> None:
     from ..obs.metrics import reset_counters
 
     _analyze_component.cache_clear()
+    invariants.clear_caches()
     gpvw.clear_translation_cache()
     reset_counters()
 
@@ -276,15 +290,23 @@ def check_realizability(
 
     Inputs/outputs are global; each component only sees its own support.
     """
+    return check_components(decompose(list(formulas)), inputs, outputs)
+
+
+def check_components(
+    components: Sequence[Component],
+    inputs: Sequence[str],
+    outputs: Sequence[str],
+) -> RealizabilityResult:
+    """:func:`check_realizability` on an earlier :func:`decompose`: the
+    components do not depend on the partition, so a caller checking the
+    same formulas under several splits decomposes them once."""
     start = time.perf_counter()
-    formulas = list(formulas)
-    if not formulas:
-        return RealizabilityResult(Verdict.REALIZABLE, [], 0.0)
     input_set = frozenset(inputs)
     output_set = frozenset(outputs)
     results = [
         check_component(component, input_set, output_set)
-        for component in decompose(formulas)
+        for component in components
     ]
     overall = aggregate_verdict(result.verdict for result in results)
     return RealizabilityResult(overall, results, time.perf_counter() - start)
@@ -351,10 +373,35 @@ class _Problem:
     formulas: Tuple[Formula, ...]
     inputs: Tuple[str, ...]
     outputs: Tuple[str, ...]
-    #: Few enough propositions for the explicit-alphabet engines.
-    explicit_ok: bool
-    #: Small enough for one GPVW tableau of the whole conjunction.
-    tableau_ok: bool
+
+    # The caps below read only the formulas (their atoms and X chains are
+    # cached per node), so they are safe to derive under the cache key.
+    # Like the conjunction, they are derived by the first rung that reads
+    # them: the certificate reads none on a component with outputs.
+
+    @cached_property
+    def _few_variables(self) -> bool:
+        variables = frozenset().union(*map(atoms, self.formulas))
+        return len(variables) <= MAX_EXPLICIT_VARIABLES
+
+    @cached_property
+    def _next_depth(self) -> int:
+        return sum(map(next_depth, self.formulas))
+
+    @cached_property
+    def explicit_ok(self) -> bool:
+        """Few enough propositions and ``X`` steps for the
+        explicit-alphabet engines."""
+        return self._few_variables and self._next_depth <= MAX_GAME_NEXT_DEPTH
+
+    @cached_property
+    def tableau_ok(self) -> bool:
+        """Small enough for one GPVW tableau of the whole conjunction."""
+        return (
+            self._few_variables
+            and len(self.formulas) <= MAX_PRECHECK_FORMULAS
+            and self._next_depth <= MAX_TABLEAU_NEXT_DEPTH
+        )
 
     @cached_property
     def specification(self) -> Formula:
@@ -522,17 +569,7 @@ def _analyze_component(
     local_outputs: Tuple[str, ...],
 ) -> _ComponentOutcome:
     annotate(cached=False)  # on the caller's solve.component span
-    # The component's variable set is a function of its formulas (union of
-    # their cached atom sets), so it is safe to derive under the cache key.
-    variables = frozenset().union(*map(atoms, formulas))
-    explicit_ok = len(variables) <= MAX_EXPLICIT_VARIABLES
-    problem = _Problem(
-        formulas,
-        local_inputs,
-        local_outputs,
-        explicit_ok,
-        explicit_ok and len(formulas) <= MAX_PRECHECK_FORMULAS,
-    )
+    problem = _Problem(formulas, local_inputs, local_outputs)
     for rung in RUNGS:
         outcome = rung(problem)
         if outcome is not None:

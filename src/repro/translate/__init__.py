@@ -7,7 +7,6 @@ from .partition import (
     classify_requirement,
     partition_formulas,
     partition_report,
-    unify,
 )
 from .propositions import Proposition, clause_propositions
 from .semantics import (
@@ -62,5 +61,4 @@ __all__ = [
     "partition_report",
     "rewrite_chains",
     "sentence_formula",
-    "unify",
 ]

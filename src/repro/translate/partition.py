@@ -7,12 +7,16 @@ such operators, it is assumed as an output."  Per-requirement partitions
 are then unified: any conflict makes the variable an output, and if no
 input remains one output is promoted (deterministically, instead of the
 paper's random pick).
+
+A requirement's classification reads only its own formula, so the
+translator classifies each final formula once, under its cache record,
+and each pass only unifies the stored classes (:func:`partition_formulas`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import FrozenSet, List, NamedTuple, Sequence, Set, Tuple
 
 from ..logic.ast import (
     And,
@@ -57,12 +61,12 @@ class Partition:
         return Partition(self.inputs | {name}, self.outputs - {name})
 
 
-@dataclass
-class RequirementPartition:
-    """Per-requirement variable classification, before unification."""
+class RequirementPartition(NamedTuple):
+    """Per-requirement variable classification, before unification: the
+    names on each side, sorted."""
 
-    inputs: Set[str] = field(default_factory=set)
-    outputs: Set[str] = field(default_factory=set)
+    inputs: Tuple[str, ...]
+    outputs: Tuple[str, ...]
 
 
 def classify_requirement(formula: Formula) -> RequirementPartition:
@@ -70,10 +74,9 @@ def classify_requirement(formula: Formula) -> RequirementPartition:
     condition_side: Set[str] = set()
     response_side: Set[str] = set()
     _walk(formula, condition_side, response_side, in_condition=False)
-    both = condition_side & response_side
+    # A name on both sides is an output: every response-side name is one.
     return RequirementPartition(
-        inputs=condition_side - both,
-        outputs=(response_side - condition_side) | both,
+        tuple(sorted(condition_side - response_side)), tuple(sorted(response_side))
     )
 
 
@@ -106,15 +109,14 @@ def _walk(
         _walk(child, condition, response, in_condition)
 
 
-def unify(
-    per_requirement: Sequence[RequirementPartition],
-) -> Partition:
-    """Merge per-requirement classifications (conflicts become outputs)."""
+def partition_formulas(per_requirement: Sequence[RequirementPartition]) -> Partition:
+    """Unify per-requirement classifications (:func:`classify_requirement`
+    of each formula): conflicts become outputs."""
     inputs: Set[str] = set()
     outputs: Set[str] = set()
     for part in per_requirement:
-        inputs |= part.inputs
-        outputs |= part.outputs
+        inputs.update(part.inputs)
+        outputs.update(part.outputs)
     conflicted = inputs & outputs
     inputs -= conflicted
     if not inputs and outputs:
@@ -124,11 +126,6 @@ def unify(
         inputs = {promoted}
         outputs = outputs - {promoted}
     return Partition(frozenset(inputs), frozenset(outputs))
-
-
-def partition_formulas(formulas: Sequence[Formula]) -> Partition:
-    """End-to-end heuristic: classify each requirement, then unify."""
-    return unify([classify_requirement(formula) for formula in formulas])
 
 
 def partition_report(

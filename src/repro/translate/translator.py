@@ -13,8 +13,9 @@ sentence's Algorithm 1 vocabulary and candidate subjects; under it, the
 raw formula for each *sentence-local* slice of the semantic analysis (the
 antonym pairs of the sentence's own candidate subjects) with that
 formula's own chain lengths; under that, the final formula for each set
-of lengths those chains map to.  Re-translating after an edit parses and
-translates only the edited sentences, a new antonym pair under one
+of lengths those chains map to, with its I/O class (Section IV-F), which
+the partition of each pass unifies.  Re-translating after an edit parses
+and translates only the edited sentences, a new antonym pair under one
 subject re-translates only the sentences that mention that subject, and a
 new chain length elsewhere re-rewrites only the formulas whose own
 chains now map differently.
@@ -43,7 +44,12 @@ from ..nlp.grammar import Sentence, parse_sentence
 from ..nlp.tokenizer import split_sentences
 from ..obs.trace import span as _obs_span
 from ..smt.timeopt import TimeAbstractionSolution
-from .partition import Partition, partition_formulas
+from .partition import (
+    Partition,
+    RequirementPartition,
+    classify_requirement,
+    partition_formulas,
+)
 from .semantics import (
     SemanticAnalysis,
     SemanticsDelta,
@@ -69,6 +75,7 @@ class RequirementTranslation:
     sentence: Sentence
     raw_formula: Formula  # before time abstraction
     formula: Formula  # after time abstraction + simplification
+    io_class: RequirementPartition  # of formula, before unification
 
 
 @dataclass
@@ -112,10 +119,13 @@ class SpecificationTranslation:
 
 
 #: A :class:`TranslationCache` level (sentence records, final formulas,
-#: Algorithm 1 unit keys, abstraction solutions, partitions) that a pass
-#: leaves holding more than this many entries is pruned back to what the
-#: pass read: the hot set the next edit's re-check needs.
+#: Algorithm 1 unit keys, abstraction solutions) that a pass leaves holding
+#: more than this many entries is pruned back to what the pass read: the
+#: hot set the next edit's re-check needs.
 MAX_CACHE_ENTRIES = 2048
+
+
+_Final = Tuple[Formula, Formula, RequirementPartition]
 
 
 class _RawFormula:
@@ -127,8 +137,9 @@ class _RawFormula:
     def __init__(self, formula: Formula) -> None:
         self.formula = formula
         self.lengths = chain_lengths((formula,))
-        #: The lengths ``lengths`` map to -> (rewritten, simplified).
-        self.finals: Dict[Tuple[int, ...], Tuple[Formula, Formula]] = {}
+        #: The lengths ``lengths`` map to -> (rewritten, simplified, the
+        #: simplified formula's I/O class).
+        self.finals: Dict[Tuple[int, ...], _Final] = {}
 
 
 class _Record:
@@ -151,11 +162,11 @@ class TranslationCache:
 
     One :class:`_Record` per sentence text (see the module docstring),
     plus the document passes' own state: the Algorithm 1 unit keys
-    earlier passes produced (delta attribution), the abstraction solution
-    per theta set and the partition per tuple of final formulas.  Every
-    entry is keyed by exactly what its computation reads, so
-    ``translate(requirements, cache)`` returns the same translation as a
-    fresh ``translate(requirements)``, only skipping work.
+    earlier passes produced (delta attribution) and the abstraction
+    solution per theta set.  Every entry is keyed by exactly what its
+    computation reads, so ``translate(requirements, cache)`` returns the
+    same translation as a fresh ``translate(requirements)``, only skipping
+    work.
 
     A cache is tied to the :class:`Translator` that created it (its
     options are deliberately not part of the keys, and the antonym
@@ -181,7 +192,6 @@ class TranslationCache:
             self._finals = 0  # final formulas inserted: what the bound counts
             self._units: Set[tuple] = set()
             self._solutions: Dict[Tuple[int, ...], TimeAbstractionSolution] = {}
-            self._partitions: Dict[Tuple[Formula, ...], Partition] = {}
 
     def stats(self) -> Dict[str, int]:
         """Entry counts per level."""
@@ -195,7 +205,6 @@ class TranslationCache:
                 "formulas": sum(len(raw.finals) for raw in raws),
                 "units": len(self._units),
                 "solutions": len(self._solutions),
-                "partitions": len(self._partitions),
             }
 
     def _lookup(self, table: dict, key, compute: Callable[[], object]):
@@ -207,15 +216,14 @@ class TranslationCache:
                 value = table.setdefault(key, value)
         return value
 
-    def _final(
-        self, raw: _RawFormula, scaled: Tuple[int, ...]
-    ) -> Tuple[Formula, Formula]:
+    def _final(self, raw: _RawFormula, scaled: Tuple[int, ...]) -> _Final:
         final = raw.finals.get(scaled)
         if final is None:
             rewritten = raw.formula
             if scaled != raw.lengths:
                 rewritten = rewrite_chains(rewritten, dict(zip(raw.lengths, scaled)))
-            final = (rewritten, simplify(rewritten))
+            simplified = simplify(rewritten)
+            final = (rewritten, simplified, classify_requirement(simplified))
             with self._lock:
                 final = raw.finals.setdefault(scaled, final)
                 self._finals += 1
@@ -231,7 +239,6 @@ class TranslationCache:
         read: Iterable[Tuple[str, tuple, Tuple[int, ...]]],
         units: FrozenSet[tuple],
         thetas: Tuple[int, ...],
-        formulas: Tuple[Formula, ...],
     ) -> None:
         """Prune each level that outgrew :data:`MAX_CACHE_ENTRIES` back to
         what one pass read.  *read* yields the pass's ``(text, analysis
@@ -254,8 +261,6 @@ class TranslationCache:
                 self._units = set(units)
             if len(self._solutions) > MAX_CACHE_ENTRIES:
                 self._solutions = _only(self._solutions, thetas)
-            if len(self._partitions) > MAX_CACHE_ENTRIES:
-                self._partitions = _only(self._partitions, formulas)
 
 
 def _only(table: dict, key) -> dict:
@@ -375,26 +380,21 @@ class Translator:
                 scaled = [tuple(mapping[n] for n in raw.lengths) for raw in raws]
                 finals = [cache._final(raw, key) for raw, key in zip(raws, scaled)]
             abstraction = AbstractionResult(
-                tuple(rewritten for rewritten, _ in finals),
+                tuple(rewritten for rewritten, _, _ in finals),
                 solution,
                 self.abstraction,
                 thetas,
             )
             translated = [
                 RequirementTranslation(
-                    identifier, text, record.sentence, raw.formula, final
+                    identifier, text, record.sentence, raw.formula, final, io_class
                 )
-                for (identifier, text), record, raw, (_, final) in zip(
+                for (identifier, text), record, raw, (_, final, io_class) in zip(
                     requirements, records, raws, finals
                 )
             ]
-            final_formulas = tuple(req.formula for req in translated)
             with _obs_span("translate.partition") as sp:
-                partition = cache._lookup(
-                    cache._partitions,
-                    final_formulas,
-                    lambda: partition_formulas(list(final_formulas)),
-                )
+                partition = partition_formulas([req.io_class for req in translated])
                 sp.set(
                     inputs=len(partition.inputs), outputs=len(partition.outputs)
                 )
@@ -402,7 +402,6 @@ class Translator:
                 zip((text for _, text in requirements), signatures, scaled),
                 units,
                 thetas,
-                final_formulas,
             )
         return SpecificationTranslation(
             translated, analysis, abstraction, partition, semantics_delta=delta

@@ -30,7 +30,7 @@ from repro.nlp import parse_sentence
 from repro.nlp.antonyms import DEFAULT_PAIRS, AntonymDictionary
 from repro.nlp.dependencies import candidate_subjects, sentence_vocabulary
 from repro.service.reportjson import report_to_dict
-from repro.synthesis import realizability
+from repro.synthesis import invariants, realizability
 from repro.translate import translator as translator_module
 from repro.translate.semantics import (
     SemanticsDelta,
@@ -194,6 +194,73 @@ class TestWarmEqualsCold:
         assert sorted(finished) == list(range(8))
         assert mismatches == []
         assert all(size <= 6 for size in shared.stats().values())
+
+    def test_threads_share_the_certificate_caches(self, monkeypatch):
+        """Eight threads check overlapping unrealizable documents through
+        one tool.  Each repairs its partition three times and localizes,
+        so the threads read and fill the component and constant-word
+        caches under changing splits.  The constant-word bound is 2, so
+        entries are evicted throughout, and the threads clear every
+        process-wide cache at random, so components are re-analysed
+        while other threads fill the caches again."""
+        monkeypatch.setattr(invariants, "COMPONENT_CACHE_CAPACITY", 2)
+        rng = random.Random(20261019)
+        documents = []
+        for _ in range(10):
+            gates = rng.sample(GATES, rng.choice((4, 5)))
+            documents.append(
+                [("R1", "If the alpha sensor is valid, the gamma report is triggered.")]
+                + [
+                    (f"R{2 * index + polarity + 2}", gate_sentence(gate, polarity))
+                    for index, gate in enumerate(gates)
+                    for polarity in (0, 1)
+                ]
+            )
+        expected = []
+        for document in documents:
+            realizability.clear_caches()
+            report = SpecCC().check(document)
+            assert report.repair_attempts == 3 and report.localization is not None
+            expected.append(canonical(report))
+        realizability.clear_caches()
+        tool = SpecCC()
+        mismatches = []
+        finished = []
+
+        def worker(seed: int) -> None:
+            picks = random.Random(seed)
+            for _ in range(40):
+                if picks.random() < 0.5:
+                    realizability.clear_caches()
+                index = picks.randrange(len(documents))
+                if canonical(tool.check(documents[index])) != expected[index]:
+                    mismatches.append(index)
+            finished.append(seed)
+
+        threads = [threading.Thread(target=worker, args=(n,)) for n in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads inside the caches' steps
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+            realizability.clear_caches()
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(finished) == list(range(8))
+        assert mismatches == []
+
+
+#: Gates for unrealizable documents: each demands the valve both opened
+#: and not opened, so the repair loop moves three of a document's gates
+#: to the outputs and localization names a pair of the rest.
+GATES = ("a1", "a2", "a3", "a4", "a5", "a6")
+
+
+def gate_sentence(gate: str, polarity: int) -> str:
+    return f"If the {gate} gate is active, the theta valve is {'not ' * polarity}opened."
 
 
 def random_table(rng: random.Random) -> dict:

@@ -13,12 +13,17 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro import SpecCC, SpecCCConfig, TranslationOptions
 from repro.__main__ import main as cli_main
 from repro.logic import parse
+from repro.logic.ast import next_depth
 from repro.casestudies import (
     TABLE_INSTANCES,
     application_requirements,
@@ -434,3 +439,70 @@ class TestRungObservability:
         responses = [json.loads(line) for line in stdout.getvalue().splitlines()]
         counters = responses[3]["metrics"]["counters"]
         assert counters.get("decided_by.satisfiability", 0) >= 1
+
+
+class TestTableauBudget:
+    #: A 4-formula component whose last requirement maps 60 seconds to a
+    #: 20-step ``X`` chain (the other chains set the abstraction); the
+    #: certificate leaves it undecided under the initial partition.
+    PULSE_DOCUMENT = (
+        "If the pulse wave is available, the alarm is sounded.",
+        "If the pulse wave is unavailable, the alarm is not sounded.",
+        "If the pulse wave is lost, the pump is stopped in 3 seconds.",
+        "If the alarm is sounded, the pump is stopped in 60 seconds.",
+        "If the door is open, the lamp is on in 4 seconds.",
+        "If the button is pressed, the fan is started in 6 seconds.",
+        "If the valve is closed, the heater is stopped in 7 seconds.",
+    )
+
+    #: Components the certificate leaves undecided, at each cap on their
+    #: summed ``X`` depth and past it: ``(formulas, inputs, outputs, (cap,
+    #: steps past it), verdict, method)``.  Past a cap the rungs it caps are
+    #: skipped and their verdict is lost; at the cap it is exact.  Between
+    #: the caps the satisfiability rung still decides.
+    AT_AND_PAST_CAPS = [
+        (("G (p -> X X X s)", "G (!p -> X X X !s)", "G (p -> a)", "G (!p -> !a)"),
+         ("p",), ("a", "s"), ("MAX_GAME_NEXT_DEPTH", 0), "realizable", "game"),
+        (("G (p -> X X X s)", "G (!p -> X X X !s)", "G (p -> X a)", "G (!p -> !a)"),
+         ("p",), ("a", "s"), ("MAX_GAME_NEXT_DEPTH", 1), "unknown", "too-large"),
+        (("G (p -> a)", "G (a -> X X X X s)", "G (X X X X !s)", "F p"),
+         ("p",), ("a", "s"), ("MAX_GAME_NEXT_DEPTH", 2), "unrealizable", "satisfiability"),
+        (("G (p -> X X X X X s)", "G (!p -> X X X X X !s)"),
+         ("p", "s"), (), ("MAX_TABLEAU_NEXT_DEPTH", 0), "unrealizable", "validity"),
+        (("G (p -> X X X X X s)", "G (!p -> X X X X X X !s)"),
+         ("p", "s"), (), ("MAX_TABLEAU_NEXT_DEPTH", 1), "unknown", "too-large"),
+    ]
+
+    @pytest.mark.parametrize(
+        "texts, inputs, outputs, cap, verdict, method", AT_AND_PAST_CAPS
+    )
+    def test_exact_at_each_cap_too_large_past_it(
+        self, texts, inputs, outputs, cap, verdict, method
+    ):
+        formulas = [parse(text) for text in texts]
+        name, past = cap
+        assert sum(map(next_depth, formulas)) == getattr(realizability, name) + past
+        realizability.clear_caches()
+        result = realizability.check_realizability(formulas, inputs, outputs)
+        realizability.clear_caches()
+        assert result.verdict.value == verdict
+        assert [component.method for component in result.components] == [method]
+
+    def test_long_x_chain_answers_too_large_at_once(self, tmp_path):
+        """Past both caps the component skips the tableau rungs and the
+        game, whose GPVW tableau of the conjunction doubles with each
+        further ``X``, and answers ``too-large`` at once; the repair then
+        lets the certificate decide it.  In a subprocess, so a regression
+        fails on the timeout instead of hanging the suite."""
+        document = tmp_path / "pulse.txt"
+        document.write_text("\n".join(self.PULSE_DOCUMENT) + "\n")
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", "check", str(document), "--json", "--stats"],
+            capture_output=True, text=True, timeout=30,
+            env={**os.environ, "PYTHONPATH": "src"},
+            cwd=Path(__file__).parent.parent,
+        )
+        report = json.loads(completed.stdout)
+        assert report["verdict"] == "realizable"
+        assert report["repair_attempts"] == 1
+        assert report["stats"]["decided_by"] == {"obligations": 4, "too-large": 1}

@@ -278,6 +278,12 @@ class TestPartitionRepair:
         part = ComponentResult(component, Verdict.UNREALIZABLE)
         return RealizabilityResult(Verdict.UNREALIZABLE, [part])
 
+    def _io_classes(self, formulas):
+        """What the translator stores per requirement for the repair."""
+        from repro.translate.partition import classify_requirement
+
+        return [classify_requirement(formula) for formula in formulas]
+
     def test_fallback_moves_an_input_of_the_failing_component(self):
         """No response-side candidate: both formulas put only `b` on the
         response side and `b` is already an output — the fallback must
@@ -287,7 +293,9 @@ class TestPartitionRepair:
         formulas = [parse("G (a -> b)"), parse("G (a -> !b)")]
         partition = Partition(frozenset({"a"}), frozenset({"b"}))
         result = self._failing_result(formulas, {"a", "b"})
-        repaired = SpecCC()._repair_partition(formulas, partition, result)
+        repaired = SpecCC()._repair_partition(
+            self._io_classes(formulas), partition, result
+        )
         assert repaired is not None
         assert "a" in repaired.outputs
         assert repaired.inputs == frozenset()
@@ -298,7 +306,8 @@ class TestPartitionRepair:
         formulas = [parse("G b"), parse("G !b")]
         partition = Partition(frozenset(), frozenset({"b"}))
         result = self._failing_result(formulas, {"b"})
-        assert SpecCC()._repair_partition(formulas, partition, result) is None
+        classes = self._io_classes(formulas)
+        assert SpecCC()._repair_partition(classes, partition, result) is None
 
     def test_response_side_candidate_preferred_over_fallback(self):
         from repro.translate.partition import Partition
@@ -308,7 +317,9 @@ class TestPartitionRepair:
         formulas = [parse("G (a -> b)")]
         partition = Partition(frozenset({"a", "b"}), frozenset())
         result = self._failing_result(formulas, {"a", "b"})
-        repaired = SpecCC()._repair_partition(formulas, partition, result)
+        repaired = SpecCC()._repair_partition(
+            self._io_classes(formulas), partition, result
+        )
         assert repaired is not None
         assert repaired.outputs == frozenset({"b"})
         assert "a" in repaired.inputs

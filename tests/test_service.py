@@ -158,7 +158,7 @@ class TestSpecSession:
         largest = {}
         for index in range(50):
             # Every level outgrows the bound: new sentences, theta sets,
-            # final formulas of R2, unit keys of the feed and partitions.
+            # final formulas of R2 and unit keys of the feed.
             requirements[0] = (
                 "R1",
                 f"If the sensor {index} is active, the valve is opened"
@@ -612,7 +612,6 @@ class TestServe:
             "formulas": 1,
             "units": 0,
             "solutions": 1,
-            "partitions": 1,
         }
         assert "translation_graph" not in checked
         assert all(size == 0 for size in idle["translation_cache"].values())

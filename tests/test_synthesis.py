@@ -21,6 +21,7 @@ from repro.synthesis import (
     solve_safety_game,
     violation_witness,
 )
+from repro.synthesis import realizability
 from repro.synthesis.invariants import (
     ObligationOutcome,
     check_obligations,
@@ -722,6 +723,52 @@ class TestObligations:
         )
         assert result.verdict is Verdict.REALIZABLE
         assert all(c.method == "obligations" for c in result.components)
+
+
+class TestObligationCaches:
+    """The certificate's constant-word verdicts, cached per formula tuple,
+    against cold calls."""
+
+    @given(st.one_of(fragment_specs(), clash_specs()))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_repair_sequence_matches_cold_calls(self, spec):
+        # A repair sequence: the formulas stay, and each step moves the
+        # next input to the outputs, as the pipeline's repair loop does.
+        # Then, as localization's shrink pass does, each formula is
+        # dropped in turn under the first split.
+        texts, inputs, outputs = spec
+        formulas = [parse(text) for text in texts]
+        steps = [(formulas, inputs[k:], outputs + inputs[:k]) for k in range(len(inputs) + 1)]
+        steps += [
+            (formulas[:k] + formulas[k + 1:], inputs, outputs) for k in range(len(formulas))
+        ]
+        realizability.clear_caches()
+        warm = [check_obligations(*step) for step in steps]
+        for step, result in zip(steps, warm):
+            realizability.clear_caches()
+            cold = check_obligations(*step)
+            assert (result.outcome, result.obligations, result.conflict) == (
+                cold.outcome, cold.obligations, cold.conflict
+            )
+            assert result.solves <= cold.solves
+        realizability.clear_caches()
+
+    def test_constant_word_solve_once_per_formula_tuple(self):
+        formulas = [
+            parse("G (a -> o)"), parse("G (a -> !o)"),
+            parse("G (b -> o)"), parse("G (b -> !o)"),
+        ]
+        realizability.clear_caches()
+        first = check_obligations(formulas, ["a", "b"], ["o"])
+        # A repair moves a to the outputs: b's pair is now the core, and
+        # the constant-word verdict of the same formulas is reused.
+        repaired = check_obligations(formulas, ["b"], ["a", "o"])
+        realizability.clear_caches()
+        cold = check_obligations(formulas, ["b"], ["a", "o"])
+        realizability.clear_caches()
+        assert first.outcome is repaired.outcome is ObligationOutcome.UNREALIZABLE
+        assert (first.conflict, repaired.conflict) == ((0, 1), (2, 3))
+        assert (first.solves, repaired.solves, cold.solves) == (1, 0, 1)
 
 
 @st.composite

@@ -24,7 +24,6 @@ from repro.translate import (
     partition_formulas,
     rewrite_chains,
     sentence_formula,
-    unify,
 )
 from repro.translate.partition import RequirementPartition
 
@@ -263,12 +262,12 @@ class TestAbstractTime:
 class TestPartition:
     def test_implication_sides(self):
         part = classify_requirement(parse("G (a && b -> c)"))
-        assert part.inputs == {"a", "b"}
-        assert part.outputs == {"c"}
+        assert part.inputs == ("a", "b")
+        assert part.outputs == ("c",)
 
     def test_both_sides_is_output(self):
         part = classify_requirement(parse("G (a -> a && b)"))
-        assert part.inputs == set()
+        assert part.inputs == ()
         assert "a" in part.outputs
 
     def test_until_right_is_input(self):
@@ -277,20 +276,20 @@ class TestPartition:
         assert "b" in part.outputs
 
     def test_unify_conflicts_become_outputs(self):
-        merged = unify([
-            RequirementPartition(inputs={"a"}, outputs={"b"}),
-            RequirementPartition(inputs={"b"}, outputs={"c"}),
+        merged = partition_formulas([
+            RequirementPartition(inputs=("a",), outputs=("b",)),
+            RequirementPartition(inputs=("b",), outputs=("c",)),
         ])
         assert merged.inputs == frozenset({"a"})
         assert merged.outputs == frozenset({"b", "c"})
 
     def test_no_inputs_promotes_one_output(self):
-        partition = partition_formulas([parse("G (a || b)")])
+        partition = partition_formulas([classify_requirement(parse("G (a || b)"))])
         assert len(partition.inputs) == 1
         assert partition.inputs == frozenset({"a"})  # deterministic choice
 
     def test_move_operations(self):
-        partition = partition_formulas([parse("G (a -> b)")])
+        partition = partition_formulas([classify_requirement(parse("G (a -> b)"))])
         moved = partition.move_to_output("a")
         assert "a" in moved.outputs
         back = moved.move_to_input("a")
@@ -310,12 +309,12 @@ class TestPartition:
             " -> trigger_corroboration)"
         )
         part = classify_requirement(formula)
-        assert part.inputs == {
-            "available_pulse_wave",
+        assert part.inputs == (
             "available_arterial_line",
+            "available_pulse_wave",
             "select_cuff",
-        }
-        assert part.outputs == {"trigger_corroboration"}
+        )
+        assert part.outputs == ("trigger_corroboration",)
 
 
 class TestTranslator:
