@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import count
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 from weakref import WeakKeyDictionary
 
 from ..logic.ast import (
@@ -36,6 +36,7 @@ from ..logic.ast import (
     atoms as formula_atoms,
 )
 from ..logic.nnf import to_nnf
+from ..logic.rewrite import simplify
 from .buchi import BuchiAutomaton, Label
 
 
@@ -76,56 +77,39 @@ def _pop_deterministic(formulas: Set[Formula]) -> Formula:
     return chosen
 
 
-# Per-formula automaton cache (one per ``simplify_nnf`` flavour).  The
-# automaton depends only on the formula, so the realizability driver, the
-# partition-repair loop and localization all reuse one
-# translation however often they revisit the formula.  Weak keys: entries
-# vanish with the (interned) formula.  Cached automata are shared — callers
-# must treat them as immutable, which every consumer in this code base does.
-_translation_cache: Tuple[
-    "WeakKeyDictionary[Formula, BuchiAutomaton]",
-    "WeakKeyDictionary[Formula, BuchiAutomaton]",
-] = (WeakKeyDictionary(), WeakKeyDictionary())
+# Per-formula automaton cache.  The automaton depends only on the
+# formula, so the realizability driver, the partition-repair loop and
+# localization all reuse one translation however often they revisit the
+# formula.  Weak keys: entries vanish with the (interned) formula.  Cached
+# automata are shared — callers must treat them as immutable, which every
+# consumer in this code base does.
+_translation_cache: "WeakKeyDictionary[Formula, BuchiAutomaton]" = WeakKeyDictionary()
 
 
 def clear_translation_cache() -> None:
     """Drop all cached formula-to-automaton translations."""
-    for cache in _translation_cache:
-        cache.clear()
+    _translation_cache.clear()
 
 
 def translation_cache_size() -> int:
-    return sum(len(cache) for cache in _translation_cache)
+    return len(_translation_cache)
 
 
-def translate(
-    formula: Formula, *, simplify_nnf: bool = True, use_cache: bool = True
-) -> BuchiAutomaton:
+def translate(formula: Formula) -> BuchiAutomaton:
     """Translate *formula* into a generalized Büchi automaton.
 
     The automaton accepts exactly the infinite words satisfying *formula*.
-    Results are cached per formula (see ``_translation_cache``); pass
-    ``use_cache=False`` to force a fresh construction.
+    Results are cached per formula (see ``_translation_cache``).
     """
-    cache = _translation_cache[bool(simplify_nnf)]
-    if use_cache:
-        cached = cache.get(formula)
-        if cached is not None:
-            return cached
-    automaton = _translate(formula, simplify_nnf)
-    if use_cache:
-        cache[formula] = automaton
+    automaton = _translation_cache.get(formula)
+    if automaton is None:
+        automaton = _translation_cache[formula] = _translate(formula)
     return automaton
 
 
-def _translate(formula: Formula, simplify_nnf: bool) -> BuchiAutomaton:
-    nnf = to_nnf(formula)
-    if simplify_nnf:
-        from ..logic.rewrite import simplify
-
-        nnf = simplify(nnf)
-        # simplify() may reintroduce F/G/W sugar; normalise once more.
-        nnf = to_nnf(nnf)
+def _translate(formula: Formula) -> BuchiAutomaton:
+    # simplify() may reintroduce F/G/W sugar; normalise once more.
+    nnf = to_nnf(simplify(to_nnf(formula)))
 
     names = count()
     initial = _Node(name=next(names), incoming={_INIT}, new={nnf})

@@ -192,37 +192,36 @@ class SpecCC:
 
         return cache_snapshot()
 
-    #: Sentences the :meth:`prewarm` default workload runs: a
-    #: condition/response pair sharing one component plus an antonym
-    #: negation, which together touch the parser, the semantic analysis,
-    #: time abstraction, partitioning, one partition repair and both
-    #: verdict directions of the obligation certificate.  The clash is
-    #: settled from the certificate's conflict core, so the workload no
-    #: longer reaches GPVW translation or the exact engines.
+    #: Sentences the :meth:`prewarm` workload runs: a condition/response
+    #: pair sharing one component plus an antonym negation, which together
+    #: touch the parser, the semantic analysis, time abstraction,
+    #: partitioning, one partition repair and both verdict directions of
+    #: the obligation certificate.  The clash is settled from the
+    #: certificate's conflict core, so the workload no longer reaches GPVW
+    #: translation or the exact engines.
     PREWARM_SENTENCES: Tuple[str, ...] = (
         "If the sensor is active, the valve is opened.",
         "If the sensor is normal, the valve is not opened.",
     )
 
-    def prewarm(self, sentences: Optional[Sequence[str]] = None) -> dict:
+    def prewarm(self) -> dict:
         """Warm a fresh process before it serves traffic.
 
         Worker-pool initializers call this once per spawned process: the
         first real request then pays neither the lazy imports (grammar
         tables, automata translation, synthesis engines) nor an entirely
         cold formula pool.  The workload is deliberately tiny — checking
-        *sentences* (default :attr:`PREWARM_SENTENCES`) as one throwaway
-        document — and its cache entries are semantically transparent,
-        so prewarming can never change a later verdict.  Returns the
-        post-warm :meth:`cache_stats` snapshot.
+        :attr:`PREWARM_SENTENCES` as one throwaway document — and its
+        cache entries are semantically transparent, so prewarming can
+        never change a later verdict.  Returns the post-warm
+        :meth:`cache_stats` snapshot.
         """
-        workload = list(sentences) if sentences is not None else list(
-            self.PREWARM_SENTENCES
+        self.check(
+            [
+                (f"W{index}", text)
+                for index, text in enumerate(self.PREWARM_SENTENCES, 1)
+            ]
         )
-        if workload:
-            self.check(
-                [(f"W{index}", text) for index, text in enumerate(workload, 1)]
-            )
         return self.cache_stats()
 
     # ------------------------------------------------------------- pipeline

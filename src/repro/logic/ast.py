@@ -409,11 +409,6 @@ def walk(formula: Formula) -> Iterator[Formula]:
         stack.extend(reversed(node.children()))
 
 
-def subformulas(formula: Formula) -> FrozenSet[Formula]:
-    """The set of distinct subformulas of *formula*."""
-    return frozenset(walk(formula))
-
-
 def size(formula: Formula) -> int:
     """Number of AST nodes in *formula*."""
     return sum(1 for _ in walk(formula))

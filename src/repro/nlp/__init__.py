@@ -18,10 +18,9 @@ from .grammar import (
     SubClause,
     TimeConstraint,
     normalise_name,
-    parse_clause,
     parse_sentence,
 )
-from .tokenizer import split_sentences, tokenize, tokenize_document
+from .tokenizer import split_sentences, tokenize
 from .tree import TreeNode, render, render_sentence, syntax_tree
 
 __all__ = [
@@ -39,7 +38,6 @@ __all__ = [
     "clause_dependencies",
     "extract_dependencies",
     "normalise_name",
-    "parse_clause",
     "parse_sentence",
     "render",
     "render_sentence",
@@ -48,5 +46,4 @@ __all__ = [
     "subject_dependents",
     "syntax_tree",
     "tokenize",
-    "tokenize_document",
 ]

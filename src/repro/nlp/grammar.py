@@ -368,15 +368,6 @@ def _has_predicate(words: Sequence[str], start: int) -> bool:
     return False
 
 
-def parse_clause(tokens: Sequence[str], sentence_text: str = "") -> Clause:
-    """Parse ``[modifier] subject predicate [constraint]``."""
-    words = list(tokens)
-    head, _, auxiliary, verb = _scan(words, 0)
-    end = len(words)
-    boundary = _boundary(auxiliary, verb, end)
-    return _parse_clause(words, 0, head, end, boundary, sentence_text)
-
-
 def _parse_clause(
     words: List[str],
     start: int,

@@ -47,8 +47,3 @@ def split_sentences(document: str) -> Iterator[str]:
             part = part.strip()
             if part:
                 yield part
-
-
-def tokenize_document(document: str) -> List[List[str]]:
-    """Tokenise every sentence of *document*."""
-    return [tokenize(sentence) for sentence in split_sentences(document)]

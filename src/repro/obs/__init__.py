@@ -7,7 +7,7 @@ cost until a tracer is installed (``--trace-out`` on the CLI, or a
 """
 
 from .metrics import (
-    DEFAULT_BUCKETS,
+    BUCKETS,
     Histogram,
     MetricsRegistry,
     registry,
@@ -31,7 +31,7 @@ from .trace import (
 )
 
 __all__ = [
-    "DEFAULT_BUCKETS",
+    "BUCKETS",
     "Histogram",
     "MetricsRegistry",
     "NULL_SPAN",

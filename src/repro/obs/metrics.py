@@ -54,12 +54,12 @@ from __future__ import annotations
 
 import bisect
 import threading
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-#: Default latency bucket upper bounds, in seconds.  Spans in this
+#: Latency bucket upper bounds, in seconds, sorted.  Spans in this
 #: codebase range from microsecond cache hits to multi-second solver
 #: calls, so the buckets are log-spaced across six decades.
-DEFAULT_BUCKETS: Tuple[float, ...] = (
+BUCKETS: Tuple[float, ...] = (
     0.00005, 0.0001, 0.00025, 0.0005,
     0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
     0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0,
@@ -73,26 +73,23 @@ SPAN_FOLD_BATCH = 4096
 class Histogram:
     """A fixed-bucket latency histogram with interpolated quantiles.
 
-    Observations are counted into ``len(buckets) + 1`` bins (the last
+    Observations are counted into ``len(BUCKETS) + 1`` bins (the last
     bin is the overflow above the largest bound); quantiles interpolate
     linearly inside the containing bucket, clamped to the observed
     min/max so a single observation reports itself exactly.
     """
 
-    __slots__ = ("buckets", "counts", "count", "total", "min", "max")
+    __slots__ = ("counts", "count", "total", "min", "max")
 
-    def __init__(self, buckets: Sequence[float] = DEFAULT_BUCKETS) -> None:
-        self.buckets: Tuple[float, ...] = tuple(sorted(buckets))
-        if not self.buckets:
-            raise ValueError("histogram needs at least one bucket bound")
-        self.counts: List[int] = [0] * (len(self.buckets) + 1)
+    def __init__(self) -> None:
+        self.counts: List[int] = [0] * (len(BUCKETS) + 1)
         self.count = 0
         self.total = 0.0
         self.min: Optional[float] = None
         self.max: Optional[float] = None
 
     def observe(self, value: float) -> None:
-        self.counts[bisect.bisect_left(self.buckets, value)] += 1
+        self.counts[bisect.bisect_left(BUCKETS, value)] += 1
         self.count += 1
         self.total += value
         if self.min is None or value < self.min:
@@ -110,10 +107,10 @@ class Histogram:
             if bucket_count == 0:
                 continue
             if seen + bucket_count >= target:
-                low = self.buckets[index - 1] if index > 0 else 0.0
+                low = BUCKETS[index - 1] if index > 0 else 0.0
                 high = (
-                    self.buckets[index]
-                    if index < len(self.buckets)
+                    BUCKETS[index]
+                    if index < len(BUCKETS)
                     else (self.max if self.max is not None else low)
                 )
                 fraction = (target - seen) / bucket_count
@@ -140,7 +137,7 @@ class Histogram:
 
     def snapshot(self) -> Dict[str, object]:
         data: Dict[str, object] = dict(self.summary())
-        data["buckets"] = list(self.buckets)
+        data["buckets"] = list(BUCKETS)
         data["counts"] = list(self.counts)
         return data
 
@@ -167,17 +164,6 @@ class MetricsRegistry:
     def set_gauge(self, name: str, value: float) -> None:
         with self._lock:
             self._gauges[name] = value
-
-    def observe(
-        self, name: str, value: float, buckets: Sequence[float] = DEFAULT_BUCKETS
-    ) -> None:
-        """Record one observation into histogram *name* (seconds)."""
-        with self._lock:
-            histogram = self._histograms.get(name)
-            if histogram is None:
-                histogram = Histogram(buckets)
-                self._histograms[name] = histogram
-            histogram.observe(value)
 
     def observe_span(self, record: Dict[str, Any]) -> None:
         """Queue a finished span *record* (``dur`` in µs) for its

@@ -155,21 +155,14 @@ class Tracer:
     Each thread keeps its own span stack (nesting is a per-thread
     notion), all finished records land in one shared list.  *slow_ms*
     enables the slow-op log: any span outliving the threshold is logged
-    at ``WARNING`` with its attributes.  *record_metrics* feeds every
-    finished span's duration into the process
-    :class:`~repro.obs.metrics.MetricsRegistry` as a latency histogram
-    named ``span.<name>``.
+    at ``WARNING`` with its attributes.  Every finished span's duration
+    also feeds the process :class:`~repro.obs.metrics.MetricsRegistry` as
+    a latency histogram named ``span.<name>``.
     """
 
-    def __init__(
-        self,
-        name: str = "trace",
-        slow_ms: Optional[float] = None,
-        record_metrics: bool = True,
-    ) -> None:
+    def __init__(self, name: str = "trace", slow_ms: Optional[float] = None) -> None:
         self.name = name
         self.slow_ms = slow_ms
-        self.record_metrics = record_metrics
         self._epoch_ns = _perf_counter_ns()
         self._lock = threading.Lock()
         self._records: List[SpanRecord] = []
@@ -214,13 +207,12 @@ class Tracer:
         histogram queue and, past *slow_ms*, the slow-op log."""
         # list.append is atomic under the GIL; readers copy under _lock.
         self._records.append(record)
-        if self.record_metrics:
-            observe = self._observe
-            if observe is None:
-                from .metrics import registry
+        observe = self._observe
+        if observe is None:
+            from .metrics import registry
 
-                observe = self._observe = registry().observe_span
-            observe(record)
+            observe = self._observe = registry().observe_span
+        observe(record)
         if self.slow_ms is not None and record["dur"] / 1000.0 >= self.slow_ms:
             logger.warning(
                 "slow span %s: %.1f ms (threshold %.1f ms) %s",

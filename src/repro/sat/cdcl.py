@@ -12,8 +12,9 @@ bit-blasting"):
 * Luby-sequence restarts,
 * learnt-clause database reduction scored by literal-block distance
   (Glucose-style: the LBD is tagged at learn time; every
-  ``reduce_interval`` conflicts the learnt DB is halved, keeping binary
-  clauses, "glue" clauses with LBD <= 2 and clauses locked as reasons),
+  :data:`REDUCE_INTERVAL` conflicts the learnt DB is halved, keeping
+  binary clauses, "glue" clauses with LBD <= 2 and clauses locked as
+  reasons),
 * incremental solving under assumptions with implication-graph failed
   assumption cores,
 * MiniSat-style solver reuse: :meth:`CDCLSolver.add_clause` is valid
@@ -52,6 +53,14 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 from ..obs.trace import leaf_span, tracing_active
 from .cnf import CNF, Lit
 
+#: Conflicts between restarts, scaled by the Luby sequence 1, 1, 2, 1, 1, 2, 4, ...
+RESTART_INTERVAL = 100
+#: Per-conflict VSIDS activity decay factor.
+VAR_DECAY = 0.95
+#: Conflicts between learnt-database reductions.  Deleting learnt clauses
+#: is always sound, so the verdict never depends on this value.
+REDUCE_INTERVAL = 2000
+
 
 @dataclass
 class SatResult:
@@ -82,24 +91,9 @@ def _code(lit: Lit) -> int:
 
 
 class CDCLSolver:
-    """CDCL solver over a :class:`~repro.sat.cnf.CNF` instance.
+    """CDCL solver over a :class:`~repro.sat.cnf.CNF` instance."""
 
-    ``restart_interval`` scales the Luby restart sequence, ``var_decay``
-    is the per-conflict VSIDS decay factor, and ``reduce_interval`` is
-    the number of conflicts between learnt-database reductions (0
-    disables reduction; deleting learnt clauses is always sound, so the
-    verdict never depends on this knob).
-    """
-
-    def __init__(
-        self,
-        cnf: CNF,
-        restart_interval: int = 100,
-        var_decay: float = 0.95,
-        reduce_interval: int = 2000,
-    ) -> None:
-        if reduce_interval < 0:
-            raise ValueError("reduce_interval must be >= 0")
+    def __init__(self, cnf: CNF) -> None:
         self.num_vars = cnf.num_vars
         # clause database: each clause is a list of literals whose indices
         # 0/1 are the watched literals.  Slots of learnt clauses deleted by
@@ -121,8 +115,6 @@ class CDCLSolver:
         # Max-heap (negated activity) with lazy deletion for branch picking.
         self.heap: List[tuple] = []
         self.var_inc = 1.0
-        self.var_decay = 1.0 / var_decay
-        self.restart_interval = restart_interval
         self.saved_phase: List[bool] = [False] * (self.num_vars + 1)
         self.ok = True
         self.conflicts = 0
@@ -134,11 +126,10 @@ class CDCLSolver:
         # Learnt-database reduction state: indices of live learnt clauses,
         # their LBD scores (tagged at learn time), and the conflict count
         # that triggers the next halving.
-        self.reduce_interval = reduce_interval
         self.learnt: List[int] = []
         self.lbd: Dict[int, int] = {}
         self.learnt_dropped = 0
-        self.next_reduce = reduce_interval
+        self.next_reduce = REDUCE_INTERVAL
         # Incremental-reuse counters: solve() calls, clauses added after
         # the first answer, and learnt clauses alive at the start of each
         # subsequent call (the work a from-scratch solver would redo).
@@ -279,13 +270,13 @@ class CDCLSolver:
                     self.learnt.append(index)
                     self.lbd[index] = lbd
                     self._enqueue(learnt[0], index)
-                self.var_inc *= self.var_decay
-                if self.reduce_interval and self.conflicts >= self.next_reduce:
+                self.var_inc *= 1.0 / VAR_DECAY
+                if self.conflicts >= self.next_reduce:
                     self._reduce_learnts()
-                    self.next_reduce = self.conflicts + self.reduce_interval
+                    self.next_reduce = self.conflicts + REDUCE_INTERVAL
                 continue
 
-            if conflicts_since_restart >= self.restart_interval * _luby(luby_index):
+            if conflicts_since_restart >= RESTART_INTERVAL * _luby(luby_index):
                 luby_index += 1
                 conflicts_since_restart = 0
                 self.restarts += 1

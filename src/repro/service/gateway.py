@@ -16,10 +16,10 @@ semantics, framing and the closed error-code vocabulary (``bad_json`` /
   :class:`~repro.service.server.SpecSession` state, exactly as if each
   had its own stdio server — and a closing connection drops its whole
   namespace (:meth:`AsyncSpecServer.drop_sessions`), so reconnecting
-  clients cannot leak ``max_sessions`` slots.  Because the requests are
-  prefixed, the core runs every blocking op (``check``, ``batch``, ...)
-  on an executor thread: one client's long check never stalls the
-  listener or another client.
+  clients cannot leak the server's ``MAX_SESSIONS`` slots.  Because the
+  requests are prefixed, the core runs every blocking op (``check``,
+  ``batch``, ...) on an executor thread: one client's long check never
+  stalls the listener or another client.
 * **Admission control.**  A per-connection deterministic token bucket
   (``rate`` requests/second, ``burst`` capacity) answers excess lines —
   malformed ones included — with ``overloaded``, and a connection cap

@@ -140,7 +140,6 @@ _WORKER_TOOL: Optional[SpecCC] = None
 
 def _worker_init(
     config: SpecCCConfig,
-    prewarm: bool,
     shard: int = 0,
     spawn: int = 0,
     fault_plan: Optional[FaultPlan] = None,
@@ -153,8 +152,7 @@ def _worker_init(
     # hook must be in place before prewarm exercises the pipeline.
     faults.install(fault_plan, shard=shard, spawn=spawn)
     _WORKER_TOOL = SpecCC(config)
-    if prewarm:
-        _WORKER_TOOL.prewarm()
+    _WORKER_TOOL.prewarm()
 
 
 def _counter_snapshot() -> Dict[str, int]:
@@ -239,7 +237,6 @@ class WorkerPool:
         self,
         config: SpecCCConfig = SpecCCConfig(),
         shards: int = 4,
-        prewarm: bool = True,
         supervision: Optional[SupervisionConfig] = None,
         fault_plan: Optional[FaultPlan] = None,
     ) -> None:
@@ -249,7 +246,6 @@ class WorkerPool:
             raise ValueError("shards must be >= 1")
         self.config = config
         self.shards = shards
-        self.prewarm = prewarm
         if fault_plan is None:
             fault_plan = FaultPlan.from_env()
         self.fault_plan = fault_plan if fault_plan else None
@@ -288,7 +284,7 @@ class WorkerPool:
         executor = ProcessPoolExecutor(
             max_workers=1,
             initializer=_worker_init,
-            initargs=(self.config, self.prewarm, shard, spawn, self.fault_plan),
+            initargs=(self.config, shard, spawn, self.fault_plan),
         )
         try:
             # Force the spawn + initializer to actually complete.
@@ -588,7 +584,6 @@ _shared_lock = threading.Lock()
 def shared_pool(
     config: SpecCCConfig = SpecCCConfig(),
     shards: int = 4,
-    prewarm: bool = True,
     supervision: Optional[SupervisionConfig] = None,
     fault_plan: Optional[FaultPlan] = None,
 ) -> WorkerPool:
@@ -607,7 +602,6 @@ def shared_pool(
             pool = WorkerPool(
                 config,
                 shards=shards,
-                prewarm=prewarm,
                 supervision=supervision,
                 fault_plan=fault_plan,
             )

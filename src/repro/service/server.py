@@ -92,6 +92,11 @@ from .session import SessionReport, SpecSession
 #: not be able to buffer arbitrary bytes into the daemon.
 DEFAULT_MAX_REQUEST_BYTES = 1 << 20
 
+#: Bound on concurrently held client sessions: each named session keeps
+#: a :class:`SpecSession` alive for the daemon's lifetime, so
+#: client-chosen names must not be able to grow memory without bound.
+MAX_SESSIONS = 256
+
 #: Raw reads are chunked; framing is done by :func:`_iter_lines`, not by
 #: StreamReader (readline's limit handling consumes differently across
 #: versions).
@@ -498,7 +503,6 @@ class AsyncSpecServer:
         self,
         tool: Optional[SpecCC] = None,
         default_batch_backend: str = "thread",
-        max_sessions: int = 256,
         request_timeout: Optional[float] = None,
         max_request_bytes: int = DEFAULT_MAX_REQUEST_BYTES,
         max_queue: int = 64,
@@ -507,12 +511,8 @@ class AsyncSpecServer:
         """*default_batch_backend* answers ``batch`` requests that name no
         backend; ``backend="process"`` runs on the process-wide
         :func:`~repro.service.pool.shared_pool`, one set of warm workers
-        for every session and connection.
-
-        *max_sessions* bounds the number of concurrently held client
-        sessions: each named session keeps a :class:`SpecSession` alive
-        for the daemon's lifetime, so client-chosen names must not be
-        able to grow memory without bound.
+        for every session and connection.  At most :data:`MAX_SESSIONS`
+        client sessions are held at once.
 
         *request_timeout* is a per-request wall-clock deadline (None
         disables it): a request that exceeds it gets a structured
@@ -531,7 +531,6 @@ class AsyncSpecServer:
         """
         self.tool = tool if tool is not None else SpecCC()
         self.default_batch_backend = default_batch_backend
-        self.max_sessions = max_sessions
         self.request_timeout = request_timeout
         self.max_request_bytes = max_request_bytes
         self.max_queue = max_queue
@@ -565,7 +564,7 @@ class AsyncSpecServer:
         The TCP gateway namespaces each connection's sessions under a
         per-connection prefix and drops the namespace when the
         connection closes — without this, every reconnecting client
-        would permanently consume ``max_sessions`` slots.  Durable
+        would permanently consume :data:`MAX_SESSIONS` slots.  Durable
         sessions are *not* dropped (only their aliases are, via
         :meth:`detach_sessions` — surviving the disconnect is their
         reason to exist).  Returns the number of sessions dropped.
@@ -608,9 +607,9 @@ class AsyncSpecServer:
         return lock
 
     def _check_capacity(self) -> None:
-        if self.session_count >= self.max_sessions:
+        if self.session_count >= MAX_SESSIONS:
             raise ValueError(
-                f"too many sessions (max {self.max_sessions}); "
+                f"too many sessions (max {MAX_SESSIONS}); "
                 "reuse or reset an existing session"
             )
 

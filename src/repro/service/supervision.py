@@ -18,7 +18,7 @@ weakening order of preference:
    the shard's process and re-initialize a fresh one through the pool's
    ordinary initializer (+prewarm).
 3. **Degrade in-process** — when attempts are exhausted, or respawn
-   itself keeps failing (circuit breaker: ``max_respawn_failures``
+   itself keeps failing (circuit breaker: :data:`MAX_RESPAWN_FAILURES`
    consecutive failures), the task runs on the parent's own sequential
    tool (``BatchChecker(backend="thread")`` semantics).  Results are
    still produced and still byte-identical — the inline path is the same
@@ -57,6 +57,17 @@ logger = logging.getLogger("repro.service.supervision")
 #: worker (error records; degraded tasks compute a real one instead).
 ZERO_DELTA = {"hits": 0, "misses": 0}
 
+#: Exponential backoff between retries, in seconds:
+#: ``BACKOFF_BASE * BACKOFF_FACTOR ** (attempt - 1)``, capped at
+#: ``BACKOFF_CAP``, plus deterministic jitter in ``[0, JITTER] * delay``.
+BACKOFF_BASE = 0.05
+BACKOFF_FACTOR = 2.0
+BACKOFF_CAP = 2.0
+JITTER = 0.25
+#: Circuit breaker: this many *consecutive* respawn failures degrade the
+#: whole pool to the in-process path.
+MAX_RESPAWN_FAILURES = 3
+
 
 class WorkerUnavailable(RuntimeError):
     """Dispatch target has no live executor (died and not yet respawned)."""
@@ -64,38 +75,23 @@ class WorkerUnavailable(RuntimeError):
 
 @dataclass(frozen=True)
 class SupervisionConfig:
-    """All supervision knobs in one picklable place."""
+    """The supervision settings a caller chooses, in one picklable place."""
 
     #: Total tries per task (first attempt included).
     max_attempts: int = 3
-    #: Exponential backoff between retries: base * factor**(attempt-1),
-    #: capped, plus deterministic jitter in [0, jitter] * delay.
-    backoff_base: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_cap: float = 2.0
-    jitter: float = 0.25
     #: Seeds the jitter stream; same seed + same retry sequence = same
     #: delays (the fault plan's seed is the conventional source).
     seed: int = 0
     #: Per-attempt wall-clock timeout (seconds); None disables the
     #: watchdog.  On expiry the worker is presumed hung and respawned.
     task_timeout: Optional[float] = None
-    #: Circuit breaker: this many *consecutive* respawn failures degrade
-    #: the whole pool to the in-process path.
-    max_respawn_failures: int = 3
-    #: Allow the in-process fallback.  With degrade=False an unservable
-    #: task resolves to an error record instead.
-    degrade: bool = True
 
 
 def backoff_delay(config: SupervisionConfig, key: str, attempt: int) -> float:
     """Deterministic backoff before retry *attempt* (>= 1) of task *key*."""
-    base = min(
-        config.backoff_cap,
-        config.backoff_base * config.backoff_factor ** max(0, attempt - 1),
-    )
+    base = min(BACKOFF_CAP, BACKOFF_BASE * BACKOFF_FACTOR ** max(0, attempt - 1))
     rng = random.Random(f"{config.seed}\x00{key}\x00{attempt}")
-    return base * (1.0 + config.jitter * rng.random())
+    return base * (1.0 + JITTER * rng.random())
 
 
 class Supervisor:
@@ -210,9 +206,7 @@ class Supervisor:
                 self._consecutive_respawn_failures += 1
                 tripped = (
                     not self._circuit_open
-                    and self.config.degrade
-                    and self._consecutive_respawn_failures
-                    >= self.config.max_respawn_failures
+                    and self._consecutive_respawn_failures >= MAX_RESPAWN_FAILURES
                 )
                 if tripped:
                     self._circuit_open = True
@@ -223,7 +217,7 @@ class Supervisor:
                 logger.error(
                     "circuit breaker open after %d consecutive respawn "
                     "failures: pool degrades to the in-process path",
-                    self.config.max_respawn_failures,
+                    MAX_RESPAWN_FAILURES,
                 )
             return False
         with self._lock:
@@ -235,14 +229,6 @@ class Supervisor:
     def _run_degraded(
         self, shard: int, name: str, document, attempts: int
     ) -> Tuple[dict, dict, Optional[str], int]:
-        if not self.config.degrade:
-            return self._error_record(
-                name,
-                WorkerUnavailable(
-                    f"shard {shard} unavailable and degradation is disabled"
-                ),
-                attempts,
-            )
         try:
             with _obs_span("pool.degraded", task=name, shard=shard):
                 data, delta = self.pool._inline_check((name, document))

@@ -70,14 +70,15 @@ Information for Realizability", VMCAI 2008, on unrealizable cores):
   (realizable with ``o := a``) INCONCLUSIVE;
 * the whole conjunction has a constant-word model (one SAT solve).  This
   is not needed for soundness: it leaves unsatisfiable conjunctions to the
-  satisfiability rung, whose ``unsat_witness`` they keep whichever rung
-  runs first.
+  satisfiability rung, so their ``method`` is ``satisfiability`` whichever
+  rung runs first.
 
 The constant-word model does not depend on the input/output partition,
 and the pipeline's partition repairs and localization re-check the same
 formulas under new splits.  So its verdict is cached per formula tuple
-(bounded by ``COMPONENT_CACHE_CAPACITY``); :func:`clear_caches` drops it,
-and ``realizability.clear_caches()`` calls that.
+(an ``lru_cache`` of ``COMPONENT_CACHE_CAPACITY`` entries);
+:func:`clear_caches` drops it, and ``realizability.clear_caches()`` calls
+that.
 """
 
 from __future__ import annotations
@@ -85,6 +86,7 @@ from __future__ import annotations
 import enum
 import threading
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from ..logic.ast import (
@@ -162,17 +164,21 @@ class ObligationCheckResult:
 # ---------------------------------------------------------------------------
 # The constant-word cache (see the module docstring)
 
-#: formulas -> whether their conjunction has a constant-word model; at
-#: most ``COMPONENT_CACHE_CAPACITY`` entries, the oldest evicted first.
-_constant_words: Dict[Tuple[Formula, ...], bool] = {}
-#: Guards inserts and evictions; lookups take no lock.
-_cache_lock = threading.Lock()
+#: ``solves``: the SAT calls this thread's last :func:`_constant_word`
+#: lookup made, 1 on a miss and 0 on a hit.
+_lookup = threading.local()
+
+
+@lru_cache(maxsize=COMPONENT_CACHE_CAPACITY)
+def _constant_word(formulas: Tuple[Formula, ...]) -> bool:
+    """Whether the conjunction of *formulas* has a constant-word model."""
+    _lookup.solves = 1
+    return _satisfiable(conj(_constant(f) for f in formulas))
 
 
 def clear_caches() -> None:
     """Drop the cached constant-word verdicts."""
-    with _cache_lock:
-        _constant_words.clear()
+    _constant_word.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -603,16 +609,9 @@ def _forced(
     )
     if not aligned:
         return False, calls
-    key = tuple(formulas)
-    constant_word = _constant_words.get(key)
-    if constant_word is not None:
-        return constant_word, calls
-    constant_word = _satisfiable(conj(_constant(f) for f in key))
-    with _cache_lock:
-        _constant_words[key] = constant_word
-        if len(_constant_words) > COMPONENT_CACHE_CAPACITY:
-            del _constant_words[next(iter(_constant_words))]
-    return constant_word, calls + 1
+    _lookup.solves = 0
+    constant_word = _constant_word(tuple(formulas))
+    return constant_word, calls + _lookup.solves
 
 
 def _jointly_satisfiable(conditions: List[Formula]) -> Tuple[bool, int]:

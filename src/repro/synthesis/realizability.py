@@ -54,7 +54,6 @@ class ComponentResult:
     verdict: Verdict
     controller: Optional[MealyMachine] = None
     counterstrategy: Optional[MealyMachine] = None
-    unsat_witness: bool = False
     #: The rung that decided (see :data:`RUNGS`): obligations /
     #: satisfiability / validity / game / too-large.
     method: str = ""
@@ -117,7 +116,6 @@ class _ComponentOutcome(NamedTuple):
     verdict: "Verdict"
     controller: Optional[MealyMachine]
     counterstrategy: Optional[MealyMachine]
-    unsat_witness: bool
     method: str
 
 
@@ -360,7 +358,6 @@ def check_component(
         outcome.verdict,
         controller=outcome.controller,
         counterstrategy=outcome.counterstrategy,
-        unsat_witness=outcome.unsat_witness,
         method=outcome.method,
         seconds=time.perf_counter() - start,
     )
@@ -436,7 +433,7 @@ def _obligations(problem: _Problem) -> Optional[_ComponentOutcome]:
         verdict = Verdict.UNREALIZABLE
     else:
         return None
-    return _ComponentOutcome(verdict, None, None, False, "obligations")
+    return _ComponentOutcome(verdict, None, None, "obligations")
 
 
 def _satisfiability(problem: _Problem) -> Optional[_ComponentOutcome]:
@@ -444,7 +441,7 @@ def _satisfiability(problem: _Problem) -> Optional[_ComponentOutcome]:
 
     Sound on every component; runs within the tableau caps only, as GPVW
     builds one tableau for the whole conjunction.  It answers UNREALIZABLE
-    only (with ``unsat_witness``), which no earlier rung answers.
+    only, which no earlier rung answers.
     """
     if not problem.tableau_ok:
         return None
@@ -453,7 +450,7 @@ def _satisfiability(problem: _Problem) -> Optional[_ComponentOutcome]:
         sp.set(satisfiable=witness is not None)
     if witness is not None:
         return None
-    return _ComponentOutcome(Verdict.UNREALIZABLE, None, None, True, "satisfiability")
+    return _ComponentOutcome(Verdict.UNREALIZABLE, None, None, "satisfiability")
 
 
 def _validity(problem: _Problem) -> Optional[_ComponentOutcome]:
@@ -468,7 +465,7 @@ def _validity(problem: _Problem) -> Optional[_ComponentOutcome]:
         valid = ltlsat.is_valid(problem.specification)
         sp.set(valid=valid)
     verdict = Verdict.REALIZABLE if valid else Verdict.UNREALIZABLE
-    return _ComponentOutcome(verdict, None, None, False, "validity")
+    return _ComponentOutcome(verdict, None, None, "validity")
 
 
 def _engines(problem: _Problem) -> _ComponentOutcome:
@@ -484,7 +481,7 @@ def _engines(problem: _Problem) -> _ComponentOutcome:
     of reach: UNKNOWN (``too-large``).
     """
     if not problem.explicit_ok:
-        return _ComponentOutcome(Verdict.UNKNOWN, None, None, False, "too-large")
+        return _ComponentOutcome(Verdict.UNKNOWN, None, None, "too-large")
     specification = problem.specification
     local_inputs, local_outputs = problem.inputs, problem.outputs
 
@@ -546,7 +543,7 @@ def _engines(problem: _Problem) -> _ComponentOutcome:
             "synthesized controller failed independent verification — "
             "this indicates an engine bug, please report it"
         )
-    return _ComponentOutcome(verdict, controller, counterstrategy, False, "game")
+    return _ComponentOutcome(verdict, controller, counterstrategy, "game")
 
 
 #: The decision ladder, cheapest and most decisive first: on Table I the

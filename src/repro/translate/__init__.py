@@ -6,7 +6,6 @@ from .partition import (
     RequirementPartition,
     classify_requirement,
     partition_formulas,
-    partition_report,
 )
 from .propositions import Proposition, clause_propositions
 from .semantics import (
@@ -23,7 +22,6 @@ from .templates import TranslationOptions, clause_formula, group_formula, senten
 from .timeabs import (
     AbstractionMethod,
     AbstractionResult,
-    abstract_time,
     chain_lengths,
     rewrite_chains,
 )
@@ -47,7 +45,6 @@ __all__ = [
     "TranslationOptions",
     "Translator",
     "WordEntry",
-    "abstract_time",
     "analyse",
     "analyse_incremental",
     "chain_lengths",
@@ -58,7 +55,6 @@ __all__ = [
     "mutual_exclusion_assumptions",
     "no_reasoning",
     "partition_formulas",
-    "partition_report",
     "rewrite_chains",
     "sentence_formula",
 ]

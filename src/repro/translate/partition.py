@@ -16,25 +16,9 @@ and each pass only unifies the stored classes (:func:`partition_formulas`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, NamedTuple, Sequence, Set, Tuple
+from typing import FrozenSet, NamedTuple, Sequence, Set, Tuple
 
-from ..logic.ast import (
-    And,
-    Atom,
-    Bool,
-    Finally,
-    Formula,
-    Globally,
-    Iff,
-    Implies,
-    Next,
-    Not,
-    Or,
-    Release,
-    Until,
-    WeakUntil,
-    atoms,
-)
+from ..logic.ast import Atom, Bool, Formula, Iff, Implies, Until, WeakUntil
 
 
 @dataclass(frozen=True)
@@ -126,16 +110,3 @@ def partition_formulas(per_requirement: Sequence[RequirementPartition]) -> Parti
         inputs = {promoted}
         outputs = outputs - {promoted}
     return Partition(frozenset(inputs), frozenset(outputs))
-
-
-def partition_report(
-    formulas: Sequence[Formula], partition: Partition
-) -> List[Tuple[int, FrozenSet[str], FrozenSet[str]]]:
-    """Per-requirement view of the final partition, for diagnostics."""
-    report = []
-    for index, formula in enumerate(formulas):
-        names = atoms(formula)
-        report.append(
-            (index, names & partition.inputs, names & partition.outputs)
-        )
-    return report

@@ -77,9 +77,9 @@ def rewrite_chains(formula: Formula, mapping: Dict[int, int]) -> Formula:
 
 @dataclass(frozen=True)
 class AbstractionResult:
-    """Rewritten formulas plus the underlying solution, for reporting."""
+    """The abstraction solution of a specification's chain lengths, for
+    reporting."""
 
-    formulas: Tuple[Formula, ...]
     solution: TimeAbstractionSolution
     method: AbstractionMethod
     thetas: Tuple[int, ...] = ()
@@ -96,10 +96,11 @@ def solve_abstraction(
 ) -> TimeAbstractionSolution:
     """Solve the abstraction problem for a set of chain lengths.
 
-    Split out of :func:`abstract_time` so incremental callers (the
-    translator's :class:`~repro.translate.translator.TranslationCache`)
-    can cache solutions per theta-set: an edit that does not introduce a
-    new chain length reuses the solved mapping outright.
+    *error_bound* is the paper's user-specified ``B``; every chain may
+    arrive early, as in the running example of Section IV-E.  The
+    translator's :class:`~repro.translate.translator.TranslationCache`
+    caches solutions per theta-set: an edit that does not introduce a new
+    chain length reuses the solved mapping outright.
     """
     if method is AbstractionMethod.NONE or not thetas:
         return TimeAbstractionSolution(
@@ -111,22 +112,3 @@ def solve_abstraction(
     if method is AbstractionMethod.BITBLAST:
         return solve_bitblast(problem)
     return solve_reference(problem)
-
-
-def abstract_time(
-    formulas: Sequence[Formula],
-    method: AbstractionMethod = AbstractionMethod.OPTIMAL,
-    error_bound: int = 5,
-) -> AbstractionResult:
-    """Measure, solve and rewrite in one step.
-
-    *error_bound* is the paper's user-specified ``B``; every chain may
-    arrive early, as in the running example of Section IV-E.
-    """
-    thetas = chain_lengths(formulas)
-    solution = solve_abstraction(thetas, method, error_bound)
-    if method is AbstractionMethod.NONE or not thetas:
-        return AbstractionResult(tuple(formulas), solution, method, thetas)
-    mapping = dict(zip(thetas, solution.scaled))
-    rewritten = tuple(rewrite_chains(formula, mapping) for formula in formulas)
-    return AbstractionResult(rewritten, solution, method, thetas)

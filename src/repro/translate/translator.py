@@ -125,7 +125,7 @@ class SpecificationTranslation:
 MAX_CACHE_ENTRIES = 2048
 
 
-_Final = Tuple[Formula, Formula, RequirementPartition]
+_Final = Tuple[Formula, RequirementPartition]
 
 
 class _RawFormula:
@@ -137,8 +137,8 @@ class _RawFormula:
     def __init__(self, formula: Formula) -> None:
         self.formula = formula
         self.lengths = chain_lengths((formula,))
-        #: The lengths ``lengths`` map to -> (rewritten, simplified, the
-        #: simplified formula's I/O class).
+        #: The lengths ``lengths`` map to -> (the rewritten, simplified
+        #: formula, its I/O class).
         self.finals: Dict[Tuple[int, ...], _Final] = {}
 
 
@@ -223,7 +223,7 @@ class TranslationCache:
             if scaled != raw.lengths:
                 rewritten = rewrite_chains(rewritten, dict(zip(raw.lengths, scaled)))
             simplified = simplify(rewritten)
-            final = (rewritten, simplified, classify_requirement(simplified))
+            final = (simplified, classify_requirement(simplified))
             with self._lock:
                 final = raw.finals.setdefault(scaled, final)
                 self._finals += 1
@@ -379,17 +379,12 @@ class Translator:
                 mapping = dict(zip(thetas, solution.scaled))
                 scaled = [tuple(mapping[n] for n in raw.lengths) for raw in raws]
                 finals = [cache._final(raw, key) for raw, key in zip(raws, scaled)]
-            abstraction = AbstractionResult(
-                tuple(rewritten for rewritten, _, _ in finals),
-                solution,
-                self.abstraction,
-                thetas,
-            )
+            abstraction = AbstractionResult(solution, self.abstraction, thetas)
             translated = [
                 RequirementTranslation(
                     identifier, text, record.sentence, raw.formula, final, io_class
                 )
-                for (identifier, text), record, raw, (_, final, io_class) in zip(
+                for (identifier, text), record, raw, (final, io_class) in zip(
                     requirements, records, raws, finals
                 )
             ]

@@ -192,7 +192,7 @@ def bounded_engines(problem) -> "realizability._ComponentOutcome":
     """
     if not problem.explicit_ok:
         return realizability._ComponentOutcome(
-            Verdict.UNKNOWN, None, None, False, "too-large"
+            Verdict.UNKNOWN, None, None, "too-large"
         )
     synthesizer = realizability.IncrementalBoundedSynthesizer
     specification = problem.specification
@@ -217,7 +217,7 @@ def bounded_engines(problem) -> "realizability._ComponentOutcome":
     if controller is not None:
         assert satisfies_specification(controller, specification)
     return realizability._ComponentOutcome(
-        verdict, controller, counterstrategy, False, "bounded"
+        verdict, controller, counterstrategy, "bounded"
     )
 
 

@@ -19,10 +19,10 @@ class ScanCDCLSolver(CDCLSolver):
     a full re-scan pays.
     """
 
-    def __init__(self, cnf: CNF, **options) -> None:
+    def __init__(self, cnf: CNF) -> None:
         # Allocated before the base constructor attaches the input clauses.
         self.occurs: List[List[int]] = [[] for _ in range(2 * (cnf.num_vars + 1))]
-        super().__init__(cnf, **options)
+        super().__init__(cnf)
 
     def _grow(self, var: int) -> None:
         self.occurs.extend([] for _ in range(2 * (var - self.num_vars)))

@@ -17,6 +17,7 @@ Three contracts matter:
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 import sys
@@ -193,7 +194,16 @@ class TestWarmEqualsCold:
         assert not any(thread.is_alive() for thread in threads)
         assert sorted(finished) == list(range(8))
         assert mismatches == []
+        # A pass that prunes keeps what it read, which may be 7 sentences:
+        # the threads' last passes bound nothing.  A pass of at most 6
+        # sentences leaves every level within the bound.
+        small = max((d for d in documents if len(d) <= 6), key=len)
+        got = translation_fingerprint(translator.translate(small, shared))
+        assert got == expected[documents.index(small)]
         assert all(size <= 6 for size in shared.stats().values())
+        seven = [(f"R{index}", text) for index, text in enumerate(POOL[:7], 1)]
+        translator.translate(seven, shared)
+        assert set(shared._records) == set(POOL[:7])
 
     def test_threads_share_the_certificate_caches(self, monkeypatch):
         """Eight threads check overlapping unrealizable documents through
@@ -203,7 +213,11 @@ class TestWarmEqualsCold:
         entries are evicted throughout, and the threads clear every
         process-wide cache at random, so components are re-analysed
         while other threads fill the caches again."""
-        monkeypatch.setattr(invariants, "COMPONENT_CACHE_CAPACITY", 2)
+        monkeypatch.setattr(
+            invariants,
+            "_constant_word",
+            functools.lru_cache(maxsize=2)(invariants._constant_word.__wrapped__),
+        )
         rng = random.Random(20261019)
         documents = []
         for _ in range(10):

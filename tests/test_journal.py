@@ -27,6 +27,7 @@ from pathlib import Path
 import pytest
 
 from repro import SpecCC
+from repro.service import server as server_module
 from repro.service.faults import FaultPlan, install_journal, uninstall_journal
 from repro.service.journal import (
     JournalStore,
@@ -636,13 +637,12 @@ class TestAsyncDurable:
         assert not (tmp_path.parent / "evil.journal").exists()
         store.close()
 
-    def test_durable_sessions_count_against_cap(self, tmp_path):
+    def test_durable_sessions_count_against_cap(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(server_module, "MAX_SESSIONS", 1)
         store = JournalStore(tmp_path, fsync="never")
 
         async def drive():
-            server = AsyncSpecServer(
-                SpecCC(), journal_store=store, max_sessions=1
-            )
+            server = AsyncSpecServer(SpecCC(), journal_store=store)
             first = await server.handle_request(
                 {"op": "attach", "token": "one", "session": "a"}
             )

@@ -126,7 +126,7 @@ def _cold_reports(tool: SpecCC, documents):
             json.dumps(report_to_dict(report, timings=False), sort_keys=True)
         )
         provenance.append([
-            (part.verdict, part.method, part.unsat_witness)
+            (part.verdict, part.method)
             for part in report.realizability.components
         ])
     realizability.clear_caches()
@@ -193,7 +193,7 @@ class TestLadderOrder:
         cost_ordered = _cold_reports(tool, documents)
         monkeypatch.setattr(realizability, "RUNGS", PRECHECK_FIRST)
         assert _cold_reports(tool, documents) == cost_ordered
-        methods = {method for doc in cost_ordered[1] for _, method, _ in doc}
+        methods = {method for doc in cost_ordered[1] for _, method in doc}
         assert {"obligations", "satisfiability", "validity", "game"} <= methods
 
     def test_bounded_engine_order_changes_no_verdict(self, monkeypatch):
@@ -206,7 +206,7 @@ class TestLadderOrder:
             realizability, "RUNGS", with_bounded_engines(PRECHECK_FIRST)
         )
         assert _cold_reports(tool, REGIME_DOCUMENTS) == cost_ordered
-        methods = {method for doc in cost_ordered[1] for _, method, _ in doc}
+        methods = {method for doc in cost_ordered[1] for _, method in doc}
         assert "bounded" in methods
 
 
@@ -302,7 +302,6 @@ def _outcomes():
             (
                 part.verdict,
                 part.method,
-                part.unsat_witness,
                 part.controller is not None,
                 part.counterstrategy is not None,
             )

@@ -34,7 +34,7 @@ import pytest
 from repro import SpecCC, SpecSession
 from repro.__main__ import main as cli_main
 from repro.obs import (
-    DEFAULT_BUCKETS,
+    BUCKETS,
     Histogram,
     MetricsRegistry,
     NULL_SPAN,
@@ -49,6 +49,7 @@ from repro.obs import (
     span,
     tracing_active,
 )
+from repro.obs import metrics as metrics_module
 from repro.obs.metrics import SPAN_FOLD_BATCH
 from repro.service.server import normalize_response, serve
 
@@ -80,7 +81,7 @@ def _no_leaked_tracer():
 
 class TestTracer:
     def test_nested_spans_record_parent_links(self):
-        tracer = Tracer(record_metrics=False)
+        tracer = Tracer()
         with tracer.span("outer", kind="test") as outer:
             with tracer.span("inner") as inner:
                 assert tracer.current() is inner
@@ -107,7 +108,7 @@ class TestTracer:
         assert handle.id is None
 
     def test_process_tracer_activates_module_span(self):
-        tracer = Tracer(record_metrics=False)
+        tracer = Tracer()
         previous = set_process_tracer(tracer)
         assert previous is None
         assert tracing_active()
@@ -117,8 +118,8 @@ class TestTracer:
         assert set_process_tracer(None) is tracer
 
     def test_context_tracer_overrides_process_tracer(self):
-        process = Tracer(name="process", record_metrics=False)
-        request = Tracer(name="request", record_metrics=False)
+        process = Tracer(name="process")
+        request = Tracer(name="request")
         set_process_tracer(process)
         with activated(request):
             assert get_tracer() is request
@@ -129,7 +130,7 @@ class TestTracer:
         assert [record["name"] for record in request.records()] == ["routed"]
 
     def test_activated_none_falls_through_to_process(self):
-        process = Tracer(record_metrics=False)
+        process = Tracer()
         set_process_tracer(process)
         with activated(None):
             with span("still-recorded"):
@@ -137,7 +138,7 @@ class TestTracer:
         assert len(process.records()) == 1
 
     def test_exception_annotates_and_closes_the_span(self):
-        tracer = Tracer(record_metrics=False)
+        tracer = Tracer()
         with pytest.raises(RuntimeError):
             with tracer.span("failing"):
                 raise RuntimeError("boom")
@@ -145,7 +146,7 @@ class TestTracer:
         assert record["args"]["error"] == "RuntimeError"
 
     def test_records_since_mark(self):
-        tracer = Tracer(record_metrics=False)
+        tracer = Tracer()
         with tracer.span("before"):
             pass
         mark = tracer.mark()
@@ -154,7 +155,7 @@ class TestTracer:
         assert [r["name"] for r in tracer.records_since(mark)] == ["after"]
 
     def test_drain_empties_the_tracer(self):
-        tracer = Tracer(record_metrics=False)
+        tracer = Tracer()
         with tracer.span("one"):
             pass
         batch = tracer.drain()
@@ -162,7 +163,7 @@ class TestTracer:
         assert tracer.records() == []
 
     def test_slow_span_logged_with_attributes(self, caplog):
-        tracer = Tracer(slow_ms=0.0, record_metrics=False)
+        tracer = Tracer(slow_ms=0.0)
         with caplog.at_level(logging.WARNING, logger="repro.obs.trace"):
             with tracer.span("slowpoke", detail="payload"):
                 pass
@@ -170,13 +171,13 @@ class TestTracer:
         assert any("slowpoke" in m and "payload" in m for m in messages)
 
     def test_adopt_stitches_a_shipped_batch(self):
-        worker = Tracer(record_metrics=False)
+        worker = Tracer()
         with worker.span("task"):
             with worker.span("step"):
                 pass
         batch = worker.drain()
 
-        parent = Tracer(record_metrics=False)
+        parent = Tracer()
         with parent.span("dispatch") as dispatch:
             parent.adopt(batch, parent=dispatch, tid="shard3", offset_us=dispatch.ts)
         by_name = {record["name"]: record for record in parent.records()}
@@ -211,7 +212,7 @@ class TestTracer:
 
     def test_every_span_feeds_a_latency_histogram(self):
         registry().reset()
-        tracer = Tracer()  # record_metrics defaults on
+        tracer = Tracer()
         with tracer.span("pipeline.unit"):
             pass
         summary = registry().histograms_summary()
@@ -220,7 +221,7 @@ class TestTracer:
 
 class TestChromeExport:
     def test_export_passes_the_ci_validator(self, tmp_path):
-        tracer = Tracer(record_metrics=False)
+        tracer = Tracer()
         with tracer.span("root", label="r"):
             with tracer.span("child"):
                 pass
@@ -231,11 +232,11 @@ class TestChromeExport:
         assert summary["spans"] == 2
 
     def test_adopted_batch_exports_balanced_tracks(self, tmp_path):
-        worker = Tracer(record_metrics=False)
+        worker = Tracer()
         with worker.span("worker.check"):
             pass
         batch = worker.drain()
-        parent = Tracer(record_metrics=False)
+        parent = Tracer()
         with parent.span("pool.task") as sp:
             parent.adopt(batch, parent=sp, tid="shard0", offset_us=sp.ts)
         target = tmp_path / "stitched.json"
@@ -274,17 +275,18 @@ class TestHistogram:
         assert summary["min"] <= summary["p50"]
         assert summary["p99"] <= summary["max"]
 
-    def test_overflow_bucket_catches_outliers(self):
-        histogram = Histogram(buckets=(0.1, 1.0))
+    def test_overflow_bucket_catches_outliers(self, monkeypatch):
+        monkeypatch.setattr(metrics_module, "BUCKETS", (0.1, 1.0))
+        histogram = Histogram()
         histogram.observe(100.0)
-        assert histogram.counts[-1] == 1
+        assert histogram.counts == [0, 0, 1]
         assert histogram.quantile(0.5) == 100.0
 
     def test_empty_histogram_has_no_quantiles(self):
         assert Histogram().quantile(0.5) is None
 
-    def test_default_buckets_are_sorted(self):
-        assert list(DEFAULT_BUCKETS) == sorted(DEFAULT_BUCKETS)
+    def test_buckets_are_sorted(self):
+        assert list(BUCKETS) == sorted(BUCKETS)
 
 
 class TestMetricsRegistry:
@@ -293,7 +295,7 @@ class TestMetricsRegistry:
         assert reg.counter("serve.requests") == 1
         assert reg.counter("serve.requests", 4) == 5
         reg.set_gauge("pool.shards", 2.0)
-        reg.observe("span.check", 0.25)
+        reg.observe_span({"name": "check", "dur": 250_000.0})
         snapshot = reg.snapshot()
         assert snapshot["counters"] == {"serve.requests": 5}
         assert snapshot["gauges"] == {"pool.shards": 2.0}
@@ -419,7 +421,7 @@ class TestUnifiedReset:
     def test_clear_caches_routes_through_the_one_reset(self):
         tool = SpecCC()
         tool.check_document(DOC)
-        registry().observe("span.probe", 0.1)
+        registry().observe_span({"name": "probe", "dur": 100_000.0})
         SpecCC.clear_caches()
         from repro.synthesis.realizability import synthesis_stats
 
@@ -554,7 +556,7 @@ class TestServeObservability:
             assert "buckets" not in data  # full=False: summaries only
 
     def test_session_check_reports_stage_seconds_when_traced(self):
-        tracer = Tracer(record_metrics=False)
+        tracer = Tracer()
         set_process_tracer(tracer)
         try:
             session = SpecSession()
@@ -575,10 +577,10 @@ class TestPoolSpanStitching:
     def test_worker_spans_land_under_the_dispatching_task(self):
         from repro.service.pool import WorkerPool
 
-        tracer = Tracer(name="pool-trace", record_metrics=False)
+        tracer = Tracer(name="pool-trace")
         set_process_tracer(tracer)
         try:
-            with WorkerPool(shards=1, prewarm=False) as pool:
+            with WorkerPool(shards=1) as pool:
                 tasks = pool.check_documents([("doc", DOC)])
         finally:
             set_process_tracer(None)
@@ -604,10 +606,10 @@ class TestPoolSpanStitching:
     def test_stitched_trace_exports_clean(self, tmp_path):
         from repro.service.pool import WorkerPool
 
-        tracer = Tracer(record_metrics=False)
+        tracer = Tracer()
         set_process_tracer(tracer)
         try:
-            with WorkerPool(shards=2, prewarm=False) as pool:
+            with WorkerPool(shards=2) as pool:
                 pool.check_documents(
                     [("a", DOC), ("b", "The valve is opened.\n")]
                 )
@@ -621,6 +623,6 @@ class TestPoolSpanStitching:
     def test_untraced_pool_ships_no_spans(self):
         from repro.service.pool import WorkerPool
 
-        with WorkerPool(shards=1, prewarm=False) as pool:
+        with WorkerPool(shards=1) as pool:
             tasks = pool.check_documents([("doc", DOC)])
         assert tasks[0].spans == ()

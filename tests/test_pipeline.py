@@ -491,11 +491,14 @@ class TestPrewarm:
             warm, timings=False
         )
 
-    def test_prewarm_custom_and_empty_workloads(self):
+    def test_prewarm_custom_and_empty_workloads(self, monkeypatch):
         tool = SpecCC()
-        stats = tool.prewarm(["The valve is opened."])
+        monkeypatch.setattr(SpecCC, "PREWARM_SENTENCES", ("The valve is opened.",))
+        stats = tool.prewarm()
         assert "component_cache" in stats
-        assert tool.prewarm([]) == tool.cache_stats()  # no-op workload
+        monkeypatch.setattr(SpecCC, "PREWARM_SENTENCES", ())
+        before = tool.cache_stats()
+        assert tool.prewarm() == before  # no-op workload
 
     def test_cache_stats_snapshot_is_picklable(self):
         import pickle

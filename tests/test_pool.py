@@ -19,6 +19,7 @@ import json
 import pytest
 
 from repro import BatchChecker, SpecCC, SpecCCConfig
+from repro.service import supervision as supervision_module
 from repro.service.faults import FaultPlan, FaultSpec
 from repro.service.pool import (
     WorkerPool,
@@ -63,8 +64,12 @@ CORPUS13 = DOCS + [
     ("c13", "If the guard is closed, the press is released.\n"),
 ]
 
-#: Fast supervision defaults for tests: real backoff shape, tiny delays.
-FAST = dict(backoff_base=0.01, backoff_cap=0.05)
+
+@pytest.fixture
+def fast_backoff(monkeypatch):
+    """The production backoff shape with tiny delays."""
+    monkeypatch.setattr(supervision_module, "BACKOFF_BASE", 0.01)
+    monkeypatch.setattr(supervision_module, "BACKOFF_CAP", 0.05)
 
 
 def canonical(results) -> list:
@@ -113,8 +118,8 @@ class TestWorkerPool:
     def test_repeated_corpus_hits_warm_worker_caches(self):
         """Second pass over the same corpus must be served from the
         workers' component-outcome LRUs: no new misses, only hits."""
-        SpecCC.clear_caches()  # forked workers must start cold
-        with WorkerPool(shards=2, prewarm=False) as pool:
+        SpecCC.clear_caches()  # forked workers start cold, then prewarm
+        with WorkerPool(shards=2) as pool:
             pool.check_documents(DOCS)
             first = pool.stats()
             assert first["worker_cache"]["misses"] > 0
@@ -154,7 +159,7 @@ class TestWorkerPool:
             pool.shutdown()
 
     def test_worker_snapshots_are_per_shard(self):
-        with WorkerPool(shards=2, prewarm=False) as pool:
+        with WorkerPool(shards=2) as pool:
             pool.check_documents(DOCS)
             snapshots = pool.worker_snapshots()
         assert len(snapshots) == 2
@@ -169,7 +174,7 @@ class TestWorkerPool:
         """Per-document isolation: a document whose pipeline raises
         resolves to the shared error record — the future never raises,
         siblings are unaffected, and the failure is counted."""
-        with WorkerPool(shards=1, prewarm=False) as pool:
+        with WorkerPool(shards=1) as pool:
             bad = pool.submit("bad", [("R1", "")]).result()
             good = pool.submit("good", DOCS[0][1]).result()
             assert bad.error is not None
@@ -186,16 +191,14 @@ class TestWorkerPool:
             assert stats["supervision"]["task_errors"] == 3
             assert stats["spawns"] == [0]
 
-    def test_error_records_byte_identical_to_sequential(self):
+    def test_error_records_byte_identical_to_sequential(self, fast_backoff):
         """A pipeline exception raised inside a worker process crosses
         the process boundary under its original type name: the error
         record matches the sequential run byte for byte, and no worker
         died for it."""
         corpus = [("bad", [("R1", "")])] + DOCS
         sequential = canonical(BatchChecker(workers=1).check_documents(corpus))
-        with WorkerPool(
-            shards=2, prewarm=False, supervision=SupervisionConfig(seed=0, **FAST)
-        ) as pool:
+        with WorkerPool(shards=2, supervision=SupervisionConfig(seed=0)) as pool:
             tasks = pool.check_documents(corpus)
             stats = pool.stats()
         assert canonical(tasks) == sequential
@@ -209,7 +212,7 @@ class TestWorkerPool:
         """The pool row that the serve ``stats``/``metrics`` ops and
         ``check --stats`` surface.  The local process pool is the only
         transport, so the row carries no ``remote`` member."""
-        with WorkerPool(shards=1, prewarm=False) as pool:
+        with WorkerPool(shards=1) as pool:
             pool.check_documents(DOCS[:1])
             stats = pool.stats()
         assert set(stats) == {
@@ -331,16 +334,26 @@ class TestFaultPlan:
         first = backoff_delay(config, "doc", 1)
         assert first == backoff_delay(config, "doc", 1)
         assert first != backoff_delay(SupervisionConfig(seed=8), "doc", 1)
+        cap = supervision_module.BACKOFF_CAP * (1 + supervision_module.JITTER)
         for attempt in range(1, 8):
-            delay = backoff_delay(config, "doc", attempt)
-            assert 0 < delay <= config.backoff_cap * (1 + config.jitter)
+            assert 0 < backoff_delay(config, "doc", attempt) <= cap
+
+    def test_backoff_doubles_to_its_cap_plus_jitter(self, fast_backoff, monkeypatch):
+        config = SupervisionConfig(seed=7)
+        jitter = supervision_module.JITTER
+        jittered = [backoff_delay(config, "doc", attempt) for attempt in range(1, 6)]
+        monkeypatch.setattr(supervision_module, "JITTER", 0.0)
+        plain = [backoff_delay(config, "doc", attempt) for attempt in range(1, 6)]
+        assert plain == [0.01, 0.02, 0.04, 0.05, 0.05]
+        for delay, base in zip(jittered, plain):
+            assert base < delay <= base * (1 + jitter)
 
 
 class TestFaultInjection:
     """The acceptance criteria: every scheduled failure recovers to
     byte-identical reports, with exact recovery counters."""
 
-    def test_crash_mid_corpus_recovers_byte_identical(self):
+    def test_crash_mid_corpus_recovers_byte_identical(self, fast_backoff):
         """Kill shard K's worker on its Nth task mid-13-doc-corpus: the
         batch completes, bytes match ``workers=1``, and the counters
         match the plan exactly — one death, one restart, one retry."""
@@ -364,9 +377,8 @@ class TestFaultInjection:
         )
         pool = WorkerPool(
             shards=shards,
-            prewarm=False,
             fault_plan=plan,
-            supervision=SupervisionConfig(seed=plan.seed, **FAST),
+            supervision=SupervisionConfig(seed=plan.seed),
         )
         with pool:
             tasks = pool.check_documents(CORPUS13)
@@ -386,7 +398,7 @@ class TestFaultInjection:
         assert sum(stats["spawns"]) == 1
         assert stats["failures"] == 0
 
-    def test_hung_worker_times_out_and_recovers(self):
+    def test_hung_worker_times_out_and_recovers(self, fast_backoff):
         """A delay fault + watchdog timeout: the hung worker is killed,
         respawned, and the task retried — reports stay byte-identical."""
         docs = DOCS[:3]
@@ -399,11 +411,8 @@ class TestFaultInjection:
         )
         pool = WorkerPool(
             shards=1,
-            prewarm=False,
             fault_plan=plan,
-            supervision=SupervisionConfig(
-                seed=plan.seed, task_timeout=2.0, **FAST
-            ),
+            supervision=SupervisionConfig(seed=plan.seed, task_timeout=2.0),
         )
         with pool:
             tasks = pool.check_documents(docs)
@@ -415,7 +424,7 @@ class TestFaultInjection:
         assert supervision["retries"] == 1
         assert supervision["degraded"] is False
 
-    def test_timeout_then_degraded_fallback_end_to_end(self):
+    def test_timeout_then_degraded_fallback_end_to_end(self, fast_backoff):
         """Every spawn hangs on every task: timeout → respawn → retry →
         timeout again → attempts exhausted → in-process fallback.  The
         results are still byte-identical and the degradation is
@@ -428,10 +437,9 @@ class TestFaultInjection:
         )
         pool = WorkerPool(
             shards=1,
-            prewarm=False,
             fault_plan=plan,
             supervision=SupervisionConfig(
-                seed=plan.seed, task_timeout=0.5, max_attempts=2, **FAST
+                seed=plan.seed, task_timeout=0.5, max_attempts=2
             ),
         )
         with pool:
@@ -445,11 +453,12 @@ class TestFaultInjection:
         assert supervision["timeouts"] == 2 * len(docs)
         assert supervision["restarts"] == 2 * len(docs)
 
-    def test_respawn_failure_trips_circuit_breaker(self):
+    def test_respawn_failure_trips_circuit_breaker(self, fast_backoff, monkeypatch):
         """Respawn forced to keep failing (``crash_init`` aimed at every
         respawn generation): the circuit breaker opens, the whole corpus
         still completes byte-identically on the in-process path, and
         ``degraded=True`` is surfaced in stats."""
+        monkeypatch.setattr(supervision_module, "MAX_RESPAWN_FAILURES", 2)
         docs = DOCS[:3]
         sequential = canonical(BatchChecker(workers=1).check_documents(docs))
         plan = FaultPlan(
@@ -461,11 +470,8 @@ class TestFaultInjection:
         )
         pool = WorkerPool(
             shards=1,
-            prewarm=False,
             fault_plan=plan,
-            supervision=SupervisionConfig(
-                seed=plan.seed, max_respawn_failures=2, **FAST
-            ),
+            supervision=SupervisionConfig(seed=plan.seed),
         )
         with pool:
             tasks = pool.check_documents(docs)
@@ -480,7 +486,7 @@ class TestFaultInjection:
         assert supervision["worker_deaths"] == 1
         assert stats["failures"] == 0
 
-    def test_pipeline_raise_fault_is_retried_on_same_worker(self):
+    def test_pipeline_raise_fault_is_retried_on_same_worker(self, fast_backoff):
         """A ``raise`` fault fires once inside ``check_translated``; the
         supervisor retries on the same (healthy) worker, where the
         fired-count keeps it from re-firing — no respawn needed."""
@@ -492,9 +498,8 @@ class TestFaultInjection:
         )
         pool = WorkerPool(
             shards=1,
-            prewarm=False,
             fault_plan=plan,
-            supervision=SupervisionConfig(seed=plan.seed, **FAST),
+            supervision=SupervisionConfig(seed=plan.seed),
         )
         with pool:
             tasks = pool.check_documents(docs)
@@ -507,7 +512,7 @@ class TestFaultInjection:
         assert supervision["worker_deaths"] == 0
         assert supervision["degraded"] is False
 
-    def test_batchchecker_process_backend_survives_crash(self):
+    def test_batchchecker_process_backend_survives_crash(self, fast_backoff):
         """The acceptance criterion at the BatchChecker surface: a
         seeded crash plan, ``backend="process"``, full 13-doc corpus,
         byte-identical output."""
@@ -520,9 +525,8 @@ class TestFaultInjection:
         )
         with WorkerPool(
             shards=2,
-            prewarm=False,
             fault_plan=plan,
-            supervision=SupervisionConfig(seed=plan.seed, **FAST),
+            supervision=SupervisionConfig(seed=plan.seed),
         ) as pool:
             checker = BatchChecker(workers=2, backend="process", pool=pool)
             results = checker.check_documents(CORPUS13)
@@ -541,7 +545,7 @@ class TestAggregateStatsAcrossPools:
     including pools that have already been shut down, whose counters
     must still contribute."""
 
-    def test_two_live_pools_plus_one_closed_pool(self):
+    def test_two_live_pools_plus_one_closed_pool(self, fast_backoff):
         from repro.service.supervision import aggregate_stats
 
         # Pool 1: a scheduled mid-pipeline raise -> one task error, one
@@ -552,12 +556,11 @@ class TestAggregateStatsAcrossPools:
         )
         faulty = WorkerPool(
             shards=1,
-            prewarm=False,
             fault_plan=plan,
-            supervision=SupervisionConfig(seed=plan.seed, **FAST),
+            supervision=SupervisionConfig(seed=plan.seed),
         )
-        clean = WorkerPool(shards=1, prewarm=False)
-        retired = WorkerPool(shards=1, prewarm=False)
+        clean = WorkerPool(shards=1)
+        retired = WorkerPool(shards=1)
         with retired:
             retired.check_documents(DOCS[:1])
         assert retired.closed  # stats() must keep working afterwards

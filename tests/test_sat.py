@@ -17,6 +17,7 @@ from repro.sat import (
     encode,
     solve,
 )
+from repro.sat import cdcl
 from repro.sat.cdcl import _luby
 
 from oracles.sat import ScanCDCLSolver, solve_brute
@@ -146,6 +147,15 @@ class TestCDCLBasics:
             with pytest.raises(TypeError):
                 CDCLSolver(cnf_of([1]), propagation=mode)
 
+    def test_activity_increment_grows_by_one_over_var_decay(self, monkeypatch):
+        # Every conflict that learns a clause scales the VSIDS increment by
+        # 1/VAR_DECAY; the final root-level conflict learns nothing.
+        monkeypatch.setattr(cdcl, "VAR_DECAY", 0.5)
+        solver = CDCLSolver(pigeonhole(5, 4))
+        assert not solver.solve()
+        assert solver.conflicts > 1
+        assert solver.var_inc == 2.0 ** (solver.conflicts - 1)
+
 
 pigeonhole = CNF.pigeonhole
 
@@ -183,10 +193,11 @@ class TestRestartsAndLuby:
             1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8,
         ]
 
-    def test_restarts_follow_luby_with_short_interval(self):
-        # restart_interval=1 restarts after every 1*luby(i) conflicts, so a
+    def test_restarts_follow_luby_with_short_interval(self, monkeypatch):
+        # An interval of 1 restarts after every 1*luby(i) conflicts, so a
         # conflict-heavy instance must restart and still answer correctly.
-        solver = CDCLSolver(pigeonhole(5, 4), restart_interval=1)
+        monkeypatch.setattr(cdcl, "RESTART_INTERVAL", 1)
+        solver = CDCLSolver(pigeonhole(5, 4))
         result = solver.solve()
         assert not result
         assert solver.stats()["restarts"] >= 1
@@ -263,10 +274,11 @@ class TestPropagationSchemes:
 class TestDatabaseReduction:
     """Learnt-clause DB reduction with literal-block-distance scoring."""
 
-    def test_reduction_drops_clauses_and_preserves_verdict(self):
+    def test_reduction_drops_clauses_and_preserves_verdict(self, monkeypatch):
+        monkeypatch.setattr(cdcl, "REDUCE_INTERVAL", 20)
         cnf = pigeonhole(6, 5)
         for solver_class in (CDCLSolver, ScanCDCLSolver):
-            solver = solver_class(cnf, reduce_interval=20)
+            solver = solver_class(cnf)
             assert not solver.solve()
             stats = solver.stats()
             assert stats["learnt_dropped"] > 0, solver_class
@@ -275,8 +287,10 @@ class TestDatabaseReduction:
             live = sum(1 for clause in solver.clauses if clause is not None)
             assert stats["clauses"] == live
 
-    def test_reduction_disabled_keeps_everything(self):
-        solver = CDCLSolver(pigeonhole(6, 5), reduce_interval=0)
+    def test_reduction_disabled_keeps_everything(self, monkeypatch):
+        # An interval no search reaches disables reduction in effect.
+        monkeypatch.setattr(cdcl, "REDUCE_INTERVAL", 10**9)
+        solver = CDCLSolver(pigeonhole(6, 5))
         assert not solver.solve()
         assert solver.stats()["learnt_dropped"] == 0
 
@@ -287,22 +301,20 @@ class TestDatabaseReduction:
         assert "learnt_kept" in stats
         assert "learnt_dropped" in stats
 
-    def test_negative_interval_rejected(self):
-        with pytest.raises(ValueError):
-            CDCLSolver(cnf_of([1]), reduce_interval=-1)
-
-    def test_reduction_is_deterministic(self):
+    def test_reduction_is_deterministic(self, monkeypatch):
+        monkeypatch.setattr(cdcl, "REDUCE_INTERVAL", 10)
         cnf = pigeonhole(6, 5)
-        first = CDCLSolver(cnf, reduce_interval=10)
-        second = CDCLSolver(cnf, reduce_interval=10)
+        first = CDCLSolver(cnf)
+        second = CDCLSolver(cnf)
         assert not first.solve() and not second.solve()
         assert first.stats() == second.stats()
 
     @pytest.mark.parametrize("seed", range(15))
-    def test_aggressive_reduction_agrees_with_brute_force(self, seed):
+    def test_aggressive_reduction_agrees_with_brute_force(self, seed, monkeypatch):
+        monkeypatch.setattr(cdcl, "REDUCE_INTERVAL", 3)
         rng = random.Random(9000 + seed)
         cnf = random_cnf(rng, num_vars=8, num_clauses=rng.randint(20, 45))
-        solver = CDCLSolver(cnf, reduce_interval=3)
+        solver = CDCLSolver(cnf)
         result = solver.solve()
         brute = solve_brute(cnf)
         assert bool(result) == (brute is not None)
@@ -310,8 +322,9 @@ class TestDatabaseReduction:
             for clause in cnf.clauses:
                 assert any(result.value(lit) for lit in clause)
 
-    def test_glue_and_binary_clauses_survive(self):
-        solver = CDCLSolver(pigeonhole(6, 5), reduce_interval=10)
+    def test_glue_and_binary_clauses_survive(self, monkeypatch):
+        monkeypatch.setattr(cdcl, "REDUCE_INTERVAL", 10)
+        solver = CDCLSolver(pigeonhole(6, 5))
         assert not solver.solve()
         for index in solver.learnt:
             clause = solver.clauses[index]

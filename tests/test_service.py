@@ -850,9 +850,13 @@ class TestServeAsync:
         assert good["ok"]
         assert names == ("real",)
 
-    def test_session_count_is_bounded(self):
+    def test_session_count_is_bounded(self, monkeypatch):
+        import repro.service.server as server_module
+
+        monkeypatch.setattr(server_module, "MAX_SESSIONS", 2)
+
         async def drive():
-            server = AsyncSpecServer(max_sessions=2)
+            server = AsyncSpecServer()
             return [
                 await server.handle_request({"op": "stats", "session": name})
                 for name in ("a", "b", "c")

@@ -7,14 +7,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.logic import And, Atom, Next, Or, atoms, next_chain, parse, to_str
+from repro.logic import (
+    And,
+    Atom,
+    Next,
+    Or,
+    atoms,
+    next_chain,
+    next_depth,
+    parse,
+    to_str,
+)
 from repro.nlp import AntonymDictionary, StructuredEnglishError, parse_sentence
 from repro.translate import (
     AbstractionMethod,
     Color,
     TranslationOptions,
     Translator,
-    abstract_time,
     analyse,
     chain_lengths,
     classify_requirement,
@@ -236,27 +245,41 @@ class TestChainRewriting:
         assert rewritten == next_chain(Atom("p"), scaled)
 
 
+#: Chains of 4 and 2 steps: GCD 2.
+GCD_DOCUMENT = (
+    "If the valve is open, the alarm is issued in 4 seconds.\n"
+    "If the valve is open, the pump is stopped in 2 seconds."
+)
+
+
 class TestAbstractTime:
+    """The translator rewrites every chain by the chosen method."""
+
     def test_paper_mapping(self):
-        formulas = [
-            parse("G (a -> " + "X " * 3 + "p)"),
-            parse("G (b -> " + "X " * 180 + "q)"),
-            parse("G (c -> " + "X " * 60 + "r)"),
-        ]
-        result = abstract_time(formulas, AbstractionMethod.OPTIMAL, error_bound=5)
-        assert result.solution.divisor == 60
-        assert result.mapping == {3: 0, 60: 1, 180: 3}
+        translator = Translator(abstraction=AbstractionMethod.OPTIMAL, error_bound=5)
+        spec = translator.translate_document(
+            "If the valve is open, the alarm is issued in 3 seconds.\n"
+            "If the valve is open, the pump is stopped in 180 seconds.\n"
+            "If the valve is open, the log is updated in 60 seconds."
+        )
+        assert spec.abstraction.solution.divisor == 60
+        assert spec.abstraction.mapping == {3: 0, 60: 1, 180: 3}
+        assert [next_depth(formula) for formula in spec.formulas] == [0, 3, 1]
 
     def test_gcd_method(self):
-        formulas = [parse("X X X X a"), parse("X X b")]
-        result = abstract_time(formulas, AbstractionMethod.GCD)
-        assert result.solution.divisor == 2
-        assert result.formulas == (parse("X X a"), parse("X b"))
+        translator = Translator(abstraction=AbstractionMethod.GCD)
+        spec = translator.translate_document(GCD_DOCUMENT)
+        assert spec.abstraction.solution.divisor == 2
+        assert spec.formulas == (
+            parse("G (open_valve -> X X issue_alarm)"),
+            parse("G (open_valve -> X stop_pump)"),
+        )
 
     def test_none_method(self):
-        formulas = [parse("X X X a")]
-        result = abstract_time(formulas, AbstractionMethod.NONE)
-        assert result.formulas == tuple(formulas)
+        translator = Translator(abstraction=AbstractionMethod.NONE)
+        spec = translator.translate_document(GCD_DOCUMENT)
+        assert spec.formulas == tuple(req.raw_formula for req in spec.requirements)
+        assert next_depth(spec.formulas[0]) == 4
 
 
 class TestPartition:
