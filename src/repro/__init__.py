@@ -22,7 +22,6 @@ Quickstart::
 
 from .core.pipeline import ConsistencyReport, SpecCC, SpecCCConfig
 from .logic import parse as parse_ltl
-from .service import BatchChecker, SessionReport, SpecSession, WorkerPool
 from .synthesis.realizability import Verdict
 from .translate.semantics import SemanticsDelta
 from .translate.templates import TranslationOptions
@@ -47,3 +46,24 @@ __all__ = [
     "parse_ltl",
     "__version__",
 ]
+
+#: The serving tier's exports and their submodules of :mod:`repro.service`.
+#: They load on first access (PEP 562), so a one-shot check imports no
+#: serving module, nor ``asyncio`` or ``multiprocessing`` through one.
+_SERVICE_EXPORTS = {
+    "BatchChecker": "batch",
+    "SessionReport": "session",
+    "SpecSession": "session",
+    "WorkerPool": "pool",
+}
+
+
+def __getattr__(name: str):
+    submodule = _SERVICE_EXPORTS.get(name)
+    if submodule is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.service.{submodule}"), name)
+    globals()[name] = value
+    return value

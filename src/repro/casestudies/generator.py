@@ -13,7 +13,7 @@ descriptor always yields the same sentences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 #: Adjectives used for monitored (input) conditions, cycled in order.

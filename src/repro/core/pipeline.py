@@ -41,7 +41,7 @@ tool's translation cache is bounded by pruning and cleared via
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from ..obs.trace import span as _obs_span
@@ -195,10 +195,10 @@ class SpecCC:
     #: Sentences the :meth:`prewarm` workload runs: a condition/response
     #: pair sharing one component plus an antonym negation, which together
     #: touch the parser, the semantic analysis, time abstraction,
-    #: partitioning, one partition repair and both verdict directions of
-    #: the obligation certificate.  The clash is settled from the
-    #: certificate's conflict core, so the workload no longer reaches GPVW
-    #: translation or the exact engines.
+    #: partitioning, one partition repair, both verdict directions of the
+    #: obligation certificate and one constant-word SAT solve.  The clash
+    #: is settled from the certificate's conflict core, so the workload
+    #: reaches neither GPVW translation nor the exact engines.
     PREWARM_SENTENCES: Tuple[str, ...] = (
         "If the sensor is active, the valve is opened.",
         "If the sensor is normal, the valve is not opened.",
@@ -207,14 +207,15 @@ class SpecCC:
     def prewarm(self) -> dict:
         """Warm a fresh process before it serves traffic.
 
-        Worker-pool initializers call this once per spawned process: the
-        first real request then pays neither the lazy imports (grammar
-        tables, automata translation, synthesis engines) nor an entirely
-        cold formula pool.  The workload is deliberately tiny — checking
-        :attr:`PREWARM_SENTENCES` as one throwaway document — and its
-        cache entries are semantically transparent, so prewarming can
-        never change a later verdict.  Returns the post-warm
-        :meth:`cache_stats` snapshot.
+        Worker-pool initializers call this once per spawned process.  It
+        checks :attr:`PREWARM_SENTENCES` as one throwaway document, so the
+        first real request runs a check path that has already run once in
+        this process, over a formula pool that is not entirely cold.  It
+        imports nothing: ``import repro`` already loads every module a
+        check runs, the lexicon's word classes included.  Its cache
+        entries are semantically transparent, so prewarming can never
+        change a later verdict.  Returns the post-warm :meth:`cache_stats`
+        snapshot.
         """
         self.check(
             [

@@ -9,7 +9,7 @@ presenting counterexamples to the user.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Sequence, Tuple
 
 from .ast import (

@@ -9,7 +9,7 @@ clause.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from .grammar import Clause, ClauseGroup, Sentence, SubClause
 

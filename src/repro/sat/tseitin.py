@@ -7,7 +7,7 @@ skeletons produced by the bit-blaster and by the translator's sanity checks
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict
 
 from ..logic.ast import (
     And,

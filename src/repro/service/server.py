@@ -84,7 +84,6 @@ from concurrent.futures import TimeoutError as FuturesTimeoutError
 from typing import IO, Callable, Optional
 
 from ..core.pipeline import SpecCC
-from .batch import BatchChecker
 from .reportjson import report_to_dict
 from .session import SessionReport, SpecSession
 
@@ -317,6 +316,8 @@ class _Server:
     MAX_BATCH_WORKERS = 8
 
     def _op_batch(self, request: dict) -> dict:
+        from .batch import BatchChecker
+
         documents = _require(request, "documents")
         if not isinstance(documents, (list, tuple)):
             raise ValueError(

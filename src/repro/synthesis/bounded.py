@@ -61,9 +61,9 @@ encodings.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..automata.buchi import BuchiAutomaton, Label
+from ..automata.buchi import BuchiAutomaton
 from ..automata.gpvw import translate
 from ..logic.ast import Formula, Not
 from ..sat.cdcl import CDCLSolver

@@ -14,7 +14,7 @@ from typing import Dict, Optional, Tuple
 from ..logic.ast import Formula, Not
 from ..logic.semantics import LassoWord
 from ..automata.buchi import BuchiAutomaton, Label
-from ..automata.emptiness import Witness, find_witness
+from ..automata.emptiness import find_witness
 from ..automata.gpvw import translate
 from .mealy import MealyMachine, all_letters
 

@@ -22,7 +22,7 @@ mapping implied by the appendix's gold formulas:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from ..logic.ast import (

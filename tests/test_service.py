@@ -869,16 +869,18 @@ class TestServeAsync:
     def test_batch_workers_clamped(self, monkeypatch):
         """A client-chosen worker count must not be able to spawn pools
         (and their persistent processes) without bound."""
+        import repro.service.batch as batch_module
         import repro.service.server as server_module
 
         captured = {}
-        real = server_module.BatchChecker
+        real = batch_module.BatchChecker
 
         def spy(*args, **kwargs):
             captured.update(kwargs)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(server_module, "BatchChecker", spy)
+        # The batch op imports BatchChecker when it runs, from its module.
+        monkeypatch.setattr(batch_module, "BatchChecker", spy)
         responses = run_serve(
             [
                 {
@@ -1484,15 +1486,12 @@ class TestOneTransport:
     def test_remote_module_is_gone_and_exports_resolve(self):
         import importlib
 
-        import repro.service
+        import repro
 
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module("repro.service.remote")
         # An export left behind for a deleted name would break ``import *``.
-        missing = [
-            name for name in repro.service.__all__
-            if not hasattr(repro.service, name)
-        ]
+        missing = [name for name in repro.__all__ if not hasattr(repro, name)]
         assert missing == []
 
 
