@@ -14,10 +14,8 @@ from repro.casestudies import mode_switching_requirements
 from repro.translate import (
     TranslationOptions,
     Translator,
-    analyse,
     mutual_exclusion_assumptions,
 )
-from repro.nlp import parse_sentence
 
 
 def translate_with(semantic_reasoning: bool):
@@ -50,19 +48,21 @@ def test_semantic_reasoning_reduces_propositions(capsys):
 
 def test_paper_worked_example_req32_req44():
     # Section IV-D: available/unavailable under subject pulse_wave.
-    sentences = [
-        parse_sentence(
+    requirements = [
+        (
+            "Req-32",
             "If pulse wave or arterial line is available, and cuff is selected,"
-            " corroboration is triggered."
+            " corroboration is triggered.",
         ),
-        parse_sentence(
+        (
+            "Req-44",
             "If pulse wave and arterial line are unavailable, and cuff is"
             " selected, and blood pressure is not valid, next manual mode is"
-            " started."
+            " started.",
         ),
     ]
-    analysis = analyse(sentences)
-    pairs = analysis.antonym_pairs()
+    translator = Translator(options=TranslationOptions(next_as_x=False))
+    pairs = translator.translate(requirements).analysis.antonym_pairs()
     assert ("pulse_wave", "available", "unavailable") in pairs
     assert ("arterial_line", "available", "unavailable") in pairs
 

@@ -5,7 +5,7 @@ Paper reference (DATE'15 Table I):
     0      Working mode and switching    30  22  28  34s   consistent
     1      Pump Monitor                  20   9  14   2s   consistent
     2.1.1  BPM: cuff detector            14  13  12   1s   consistent
-    ...    (see EXPERIMENTS.md for the full row list)
+    ...    (the full row list is PAPER_ROWS below)
     3.2    (PA) Polling algorithm        56  12  20  11s   consistent
 
 Every row is re-run end to end: structured English -> LTL (with semantic
@@ -75,8 +75,9 @@ def test_table1_cara_rows(paper_tool, capsys):
         assert report.consistent, name
         assert len(spec.requirements) == paper_formulas, name
         if name != "0 Working mode and switching":
-            # Component scales are exact; row 0's variable counts depend on
-            # proposition naming and deviate slightly (see EXPERIMENTS.md).
+            # Component scales are exact.  Row 0's variable counts depend
+            # on proposition naming: it translates to 23 inputs and 21
+            # outputs against the paper's 22 and 28.
             assert spec.num_inputs == paper_in, name
             assert spec.num_outputs == paper_out, name
     with capsys.disabled():

@@ -1,7 +1,7 @@
 """Automata substrate: Büchi automata, GPVW translation, emptiness, LTL-SAT."""
 
 from .buchi import BuchiAutomaton, Label
-from .emptiness import Witness, find_witness, is_empty
+from .emptiness import Witness, find_witness
 from .gpvw import translate
 from .ltlsat import is_valid, satisfiable
 
@@ -10,7 +10,6 @@ __all__ = [
     "Label",
     "Witness",
     "find_witness",
-    "is_empty",
     "is_valid",
     "satisfiable",
     "translate",

@@ -40,17 +40,6 @@ class Label:
     def matches(self, letter: FrozenSet[str]) -> bool:
         return self.pos <= letter and not (self.neg & letter)
 
-    def conjoin(self, other: "Label") -> Optional["Label"]:
-        """The conjunction of two labels, or ``None`` when contradictory."""
-        pos = self.pos | other.pos
-        neg = self.neg | other.neg
-        if pos & neg:
-            return None
-        return Label(frozenset(pos), frozenset(neg))
-
-    def support(self) -> FrozenSet[str]:
-        return self.pos | self.neg
-
     def restrict(self, keep: FrozenSet[str]) -> "Label":
         """Project the label onto the propositions in *keep*."""
         return Label(self.pos & keep, self.neg & keep)
@@ -98,9 +87,6 @@ class BuchiAutomaton:
 
     def successors(self, state: int) -> List[Tuple[Label, int]]:
         return self.transitions.get(state, [])
-
-    def num_transitions(self) -> int:
-        return sum(len(edges) for edges in self.transitions.values())
 
     def degeneralize(self) -> "BuchiAutomaton":
         """Counter construction turning a GBA into an equivalent NBA.

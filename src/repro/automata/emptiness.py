@@ -3,9 +3,12 @@
 Non-emptiness of a GBA reduces to finding a reachable strongly connected
 component that (a) contains at least one transition and (b) intersects every
 acceptance set.  Tarjan's algorithm is implemented iteratively; a witness
-lasso word is reconstructed by breadth-first search so callers can present
-concrete satisfying traces (used by the satisfiability-based consistency
-check and by counterexample reporting).
+lasso word is reconstructed by breadth-first search.  :func:`find_witness`
+is the one entry point, and an automaton is empty exactly when it returns
+``None``: the satisfiability and validity rungs
+(:mod:`repro.automata.ltlsat`) read it that way, and the controller check
+(:mod:`repro.synthesis.verify`) returns the witness's word as the
+violating trace.
 """
 
 from __future__ import annotations
@@ -24,10 +27,6 @@ class Witness:
     prefix_states: Tuple[int, ...]
     loop_states: Tuple[int, ...]
     word: LassoWord
-
-
-def is_empty(automaton: BuchiAutomaton) -> bool:
-    return find_witness(automaton) is None
 
 
 def find_witness(automaton: BuchiAutomaton) -> Optional[Witness]:

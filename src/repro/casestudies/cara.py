@@ -7,11 +7,10 @@ row 0 — with three typographical fixes recorded in ``TYPO_FIXES``
 misspellings would otherwise create spuriously distinct propositions.
 
 ``GOLD_FORMULAS`` is the appendix's hand-listed LTL, transliterated into
-this library's proposition naming (see EXPERIMENTS.md for the mapping;
-the differences are purely cosmetic, e.g. the paper abbreviates
-``available_terminate_auto_control_button`` to
+this library's proposition naming (the differences are purely cosmetic,
+e.g. the paper abbreviates ``available_terminate_auto_control_button`` to
 ``terminate_auto_control_button``).  The test suite checks the translator
-against these formulas.
+against these formulas, each up to language equivalence.
 
 The thirteen component specifications of Table I (Pump Monitor, the Blood
 Pressure Monitor sub-components and the Polling Algorithms) are generated

@@ -178,11 +178,14 @@ class SpecCC:
         Returns the component-outcome cache's size, capacity, hits and
         misses (reset by :meth:`clear_caches`), the formula→automaton
         cache size, the live interned-node count and the
-        synthesis-engine work counters (SAT propagations/conflicts/
-        restarts/clause visits plus the incremental-solver reuse pair
-        ``sat_incremental_solves``/``sat_learnt_carried``, safety-game
-        positions/letter updates plus ``game_positions_pruned`` from the
-        on-the-fly early abort),
+        synthesis-engine work counters (safety-game positions/letter
+        updates plus ``game_positions_pruned`` from the on-the-fly early
+        abort; SAT propagations/conflicts/restarts/clause visits plus
+        the incremental-solver reuse pair
+        ``sat_incremental_solves``/``sat_learnt_carried``, of the bounded
+        dual's solves only — the obligation certificate's and the
+        bit-blasting abstraction's solves are not counted, see
+        :func:`~repro.synthesis.realizability.synthesis_stats`),
         so sessions, benchmarks and tests can assert reuse and engine
         work instead of guessing from timings.  The returned value is
         plain picklable data — worker-pool processes ship it across the

@@ -1,4 +1,4 @@
-"""LTL core: syntax, parsing, printing, normal forms and trace semantics."""
+"""LTL core: syntax, parsing, printing, normal forms and lasso words."""
 
 from .ast import (
     FALSE,
@@ -19,17 +19,15 @@ from .ast import (
     WeakUntil,
     atoms,
     conj,
-    disj,
     next_chain,
     next_depth,
-    size,
     walk,
 )
-from .nnf import is_nnf, to_nnf
+from .nnf import to_nnf
 from .parser import LTLSyntaxError, parse
 from .printer import to_str
 from .rewrite import simplify
-from .semantics import LassoWord, satisfies
+from .semantics import LassoWord
 
 __all__ = [
     "FALSE",
@@ -52,14 +50,10 @@ __all__ = [
     "WeakUntil",
     "atoms",
     "conj",
-    "disj",
-    "is_nnf",
     "next_chain",
     "next_depth",
     "parse",
-    "satisfies",
     "simplify",
-    "size",
     "to_nnf",
     "to_str",
     "walk",

@@ -12,8 +12,9 @@ one canonical node per structural shape, so
 
 * structural equality *is* pointer identity (``==`` and ``is`` coincide),
 * ``hash()`` is a cached O(1) lookup instead of an O(size) recursion, and
-* every node carries a stable small-integer id (:attr:`Formula.uid`) that
-  hot paths can pack into ``frozenset``\\ s of ints.
+* every node carries a stable small-integer id (the ``_uid`` slot) that
+  the intern keys and hot paths pack into tuples and ``frozenset``\\ s of
+  ints.
 
 This is what keeps the tableau construction in :mod:`repro.automata.gpvw`
 fast on the deep ``X``-chains produced by the discrete-time encoding of
@@ -68,11 +69,6 @@ class Formula:
         cls._tag = zlib.crc32(cls.__name__.encode())
 
     # -- interning machinery ----------------------------------------------
-    @property
-    def uid(self) -> int:
-        """Stable integer id, unique among live formulas."""
-        return self._uid
-
     def __hash__(self) -> int:
         return self._hash
 
@@ -343,17 +339,6 @@ def conj(formulas: Iterable[Formula]) -> Formula:
     return result
 
 
-def disj(formulas: Iterable[Formula]) -> Formula:
-    """Right-associated disjunction of *formulas*; ``false`` when empty."""
-    items = list(formulas)
-    if not items:
-        return FALSE
-    result = items[-1]
-    for item in reversed(items[:-1]):
-        result = Or(item, result)
-    return result
-
-
 def next_chain(formula: Formula, steps: int) -> Formula:
     """Prefix *formula* with *steps* ``X`` operators (the paper's discrete
     time encoding, Section IV-E)."""
@@ -407,11 +392,6 @@ def walk(formula: Formula) -> Iterator[Formula]:
         node = stack.pop()
         yield node
         stack.extend(reversed(node.children()))
-
-
-def size(formula: Formula) -> int:
-    """Number of AST nodes in *formula*."""
-    return sum(1 for _ in walk(formula))
 
 
 def next_depth(formula: Formula) -> int:

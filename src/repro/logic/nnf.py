@@ -124,16 +124,3 @@ def _negative_uncached(formula: Formula) -> Formula:
         not_right = _negative(formula.right)
         return Until(not_right, And(not_left, not_right))
     raise TypeError(f"unknown formula node: {formula!r}")
-
-
-def is_nnf(formula: Formula) -> bool:
-    """True when *formula* only uses NNF connectives with atomic negation."""
-    if isinstance(formula, Bool):
-        return True
-    if isinstance(formula, Atom):
-        return True
-    if isinstance(formula, Not):
-        return isinstance(formula.operand, Atom)
-    if isinstance(formula, (And, Or, Until, Release, Next)):
-        return all(is_nnf(child) for child in formula.children())
-    return False

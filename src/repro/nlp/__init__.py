@@ -1,15 +1,9 @@
-"""NLP substrate: tokenizer, structured-English grammar, dependencies,
-antonym dictionary — the offline stand-in for the Stanford parser."""
+"""NLP substrate: tokenizer, structured-English grammar, Algorithm 1's
+per-sentence vocabulary, antonym dictionary — the offline stand-in for
+the Stanford parser."""
 
 from .antonyms import DEFAULT_PAIRS, AntonymDictionary
-from .dependencies import (
-    Dependency,
-    candidate_subjects,
-    clause_dependencies,
-    extract_dependencies,
-    sentence_vocabulary,
-    subject_dependents,
-)
+from .dependencies import candidate_subjects, sentence_vocabulary
 from .grammar import (
     Clause,
     ClauseGroup,
@@ -28,22 +22,18 @@ __all__ = [
     "Clause",
     "ClauseGroup",
     "DEFAULT_PAIRS",
-    "Dependency",
     "Sentence",
     "StructuredEnglishError",
     "SubClause",
     "TimeConstraint",
     "TreeNode",
     "candidate_subjects",
-    "clause_dependencies",
-    "extract_dependencies",
     "normalise_name",
     "parse_sentence",
     "render",
     "render_sentence",
     "sentence_vocabulary",
     "split_sentences",
-    "subject_dependents",
     "syntax_tree",
     "tokenize",
 ]

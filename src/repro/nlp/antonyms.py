@@ -99,9 +99,6 @@ class AntonymDictionary:
             antonyms.add(word[:-3] + "less")
         return frozenset(antonyms)
 
-    def are_antonyms(self, left: str, right: str) -> bool:
-        return right.lower() in self.lookup(left)
-
     def is_positive(self, word: str, antonym: str) -> bool:
         """Decide which member of a pair is the positive form.
 

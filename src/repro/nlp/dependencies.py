@@ -1,83 +1,32 @@
-"""Typed dependency extraction from parsed clauses.
+"""Algorithm 1's input, read off parsed clauses.
 
-The paper uses the Stanford parser's dependency relations in two places:
-
-* clause decomposition (handled structurally by :mod:`repro.nlp.grammar`);
-* the ``<subject, dependent>`` pairs feeding Algorithm 1's antonym
-  analysis, where the dependents are the adjectives/adverbs predicated of
-  each subject.
-
-:func:`extract_dependencies` reproduces the second: for every clause it
-emits relations named after the Stanford scheme (``nsubj``, ``nsubjpass``,
-``acomp``, ``neg``, ``conj``) that downstream modules consume.
+The paper takes the ``<subject, dependent>`` pairs feeding Algorithm 1's
+antonym analysis from the Stanford parser's ``acomp`` relations: the
+adjectives predicated of each subject.  The structured-English grammar
+(:mod:`repro.nlp.grammar`) already marks them, as a clause with a
+complement and no verb, so each sentence's share of the table is read
+off its clauses directly.  :func:`sentence_vocabulary` is that share,
+which the translation cache's per-sentence record carries, and
+:func:`candidate_subjects` bounds which slice of the analysis one
+sentence's translation reads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set
+from typing import Dict, Set
 
-from .grammar import Clause, Sentence
-
-
-@dataclass(frozen=True)
-class Dependency:
-    """A typed dependency ``relation(head, dependent)``."""
-
-    relation: str
-    head: str
-    dependent: str
-
-
-def clause_dependencies(clause: Clause) -> List[Dependency]:
-    """Dependencies of a single clause."""
-    deps: List[Dependency] = []
-    predicate = clause.verb or clause.complement or ""
-    subject_relation = "nsubjpass" if clause.passive else "nsubj"
-    for subject in clause.subjects:
-        deps.append(Dependency(subject_relation, predicate, subject))
-    for left, right in zip(clause.subjects, clause.subjects[1:]):
-        deps.append(Dependency("conj", left, right))
-    if clause.complement is not None and clause.verb is None:
-        for subject in clause.subjects:
-            deps.append(Dependency("acomp", subject, clause.complement))
-    if clause.object is not None:
-        deps.append(Dependency("dobj", predicate, clause.object))
-    if clause.negated:
-        deps.append(Dependency("neg", predicate, "not"))
-    if clause.particle is not None:
-        deps.append(Dependency("prt", predicate, clause.particle))
-    return deps
-
-
-def extract_dependencies(sentences: Sequence[Sentence]) -> List[Dependency]:
-    """All dependencies of a specification, in order."""
-    deps: List[Dependency] = []
-    for sentence in sentences:
-        for clause in sentence.all_clauses():
-            deps.extend(clause_dependencies(clause))
-    return deps
-
-
-def subject_dependents(sentences: Sequence[Sentence]) -> Dict[str, Set[str]]:
-    """Algorithm 1's input: for each subject, the set of adjective/adverb
-    dependents (antonym candidates) observed across the specification."""
-    table: Dict[str, Set[str]] = {}
-    for dep in extract_dependencies(sentences):
-        if dep.relation == "acomp":
-            table.setdefault(dep.head, set()).add(dep.dependent)
-    return table
+from .grammar import Sentence
 
 
 def sentence_vocabulary(sentence: Sentence) -> tuple:
     """One sentence's contribution to Algorithm 1's input, hashably.
 
-    A sorted ``((subject, (dependents...)), ...)`` tuple: the ``acomp``
-    pairs of :func:`subject_dependents` for this sentence alone, which the
-    translation cache's per-sentence record carries.  Unioning
-    these over a document reproduces :func:`subject_dependents` exactly,
-    which is what lets the semantic analysis attribute an edit to the
-    vocabulary components it actually touches.
+    A sorted ``((subject, (dependents...)), ...)`` tuple of the
+    sentence's ``acomp`` pairs.  The translator unions these over a
+    document into the subject table
+    (:func:`~repro.translate.semantics.analyse_incremental`), which is
+    what lets the semantic analysis attribute an edit to the vocabulary
+    components it actually touches.
     """
     table: Dict[str, Set[str]] = {}
     for clause in sentence.all_clauses():

@@ -18,7 +18,10 @@ namespace       source
                 (the component-outcome LRU, automaton cache,
                 interned nodes)
 ``sat.*``       ``synthesis_stats()`` SAT counters (propagations,
-                conflicts, decisions, restarts, clause visits)
+                conflicts, decisions, restarts, clause visits) of
+                the bounded dual's solves only; the obligation
+                certificate's and the bit-blasting abstraction's
+                solves are not counted
 ``game.*``      ``synthesis_stats()`` safety-game counters
 ``pool.*``      every registered worker pool's ``stats()`` row
 ``supervision.*`` fleet-level recovery counters

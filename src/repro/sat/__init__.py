@@ -1,8 +1,8 @@
 """SAT substrate: CNF, Tseitin encoding and CDCL."""
 
-from .cdcl import CDCLSolver, SatResult, solve
+from .cdcl import CDCLSolver, SatResult
 from .cnf import CNF, Clause, Lit
-from .tseitin import NotPropositional, assert_formula, encode
+from .tseitin import NotPropositional, encode
 
 __all__ = [
     "CDCLSolver",
@@ -11,7 +11,5 @@ __all__ = [
     "Lit",
     "NotPropositional",
     "SatResult",
-    "assert_formula",
     "encode",
-    "solve",
 ]

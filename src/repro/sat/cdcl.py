@@ -78,12 +78,6 @@ class SatResult:
     def __bool__(self) -> bool:
         return self.satisfiable
 
-    def value(self, lit: Lit) -> bool:
-        if self.model is None:
-            raise ValueError("no model available (unsatisfiable result?)")
-        assignment = self.model[abs(lit)]
-        return assignment if lit > 0 else not assignment
-
 
 def _code(lit: Lit) -> int:
     """Dense index of a literal: positive -> 2v, negative -> 2v+1."""
@@ -621,8 +615,3 @@ def _luby(i: int) -> int:
         seq -= 1
         x %= size
     return 1 << seq
-
-
-def solve(cnf: CNF, assumptions: Sequence[Lit] = ()) -> SatResult:
-    """One-shot convenience wrapper around :class:`CDCLSolver`."""
-    return CDCLSolver(cnf).solve(assumptions)

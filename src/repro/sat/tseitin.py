@@ -34,11 +34,6 @@ def encode(formula: Formula, cnf: CNF) -> Lit:
     return _encode(formula, cnf, cache)
 
 
-def assert_formula(formula: Formula, cnf: CNF) -> None:
-    """Encode *formula* and assert that it holds."""
-    cnf.add([encode(formula, cnf)])
-
-
 def _encode(formula: Formula, cnf: CNF, cache: Dict[Formula, Lit]) -> Lit:
     cached = cache.get(formula)
     if cached is not None:

@@ -59,7 +59,9 @@ sessions correlate by ``rid``.
 "code": "..."}`` and the loop continues: a broken client line must not
 take the daemon down.  The ``code`` field is machine-readable and
 closed: ``bad_json`` (unparsable line), ``bad_request`` (parsable but
-invalid — unknown op, missing or malformed fields), ``oversized`` (raw
+invalid — unknown op, missing or malformed fields; ``trace``,
+``timings`` and ``full`` take only JSON booleans and ``workers`` only a
+JSON integer), ``oversized`` (raw
 line exceeds the request byte bound; the line terminator does not
 count), ``timeout`` (the per-request deadline elapsed), ``overloaded``
 (the TCP rate limit or connection cap), ``internal`` (anything else;
@@ -139,6 +141,15 @@ def _require(request: dict, key: str):
     if key not in request:
         raise ValueError(f"missing field {key!r}")
     return request[key]
+
+
+def _flag(request: dict, key: str, default: bool) -> bool:
+    """The boolean field *key*, *default* when absent.  Any other JSON
+    type is a bad request: read by truthiness, ``"false"`` would be true."""
+    value = request.get(key, default)
+    if not isinstance(value, bool):
+        raise ValueError(f"field {key!r} must be a boolean, got {type(value).__name__}")
+    return value
 
 
 def _delta_to_dict(report: SessionReport) -> dict:
@@ -227,7 +238,7 @@ class _Server:
         handler = getattr(self, f"_op_{op}", None)
         if op is None or handler is None:
             raise ValueError(f"unknown op {op!r}")
-        if not request.get("trace"):
+        if not _flag(request, "trace", False):
             return handler(request)
         # Per-request tracing: a fresh tracer scoped to this request (the
         # context variable overrides any process tracer, so concurrent
@@ -282,7 +293,7 @@ class _Server:
         return {"added": list(added), "size": len(self.session)}
 
     def _op_check(self, request: dict) -> dict:
-        timings = bool(request.get("timings", True))
+        timings = _flag(request, "timings", True)
         duplicate = self._duplicate(request)
         if duplicate is not None:
             # The check this rid named already ran (and was journaled);
@@ -319,6 +330,11 @@ class _Server:
         from .batch import BatchChecker
 
         documents = _require(request, "documents")
+        workers = request.get("workers", 4)
+        if isinstance(workers, bool) or not isinstance(workers, int):
+            raise ValueError(
+                f"field 'workers' must be an integer, got {type(workers).__name__}"
+            )
         if not isinstance(documents, (list, tuple)):
             raise ValueError(
                 "documents must be an array of objects, got "
@@ -357,7 +373,7 @@ class _Server:
         # the same config as session checks.
         checker = BatchChecker(
             tool=self.core.tool,
-            workers=max(1, min(int(request.get("workers", 4)), self.MAX_BATCH_WORKERS)),
+            workers=max(1, min(workers, self.MAX_BATCH_WORKERS)),
             backend=str(request.get("backend", self.core.default_batch_backend)),
         )
         results = checker.check_documents(items)
@@ -388,7 +404,7 @@ class _Server:
         ``"full": false`` to drop the histogram bucket arrays."""
         from ..obs.metrics import registry
 
-        return {"metrics": registry().snapshot(full=bool(request.get("full", True)))}
+        return {"metrics": registry().snapshot(full=_flag(request, "full", True))}
 
     def _op_ping(self, request: dict) -> dict:
         """Liveness + supervision summary, no analysis work."""

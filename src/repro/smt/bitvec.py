@@ -161,9 +161,6 @@ class BitVecBuilder:
     def require(self, lit: Lit) -> None:
         self.cnf.add([lit])
 
-    def require_equal(self, left: BitVec, right: BitVec) -> None:
-        self.require(self.equal(left, right))
-
     # ---------------------------------------------------------------- eval
     def decode(self, vector: BitVec, model: Dict[int, bool]) -> int:
         value = 0

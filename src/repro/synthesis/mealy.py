@@ -51,51 +51,6 @@ class MealyMachine:
             raise KeyError(f"machine is not total: missing {key}")
         return self.transitions[key]
 
-    def run(self, word: Sequence[Iterable[str]]) -> List[Letter]:
-        """Feed a finite input word; return the produced output letters."""
-        state = self.initial
-        produced: List[Letter] = []
-        for letter in word:
-            state, output = self.step(state, letter)
-            produced.append(output)
-        return produced
-
-    def check_total(self) -> None:
-        """Raise when some (state, letter) transition is missing."""
-        for state in range(self.num_states):
-            for letter in all_letters(self.inputs):
-                if (state, letter) not in self.transitions:
-                    raise ValueError(
-                        f"missing transition from state {state} on {set(letter) or '{}'}"
-                    )
-
-    def reachable_states(self) -> FrozenSet[int]:
-        seen = {self.initial}
-        stack = [self.initial]
-        while stack:
-            state = stack.pop()
-            for letter in all_letters(self.inputs):
-                successor, _ = self.transitions.get((state, letter), (None, None))
-                if successor is not None and successor not in seen:
-                    seen.add(successor)
-                    stack.append(successor)
-        return frozenset(seen)
-
-    def to_dot(self) -> str:
-        """GraphViz rendering for documentation and debugging."""
-        lines = ["digraph mealy {", "  rankdir=LR;", '  init [shape=point];']
-        for state in sorted(self.reachable_states()):
-            lines.append(f"  s{state} [shape=circle];")
-        lines.append(f"  init -> s{self.initial};")
-        for (state, letter), (successor, output) in sorted(
-            self.transitions.items(), key=lambda kv: (kv[0][0], sorted(kv[0][1]))
-        ):
-            in_text = ",".join(sorted(letter)) or "-"
-            out_text = ",".join(sorted(output)) or "-"
-            lines.append(f'  s{state} -> s{successor} [label="{in_text}/{out_text}"];')
-        lines.append("}")
-        return "\n".join(lines)
-
     def describe(self) -> str:
         """Human-readable transition table."""
         lines = [

@@ -7,13 +7,12 @@ from .partition import (
     classify_requirement,
     partition_formulas,
 )
-from .propositions import Proposition, clause_propositions
+from .propositions import Proposition
 from .semantics import (
     Color,
     SemanticAnalysis,
     SemanticsDelta,
     WordEntry,
-    analyse,
     analyse_incremental,
     mutual_exclusion_assumptions,
     no_reasoning,
@@ -45,12 +44,10 @@ __all__ = [
     "TranslationOptions",
     "Translator",
     "WordEntry",
-    "analyse",
     "analyse_incremental",
     "chain_lengths",
     "classify_requirement",
     "clause_formula",
-    "clause_propositions",
     "group_formula",
     "mutual_exclusion_assumptions",
     "no_reasoning",

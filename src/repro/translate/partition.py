@@ -39,11 +39,6 @@ class Partition:
             raise ValueError(f"{name!r} is not an input")
         return Partition(self.inputs - {name}, self.outputs | {name})
 
-    def move_to_input(self, name: str) -> "Partition":
-        if name not in self.outputs:
-            raise ValueError(f"{name!r} is not an output")
-        return Partition(self.inputs | {name}, self.outputs - {name})
-
 
 class RequirementPartition(NamedTuple):
     """Per-requirement variable classification, before unification: the

@@ -14,13 +14,14 @@ valuation."  The rules, mirroring the appendix's gold formulas:
 
 A verb particle is kept in the name (``turn_on_pump`` / ``turn_off_pump``)
 because dropping it would conflate opposite valuations; the paper's
-appendix drops it (``power_lstat``), a purely cosmetic difference recorded
-in EXPERIMENTS.md.
+appendix drops it (``power_lstat``).  The difference is cosmetic: the
+names differ, while the formulas and the Table I counts of formulas,
+inputs and outputs stay the same.
 """
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from ..nlp.grammar import Clause
 
@@ -36,11 +37,6 @@ class Proposition(NamedTuple):
     @property
     def is_antonym_candidate(self) -> bool:
         return self.complement is not None
-
-
-def clause_propositions(clause: Clause) -> List[Proposition]:
-    """One proposition per subject of *clause*."""
-    return [subject_proposition(clause, subject) for subject in clause.subjects]
 
 
 def subject_proposition(clause: Clause, subject: str) -> Proposition:

@@ -1,29 +1,30 @@
 """Semantic reasoning over antonym candidates — Algorithm 1 of the paper.
 
-The algorithm walks the ``<subject, dependent>`` table extracted by the
-dependency analysis.  For every subject with more than one adjective
-dependent it consults the antonym oracle; words found to be semantically
-contrasting are coloured *blue* and paired, the rest stay *green*.  Blue
-pairs let the translator reuse one proposition for both words —
-``unavailable_pulse_wave`` becomes ``!available_pulse_wave`` — which both
-shrinks the proposition set and removes the need for mutual-exclusion
-assumptions.
+The algorithm walks the ``<subject, dependent>`` table merged from the
+sentences' vocabularies
+(:func:`~repro.nlp.dependencies.sentence_vocabulary`).  For every
+subject with more than one adjective dependent it consults the antonym
+oracle; words found to be semantically contrasting are coloured *blue*
+and paired, the rest stay *green*.  Blue pairs let the translator reuse
+one proposition for both words — ``unavailable_pulse_wave`` becomes
+``!available_pulse_wave`` — which both shrinks the proposition set and
+removes the need for mutual-exclusion assumptions.
 
 The paper further abbreviates: "When there is only one pair of adjective
 or adverb antonyms for a subject, we abbreviate the propositions by just
 using the subject and its negative form" — ``available_pulse_wave`` is
 written ``pulse_wave``.
 
-**Incrementality.**  :func:`analyse_incremental` runs Algorithm 1 as the
-paper's loop over the subject table, merged from the per-sentence
-vocabularies the calling document's cached sentence records carry (an
-edit re-extracts only the sentences it touched).  The loop also records
-each pairing subject's *unit key*: its sorted dependents plus the
-pre-state of each dependent word's antonym memo (``online(w)`` runs at
-most once per word, and pairing mutates the partner's memo — couplings
-the pre-states capture exactly).  Comparing keys with the document's
-earlier passes attributes an edit to exactly the sentences whose subject
-it dirtied.
+**Incrementality.**  :func:`analyse_incremental` is the one front end:
+it runs Algorithm 1 as the paper's loop over the subject table, merged
+from the per-sentence vocabularies the calling document's cached
+sentence records carry (an edit re-extracts only the sentences it
+touched).  The loop also records each pairing subject's *unit key*: its
+sorted dependents plus the pre-state of each dependent word's antonym
+memo (``online(w)`` runs at most once per word, and pairing mutates the
+partner's memo — couplings the pre-states capture exactly).  Comparing
+keys with the document's earlier passes attributes an edit to exactly
+the sentences whose subject it dirtied.
 """
 
 from __future__ import annotations
@@ -44,8 +45,6 @@ from typing import (
 
 from ..nlp import lexicon
 from ..nlp.antonyms import AntonymDictionary
-from ..nlp.dependencies import subject_dependents
-from ..nlp.grammar import Sentence
 from .propositions import Proposition
 
 
@@ -89,10 +88,6 @@ class SemanticAnalysis:
             for positive, negative in self.pairs_by_subject[subject]:
                 triples.append((subject, positive, negative))
         return triples
-
-    def color_of(self, word: str, subject: str) -> Color:
-        entry = self.wordset.get(word)
-        return entry.color_for(subject) if entry is not None else Color.GREEN
 
     # -- proposition reduction (Section IV-D + appendix abbreviation) ------
     def reduce(self, proposition: Proposition) -> Proposition:
@@ -226,16 +221,6 @@ def _analyse_table(
                     (positive, negative)
                 )
     return SemanticAnalysis(wordset, pairs_by_subject, dictionary)
-
-
-def analyse(
-    sentences: Sequence[Sentence],
-    dictionary: Optional[AntonymDictionary] = None,
-) -> SemanticAnalysis:
-    """Run Algorithm 1 over a parsed specification."""
-    if dictionary is None:
-        dictionary = AntonymDictionary.default()
-    return _analyse_table(subject_dependents(sentences), dictionary)
 
 
 def analyse_incremental(

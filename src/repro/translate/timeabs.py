@@ -84,10 +84,6 @@ class AbstractionResult:
     method: AbstractionMethod
     thetas: Tuple[int, ...] = ()
 
-    @property
-    def mapping(self) -> Dict[int, int]:
-        return dict(zip(self.thetas, self.solution.scaled))
-
 
 def solve_abstraction(
     thetas: Tuple[int, ...],

@@ -108,15 +108,6 @@ class SpecificationTranslation:
             names |= formula_atoms(requirement.formula)
         return tuple(sorted(names))
 
-    def summary(self) -> str:
-        lines = [
-            f"{len(self.requirements)} formulas, "
-            f"{self.num_inputs} inputs, {self.num_outputs} outputs"
-        ]
-        for requirement in self.requirements:
-            lines.append(f"  [{requirement.identifier}] {requirement.formula}")
-        return "\n".join(lines)
-
 
 #: A :class:`TranslationCache` level (sentence records, final formulas,
 #: Algorithm 1 unit keys, abstraction solutions) that a pass leaves holding

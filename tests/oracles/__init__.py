@@ -4,7 +4,10 @@ Each module holds the straightforward version of one optimised engine in
 ``src/repro``, so production keeps one path per engine:
 
 * ``sat`` — full-clause re-scan propagation (vs. watched literals), and
-  brute-force enumeration as the ground truth for tiny CNFs;
+  brute-force enumeration as the ground truth for tiny CNFs, on the
+  pigeonhole and exactly-one instances it also generates;
+* ``ltl`` — the textbook trace semantics over lasso words (vs. the GPVW
+  automata's witnesses, the NNF rewrite and the simplifier);
 * ``game`` — concrete letters and the offline attractor (vs. partial
   letters solved on the fly);
 * ``bounded`` — the from-scratch bounded-synthesis encoding (vs. one
@@ -25,14 +28,15 @@ Each module holds the straightforward version of one optimised engine in
 
 Two modules are helpers rather than references: ``ladder`` takes the
 obligation certificate out of ``realizability.RUNGS`` so the exact
-engines decide, and ``automata`` holds lasso-word membership and
-formula equivalence, which only the tests use.
+engines decide, and ``automata`` holds lasso-word membership, formula
+equivalence and Mealy-machine runs, which only the tests use.
 
 They plug in by subclassing the engine classes, by monkeypatching the
 names :mod:`repro.synthesis.realizability` looks up (``solve_game``,
 ``IncrementalBoundedSynthesizer``, ``RUNGS``), or, for ``sat``'s brute
-force, ``semantics``, ``obligations``, ``lexicon`` and ``localization``,
-by being called side by side with production on the same input.  The
+force, ``ltl``, ``semantics``, ``obligations``, ``lexicon`` and
+``localization``, by being called side by side with production on the
+same input.  The
 test modules import them as ``oracles.*`` (pytest puts ``tests/`` on
 ``sys.path``).
 """

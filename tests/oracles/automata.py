@@ -1,23 +1,30 @@
-"""Automata helpers only the tests use: lasso membership and equivalence.
+"""Automata helpers only the tests use: lasso membership, equivalence and
+Mealy-machine runs.
 
 * ``accepts`` decides whether a Büchi automaton accepts an ultimately
   periodic word, which cross-validates the GPVW construction against the
-  direct trace semantics of :mod:`repro.logic.semantics`;
+  direct trace semantics of ``oracles.ltl``;
 * ``equivalent`` compares translated requirements with the paper's gold
   formulas modulo logically irrelevant syntax;
 * ``is_satisfiable`` is :func:`repro.automata.ltlsat.satisfiable` as a
-  boolean.
+  boolean;
+* ``run`` feeds a finite input word to a synthesized
+  :class:`~repro.synthesis.mealy.MealyMachine`, and ``check_total``
+  raises when one lacks a transition.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.automata.buchi import BuchiAutomaton, Label
-from repro.automata.emptiness import is_empty
+from repro.automata.emptiness import find_witness
 from repro.automata.ltlsat import satisfiable
 from repro.logic.ast import And, Formula, Not
 from repro.logic.semantics import LassoWord
+from repro.synthesis.mealy import Letter, MealyMachine, all_letters
+
+from .ltl import canonical_position, letter
 
 
 def accepts(automaton: BuchiAutomaton, word: LassoWord) -> bool:
@@ -27,7 +34,6 @@ def accepts(automaton: BuchiAutomaton, word: LassoWord) -> bool:
     Büchi automaton over a single-letter alphabet; the word is accepted iff
     that product has an accepting lasso.
     """
-    horizon = len(word)
     product = BuchiAutomaton(atoms=automaton.atoms)
     index: Dict[Tuple[int, int], int] = {}
 
@@ -45,10 +51,10 @@ def accepts(automaton: BuchiAutomaton, word: LassoWord) -> bool:
     while worklist:
         state, position = worklist.pop()
         src = index[(state, position)]
-        letter = word.letter(position)
-        next_position = word.canonical_position(position + 1)
+        holding = letter(word, position)
+        next_position = canonical_position(word, position + 1)
         for label, dst in automaton.successors(state):
-            if not label.matches(letter):
+            if not label.matches(holding):
                 continue
             product.add_transition(src, Label(), state_for(dst, next_position))
             if (dst, next_position) not in seen:
@@ -63,7 +69,7 @@ def accepts(automaton: BuchiAutomaton, word: LassoWord) -> bool:
         }
         for acc in automaton.accepting_sets
     ]
-    return not is_empty(product)
+    return find_witness(product) is not None
 
 
 def is_satisfiable(formula: Formula) -> bool:
@@ -75,3 +81,24 @@ def equivalent(left: Formula, right: Formula) -> bool:
     if satisfiable(And(left, Not(right))) is not None:
         return False
     return satisfiable(And(Not(left), right)) is None
+
+
+def run(machine: MealyMachine, word: Sequence[Iterable[str]]) -> List[Letter]:
+    """Feed a finite input word to *machine*; return the output letters."""
+    state = machine.initial
+    produced: List[Letter] = []
+    for input_letter in word:
+        state, output = machine.step(state, input_letter)
+        produced.append(output)
+    return produced
+
+
+def check_total(machine: MealyMachine) -> None:
+    """Raise when some (state, input letter) transition is missing."""
+    for state in range(machine.num_states):
+        for input_letter in all_letters(machine.inputs):
+            if (state, input_letter) not in machine.transitions:
+                raise ValueError(
+                    f"missing transition from state {state} on "
+                    f"{set(input_letter) or '{}'}"
+                )

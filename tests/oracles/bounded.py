@@ -22,6 +22,8 @@ from repro.synthesis.mealy import Letter, all_letters
 from repro.synthesis.realizability import Verdict
 from repro.synthesis.verify import satisfies_specification
 
+from .sat import add_exactly_one
+
 
 class FreshBoundedSynthesizer(IncrementalBoundedSynthesizer):
     """Rebuilds the whole encoding on every :meth:`solve` call.
@@ -71,7 +73,7 @@ def _synthesize_against(
                 var = cnf.new_var(f"d{s},{'.'.join(sorted(sigma))},{t}")
                 delta[(s, sigma, t)] = var
                 row.append(var)
-            cnf.add_exactly_one(row)
+            add_exactly_one(cnf, row)
 
     # Output choice: per (state, letter) for Mealy, per state for Moore.
     gamma: Dict[Tuple[int, Letter, str], int] = {}

@@ -1,12 +1,15 @@
 """SAT references: full-clause re-scan propagation (the pre-watcher CDCL)
-and exhaustive enumeration (the ground truth for tiny instances)."""
+and exhaustive enumeration (the ground truth for tiny instances), plus
+the instance generators and model reading the SAT tests share: the
+pigeonhole family, exactly-one constraints, and a literal's value in a
+model."""
 
 from __future__ import annotations
 
 from itertools import product
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.sat.cdcl import CDCLSolver, _code
+from repro.sat.cdcl import CDCLSolver, SatResult, _code
 from repro.sat.cnf import CNF, Lit
 
 
@@ -98,3 +101,48 @@ def solve_brute(cnf: CNF, max_vars: int = 24) -> Optional[Dict[int, bool]]:
         ):
             return assignment
     return None
+
+
+def value(result: SatResult, lit: Lit) -> bool:
+    """The truth value of *lit* in *result*'s model."""
+    if result.model is None:
+        raise ValueError("no model available (unsatisfiable result?)")
+    assignment = result.model[abs(lit)]
+    return assignment if lit > 0 else not assignment
+
+
+def add_all(cnf: CNF, clauses: Iterable[Iterable[Lit]]) -> None:
+    for clause in clauses:
+        cnf.add(clause)
+
+
+def add_at_most_one(cnf: CNF, lits: Sequence[Lit]) -> None:
+    """Pairwise at-most-one constraint over *lits*."""
+    for i, a in enumerate(lits):
+        for b in lits[i + 1 :]:
+            cnf.add([-a, -b])
+
+
+def add_exactly_one(cnf: CNF, lits: Sequence[Lit]) -> None:
+    cnf.add(list(lits))
+    add_at_most_one(cnf, lits)
+
+
+def pigeonhole(pigeons: int, holes: int) -> CNF:
+    """The pigeonhole instance family: ``p(i,h) = holes*i + h + 1``.
+
+    Unsatisfiable whenever ``pigeons > holes`` and resolution-hard, so
+    the tests use it as a conflict-heavy workload.
+    """
+    cnf = CNF()
+
+    def var(i: int, h: int) -> int:
+        return holes * i + h + 1
+
+    for i in range(pigeons):
+        cnf.add([var(i, h) for h in range(holes)])
+    for h in range(holes):
+        for i in range(pigeons):
+            for j in range(i + 1, pigeons):
+                cnf.add([-var(i, h), -var(j, h)])
+    return cnf

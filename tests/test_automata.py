@@ -10,7 +10,6 @@ from repro.automata import (
     BuchiAutomaton,
     Label,
     find_witness,
-    is_empty,
     is_valid,
     satisfiable,
     translate,
@@ -31,10 +30,10 @@ from repro.logic import (
     Until,
     WeakUntil,
     parse,
-    satisfies,
 )
 
 from oracles.automata import accepts, equivalent, is_satisfiable
+from oracles.ltl import lasso, satisfies
 
 
 class TestLabel:
@@ -44,13 +43,6 @@ class TestLabel:
         assert label.matches(frozenset({"a", "c"}))
         assert not label.matches(frozenset({"a", "b"}))
         assert not label.matches(frozenset())
-
-    def test_conjoin(self):
-        left = Label.of(["a"], ["b"])
-        right = Label.of(["c"], [])
-        merged = left.conjoin(right)
-        assert merged == Label.of(["a", "c"], ["b"])
-        assert left.conjoin(Label.of(["b"], [])) is None
 
     def test_restrict(self):
         label = Label.of(["a", "b"], ["c"])
@@ -63,41 +55,41 @@ class TestLabel:
 
 class TestTranslateBasics:
     def test_false_is_empty(self):
-        assert is_empty(translate(FALSE))
+        assert find_witness(translate(FALSE)) is None
 
     def test_true_is_nonempty(self):
-        assert not is_empty(translate(TRUE))
+        assert find_witness(translate(TRUE)) is not None
 
     def test_contradiction_is_empty(self):
-        assert is_empty(translate(parse("a && !a")))
-        assert is_empty(translate(parse("G a && F !a")))
-        assert is_empty(translate(parse("X a && X !a")))
+        assert find_witness(translate(parse("a && !a"))) is None
+        assert find_witness(translate(parse("G a && F !a"))) is None
+        assert find_witness(translate(parse("X a && X !a"))) is None
 
     def test_atom(self):
         automaton = translate(parse("a"))
-        assert accepts(automaton, LassoWord.of([["a"]], [[]]))
-        assert not accepts(automaton, LassoWord.of([[]], [["a"]]))
+        assert accepts(automaton, lasso([["a"]], [[]]))
+        assert not accepts(automaton, lasso([[]], [["a"]]))
 
     def test_globally_finally(self):
         automaton = translate(parse("G F p"))
-        assert accepts(automaton, LassoWord.of([], [[], ["p"]]))
-        assert not accepts(automaton, LassoWord.of([["p"]], [[]]))
+        assert accepts(automaton, lasso([], [[], ["p"]]))
+        assert not accepts(automaton, lasso([["p"]], [[]]))
 
     def test_until(self):
         automaton = translate(parse("a U b"))
-        assert accepts(automaton, LassoWord.of([["a"], ["a"], ["b"]], [[]]))
-        assert not accepts(automaton, LassoWord.of([["a"]], [["a"]]))
+        assert accepts(automaton, lasso([["a"], ["a"], ["b"]], [[]]))
+        assert not accepts(automaton, lasso([["a"]], [["a"]]))
 
     def test_release(self):
         automaton = translate(parse("a R b"))
-        assert accepts(automaton, LassoWord.of([], [["b"]]))
-        assert accepts(automaton, LassoWord.of([["b"], ["a", "b"]], [[]]))
-        assert not accepts(automaton, LassoWord.of([["b"]], [[]]))
+        assert accepts(automaton, lasso([], [["b"]]))
+        assert accepts(automaton, lasso([["b"], ["a", "b"]], [[]]))
+        assert not accepts(automaton, lasso([["b"]], [[]]))
 
     def test_next_chain(self):
         automaton = translate(parse("X X X p"))
-        assert accepts(automaton, LassoWord.of([[], [], [], ["p"]], [[]]))
-        assert not accepts(automaton, LassoWord.of([[], [], [], []], [["p"]]))
+        assert accepts(automaton, lasso([[], [], [], ["p"]], [[]]))
+        assert not accepts(automaton, lasso([[], [], [], []], [["p"]]))
 
     def test_long_next_chain_no_recursion_error(self):
         # A linear chain of 150 X operators exceeds the default Python
@@ -108,8 +100,8 @@ class TestTranslateBasics:
         formula = parse("X " * 150 + "b")
         automaton = translate(formula)
         assert automaton.num_states > 150
-        assert accepts(automaton, LassoWord.of([[]] * 150 + [["b"]], [[]]))
-        assert not accepts(automaton, LassoWord.of([[]] * 150, [[]]))
+        assert accepts(automaton, lasso([[]] * 150 + [["b"]], [[]]))
+        assert not accepts(automaton, lasso([[]] * 150, [[]]))
 
 
 class TestDegeneralize:
@@ -123,17 +115,17 @@ class TestDegeneralize:
             (
                 "G F a && G F b",
                 [
-                    (LassoWord.of([], [["a"], ["b"]]), True),
-                    (LassoWord.of([], [["a"]]), False),
-                    (LassoWord.of([], [["a", "b"]]), True),
-                    (LassoWord.of([["a"], ["b"]], [[]]), False),
+                    (lasso([], [["a"], ["b"]]), True),
+                    (lasso([], [["a"]]), False),
+                    (lasso([], [["a", "b"]]), True),
+                    (lasso([["a"], ["b"]], [[]]), False),
                 ],
             ),
             (
                 "F a && F b && F c",
                 [
-                    (LassoWord.of([["a"], ["b"]], [["c"]]), True),
-                    (LassoWord.of([["a"]], [["b"]]), False),
+                    (lasso([["a"], ["b"]], [["c"]]), True),
+                    (lasso([["a"]], [["b"]]), False),
                 ],
             ),
         ]:
@@ -244,7 +236,7 @@ class TestBuchiDataStructure:
         s0 = automaton.new_state()
         s1 = automaton.new_state()
         automaton.add_transition(s0, Label.of(["a"], ["a"]), s1)
-        assert automaton.num_transitions() == 0
+        assert automaton.successors(s0) == []
 
     def test_reachable_states(self):
         automaton = BuchiAutomaton()

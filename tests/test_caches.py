@@ -36,7 +36,6 @@ from repro.translate import translator as translator_module
 from repro.translate.semantics import (
     SemanticsDelta,
     _analyse_table,
-    analyse,
     analyse_incremental,
 )
 
@@ -434,7 +433,9 @@ class TestAnalyseIncremental:
         assert delta.reanalysed == (0, 2)  # sentence 1 untouched
         assert analysis.antonym_pairs() == [("pulse_wave", "available", "lost")]
 
-    def test_incremental_equals_fresh_analyse(self):
+    def test_incremental_equals_the_printed_loop(self):
+        """The merged vocabularies are the document's subject table, and
+        the production loop over it is Algorithm 1 as printed."""
         seen = set()
         texts = [
             "The pulse wave is available.",
@@ -443,6 +444,12 @@ class TestAnalyseIncremental:
             "The alarm is enabled.",
         ]
         incremental, _ = self.run(seen, texts)
-        fresh = analyse([parse_sentence(text) for text in texts], self.dictionary)
-        assert incremental.wordset == fresh.wordset
-        assert incremental.pairs_by_subject == fresh.pairs_by_subject
+        printed = analyse_table_monolithic(
+            {
+                "pulse_wave": {"available", "unavailable"},
+                "alarm": {"disabled", "enabled"},
+            },
+            self.dictionary,
+        )
+        assert incremental.wordset == printed.wordset
+        assert incremental.pairs_by_subject == printed.pairs_by_subject

@@ -38,6 +38,7 @@ from repro.synthesis import (
 )
 
 from oracles import game as oracle_game
+from oracles.automata import check_total
 from oracles.bounded import FreshBoundedSynthesizer, with_bounded_engines
 from oracles.game import OfflineGame
 from oracles.ladder import without_obligations
@@ -100,7 +101,7 @@ class TestIncrementalVsFresh:
                 # Byte-identical canonical machines, independently checked.
                 assert a.machine.transitions == b.machine.transitions
                 assert a.machine.describe() == b.machine.describe()
-                a.machine.check_total()
+                check_total(a.machine)
                 assert satisfies_specification(a.machine, specification), text
             else:
                 assert a.machine is None and b.machine is None
@@ -367,7 +368,7 @@ class TestAutomatonSeam:
         automaton.add_transition(state, Label.of(pos=["g"]), state)
         result = solve_automaton(automaton, [], ["g"], bound=1)
         assert result.realizable
-        result.machine.check_total()
+        check_total(result.machine)
 
     def test_no_accepting_sets_offline_agrees(self):
         automaton = BuchiAutomaton(atoms=frozenset({"g"}))

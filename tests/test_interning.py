@@ -114,10 +114,11 @@ def test_hash_stable_across_hash_randomisation():
 
 
 def test_uids_are_distinct_and_stable():
+    # The intern keys of compound nodes are their children's uids.
     a, b = Atom("a"), Atom("b")
     nodes = [a, b, And(a, b), Or(a, b), Not(a)]
-    assert len({n.uid for n in nodes}) == len(nodes)
-    assert And(a, b).uid == And(a, b).uid
+    assert len({n._uid for n in nodes}) == len(nodes)
+    assert And(a, b)._uid == And(a, b)._uid
 
 
 # ---------------------------------------------------------------------------

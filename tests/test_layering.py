@@ -9,7 +9,11 @@ and at function level, for an import of ``repro.core`` or
 
 The serving tier also stays off every path that does not serve: fresh
 interpreters check that a one-shot check and the stdio serve loop load
-no module they never run.  And no module keeps an import it never reads.
+no module they never run.  No module keeps an import it never reads.
+And every function, method and class in ``src/repro`` is referenced
+outside the tests: a helper only tests call belongs in ``tests/``
+(references under ``tests/oracles/``), apart from the serving and
+observability seams listed in :data:`KEPT_SEAMS`.
 """
 
 from __future__ import annotations
@@ -24,7 +28,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "repro"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "repro"
 LOWER_LAYERS = (
     "logic", "nlp", "automata", "sat", "smt", "casestudies", "translate", "synthesis"
 )
@@ -181,3 +186,132 @@ def test_the_unused_import_scan_reads_bound_names(tmp_path):
         "NAMES: List[str] = []\n"
     )
     assert list(unused_imports(module)) == [(2, "os"), (3, "codec"), (4, "Dict")]
+
+
+#: Where a definition in ``src/repro`` counts as used: what the CLI, the
+#: serve loop, the benchmarks and the examples run.
+REFERENCE_ROOTS = ("src", "benchmarks", "examples", "perfbench")
+
+#: Serving and observability seams nothing under :data:`REFERENCE_ROOTS`
+#: reaches, kept on purpose: each is how the tests (or an embedding
+#: program) drive or inspect its tier.
+KEPT_SEAMS = {
+    # The core's session tables: the isolation, per-connection
+    # namespacing, session-bound and journal-recovery tests read them.
+    "AsyncSpecServer.session_names",
+    "AsyncSpecServer.durable_tokens",
+    # Routing and per-worker state of a pool: the tests check that a
+    # document's shard is a pure function of it and that each shard
+    # answers for its own caches.
+    "WorkerPool.shard_of",
+    "WorkerPool.worker_snapshots",
+    # The concurrent-versus-sequential comparison of responses strips
+    # exactly the volatile fields; one function, so comparisons agree.
+    "normalize_response",
+    # A fault plan round-trips through the REPRO_FAULTS environment
+    # variable; the soaks write theirs by hand, the tests with this.
+    "FaultPlan.to_json",
+    # Disarms journal fault injection in the process that armed it.
+    "uninstall_journal",
+    # The metrics registry's write and read halves no collector uses
+    # yet: a gauge, and one namespace read without a whole snapshot.
+    "MetricsRegistry.set_gauge",
+    "MetricsRegistry.collect",
+    # The reset half of ``activate``'s token, for callers that cannot
+    # scope a tracer with ``activated``.
+    "deactivate",
+}
+
+
+def definitions(path: Path):
+    """``(qualified name, name, first line, last line)`` of every
+    function, method and class in *path*; decorators count as lines."""
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                yield f"{prefix}{child.name}", child.name, first, child.end_lineno
+                yield from visit(child, f"{prefix}{child.name}.")
+            else:
+                yield from visit(child, prefix)
+
+    yield from visit(ast.parse(path.read_text(encoding="utf-8")), "")
+
+
+def references(path: Path):
+    """``(line, name)`` for every name *path* reads: a ``Name``, an
+    attribute, or an import outside a package ``__init__`` (whose imports
+    are re-exports, not uses)."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            yield node.lineno, node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.lineno, node.attr
+        elif isinstance(node, ast.ImportFrom) and path.name != "__init__.py":
+            yield from ((node.lineno, alias.name) for alias in node.names)
+
+
+def unreferenced(root: Path, package: Path):
+    """``(path:line, qualified name)`` of each definition under *package*
+    whose name nothing under *root*'s :data:`REFERENCE_ROOTS` reads
+    outside the definition itself.  Dunder methods, which Python calls,
+    and the serve loop's ``_op_*`` handlers, which it looks up by name,
+    are exempt."""
+    readers = {}
+    for name in REFERENCE_ROOTS:
+        for path in sorted((root / name).rglob("*.py")):
+            for line, read in references(path):
+                readers.setdefault(read, []).append((path, line))
+    for path in sorted(package.rglob("*.py")):
+        for qualname, name, first, last in definitions(path):
+            if name.startswith("__") and name.endswith("__") or name.startswith("_op_"):
+                continue
+            if all(
+                where == path and first <= line <= last
+                for where, line in readers.get(name, ())
+            ):
+                yield f"{path.relative_to(package)}:{first}", qualname
+
+
+def test_every_definition_is_referenced_outside_the_tests():
+    flagged = [
+        f"{where} {qualname}"
+        for where, qualname in unreferenced(ROOT, PACKAGE)
+        if qualname not in KEPT_SEAMS
+    ]
+    assert flagged == []
+
+
+def test_every_kept_seam_is_still_unreferenced():
+    """A seam something now reaches, or that is gone, leaves the list."""
+    flagged = {qualname for _, qualname in unreferenced(ROOT, PACKAGE)}
+    assert sorted(KEPT_SEAMS - flagged) == []
+
+
+def test_the_reference_scan_reads_names_attributes_and_imports(tmp_path):
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("from .mod import exported\n")
+    (package / "mod.py").write_text(textwrap.dedent("""
+        def exported(n):
+            return exported(n - 1) if n else 0
+        def called():
+            pass
+        class Box:
+            @property
+            def method(self):
+                pass
+            def __len__(self):
+                return 0
+            def _op_ping(self):
+                pass
+        def dead():
+            pass
+    """))
+    (tmp_path / "examples").mkdir()
+    (tmp_path / "examples" / "use.py").write_text(
+        "from pkg.mod import called\nBox().method\n"
+    )
+    assert list(unreferenced(tmp_path, package)) == [
+        ("mod.py:2", "exported"), ("mod.py:14", "dead")
+    ]

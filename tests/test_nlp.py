@@ -1,4 +1,4 @@
-"""Tests for the NLP substrate: tokenizer, lexicon, grammar, tree, deps."""
+"""Tests for the NLP substrate: tokenizer, lexicon, grammar, tree, antonyms."""
 
 from __future__ import annotations
 
@@ -10,12 +10,10 @@ from repro.nlp import (
     AntonymDictionary,
     StructuredEnglishError,
     TimeConstraint,
-    clause_dependencies,
     normalise_name,
     parse_sentence,
     render_sentence,
     split_sentences,
-    subject_dependents,
     syntax_tree,
     tokenize,
 )
@@ -256,36 +254,12 @@ class TestSyntaxTree:
         assert "subordinator: if" in render_sentence(sentence)
 
 
-class TestDependencies:
-    def test_acomp_for_complement(self):
-        sentence = parse_sentence("The pulse wave is available.")
-        deps = clause_dependencies(sentence.main.clauses[0])
-        assert any(
-            d.relation == "acomp" and d.head == "pulse_wave" and d.dependent == "available"
-            for d in deps
-        )
-
-    def test_nsubjpass_for_passive(self):
-        sentence = parse_sentence("The cuff is inflated.")
-        deps = clause_dependencies(sentence.main.clauses[0])
-        assert any(d.relation == "nsubjpass" for d in deps)
-
-    def test_subject_dependents_table(self):
-        sentences = [
-            parse_sentence("The pulse wave is available."),
-            parse_sentence("The pulse wave is unavailable."),
-            parse_sentence("The cuff is inflated."),
-        ]
-        table = subject_dependents(sentences)
-        assert table == {"pulse_wave": {"available", "unavailable"}}
-
-
 class TestAntonymDictionary:
     def test_curated_pairs(self):
         dictionary = AntonymDictionary.default()
-        assert dictionary.are_antonyms("available", "unavailable")
-        assert dictionary.are_antonyms("unavailable", "available")
-        assert dictionary.are_antonyms("lost", "available")
+        assert "unavailable" in dictionary.lookup("available")
+        assert "available" in dictionary.lookup("unavailable")
+        assert "available" in dictionary.lookup("lost")
 
     def test_morphology(self):
         dictionary = AntonymDictionary.default()
@@ -305,7 +279,7 @@ class TestAntonymDictionary:
 
     def test_custom_pairs(self):
         dictionary = AntonymDictionary.from_pairs([("hot", "cold")])
-        assert dictionary.are_antonyms("hot", "cold")
+        assert "cold" in dictionary.lookup("hot")
         assert dictionary.is_positive("hot", "cold")
 
     def test_dictionaries_cannot_change_once_built(self):

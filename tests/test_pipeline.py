@@ -382,7 +382,8 @@ class TestCaraGold:
         # Section IV-E running example: Theta={3,60,180}, B=5 -> d=60.
         solution = translated.abstraction.solution
         assert solution.divisor == 60
-        assert translated.abstraction.mapping == {3: 0, 60: 1, 180: 3}
+        assert translated.abstraction.thetas == (3, 60, 180)
+        assert solution.scaled == (0, 1, 3)
 
     def test_antonym_pairs_include_paper_example(self, translated):
         pairs = translated.analysis.antonym_pairs()

@@ -9,18 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.logic import parse
-from repro.sat import (
-    CDCLSolver,
-    CNF,
-    NotPropositional,
-    assert_formula,
-    encode,
-    solve,
-)
+from repro.sat import CDCLSolver, CNF, NotPropositional, encode
 from repro.sat import cdcl
 from repro.sat.cdcl import _luby
 
-from oracles.sat import ScanCDCLSolver, solve_brute
+from oracles.sat import (
+    ScanCDCLSolver,
+    add_all,
+    add_exactly_one,
+    pigeonhole,
+    solve_brute,
+    value,
+)
 
 
 def cnf_of(*clauses):
@@ -43,8 +43,6 @@ class TestCNF:
         b = cnf.var("b")
         assert cnf.var("a") == a
         assert a != b
-        assert cnf.name_of(a) == "a"
-        assert cnf.name_of(-a) == "a"
 
     def test_duplicate_name_rejected(self):
         cnf = CNF()
@@ -61,17 +59,10 @@ class TestCNF:
         cnf = cnf_of([5, -7])
         assert cnf.num_vars == 7
 
-    def test_dimacs_roundtrip(self):
-        cnf = cnf_of([1, -2], [2, 3], [-1])
-        text = cnf.to_dimacs()
-        back = CNF.from_dimacs(text)
-        assert back.clauses == cnf.clauses
-        assert back.num_vars == cnf.num_vars
-
     def test_exactly_one(self):
         cnf = CNF()
         lits = [cnf.new_var() for _ in range(4)]
-        cnf.add_exactly_one(lits)
+        add_exactly_one(cnf, lits)
         model = solve_brute(cnf)
         assert model is not None
         assert sum(model[abs(l)] for l in lits) == 1
@@ -79,15 +70,15 @@ class TestCNF:
 
 class TestCDCLBasics:
     def test_empty_cnf_is_sat(self):
-        assert solve(CNF())
+        assert CDCLSolver(CNF()).solve()
 
     def test_unit_propagation(self):
-        result = solve(cnf_of([1], [-1, 2], [-2, 3]))
+        result = CDCLSolver(cnf_of([1], [-1, 2], [-2, 3])).solve()
         assert result
-        assert result.value(1) and result.value(2) and result.value(3)
+        assert value(result, 1) and value(result, 2) and value(result, 3)
 
     def test_trivial_unsat(self):
-        assert not solve(cnf_of([1], [-1]))
+        assert not CDCLSolver(cnf_of([1], [-1])).solve()
 
     def test_empty_clause_unsat(self):
         cnf = CNF()
@@ -108,17 +99,17 @@ class TestCDCLBasics:
             for i in range(3):
                 for j in range(i + 1, 3):
                     cnf.add([-v(i, h), -v(j, h)])
-        assert not solve(cnf)
+        assert not CDCLSolver(cnf).solve()
 
     def test_model_satisfies_all_clauses(self):
         cnf = cnf_of([1, 2, 3], [-1, -2], [-2, -3], [2, 3])
-        result = solve(cnf)
+        result = CDCLSolver(cnf).solve()
         assert result
         for clause in cnf.clauses:
-            assert any(result.value(lit) for lit in clause)
+            assert any(value(result, lit) for lit in clause)
 
     def test_statistics_reported(self):
-        result = solve(cnf_of([1, 2], [-1, 2], [1, -2], [-1, -2, 3]))
+        result = CDCLSolver(cnf_of([1, 2], [-1, 2], [1, -2], [-1, -2, 3])).solve()
         assert result.propagations >= 0
         assert result.conflicts >= 0
 
@@ -157,8 +148,6 @@ class TestCDCLBasics:
         assert solver.var_inc == 2.0 ** (solver.conflicts - 1)
 
 
-pigeonhole = CNF.pigeonhole
-
 
 def random_3sat(seed: int, num_vars: int, num_clauses: int) -> CNF:
     """*num_clauses* random 3-literal clauses over distinct variables."""
@@ -181,9 +170,9 @@ def exactly_one_grid(rows: int, cols: int) -> CNF:
     propagation heavy, the shape of the bounded-synthesis encodings."""
     cnf = CNF()
     for r in range(rows):
-        cnf.add_exactly_one([r * cols + c + 1 for c in range(cols)])
+        add_exactly_one(cnf, [r * cols + c + 1 for c in range(cols)])
     for c in range(cols):
-        cnf.add_exactly_one([r * cols + c + 1 for r in range(rows)])
+        add_exactly_one(cnf, [r * cols + c + 1 for r in range(rows)])
     return cnf
 
 
@@ -266,7 +255,7 @@ class TestPropagationSchemes:
         assert solver.solve()
         solver.add_clause([-1])
         result = solver.solve()
-        assert result and result.value(2)
+        assert result and value(result, 2)
         solver.add_clause([-2])
         assert not solver.solve()
 
@@ -320,7 +309,7 @@ class TestDatabaseReduction:
         assert bool(result) == (brute is not None)
         if result:
             for clause in cnf.clauses:
-                assert any(result.value(lit) for lit in clause)
+                assert any(value(result, lit) for lit in clause)
 
     def test_glue_and_binary_clauses_survive(self, monkeypatch):
         monkeypatch.setattr(cdcl, "REDUCE_INTERVAL", 10)
@@ -340,13 +329,13 @@ class TestDatabaseReduction:
 class TestAssumptions:
     def test_sat_under_assumptions(self):
         cnf = cnf_of([1, 2])
-        result = solve(cnf, assumptions=[-1])
+        result = CDCLSolver(cnf).solve([-1])
         assert result
-        assert result.value(2)
+        assert value(result, 2)
 
     def test_unsat_under_assumptions_reports_core(self):
         cnf = cnf_of([-1, 2], [-2, 3])
-        result = solve(cnf, assumptions=[1, -3])
+        result = CDCLSolver(cnf).solve([1, -3])
         assert not result
         assert result.failed_assumptions
         assert set(result.failed_assumptions) <= {1, -3}
@@ -362,7 +351,7 @@ class TestAssumptions:
         assert solver.solve()
         solver.add_clause([-1])
         result = solver.solve()
-        assert result and result.value(2)
+        assert result and value(result, 2)
         solver.add_clause([-2])
         assert not solver.solve()
 
@@ -378,8 +367,8 @@ class TestTseitin:
             ("false", False),
         ]:
             cnf = CNF()
-            assert_formula(parse(text), cnf)
-            assert bool(solve(cnf)) == expected, text
+            cnf.add([encode(parse(text), cnf)])
+            assert bool(CDCLSolver(cnf).solve()) == expected, text
 
     def test_shared_atoms_share_variables(self):
         cnf = CNF()
@@ -387,7 +376,7 @@ class TestTseitin:
         lit2 = encode(parse("a && a"), cnf)
         cnf.add([lit1])
         cnf.add([-lit2])
-        assert not solve(cnf)
+        assert not CDCLSolver(cnf).solve()
 
     def test_temporal_rejected(self):
         cnf = CNF()
@@ -397,8 +386,8 @@ class TestTseitin:
     def test_model_matches_semantics(self):
         formula = parse("(a || b) && (!a || c) && (a <-> !b)")
         cnf = CNF()
-        assert_formula(formula, cnf)
-        result = solve(cnf)
+        cnf.add([encode(formula, cnf)])
+        result = CDCLSolver(cnf).solve()
         assert result
         a, b, c = (result.model[cnf.var(n)] for n in "abc")
         assert (a or b) and ((not a) or c) and (a == (not b))
@@ -423,11 +412,11 @@ class TestCDCLAgainstBruteForce:
         rng = random.Random(seed)
         cnf = random_cnf(rng, num_vars=8, num_clauses=rng.randint(5, 40))
         brute = solve_brute(cnf)
-        result = solve(cnf)
+        result = CDCLSolver(cnf).solve()
         assert bool(result) == (brute is not None)
         if result:
             for clause in cnf.clauses:
-                assert any(result.value(lit) for lit in clause)
+                assert any(value(result, lit) for lit in clause)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
@@ -435,7 +424,7 @@ class TestCDCLAgainstBruteForce:
         rng = random.Random(seed)
         cnf = random_cnf(rng, num_vars=6, num_clauses=rng.randint(1, 30))
         brute = solve_brute(cnf)
-        result = solve(cnf)
+        result = CDCLSolver(cnf).solve()
         assert bool(result) == (brute is not None)
 
     @pytest.mark.parametrize("seed", range(10))
@@ -444,12 +433,12 @@ class TestCDCLAgainstBruteForce:
         cnf = random_cnf(rng, num_vars=7, num_clauses=20)
         assumptions = [rng.choice([1, -1]) * rng.randint(1, 7) for _ in range(3)]
         with_units = CNF()
-        with_units.add_all(cnf.clauses)
+        add_all(with_units, cnf.clauses)
         consistent = len({abs(a) for a in assumptions}) == len(assumptions) or True
         for a in assumptions:
             with_units.add([a])
-        expected = bool(solve(with_units))
-        got = bool(solve(cnf, assumptions=assumptions))
+        expected = bool(CDCLSolver(with_units).solve())
+        got = bool(CDCLSolver(cnf).solve(assumptions))
         assert got == expected
 
 

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from repro.sat import CDCLSolver, CNF
 
-from oracles.sat import ScanCDCLSolver, solve_brute
+from oracles.sat import ScanCDCLSolver, add_all, solve_brute, value
 
 NUM_VARS = 6
 
@@ -53,7 +53,7 @@ def build(clause_list) -> CNF:
 
 def assert_model_satisfies(result, cnf: CNF, context: str) -> None:
     for clause in cnf.clauses:
-        assert any(result.value(lit) for lit in clause), (context, clause)
+        assert any(value(result, lit) for lit in clause), (context, clause)
 
 
 class TestSolveAgainstBrute:
@@ -106,7 +106,7 @@ class TestAssumptionCores:
         if result:
             assert_model_satisfies(result, cnf, "assumptions-sat")
             for lit in assumptions:
-                assert result.value(lit), lit
+                assert value(result, lit), lit
             return
         core = result.failed_assumptions
         assert core is not None
@@ -189,7 +189,7 @@ class TestIncrementalSolving:
         if result:
             assert_model_satisfies(result, build(clause_list), "assume-after-add")
             for lit in assumptions:
-                assert result.value(lit), lit
+                assert value(result, lit), lit
 
 
 class TestActivationLiteralGating:
@@ -283,7 +283,7 @@ class TestSeededCorpus:
     def test_corpus_instance(self, seed):
         cnf, assumptions = self.corpus(seed)
         with_units = CNF()
-        with_units.add_all(cnf.clauses)
+        add_all(with_units, cnf.clauses)
         for lit in assumptions:
             with_units.add([lit])
         expected = solve_brute(with_units) is not None
@@ -296,7 +296,7 @@ class TestSeededCorpus:
                 core = result.failed_assumptions
                 assert set(core) <= set(assumptions), (seed, mode)
                 with_core = CNF()
-                with_core.add_all(cnf.clauses)
+                add_all(with_core, cnf.clauses)
                 for lit in core:
                     with_core.add([lit])
                 assert solve_brute(with_core) is None, (seed, mode, core)

@@ -894,6 +894,35 @@ class TestServeAsync:
         assert captured["workers"] == server_module._Server.MAX_BATCH_WORKERS
         assert captured["backend"] == "thread"  # the stdio transport's default
 
+    #: Per typed request field: a request carrying it, a well-formed
+    #: value, and values the loop once read by truthiness or int().
+    TYPED_FIELDS = {
+        "trace": ({"op": "check"}, True, ["false", 1, None]),
+        "timings": ({"op": "check"}, False, ["false", 0, []]),
+        "full": ({"op": "metrics"}, False, ["no", 0, None]),
+        "workers": (
+            {"op": "batch", "documents": [{"name": "a", "text": "The valve is opened."}]},
+            2,
+            ["2", 2.0, True, None],
+        ),
+    }
+
+    @pytest.mark.parametrize("field", sorted(TYPED_FIELDS))
+    def test_typed_fields_reject_other_json_types(self, field):
+        """``"trace": "false"`` once turned tracing on and ``"workers":
+        "2"`` was accepted: each flag takes only a JSON boolean and
+        ``workers`` only a JSON integer, anything else is a bad request."""
+        base, good, bad = self.TYPED_FIELDS[field]
+        responses = run_serve(
+            [{"op": "add", "id": "R1", "text": "The valve is opened."}]
+            + [{**base, field: value} for value in bad]
+            + [{**base, field: good}]
+        )
+        rejected = responses[1:-1]
+        assert [r["code"] for r in rejected] == ["bad_request"] * len(bad)
+        assert all(repr(field) in r["error"] for r in rejected)
+        assert responses[-1]["ok"], responses[-1]
+
     @pytest.mark.parametrize("backend", ["process-fresh", "remote"])
     def test_batch_op_rejects_unknown_backend(self, backend):
         """The cold-process reference backend and the remote worker tier

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sat import solve
+from repro.sat import CDCLSolver
 from repro.smt import (
     BitVecBuilder,
     Sign,
@@ -20,7 +20,7 @@ from repro.smt import (
 def eval_with(builder: BitVecBuilder, assertions=()):
     for lit in assertions:
         builder.require(lit)
-    result = solve(builder.cnf)
+    result = CDCLSolver(builder.cnf).solve()
     assert result
     return result.model
 
@@ -77,7 +77,7 @@ class TestBitVec:
         builder = BitVecBuilder()
         x = builder.variable("x", 8)
         product = builder.multiply(x, builder.constant(6, 4))
-        builder.require_equal(product, builder.constant(42, 8))
+        builder.require(builder.equal(product, builder.constant(42, 8)))
         model = eval_with(builder)
         assert builder.decode(x, model) == 7
 

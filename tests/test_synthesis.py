@@ -29,6 +29,7 @@ from repro.synthesis.invariants import (
 )
 
 from oracles import game as oracle_game
+from oracles.automata import check_total, run
 from oracles import localization as oracle_localization
 from oracles import obligations as oracle_obligations
 from oracles.bounded import with_bounded_engines
@@ -67,7 +68,7 @@ class TestMealyMachine:
         return machine
 
     def test_run(self):
-        outputs = self.machine().run([["a"], [], ["a"]])
+        outputs = run(self.machine(), [["a"], [], ["a"]])
         assert outputs == [frozenset({"b"}), frozenset(), frozenset({"b"})]
 
     def test_step_ignores_non_input_props(self):
@@ -77,16 +78,12 @@ class TestMealyMachine:
     def test_check_total(self):
         machine = MealyMachine(inputs=("a",), outputs=(), num_states=1)
         with pytest.raises(ValueError):
-            machine.check_total()
+            check_total(machine)
 
     def test_all_letters(self):
         letters = all_letters(["x", "y"])
         assert len(letters) == 4
         assert frozenset() in letters and frozenset({"x", "y"}) in letters
-
-    def test_to_dot_contains_transitions(self):
-        dot = self.machine().to_dot()
-        assert "digraph" in dot and "s0 -> s1" in dot
 
 
 class TestEnginesAgree:
@@ -190,7 +187,7 @@ class TestSafetyGameEquivalence:
             assert partial.machine.transitions == concrete.machine.transitions
             assert partial.machine.num_states == concrete.machine.num_states
             assert partial.machine.describe() == concrete.machine.describe()
-            partial.machine.check_total()
+            check_total(partial.machine)
 
     @pytest.mark.parametrize("extra", [2, 4, 8])
     def test_partial_enumeration_ignores_dont_care_outputs(self, extra):
@@ -334,7 +331,7 @@ class TestSafetyGameEngine:
     def test_machine_extraction(self):
         outcome = solve_safety_game(parse("G (r -> g)"), ["r"], ["g"], bound=2)
         assert outcome.realizable
-        outcome.machine.check_total()
+        check_total(outcome.machine)
         assert satisfies_specification(outcome.machine, parse("G (r -> g)"))
 
     def test_position_cap(self):

@@ -18,16 +18,20 @@ from repro.logic import (
     parse,
     to_str,
 )
-from repro.nlp import AntonymDictionary, StructuredEnglishError, parse_sentence
+from repro.nlp import (
+    AntonymDictionary,
+    StructuredEnglishError,
+    parse_sentence,
+    sentence_vocabulary,
+)
 from repro.translate import (
     AbstractionMethod,
     Color,
     TranslationOptions,
     Translator,
-    analyse,
+    analyse_incremental,
     chain_lengths,
     classify_requirement,
-    clause_propositions,
     mutual_exclusion_assumptions,
     no_reasoning,
     partition_formulas,
@@ -35,6 +39,8 @@ from repro.translate import (
     sentence_formula,
 )
 from repro.translate.partition import RequirementPartition
+from repro.translate.propositions import subject_proposition
+from repro.translate.semantics import _analyse_table
 
 
 def formula_of(text: str, **options) -> str:
@@ -43,107 +49,98 @@ def formula_of(text: str, **options) -> str:
     return to_str(sentence_formula(sentence, None, opts))
 
 
+def proposition_of(text: str):
+    """The proposition the first main clause of *text* states of its
+    first subject."""
+    clause = parse_sentence(text).main.clauses[0]
+    return subject_proposition(clause, clause.subjects[0])
+
+
 class TestPropositions:
     def test_passive(self):
-        clause = parse_sentence("The cuff is inflated.").main.clauses[0]
-        (prop,) = clause_propositions(clause)
+        prop = proposition_of("The cuff is inflated.")
         assert prop.name == "inflate_cuff" and not prop.negated
 
     def test_adjective_is_antonym_candidate(self):
-        clause = parse_sentence("The cuff is available.").main.clauses[0]
-        (prop,) = clause_propositions(clause)
+        prop = proposition_of("The cuff is available.")
         assert prop.is_antonym_candidate
         assert prop.name == "available_cuff"
 
     def test_negated(self):
-        clause = parse_sentence("The cuff is not inflated.").main.clauses[0]
-        (prop,) = clause_propositions(clause)
+        prop = proposition_of("The cuff is not inflated.")
         assert prop.negated
 
     def test_one_per_subject(self):
         clause = parse_sentence("Pulse wave and arterial line are lost.").main.clauses[0]
-        props = clause_propositions(clause)
+        props = [subject_proposition(clause, subject) for subject in clause.subjects]
         assert [p.name for p in props] == ["lost_pulse_wave", "lost_arterial_line"]
 
 
 class TestAlgorithm1:
-    def sentences(self, *texts):
-        return [parse_sentence(t) for t in texts]
+    def analyse(self, *texts):
+        """Algorithm 1 as the translator runs it: over the sentences'
+        vocabularies, with the default dictionary."""
+        vocabularies = [sentence_vocabulary(parse_sentence(t)) for t in texts]
+        analysis, _, _ = analyse_incremental(vocabularies, frozenset())
+        return analysis
 
     def test_pair_found_per_subject(self):
-        analysis = analyse(
-            self.sentences(
-                "The pulse wave is available.",
-                "The pulse wave is unavailable.",
-            )
+        analysis = self.analyse(
+            "The pulse wave is available.",
+            "The pulse wave is unavailable.",
         )
         assert analysis.pairs_by_subject["pulse_wave"] == [("available", "unavailable")]
-        assert analysis.color_of("available", "pulse_wave") is Color.BLUE
-        assert analysis.color_of("unavailable", "pulse_wave") is Color.BLUE
+        assert analysis.wordset["available"].color_for("pulse_wave") is Color.BLUE
+        assert analysis.wordset["unavailable"].color_for("pulse_wave") is Color.BLUE
 
     def test_single_dependent_skipped(self):
         # Algorithm 1 line 3: |s.dep| > 1 required.
-        analysis = analyse(self.sentences("The pulse wave is available."))
+        analysis = self.analyse("The pulse wave is available.")
         assert "pulse_wave" not in analysis.pairs_by_subject
 
     def test_non_antonym_dependents_stay_green(self):
-        analysis = analyse(
-            self.sentences(
-                "The line is available.",
-                "The line is busy.",
-            )
+        analysis = self.analyse(
+            "The line is available.",
+            "The line is busy.",
         )
-        assert analysis.color_of("available", "line") is Color.GREEN
-        assert analysis.color_of("busy", "line") is Color.GREEN
+        assert analysis.wordset["available"].color_for("line") is Color.GREEN
+        assert analysis.wordset["busy"].color_for("line") is Color.GREEN
 
     def test_pairs_are_per_subject(self):
-        analysis = analyse(
-            self.sentences(
-                "The pulse wave is available.",
-                "The pulse wave is unavailable.",
-                "The arterial line is available.",
-                "The arterial line is lost.",
-            )
+        analysis = self.analyse(
+            "The pulse wave is available.",
+            "The pulse wave is unavailable.",
+            "The arterial line is available.",
+            "The arterial line is lost.",
         )
         assert set(analysis.pairs_by_subject) == {"pulse_wave", "arterial_line"}
 
     def test_reduction_abbreviates_single_positive(self):
-        analysis = analyse(
-            self.sentences(
-                "The pulse wave is available.",
-                "The pulse wave is unavailable.",
-            )
+        analysis = self.analyse(
+            "The pulse wave is available.",
+            "The pulse wave is unavailable.",
         )
-        clause = parse_sentence("The pulse wave is unavailable.").main.clauses[0]
-        (prop,) = clause_propositions(clause)
-        reduced = analysis.reduce(prop)
+        reduced = analysis.reduce(proposition_of("The pulse wave is unavailable."))
         assert reduced.name == "pulse_wave" and reduced.negated
 
     def test_morphological_reduction_without_pair(self):
-        analysis = analyse(self.sentences("The feed is unavailable."))
-        clause = parse_sentence("The feed is unavailable.").main.clauses[0]
-        (prop,) = clause_propositions(clause)
-        reduced = analysis.reduce(prop)
+        analysis = self.analyse("The feed is unavailable.")
+        reduced = analysis.reduce(proposition_of("The feed is unavailable."))
         assert reduced.name == "available_feed" and reduced.negated
 
     def test_curated_unique_negative(self):
-        analysis = analyse(self.sentences("The alarm is disabled."))
-        clause = parse_sentence("The alarm is disabled.").main.clauses[0]
-        (prop,) = clause_propositions(clause)
-        reduced = analysis.reduce(prop)
+        analysis = self.analyse("The alarm is disabled.")
+        reduced = analysis.reduce(proposition_of("The alarm is disabled."))
         assert reduced.name == "enabled_alarm" and reduced.negated
 
     def test_no_reasoning_reduces_nothing(self):
-        clause = parse_sentence("The feed is unavailable.").main.clauses[0]
-        (prop,) = clause_propositions(clause)
+        prop = proposition_of("The feed is unavailable.")
         assert no_reasoning().reduce(prop) == prop
 
     def test_mutual_exclusion_assumption_count(self):
-        analysis = analyse(
-            self.sentences(
-                "The pulse wave is available.",
-                "The pulse wave is unavailable.",
-            )
+        analysis = self.analyse(
+            "The pulse wave is available.",
+            "The pulse wave is unavailable.",
         )
         assert mutual_exclusion_assumptions(analysis) == [
             ("available_pulse_wave", "unavailable_pulse_wave")
@@ -151,10 +148,7 @@ class TestAlgorithm1:
 
     def test_custom_dictionary(self):
         dictionary = AntonymDictionary.from_pairs([("armed", "safe")])
-        analysis = analyse(
-            self.sentences("The system is armed.", "The system is safe."),
-            dictionary,
-        )
+        analysis = _analyse_table({"system": {"armed", "safe"}}, dictionary)
         assert analysis.pairs_by_subject["system"] == [("armed", "safe")]
 
 
@@ -263,7 +257,8 @@ class TestAbstractTime:
             "If the valve is open, the log is updated in 60 seconds."
         )
         assert spec.abstraction.solution.divisor == 60
-        assert spec.abstraction.mapping == {3: 0, 60: 1, 180: 3}
+        assert spec.abstraction.thetas == (3, 60, 180)
+        assert spec.abstraction.solution.scaled == (0, 1, 3)
         assert [next_depth(formula) for formula in spec.formulas] == [0, 3, 1]
 
     def test_gcd_method(self):
@@ -315,8 +310,6 @@ class TestPartition:
         partition = partition_formulas([classify_requirement(parse("G (a -> b)"))])
         moved = partition.move_to_output("a")
         assert "a" in moved.outputs
-        back = moved.move_to_input("a")
-        assert "a" in back.inputs
         with pytest.raises(ValueError):
             partition.move_to_output("b")
 
@@ -355,7 +348,6 @@ class TestTranslator:
             "If the cuff is lost, the alarm is issued."
         )
         assert spec.num_inputs == 1 and spec.num_outputs == 1
-        assert "1 inputs" in spec.summary()
 
     def test_semantic_reasoning_toggle(self):
         document = (
