@@ -3,20 +3,14 @@
 Reproduces the worked example: Theta = {3, 180, 60} (Req-08, Req-28,
 Req-42), where the GCD reduction still leaves 81 Next operators while the
 arrival-error optimisation with B=5 leaves 4 (d=60, theta'=(0,3,1),
-Delta=(3,0,0)) — and compares the paper's bit-blasting route against the
-exact reference solver.
+Delta=(3,0,0)).
 """
 
 from __future__ import annotations
 
 from repro.casestudies import mode_switching_requirements
-from repro.smt import (
-    TimeAbstractionProblem,
-    gcd_reduction,
-    solve_bitblast,
-    solve_reference,
-)
 from repro.translate import AbstractionMethod, TranslationOptions, Translator
+from repro.translate.timeabs import solve_abstraction
 
 
 def spec_with(method: AbstractionMethod):
@@ -62,22 +56,14 @@ def test_abstraction_ablation(capsys):
             print(f"  {method:<8}: {count}")
 
 
-def test_paper_running_example_both_solvers(capsys):
-    problem = TimeAbstractionProblem.of([3, 180, 60], 5)
-    reference = solve_reference(problem)
-    bitblast = solve_bitblast(problem)
-    baseline = gcd_reduction([3, 180, 60])
-    assert reference.divisor == 60
-    assert (bitblast.cost_next, bitblast.cost_error) == (4, 3)
-    assert (reference.cost_next, reference.cost_error) == (4, 3)
+def test_paper_running_example(capsys):
+    thetas = (3, 180, 60)
+    optimal = solve_abstraction(thetas, AbstractionMethod.OPTIMAL, 5)
+    baseline = solve_abstraction(thetas, AbstractionMethod.GCD)
+    assert optimal.divisor == 60
+    assert (optimal.cost_next, optimal.cost_error) == (4, 3)
+    assert (baseline.divisor, baseline.cost_next) == (3, 81)
     with capsys.disabled():
         print("\nSection IV-E running example (Theta={3,180,60}, B=5)")
-        print(f"  GCD      : d={baseline.divisor}, sum theta'={baseline.cost_next}")
-        print(f"  reference: d={reference.divisor}, theta'={reference.scaled}, Delta={reference.errors}")
-        print(f"  bitblast : d={bitblast.divisor}, theta'={bitblast.scaled}, Delta={bitblast.errors}")
-
-
-def test_bitblast_benchmark(benchmark):
-    problem = TimeAbstractionProblem.of([3, 180, 60], 5)
-    solution = benchmark(solve_bitblast, problem)
-    assert solution.cost_next == 4
+        print(f"  GCD    : d={baseline.divisor}, sum theta'={baseline.cost_next}")
+        print(f"  optimal: d={optimal.divisor}, theta'={optimal.scaled}, Delta={optimal.errors}")

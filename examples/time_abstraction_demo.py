@@ -1,18 +1,12 @@
 """Section IV-E walkthrough: discrete time, GCD reduction, and the
-arrival-error optimisation solved by bit-blasting.
+arrival-error optimisation of Eq. (1)/(2).
 
 Run:  python examples/time_abstraction_demo.py
 """
 
 from repro.logic import to_str
-from repro.smt import (
-    Sign,
-    TimeAbstractionProblem,
-    gcd_reduction,
-    solve_bitblast,
-    solve_reference,
-)
 from repro.translate import AbstractionMethod, TranslationOptions, Translator
+from repro.translate.timeabs import solve_abstraction
 
 REQUIREMENTS = [
     ("Req-08", "If Air Ok signal remains low, auto control mode is terminated in 3 seconds."),
@@ -33,7 +27,7 @@ def show(title: str, method: AbstractionMethod) -> None:
         print(f"  [{requirement.identifier}] {to_str(requirement.formula)}")
     solution = spec.abstraction.solution
     print(f"  divisor={solution.divisor}, sum theta'={solution.cost_next}, "
-          f"sum |Delta|={solution.cost_error}\n")
+          f"sum Delta={solution.cost_error}\n")
 
 
 def main() -> None:
@@ -41,17 +35,10 @@ def main() -> None:
     show("GCD reduction (paper: 'quite conservative')", AbstractionMethod.GCD)
     show("optimal abstraction, B=5 (paper's running example)", AbstractionMethod.OPTIMAL)
 
-    print("--- the optimisation problem itself (Eq. 1-2) ---")
-    problem = TimeAbstractionProblem.of([3, 180, 60], 5)
-    print(f"  GCD      : {gcd_reduction([3, 180, 60])}")
-    print(f"  reference: {solve_reference(problem)}")
-    print(f"  bitblast : {solve_bitblast(problem)}")
-
-    print("\n--- late arrivals allowed instead ---")
-    late = TimeAbstractionProblem.of(
-        [3, 180, 60], 5, signs=[Sign.LATE, Sign.LATE, Sign.LATE]
-    )
-    print(f"  reference: {solve_reference(late)}")
+    print("--- the optimisation problem itself (Eq. 1-2), Theta = {3, 180, 60} ---")
+    for bound in (0, 5, 63, 243):
+        solution = solve_abstraction((3, 180, 60), AbstractionMethod.OPTIMAL, bound)
+        print(f"  B={bound:<3}: {solution}")
 
 
 if __name__ == "__main__":

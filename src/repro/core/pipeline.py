@@ -183,8 +183,8 @@ class SpecCC:
         abort; SAT propagations/conflicts/restarts/clause visits plus
         the incremental-solver reuse pair
         ``sat_incremental_solves``/``sat_learnt_carried``, of the bounded
-        dual's solves only — the obligation certificate's and the
-        bit-blasting abstraction's solves are not counted, see
+        dual's solves only — the obligation certificate's solves are not
+        counted, see
         :func:`~repro.synthesis.realizability.synthesis_stats`),
         so sessions, benchmarks and tests can assert reuse and engine
         work instead of guessing from timings.  The returned value is

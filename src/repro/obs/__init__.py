@@ -17,11 +17,9 @@ from .trace import (
     NULL_SPAN,
     SpanRecord,
     Tracer,
-    activate,
     activated,
     annotate,
     chrome_events,
-    deactivate,
     get_tracer,
     leaf_span,
     set_process_tracer,
@@ -37,11 +35,9 @@ __all__ = [
     "NULL_SPAN",
     "SpanRecord",
     "Tracer",
-    "activate",
     "activated",
     "annotate",
     "chrome_events",
-    "deactivate",
     "get_tracer",
     "leaf_span",
     "registry",

@@ -20,8 +20,7 @@ namespace       source
 ``sat.*``       ``synthesis_stats()`` SAT counters (propagations,
                 conflicts, decisions, restarts, clause visits) of
                 the bounded dual's solves only; the obligation
-                certificate's and the bit-blasting abstraction's
-                solves are not counted
+                certificate's solves are not counted
 ``game.*``      ``synthesis_stats()`` safety-game counters
 ``pool.*``      every registered worker pool's ``stats()`` row
 ``supervision.*`` fleet-level recovery counters
@@ -203,12 +202,6 @@ class MetricsRegistry:
         namespace again replaces the collector (idempotent setup)."""
         with self._lock:
             self._collectors[namespace] = fn
-
-    def collect(self, namespace: str) -> object:
-        """One namespace's current value (``None`` for unknown names)."""
-        with self._lock:
-            fn = self._collectors.get(namespace)
-        return fn() if fn is not None else None
 
     # ------------------------------------------------------------ snapshots
     def counters(self) -> Dict[str, int]:

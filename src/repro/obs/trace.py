@@ -38,7 +38,7 @@ Two activation scopes mirror how the service tiers work:
 * a **process-wide tracer** (:func:`set_process_tracer`) — what ``python
   -m repro check --trace-out trace.json`` installs; every thread's spans
   land in it (pool dispatchers, the degraded inline path);
-* a **context tracer** (:func:`activate` / :func:`activated`) — a
+* a **context tracer** (:func:`activated`) — a
   per-request tracer the serve loops install around one request (keyed
   by the protocol's ``rid``/``session``), shipped back to the client on
   the response.  The context variable overrides the process tracer, so
@@ -384,15 +384,6 @@ def set_process_tracer(tracer: Optional[Tracer]) -> Optional[Tracer]:
     previous = _process_tracer
     _process_tracer = tracer
     return previous
-
-
-def activate(tracer: Optional[Tracer]):
-    """Make *tracer* current for this context; returns a reset token."""
-    return _context_tracer.set(tracer)
-
-
-def deactivate(token) -> None:
-    _context_tracer.reset(token)
 
 
 @contextmanager

@@ -1,8 +1,10 @@
 """Conflict-driven clause learning SAT solver.
 
-A compact but complete CDCL implementation standing in for the paper's use
-of Yices 2 (Section IV-E solves the time-abstraction optimisation "via
-bit-blasting"):
+A compact but complete CDCL implementation.  It serves two callers: the
+obligation certificate's constant-word and conflict-core solves
+(:mod:`repro.synthesis.invariants`), and the bounded dual
+(:mod:`repro.synthesis.bounded`), the only caller that adds clauses
+after an answer and reads :meth:`CDCLSolver.stats`.  It has:
 
 * two-watched-literal propagation with blocker literals (MiniSat-style:
   each watcher carries a cached literal from the clause; when the blocker

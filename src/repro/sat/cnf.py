@@ -3,9 +3,9 @@
 Literals use the DIMACS convention: variables are positive integers and a
 negative integer denotes the negation of the corresponding variable.  The
 :class:`CNF` container also keeps a name table, so the encodings that
-name their variables (Tseitin's atoms, the bit-vector and
-bounded-synthesis encodings) get one variable per name: :meth:`CNF.var`
-reuses it and :meth:`CNF.new_var` rejects a duplicate.
+name their variables (Tseitin's atoms and the bounded-synthesis
+encoding) get one variable per name: :meth:`CNF.var` reuses it and
+:meth:`CNF.new_var` rejects a duplicate.
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
 """Tseitin transformation from propositional formulas to CNF.
 
-Temporal operators are rejected: this module is used for the propositional
-skeletons produced by the bit-blaster and by the translator's sanity checks
-(e.g. mutual-exclusion side conditions from the antonym analysis).
+Temporal operators are rejected: this module encodes the propositional
+constraints of the obligation certificate's SAT solves (a letter's
+obligations, a constant word's conjunction) in
+:mod:`repro.synthesis.invariants`.
 """
 
 from __future__ import annotations

@@ -188,9 +188,9 @@ def synthesis_stats() -> Dict[str, int]:
     letters, counting-function updates).  ``sat_*`` counts the CDCL work
     of the bounded dual's solves only (propagations, conflicts, restarts
     and the clause visits the watcher lists exist to minimise): the
-    obligation certificate's constant-word and CNF solves and the
-    bit-blasting time abstraction's solves are not counted, so on
-    workloads the certificate decides every ``sat_*`` counter reads 0.
+    obligation certificate's constant-word and conflict-core solves are
+    not counted, so on workloads the certificate decides every ``sat_*``
+    counter reads 0.
     Every CDCL solve is a ``sat.solve`` span in a trace.
     """
     with _stats_lock:

@@ -2,9 +2,21 @@
 
 Timing constraints become chains of ``X`` operators during translation.
 This module measures the chain lengths across a whole specification,
-solves the abstraction problem of Eq. (1)/(2) — by GCD, by the exact
-reference solver, or by the paper's bit-blasting route — and rewrites
-every chain ``X^theta`` into ``X^theta'``.
+solves the abstraction problem of Eq. (1)/(2) and rewrites every chain
+``X^theta`` into ``X^theta'``.
+
+Given the distinct chain lengths ``Theta = {theta_0, ..., theta_n}``, the
+paper picks a common divisor ``d`` and rewrites each chain of ``theta_i``
+operators into ``theta'_i`` operators, with an arrival error ``Delta_i``:
+
+    theta_i = theta'_i * d + Delta_i,   0 <= Delta_i < d          (Eq. 1)
+
+subject to the user's budget ``sum Delta_i <= B``.  Every action arrives
+early (``Delta_i >= 0``), as in the paper's running example, so a divisor
+leaves each chain one choice: ``theta'_i = theta_i div d`` and
+``Delta_i = theta_i mod d``.  Minimising ``sum theta'_i`` and then
+``sum Delta_i`` (Eq. 2) is therefore one pass over ``d = 1 ... max Theta
++ 1``, where the last divisor already collapses every chain to 0.
 """
 
 from __future__ import annotations
@@ -14,22 +26,14 @@ from dataclasses import dataclass
 from typing import Dict, Sequence, Set, Tuple
 
 from ..logic.ast import Formula, Next, next_chain
-from ..smt.timeopt import (
-    TimeAbstractionProblem,
-    TimeAbstractionSolution,
-    gcd_reduction,
-    solve_bitblast,
-    solve_reference,
-)
 
 
 class AbstractionMethod(enum.Enum):
-    """Which solver shortens the Next chains."""
+    """How far the Next chains are shortened."""
 
-    NONE = "none"
-    GCD = "gcd"
-    OPTIMAL = "optimal"  # exact reference solver
-    BITBLAST = "bitblast"  # the paper's SMT-via-SAT route
+    NONE = "none"  # the identity, d = 1
+    GCD = "gcd"  # Eq. (2) with B = 0: divide by the GCD
+    OPTIMAL = "optimal"  # Eq. (2) with the user's budget B
 
 
 def chain_lengths(formulas: Sequence[Formula]) -> Tuple[int, ...]:
@@ -76,6 +80,34 @@ def rewrite_chains(formula: Formula, mapping: Dict[int, int]) -> Formula:
 
 
 @dataclass(frozen=True)
+class TimeAbstractionSolution:
+    """A satisfying assignment of Eq. (1) with the achieved objectives."""
+
+    divisor: int
+    scaled: Tuple[int, ...]  # theta'_i
+    errors: Tuple[int, ...]  # Delta_i
+    cost_next: int  # sum theta'_i
+    cost_error: int  # sum Delta_i
+
+    def check(self, thetas: Sequence[int], bound: int) -> None:
+        """Validate the solution against Eq. (1) and the budget *bound*;
+        raises on violation."""
+        if self.divisor < 1:
+            raise AssertionError("divisor must be positive")
+        for theta, scaled, error in zip(thetas, self.scaled, self.errors):
+            if theta != scaled * self.divisor + error:
+                raise AssertionError(f"Eq. (1) violated for theta={theta}")
+            if not 0 <= error < self.divisor:
+                raise AssertionError(f"0 <= Delta < d violated for theta={theta}")
+        if sum(self.errors) > bound:
+            raise AssertionError("error budget exceeded")
+        if sum(self.scaled) != self.cost_next:
+            raise AssertionError("cost_next mismatch")
+        if sum(self.errors) != self.cost_error:
+            raise AssertionError("cost_error mismatch")
+
+
+@dataclass(frozen=True)
 class AbstractionResult:
     """The abstraction solution of a specification's chain lengths, for
     reporting."""
@@ -90,21 +122,26 @@ def solve_abstraction(
     method: AbstractionMethod = AbstractionMethod.OPTIMAL,
     error_bound: int = 5,
 ) -> TimeAbstractionSolution:
-    """Solve the abstraction problem for a set of chain lengths.
+    """Solve Eq. (1)/(2) for a set of distinct chain lengths.
 
-    *error_bound* is the paper's user-specified ``B``; every chain may
-    arrive early, as in the running example of Section IV-E.  The
-    translator's :class:`~repro.translate.translator.TranslationCache`
-    caches solutions per theta-set: an edit that does not introduce a new
-    chain length reuses the solved mapping outright.
+    *error_bound* is the paper's user-specified ``B``.  Divisors are tried
+    in increasing order and the first one with the smallest
+    ``(sum theta', sum Delta)`` within the budget wins; ``d = 1`` (the
+    identity) is always within it.  The translator's
+    :class:`~repro.translate.translator.TranslationCache` caches solutions
+    per theta set: an edit that does not introduce a new chain length
+    reuses the solved mapping outright.
     """
-    if method is AbstractionMethod.NONE or not thetas:
-        return TimeAbstractionSolution(
-            1, thetas, (0,) * len(thetas), sum(thetas), 0
-        )
-    if method is AbstractionMethod.GCD:
-        return gcd_reduction(thetas)
-    problem = TimeAbstractionProblem.of(thetas, error_bound)
-    if method is AbstractionMethod.BITBLAST:
-        return solve_bitblast(problem)
-    return solve_reference(problem)
+    last = 1 if method is AbstractionMethod.NONE else max(thetas, default=0) + 1
+    bound = error_bound if method is AbstractionMethod.OPTIMAL else 0
+    best = None
+    for divisor in range(1, last + 1):
+        scaled = tuple(theta // divisor for theta in thetas)
+        errors = tuple(theta % divisor for theta in thetas)
+        cost = (sum(scaled), sum(errors))
+        if cost[1] > bound:
+            continue
+        if best is None or cost < (best.cost_next, best.cost_error):
+            best = TimeAbstractionSolution(divisor, scaled, errors, *cost)
+    best.check(thetas, bound)
+    return best

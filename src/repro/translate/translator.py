@@ -43,7 +43,6 @@ from ..nlp.dependencies import candidate_subjects, sentence_vocabulary
 from ..nlp.grammar import Sentence, parse_sentence
 from ..nlp.tokenizer import split_sentences
 from ..obs.trace import span as _obs_span
-from ..smt.timeopt import TimeAbstractionSolution
 from .partition import (
     Partition,
     RequirementPartition,
@@ -60,6 +59,7 @@ from .templates import TranslationOptions, sentence_formula
 from .timeabs import (
     AbstractionMethod,
     AbstractionResult,
+    TimeAbstractionSolution,
     chain_lengths,
     rewrite_chains,
     solve_abstraction,
@@ -290,6 +290,8 @@ class Translator:
         abstraction: AbstractionMethod = AbstractionMethod.OPTIMAL,
         error_bound: int = 5,
     ) -> None:
+        if error_bound < 0:
+            raise ValueError("error budget must be non-negative")
         self.options = options
         self.abstraction = abstraction
         self.error_bound = error_bound

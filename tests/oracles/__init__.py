@@ -24,7 +24,10 @@ Each module holds the straightforward version of one optimised engine in
   the lexicon's import-time tables of every form they accept);
 * ``localization`` — every whole prefix re-checked and the culprit's
   component recomputed as a proposition fixpoint (vs. growth that
-  checks only the group the new formula joins).
+  checks only the group the new formula joins);
+* ``timeabs`` — Eq. (1)/(2) of the time abstraction over every divisor
+  and every ``theta'`` vector (vs. one ``div``/``mod`` choice per chain
+  for each divisor).
 
 Two modules are helpers rather than references: ``ladder`` takes the
 obligation certificate out of ``realizability.RUNGS`` so the exact
@@ -34,9 +37,9 @@ equivalence and Mealy-machine runs, which only the tests use.
 They plug in by subclassing the engine classes, by monkeypatching the
 names :mod:`repro.synthesis.realizability` looks up (``solve_game``,
 ``IncrementalBoundedSynthesizer``, ``RUNGS``), or, for ``sat``'s brute
-force, ``ltl``, ``semantics``, ``obligations``, ``lexicon`` and
-``localization``, by being called side by side with production on the
-same input.  The
+force, ``ltl``, ``semantics``, ``obligations``, ``lexicon``,
+``localization`` and ``timeabs``, by being called side by side with
+production on the same input.  The
 test modules import them as ``oracles.*`` (pytest puts ``tests/`` on
 ``sys.path``).
 """

@@ -1418,6 +1418,7 @@ class TestCLI:
     #: ``(argv, flag)``: option values that must fail at parse time.
     MALFORMED_OPTIONS = [
         (["check", "doc.txt", "--error-bound", "-1"], "--error-bound"),
+        (["check", "doc.txt", "--abstraction", "bitblast"], "--abstraction"),
         (["batch", ".", "--error-bound", "-1"], "--error-bound"),
         (["serve", "--error-bound", "-1"], "--error-bound"),
         (["serve", "--tcp", "nonsense"], "--tcp"),

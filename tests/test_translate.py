@@ -369,16 +369,19 @@ class TestTranslator:
         )
         assert spec.abstraction.solution.divisor == 60
 
-    def test_bitblast_matches_reference(self):
+    def test_error_bound_reaches_the_solver(self):
         document = (
             "If the valve is open, the alarm is issued in 4 seconds.\n"
             "If the valve is open, the pump is stopped in 7 seconds."
         )
-        optimal = Translator(abstraction=AbstractionMethod.OPTIMAL, error_bound=2)
-        bitblast = Translator(abstraction=AbstractionMethod.BITBLAST, error_bound=2)
-        a = optimal.translate_document(document)
-        b = bitblast.translate_document(document)
-        assert a.abstraction.solution.cost_next == b.abstraction.solution.cost_next
+        tight = Translator(abstraction=AbstractionMethod.OPTIMAL, error_bound=2)
+        loose = Translator(abstraction=AbstractionMethod.OPTIMAL, error_bound=5)
+        # Theta = {4, 7}: B = 2 allows d = 3 (Delta = 1, 1), B = 5 allows
+        # d = 7 (Delta = 4, 0).
+        a = tight.translate_document(document).abstraction.solution
+        b = loose.translate_document(document).abstraction.solution
+        assert (a.divisor, a.scaled, a.cost_error) == (3, (1, 2), 2)
+        assert (b.divisor, b.scaled, b.cost_error) == (7, (0, 1), 4)
 
 
 class TestMetamorphic:
